@@ -22,9 +22,19 @@ const char* fairness_policy_name(FairnessPolicy policy) {
   return "?";
 }
 
+void JobQueue::push(QueueEntry entry) {
+  // After every queued entry with seq <= entry.seq: an append unless the
+  // entry is older than the tail.
+  const auto pos = std::upper_bound(
+      entries_.begin() + static_cast<std::ptrdiff_t>(head_), entries_.end(),
+      entry.seq,
+      [](std::uint64_t seq, const QueueEntry& e) { return seq < e.seq; });
+  entries_.insert(pos, std::move(entry));
+}
+
 QueueEntry JobQueue::take(std::size_t index) {
   WRHT_REQUIRE(index < size(), "JobQueue: take(" << index << ") out of range");
-  if (flat_ && index == 0) {
+  if (index == 0) {
     QueueEntry entry = std::move(entries_[head_]);
     ++head_;
     // Amortized prefix compaction: erase the dead front only once it is
@@ -70,22 +80,13 @@ std::optional<AdmissionDecision> admit_fifo(const JobQueue& queue,
   // Strict arrival order: only the oldest eligible entry may start (a held
   // entry is waiting out its fuse window by choice, an electrically-pinned
   // one is not asking for spectrum at all — neither admits nor blocks the
-  // line).
+  // line).  Entries are stored in seq order (JobQueue::push), so the first
+  // eligible entry IS the min-seq one: O(prefix of held/pinned entries).
   std::optional<std::size_t> head;
-  if (queue.flat()) {
-    // Entries are stored in seq order (JobQueue::push invariant), so the
-    // first eligible entry IS the min-seq one — identical pick, O(prefix of
-    // held/pinned entries) instead of O(queue).
-    for (std::size_t i = 0; i < queue.size(); ++i) {
-      if (optically_eligible(queue.at(i))) {
-        head = i;
-        break;
-      }
-    }
-  } else {
-    for (std::size_t i = 0; i < queue.size(); ++i) {
-      if (!optically_eligible(queue.at(i))) continue;
-      if (!head || queue.at(i).seq < queue.at(*head).seq) head = i;
+  for (std::size_t i = 0; i < queue.size(); ++i) {
+    if (optically_eligible(queue.at(i))) {
+      head = i;
+      break;
     }
   }
   if (!head) return std::nullopt;

@@ -75,45 +75,32 @@ struct QueueEntry {
 
 class JobQueue {
  public:
-  /// Entries are pushed in submission order, and removals preserve relative
-  /// order, so at(i).seq is strictly increasing in i — the invariant the
-  /// flat-mode FIFO scan's early exit rests on.
-  void push(QueueEntry entry) { entries_.push_back(std::move(entry)); }
+  /// Insert `entry` in seq order.  Removals preserve relative order, so
+  /// at(i).seq is increasing in i — the invariant the FIFO scan's early
+  /// exit rests on.  The runtime pushes in submission order, which makes
+  /// every push an append.
+  void push(QueueEntry entry);
   [[nodiscard]] bool empty() const { return head_ == entries_.size(); }
   [[nodiscard]] std::size_t size() const { return entries_.size() - head_; }
   [[nodiscard]] const QueueEntry& at(std::size_t i) const {
     return entries_[head_ + i];
   }
 
-  /// Remove and return the entry at logical `index`.  In flat mode a
-  /// take(0) — the FIFO/backlog-drain hot path — is O(1): the head offset
-  /// advances past the slot and the dead prefix is erased in amortized
-  /// batches.  Mid-queue takes (and every take in naive mode) fall back to
-  /// the positional erase.  Observable contents and ordering are identical
-  /// either way.
+  /// Remove and return the entry at logical `index`.  A take(0) — the
+  /// FIFO/backlog-drain hot path — is O(1): the head offset advances past
+  /// the slot and the dead prefix is erased in amortized batches.
+  /// Mid-queue takes fall back to the positional erase.
   QueueEntry take(std::size_t index);
 
   /// Clear the fuse-window hold on job `id`.  Returns false when the job no
   /// longer sits in the queue (it was admitted or fused meanwhile).
   bool release_hold(JobId id);
 
-  /// Toggle the head-offset fast path (on by default).  Naive mode erases
-  /// on every take — the historical O(queue) behavior the serve-throughput
-  /// bench measures its speedup against.
-  void set_flat(bool flat) { flat_ = flat; }
-  /// Whether the flat fast paths (head offset, seq-ordered FIFO early exit)
-  /// are enabled.
-  [[nodiscard]] bool flat() const { return flat_; }
-
  private:
   /// Queued entries live at entries_[head_ ..); slots below head_ were
   /// taken from the front and await the amortized prefix erase.
   std::vector<QueueEntry> entries_;
   std::size_t head_ = 0;
-  // Off by default: the FIFO early-exit is only sound when the OWNER
-  // upholds the seq-ordered-push invariant, which the runtime does (and
-  // opts in via set_flat); a hand-built queue may push in any order.
-  bool flat_ = false;
 };
 
 struct AdmissionDecision {

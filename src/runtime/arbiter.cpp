@@ -21,15 +21,12 @@ void SpectrumArbiter::publish_occupancy() {
                                  static_cast<double>(total_));
 }
 
-SpectrumArbiter::SpectrumArbiter(std::uint32_t total_wavelengths,
-                                 bool interval_index)
-    : total_(total_wavelengths),
-      free_(total_wavelengths),
-      indexed_(interval_index) {
+SpectrumArbiter::SpectrumArbiter(std::uint32_t total_wavelengths)
+    : total_(total_wavelengths), free_(total_wavelengths) {
   WRHT_REQUIRE(total_wavelengths > 0,
                "SpectrumArbiter: need at least one wavelength");
   taken_.assign(total_wavelengths, false);
-  if (indexed_) free_intervals_.push_back(FreeInterval{0, total_wavelengths});
+  free_intervals_.push_back(FreeInterval{0, total_wavelengths});
 }
 
 void SpectrumArbiter::index_take(std::uint32_t base, std::uint32_t width) {
@@ -88,47 +85,24 @@ void SpectrumArbiter::index_free(std::uint32_t base, std::uint32_t width) {
 }
 
 std::uint32_t SpectrumArbiter::largest_free_block() const {
-  if (indexed_) {
-    std::uint32_t best = 0;
-    for (const FreeInterval& iv : free_intervals_) {
-      best = std::max(best, iv.width);
-    }
-    return best;
-  }
   std::uint32_t best = 0;
-  std::uint32_t run = 0;
-  for (std::uint32_t lambda = 0; lambda < total_; ++lambda) {
-    run = taken_[lambda] ? 0 : run + 1;
-    best = std::max(best, run);
+  for (const FreeInterval& iv : free_intervals_) {
+    best = std::max(best, iv.width);
   }
   return best;
 }
 
 std::optional<WavelengthBand> SpectrumArbiter::allocate(std::uint32_t width) {
   WRHT_REQUIRE(width > 0, "SpectrumArbiter: zero-width band requested");
-  std::uint32_t base = total_;  // sentinel: no fit
-  if (indexed_) {
-    // First fit == the lowest-based interval wide enough; intervals are
-    // sorted by base, so the first hit is the bitmap scan's answer.
-    for (const FreeInterval& iv : free_intervals_) {
-      if (iv.width >= width) {
-        base = iv.base;
-        break;
-      }
-    }
-  } else {
-    std::uint32_t run = 0;
-    for (std::uint32_t lambda = 0; lambda < total_; ++lambda) {
-      run = taken_[lambda] ? 0 : run + 1;
-      if (run == width) {
-        base = lambda + 1 - width;
-        break;
-      }
-    }
-  }
-  if (base == total_) return std::nullopt;
+  // First fit == the lowest-based interval wide enough; intervals are
+  // sorted by base.
+  const auto fit = std::find_if(
+      free_intervals_.begin(), free_intervals_.end(),
+      [width](const FreeInterval& iv) { return iv.width >= width; });
+  if (fit == free_intervals_.end()) return std::nullopt;
+  const std::uint32_t base = fit->base;
   for (std::uint32_t i = base; i < base + width; ++i) taken_[i] = true;
-  if (indexed_) index_take(base, width);
+  index_take(base, width);
   free_ -= width;
   ++bands_;
   obs::inc(allocations_);
@@ -144,32 +118,12 @@ std::optional<WavelengthBand> SpectrumArbiter::allocate_at(
     if (taken_[i]) return std::nullopt;
   }
   for (std::uint32_t i = base; i < base + width; ++i) taken_[i] = true;
-  if (indexed_) index_take(base, width);
+  index_take(base, width);
   free_ -= width;
   ++bands_;
   obs::inc(allocations_);
   publish_occupancy();
   return WavelengthBand{base, width};
-}
-
-std::vector<SpectrumArbiter::FreeInterval> SpectrumArbiter::free_intervals()
-    const {
-  if (indexed_) return free_intervals_;
-  // Naive mode keeps no index; rebuild the maximal runs from the bitmap.
-  // Same sorted/disjoint/never-adjacent shape as the indexed list, so both
-  // modes hand the planner identical inputs.
-  std::vector<FreeInterval> out;
-  std::uint32_t run = 0;
-  for (std::uint32_t lambda = 0; lambda < total_; ++lambda) {
-    if (taken_[lambda]) {
-      if (run > 0) out.push_back(FreeInterval{lambda - run, run});
-      run = 0;
-    } else {
-      ++run;
-    }
-  }
-  if (run > 0) out.push_back(FreeInterval{total_ - run, run});
-  return out;
 }
 
 void SpectrumArbiter::release(const WavelengthBand& band) {
@@ -181,7 +135,7 @@ void SpectrumArbiter::release(const WavelengthBand& band) {
                "SpectrumArbiter: double release of wavelength " << i);
     taken_[i] = false;
   }
-  if (indexed_) index_free(band.base, band.width);
+  index_free(band.base, band.width);
   free_ += band.width;
   --bands_;
   obs::inc(releases_);
@@ -217,13 +171,11 @@ WavelengthBand SpectrumArbiter::grow(const WavelengthBand& band,
     --free_;
   }
   if (out.width != band.width) {
-    if (indexed_) {
-      const std::uint32_t above = out.base + out.width -
-                                  (band.base + band.width);
-      if (above > 0) index_take(band.base + band.width, above);
-      const std::uint32_t below = band.base - out.base;
-      if (below > 0) index_take(out.base, below);
-    }
+    const std::uint32_t above = out.base + out.width -
+                                (band.base + band.width);
+    if (above > 0) index_take(band.base + band.width, above);
+    const std::uint32_t below = band.base - out.base;
+    if (below > 0) index_take(out.base, below);
     obs::inc(grows_);
     publish_occupancy();
   }
@@ -246,13 +198,11 @@ void SpectrumArbiter::shrink_to(const WavelengthBand& band,
     ++free_;
   }
   if (keep.width != band.width) {
-    if (indexed_) {
-      const std::uint32_t left = keep.base - band.base;
-      if (left > 0) index_free(band.base, left);
-      const std::uint32_t right = (band.base + band.width) -
-                                  (keep.base + keep.width);
-      if (right > 0) index_free(keep.base + keep.width, right);
-    }
+    const std::uint32_t left = keep.base - band.base;
+    if (left > 0) index_free(band.base, left);
+    const std::uint32_t right = (band.base + band.width) -
+                                (keep.base + keep.width);
+    if (right > 0) index_free(keep.base + keep.width, right);
     obs::inc(shrinks_);
     publish_occupancy();
   }
@@ -260,29 +210,17 @@ void SpectrumArbiter::shrink_to(const WavelengthBand& band,
 
 std::uint32_t SpectrumArbiter::largest_free_block_assuming(
     const WavelengthBand& also_free) const {
-  if (indexed_) {
-    // `also_free` is a granted band (every cell taken), so the hypothetical
-    // free run it creates is also_free itself joined with the intervals
-    // touching its two edges; every other free run is unchanged.
-    std::uint32_t joined = also_free.width;
-    std::uint32_t best = 0;
-    for (const FreeInterval& iv : free_intervals_) {
-      best = std::max(best, iv.width);
-      if (iv.base + iv.width == also_free.base) joined += iv.width;
-      if (iv.base == also_free.base + also_free.width) joined += iv.width;
-    }
-    return std::max(best, joined);
-  }
+  // `also_free` is a granted band (every cell taken), so the hypothetical
+  // free run it creates is also_free itself joined with the intervals
+  // touching its two edges; every other free run is unchanged.
+  std::uint32_t joined = also_free.width;
   std::uint32_t best = 0;
-  std::uint32_t run = 0;
-  for (std::uint32_t lambda = 0; lambda < total_; ++lambda) {
-    const bool free = !taken_[lambda] ||
-                      (lambda >= also_free.base &&
-                       lambda < also_free.base + also_free.width);
-    run = free ? run + 1 : 0;
-    best = std::max(best, run);
+  for (const FreeInterval& iv : free_intervals_) {
+    best = std::max(best, iv.width);
+    if (iv.base + iv.width == also_free.base) joined += iv.width;
+    if (iv.base == also_free.base + also_free.width) joined += iv.width;
   }
-  return best;
+  return std::max(best, joined);
 }
 
 }  // namespace wrht::runtime

@@ -8,15 +8,11 @@
 // preserved by construction, with the SpectrumMap still checking every
 // reservation as a backstop.
 //
-// Bands are handed out first-fit.  Queries normally run over a sorted
-// free-interval list (O(#holes) instead of O(W) per grant/probe — the
-// difference matters once a million-job run calls can_place on every
-// admission attempt); a per-wavelength occupancy bitmap is maintained
-// alongside it in every mode, both as the double-free / corruption guard
-// and as the reference structure for the naive scan path
-// (`interval_index = false`), which reproduces the original O(W) bitmap
-// scans for benchmark baselines.  Both paths make identical first-fit
-// decisions by construction.
+// Bands are handed out first-fit.  Queries run over a sorted free-interval
+// list (O(#holes) instead of O(W) per grant/probe — the difference matters
+// once a million-job run calls can_place on every admission attempt); a
+// per-wavelength occupancy bitmap is maintained alongside it as the
+// double-free / corruption guard.
 #pragma once
 
 #include <cstdint>
@@ -45,8 +41,7 @@ class SpectrumArbiter {
         default;
   };
 
-  explicit SpectrumArbiter(std::uint32_t total_wavelengths,
-                           bool interval_index = true);
+  explicit SpectrumArbiter(std::uint32_t total_wavelengths);
 
   /// Register the arbiter's metrics with `registry`: band grant/release/
   /// grow/shrink counters and the "optical.spectrum_occupancy" sampled
@@ -73,11 +68,10 @@ class SpectrumArbiter {
   [[nodiscard]] std::optional<WavelengthBand> allocate_at(std::uint32_t base,
                                                           std::uint32_t width);
 
-  /// Snapshot of the maximal free runs, sorted by base.  In indexed mode
-  /// this is the interval list itself; in naive mode it is recomputed from
-  /// the occupancy bitmap — both report identical intervals, so planner
-  /// decisions are bit-identical across the flat_hot_path toggle.
-  [[nodiscard]] std::vector<FreeInterval> free_intervals() const;
+  /// The maximal free runs, sorted by base.
+  [[nodiscard]] const std::vector<FreeInterval>& free_intervals() const {
+    return free_intervals_;
+  }
 
   /// Return a band obtained from allocate().  Aborts on a band that is not
   /// currently allocated exactly as given (double-free / corruption guard).
@@ -115,9 +109,8 @@ class SpectrumArbiter {
   std::uint32_t total_;
   std::uint32_t free_;
   std::uint32_t bands_ = 0;
-  bool indexed_;
-  std::vector<bool> taken_;  // per wavelength; guard + naive-path reference
-  std::vector<FreeInterval> free_intervals_;  // unused when !indexed_
+  std::vector<bool> taken_;  // per wavelength; double-free / corruption guard
+  std::vector<FreeInterval> free_intervals_;
   /// Metric handles; nullptr (zero-overhead emission) without a registry.
   obs::Counter* allocations_ = nullptr;
   obs::Counter* releases_ = nullptr;

@@ -112,14 +112,11 @@ CollectiveRuntime::CollectiveRuntime(RuntimeConfig config)
       ring_(config.ring_size),
       optical_(make_optical_substrate(ring_, config_.optical,
                                       config_.fit_policy, simulator_,
-                                      config_.flat_hot_path,
                                       config_.spectrum_policy)),
       electrical_(config_.placement == HybridPlacementPolicy::kOpticalOnly
                       ? nullptr
                       : make_electrical_substrate(config_.ring_size,
                                                   config_.electrical)) {
-  simulator_.event_queue().set_recycling(config_.flat_hot_path);
-  queue_.set_flat(config_.flat_hot_path);
   optical_node_down_.assign(config_.ring_size, 0);
   host_down_.assign(config_.ring_size, 0);
   wavelength_down_.assign(config_.optical.wdm.num_wavelengths, 0);

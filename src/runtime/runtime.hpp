@@ -160,14 +160,6 @@ struct RuntimeConfig {
   /// next BSP step boundaries and resolved through the same renegotiate()
   /// entry point preemption and resize use.  Must outlive the runtime.
   FaultSource* faults = nullptr;
-  /// Flattened event-loop hot paths (on by default): event-queue slot
-  /// recycling + lazy heap compaction, the interval-indexed spectrum
-  /// arbiter, batched per-step spectrum releases, O(1) outstanding-registry
-  /// removal, and the admission queue's head-offset take.  Every flattened
-  /// path makes bit-identical decisions, so reports match the naive mode
-  /// exactly; false restores the original O(n)-per-event behavior as the
-  /// benchmark baseline (bench/serve_throughput measures the gap).
-  bool flat_hot_path = true;
 };
 
 /// Per-substrate slice of a run: how much of the workload each fabric

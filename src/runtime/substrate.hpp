@@ -343,16 +343,11 @@ class ExecutionSubstrate {
 
 /// The WDM-ring substrate (spectrum arbiter + Wrht builds + shared-map
 /// per-step reservations).  `ring` and `sim` must outlive the substrate.
-/// `flat_hot_path` selects the interval-indexed arbiter, batched per-step
-/// spectrum-release events, and O(1) backlog-registry removal; false
-/// restores the original per-transfer/linear-scan behaviour (identical
-/// schedules and reports either way — it exists as a benchmark baseline).
 /// `spectrum_policy` picks who places bands: the SpectrumPlanner (default)
 /// or the historical greedy first-fit (ablation baseline).
 [[nodiscard]] std::unique_ptr<ExecutionSubstrate> make_optical_substrate(
     const topo::RingTopology& ring, const optical::OpticalParams& params,
     optical::FitPolicy fit_policy, sim::Simulator& sim,
-    bool flat_hot_path = true,
     SpectrumPolicy spectrum_policy = SpectrumPolicy::kPlanner);
 
 /// Which electrical fabric backs the fallback substrate.

@@ -67,16 +67,15 @@ class OpticalSubstrate final : public ExecutionSubstrate {
   OpticalSubstrate(const topo::RingTopology& ring,
                    const optical::OpticalParams& params,
                    optical::FitPolicy fit_policy, sim::Simulator& sim,
-                   bool flat_hot_path, SpectrumPolicy spectrum_policy)
+                   SpectrumPolicy spectrum_policy)
       : ring_(ring),
         params_(params),
         fit_policy_(fit_policy),
         sim_(sim),
-        flat_(flat_hot_path),
         policy_(spectrum_policy),
         spectrum_(ring, params.wdm.num_wavelengths),
         transceivers_(ring.num_nodes()),
-        arbiter_(params.wdm.num_wavelengths, flat_hot_path) {}
+        arbiter_(params.wdm.num_wavelengths) {}
 
   [[nodiscard]] SubstrateKind kind() const override {
     return SubstrateKind::kOptical;
@@ -162,32 +161,22 @@ class OpticalSubstrate final : public ExecutionSubstrate {
       const util::Seconds finish =
           now + optical::transfer_cost(params_, t, retuned);
       step_end = std::max(step_end, finish);
-      if (!flat_) {
-        sim_.schedule_at(finish, [this, arc = t.arc, lambdas = t.lambdas] {
-          for (const optical::WavelengthId lambda : lambdas) {
-            spectrum_.release(arc, lambda);
-          }
-        });
-      }
     }
-    if (flat_) {
-      // One release event for the whole step instead of one per transfer.
-      // Equivalent: the cells belong to this band alone (bands are
-      // disjoint), and the only parties that could re-reserve them — this
-      // execution's next step, or a successor band after a resize — act at
-      // the step boundary (>= step_end + sync), which pops after this
-      // event.  The captured pointer into the plan's timed_steps outlives
-      // the event: the plan is destroyed no earlier than the step-boundary
-      // event, which was scheduled after this one (so at an equal timestamp
-      // this release still fires first).
-      sim_.schedule_at(step_end, [this, step_transfers = &transfers] {
-        for (const optical::TimedTransfer& t : *step_transfers) {
-          for (const optical::WavelengthId lambda : t.lambdas) {
-            spectrum_.release(t.arc, lambda);
-          }
+    // One release event for the whole step.  The cells belong to this band
+    // alone (bands are disjoint), and the only parties that could re-reserve
+    // them — this execution's next step, or a successor band after a resize
+    // — act at the step boundary (>= step_end + sync), which pops after
+    // this event.  The captured pointer into the plan's timed_steps outlives
+    // the event: the plan is destroyed no earlier than the step-boundary
+    // event, which was scheduled after this one (so at an equal timestamp
+    // this release still fires first).
+    sim_.schedule_at(step_end, [this, step_transfers = &transfers] {
+      for (const optical::TimedTransfer& t : *step_transfers) {
+        for (const optical::WavelengthId lambda : t.lambdas) {
+          spectrum_.release(t.arc, lambda);
         }
-      });
-    }
+      }
+    });
     out.end = step_end + params_.sync_time;
     obs::inc(retunes_, out.retunes);
     obs::inc(reservations_, out.reservations);
@@ -486,15 +475,8 @@ class OpticalSubstrate final : public ExecutionSubstrate {
   /// being outstanding (release, or a resize moving the band to a successor
   /// plan) — the plan object itself may be destroyed right after.  Swap-
   /// remove keeps this O(1); predict_completion sorts the registry before
-  /// reading it, so the order perturbation is invisible.  Naive mode keeps
-  /// the historical linear remove-erase for benchmark baselines.
+  /// reading it, so the order perturbation is invisible.
   void forget(OpticalExecution& exec) {
-    if (!flat_) {
-      outstanding_.erase(
-          std::remove(outstanding_.begin(), outstanding_.end(), &exec),
-          outstanding_.end());
-      return;
-    }
     const std::size_t idx = exec.outstanding_index;
     WRHT_CHECK(idx < outstanding_.size() && outstanding_[idx] == &exec,
                "OpticalSubstrate: outstanding registry out of sync");
@@ -507,10 +489,6 @@ class OpticalSubstrate final : public ExecutionSubstrate {
   optical::OpticalParams params_;
   optical::FitPolicy fit_policy_;
   sim::Simulator& sim_;
-  /// Hot-path mode: interval-indexed arbiter, one spectrum-release event
-  /// per step, O(1) outstanding-registry removal.  False restores the
-  /// original per-transfer events and linear scans (benchmark baseline).
-  bool flat_;
   /// Who places bands: the SpectrumPlanner or greedy first-fit (ablation).
   SpectrumPolicy policy_;
   optical::SpectrumMap spectrum_;
@@ -537,10 +515,10 @@ class OpticalSubstrate final : public ExecutionSubstrate {
 
 std::unique_ptr<ExecutionSubstrate> make_optical_substrate(
     const topo::RingTopology& ring, const optical::OpticalParams& params,
-    optical::FitPolicy fit_policy, sim::Simulator& sim, bool flat_hot_path,
+    optical::FitPolicy fit_policy, sim::Simulator& sim,
     SpectrumPolicy spectrum_policy) {
   return std::make_unique<OpticalSubstrate>(ring, params, fit_policy, sim,
-                                            flat_hot_path, spectrum_policy);
+                                            spectrum_policy);
 }
 
 }  // namespace wrht::runtime

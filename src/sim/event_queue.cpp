@@ -9,7 +9,7 @@ namespace wrht::sim {
 
 std::uint64_t EventQueue::push(util::Seconds when, EventCallback callback) {
   std::uint32_t slot;
-  if (recycling_ && !free_.empty()) {
+  if (!free_.empty()) {
     slot = free_.back();
     free_.pop_back();
   } else {
@@ -62,7 +62,7 @@ void EventQueue::retire_slot(std::uint32_t slot) {
   // Bumping the generation invalidates every outstanding handle to this
   // slot, so it is safe to hand the slot out again immediately.
   ++s.generation;
-  if (recycling_) free_.push_back(slot);
+  free_.push_back(slot);
 }
 
 void EventQueue::maybe_compact() {
@@ -70,7 +70,6 @@ void EventQueue::maybe_compact() {
   // as long as we only do it when tombstones dominate.  make_heap over the
   // surviving (time, sequence, handle) entries reproduces the exact pop
   // order — the comparator never looks at heap layout.
-  if (!recycling_) return;
   if (heap_.size() < 64 || dead_entries_ * 2 <= heap_.size()) return;
   heap_.erase(std::remove_if(heap_.begin(), heap_.end(),
                              [this](const Entry& entry) {

@@ -8,9 +8,7 @@
 // slots (generation-checked handles, so a stale handle can never alias a
 // reused slot), the callback type stores small captures inline instead of
 // allocating, and lazily-cancelled heap entries are compacted once they
-// outnumber the live ones.  `set_recycling(false)` restores the original
-// append-only behaviour (slots and dead heap entries grow without bound)
-// so benchmarks can measure the naive path against the flat one.
+// outnumber the live ones.
 #pragma once
 
 #include <cstddef>
@@ -143,13 +141,6 @@ class EventQueue {
   /// Remove and return the earliest live event.  Requires !empty().
   Popped pop();
 
-  /// Toggle slot recycling + dead-entry compaction.  On (the default) keeps
-  /// memory proportional to the number of *outstanding* events; off
-  /// reproduces the historical append-only behaviour where every push grows
-  /// the slot table forever and cancelled heap entries linger until popped.
-  /// Pop order is identical either way — only memory behaviour differs.
-  void set_recycling(bool enabled) { recycling_ = enabled; }
-
   /// Introspection for memory-flatness tests and benchmarks.
   [[nodiscard]] std::size_t slot_count() const { return slots_.size(); }
   [[nodiscard]] std::size_t heap_entry_count() const { return heap_.size(); }
@@ -193,7 +184,6 @@ class EventQueue {
   std::vector<std::uint32_t> free_;  // retired slots awaiting reuse
   std::uint64_t next_sequence_ = 0;
   std::size_t live_ = 0;
-  bool recycling_ = true;
 };
 
 }  // namespace wrht::sim

@@ -32,11 +32,6 @@ class Simulator {
 
   [[nodiscard]] bool idle() const { return queue_.empty(); }
 
-  /// Direct access to the event queue for memory-behaviour knobs
-  /// (EventQueue::set_recycling) and introspection in tests/benchmarks.
-  [[nodiscard]] EventQueue& event_queue() { return queue_; }
-  [[nodiscard]] const EventQueue& event_queue() const { return queue_; }
-
  private:
   void step();
 

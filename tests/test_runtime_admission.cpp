@@ -188,6 +188,33 @@ TEST(JobQueue, TakeRemovesAndReturns) {
   EXPECT_EQ(queue.at(1).id, 2u);
 }
 
+TEST(JobQueue, PushKeepsSeqOrderAfterHeadTakes) {
+  JobQueue queue;
+  for (std::uint64_t seq = 100; seq < 300; seq += 2) {
+    queue.push(entry(static_cast<JobId>(seq), seq, 1, 1));
+  }
+  // Advance the head far enough that the dead prefix gets compacted, then
+  // push out of order: after the tail, older than everything queued,
+  // between two queued entries, and a held entry older still.
+  for (std::uint64_t seq = 100; seq < 240; seq += 2) {
+    EXPECT_EQ(queue.take(0).seq, seq);
+  }
+  queue.push(entry(500, 500, 1, 1));
+  queue.push(entry(50, 50, 1, 1));
+  queue.push(entry(245, 245, 1, 1));
+  QueueEntry held = entry(7, 7, 1, 1);
+  held.held = true;
+  queue.push(held);
+  ASSERT_EQ(queue.size(), 34u);
+  for (std::size_t i = 1; i < queue.size(); ++i) {
+    EXPECT_LT(queue.at(i - 1).seq, queue.at(i).seq) << "at index " << i;
+  }
+  // FIFO skips the held entry and admits the oldest eligible one.
+  const auto d = next_admission(queue, FairnessPolicy::kFifo, 8, 8);
+  ASSERT_TRUE(d);
+  EXPECT_EQ(queue.at(d->queue_index).seq, 50u);
+}
+
 TEST(Admission, EmptyQueueOrNoSpectrumDeclines) {
   JobQueue queue;
   EXPECT_FALSE(next_admission(queue, FairnessPolicy::kFifo, 8, 8));

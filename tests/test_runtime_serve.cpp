@@ -1,23 +1,30 @@
-// The streaming frontend's two equivalence claims, proven field by field:
+// The streaming frontend's equivalence claim, and the golden digests that
+// pin serve()'s behaviour:
 //
 //   1. serve() (specs pulled one at a time off a JobSource, arrival events
 //      chained) produces the SAME RuntimeReport as run() (every spec
 //      submitted up front) on the same workload.
-//   2. flat_hot_path = true (recycled event queue, interval arbiter,
-//      batched releases, head-offset admission queue) produces the SAME
-//      report as the naive event loop, on optical-only AND hybrid
-//      electrical-overflow configurations — with the shared fabric's
-//      whole-horizon replay audit re-proving every step.
+//   2. On three seeded configurations — optical-only FIFO, electrical
+//      overflow onto the shared two-level fabric, and a chaos mix of
+//      cost-model routing, priority preemption, elastic resize and faults —
+//      the report's FNV-1a digest equals a pinned constant.  Any change to
+//      the event loop, admission queue, spectrum arbiter or substrates that
+//      moves a single report field (doubles printed exactly) breaks it.
 //
 // Doubles are compared with EXPECT_EQ on purpose: bit-identity is the
 // claim, not approximate agreement.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <optional>
+#include <string>
 #include <vector>
 
+#include "runtime/faults.hpp"
 #include "runtime/runtime.hpp"
 #include "workload/generator.hpp"
+#include "workload/trace_io.hpp"
 
 namespace wrht::runtime {
 namespace {
@@ -34,14 +41,13 @@ workload::WorkloadConfig small_workload(std::uint64_t jobs, double rate) {
   return w;
 }
 
-RuntimeConfig base_config(bool flat) {
+RuntimeConfig base_config() {
   RuntimeConfig config;
   config.ring_size = 32;
   config.optical.wdm.num_wavelengths = 32;
   config.policy = FairnessPolicy::kFifo;
   config.default_request = 4;
   config.batcher.enabled = false;
-  config.flat_hot_path = flat;
   return config;
 }
 
@@ -100,39 +106,154 @@ void expect_reports_identical(const RuntimeReport& a, const RuntimeReport& b) {
 
 TEST(RuntimeServe, StreamingServeMatchesMaterializedRun) {
   const workload::WorkloadConfig w = small_workload(800, 2000.0);
-  const RuntimeConfig config = base_config(/*flat=*/true);
+  const RuntimeConfig config = base_config();
   expect_reports_identical(run_materialized(w, config),
                            run_streamed(w, config));
 }
 
-TEST(RuntimeServe, FlatAndNaiveReportsBitIdenticalOptical) {
-  const workload::WorkloadConfig w = small_workload(1000, 3000.0);
-  const RuntimeReport naive =
-      run_materialized(w, base_config(/*flat=*/false));
-  const RuntimeReport flat = run_streamed(w, base_config(/*flat=*/true));
-  expect_reports_identical(naive, flat);
-  EXPECT_EQ(flat.completed, 1000u);
+/// FNV-1a over every report field (doubles printed exactly); the same
+/// fields, in the same order, as perfbench's report digest.
+std::uint64_t report_digest(const RuntimeReport& r) {
+  std::string text;
+  const auto num = [&text](double v) {
+    text += std::isfinite(v) ? workload::format_double_exact(v) : "nonfinite";
+    text += ',';
+  };
+  const auto count = [&text](std::uint64_t v) {
+    text += std::to_string(v);
+    text += ',';
+  };
+  const auto breakdown = [&](const SubstrateBreakdown& b) {
+    count(b.jobs);
+    count(b.executions);
+    count(b.steps);
+    num(b.makespan.value());
+    num(b.busy_time.value());
+    num(b.quiet_time.value());
+  };
+  num(r.makespan.value());
+  count(r.submitted);
+  count(r.completed);
+  count(r.rejected);
+  count(r.executions);
+  count(r.batches);
+  count(r.total_steps);
+  count(r.total_retunes);
+  count(r.spectrum_reservations);
+  count(r.peak_concurrent_jobs);
+  count(r.oracle_failures);
+  count(r.preemptions);
+  count(r.resumes);
+  count(r.resizes);
+  count(r.step_retimes);
+  count(r.replay_checked_steps);
+  for (const double peak : r.electrical_link_peak) num(peak);
+  num(r.total_turnaround.value());
+  count(r.routing.decisions);
+  count(r.routing.to_optical);
+  count(r.routing.to_electrical);
+  num(r.routing.mean_error);
+  num(r.routing.worst_error);
+  breakdown(r.optical);
+  breakdown(r.electrical);
+  const obs::SloStats& slo = r.slo;
+  count(slo.jobs);
+  num(slo.p50_turnaround.value());
+  num(slo.p99_turnaround.value());
+  num(slo.p999_turnaround.value());
+  num(slo.p50_slowdown);
+  num(slo.p99_slowdown);
+  num(slo.p999_slowdown);
+  num(slo.max_wait.value());
+  count(slo.deadline_jobs);
+  count(slo.deadline_hits);
+  const FaultStats& f = r.faults;
+  count(f.injected);
+  count(f.transceiver_faults);
+  count(f.node_faults);
+  count(f.tor_faults);
+  count(f.wavelength_faults);
+  count(f.repairs);
+  count(f.disrupted_executions);
+  count(f.evictions);
+  count(f.restarts);
+  count(f.migrations);
+  count(f.fault_preemptions);
+  count(f.killed_jobs);
+  count(f.recoveries);
+  num(f.total_recovery.value());
+  num(f.wasted_step_time.value());
+  num(r.step_time_total.value());
+
+  std::uint64_t hash = 1469598103934665603ULL;
+  for (const char c : text) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 1099511628211ULL;
+  }
+  return hash;
 }
 
-TEST(RuntimeServe, FlatAndNaiveBitIdenticalHybridElectricalOverflow) {
+// The pinned constants below were computed before the event loop lost its
+// second (unflattened) implementation, and both implementations produced
+// them.  A changed digest means changed behaviour: find the cause rather
+// than re-pinning.
+
+TEST(RuntimeServe, GoldenDigestOpticalFifo) {
+  // Above-capacity optical-only FIFO: the admission queue's head take and
+  // the first-eligible early exit run on every completion.
+  const RuntimeReport report =
+      run_streamed(small_workload(1000, 3000.0), base_config());
+  EXPECT_EQ(report.completed, 1000u);
+  EXPECT_EQ(report_digest(report), 0x419b7a8bca58cea8ULL);
+}
+
+TEST(RuntimeServe, GoldenDigestHybridElectricalOverflow) {
   // Overflow load spills onto the shared two-level electrical fabric, so
   // this run exercises the windowed flow-network clone, batched session
-  // retirement, AND the whole-horizon replay audit in both modes.
-  workload::WorkloadConfig w = small_workload(600, 4000.0);
-  RuntimeConfig naive_cfg = base_config(/*flat=*/false);
-  naive_cfg.placement = HybridPlacementPolicy::kElectricalOverflow;
-  naive_cfg.electrical.fabric = ElectricalFabric::kTwoLevelShared;
-  naive_cfg.electrical.oversubscription = 4.0;
-  RuntimeConfig flat_cfg = naive_cfg;
-  flat_cfg.flat_hot_path = true;
-
-  const RuntimeReport naive = run_materialized(w, naive_cfg);
-  const RuntimeReport flat = run_streamed(w, flat_cfg);
-  expect_reports_identical(naive, flat);
-  EXPECT_GT(flat.electrical.jobs, 0u);
+  // retirement, AND the whole-horizon replay audit.
+  RuntimeConfig config = base_config();
+  config.placement = HybridPlacementPolicy::kElectricalOverflow;
+  config.electrical.fabric = ElectricalFabric::kTwoLevelShared;
+  config.electrical.oversubscription = 4.0;
+  const RuntimeReport report =
+      run_streamed(small_workload(600, 4000.0), config);
+  EXPECT_GT(report.electrical.jobs, 0u);
   // The audit actually ran: the shared fabric re-proved its steps.
-  EXPECT_GT(flat.replay_checked_steps, 0u);
-  EXPECT_EQ(flat.replay_checked_steps, naive.replay_checked_steps);
+  EXPECT_GT(report.replay_checked_steps, 0u);
+  EXPECT_EQ(report_digest(report), 0x33bea8f07707e4b5ULL);
+}
+
+TEST(RuntimeServe, GoldenDigestRoutedChaos) {
+  // Cost-model routing with priority preemption, elastic resize and a
+  // fault stream: covers the arbiter's what-if probe, band grow/shrink and
+  // the fault-recovery renegotiations.
+  workload::WorkloadConfig w = small_workload(600, 50000.0);
+  w.fault_horizon = util::Seconds(1.0);
+  w.transceiver_mtbf = util::Seconds(0.05);
+  w.node_mtbf = util::Seconds(0.08);
+  w.tor_mtbf = util::Seconds(0.15);
+  w.wavelength_mtbf = util::Seconds(0.06);
+  w.fault_mttr = util::Seconds(0.01);
+  w.fault_num_wavelengths = 32;
+  w.fault_num_tors = 4;
+  RuntimeConfig config = base_config();
+  config.placement = HybridPlacementPolicy::kCostModelChoice;
+  config.routing_cost_model = RoutingCostModel::kCongestionAware;
+  config.electrical.fabric = ElectricalFabric::kTwoLevelShared;
+  config.electrical.hosts_per_tor = 8;
+  config.electrical.oversubscription = 4.0;
+  config.policy = FairnessPolicy::kPriorityPreempt;
+  config.elastic_resize = true;
+
+  workload::WorkloadGenerator gen(w);
+  FaultInjector injector = gen.make_fault_injector();
+  config.faults = &injector;
+  CollectiveRuntime rt(config);
+  const RuntimeReport report = rt.serve(gen);
+  EXPECT_GT(report.preemptions, 0u);
+  EXPECT_GT(report.resizes, 0u);
+  EXPECT_GT(report.faults.injected, 0u);
+  EXPECT_EQ(report_digest(report), 0xa6cff5c3ffb90341ULL);
 }
 
 TEST(RuntimeServe, PreSubmittedJobsServeAheadOfTheSource) {
@@ -141,11 +262,11 @@ TEST(RuntimeServe, PreSubmittedJobsServeAheadOfTheSource) {
   const workload::WorkloadConfig w = small_workload(100, 1000.0);
 
   workload::WorkloadGenerator all(w);
-  CollectiveRuntime together(base_config(/*flat=*/true));
+  CollectiveRuntime together(base_config());
   const RuntimeReport expected = together.serve(all);
 
   workload::WorkloadGenerator split(w);
-  CollectiveRuntime rt(base_config(/*flat=*/true));
+  CollectiveRuntime rt(base_config());
   // Hand the first ten specs over as pre-submissions...
   for (int i = 0; i < 10; ++i) {
     rt.submit(std::move(*split.next()));
@@ -156,7 +277,7 @@ TEST(RuntimeServe, PreSubmittedJobsServeAheadOfTheSource) {
 }
 
 TEST(RuntimeServe, ServeAfterRunDies) {
-  CollectiveRuntime rt(base_config(/*flat=*/true));
+  CollectiveRuntime rt(base_config());
   JobSpec spec;
   spec.participants = {0, 1, 2};
   spec.payload = util::kilobytes(64);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace wrht::sim {
@@ -119,45 +122,49 @@ TEST(EventQueue, CancelHeavyMillionEventRunHoldsMemoryFlat) {
   EXPECT_EQ(fired + cancelled, 2000000u);
 }
 
-// The naive mode the serve_throughput bench measures against: recycling off
-// reproduces the historical append-only slot table.
-TEST(EventQueue, RecyclingOffGrowsSlotsPerPush) {
-  EventQueue queue;
-  queue.set_recycling(false);
-  for (int i = 0; i < 1000; ++i) {
-    queue.push(Seconds(static_cast<double>(i)), [] {});
-    queue.pop();
-  }
-  EXPECT_EQ(queue.slot_count(), 1000u);
-
-  EventQueue recycled;
-  for (int i = 0; i < 1000; ++i) {
-    recycled.push(Seconds(static_cast<double>(i)), [] {});
-    recycled.pop();
-  }
-  EXPECT_LE(recycled.slot_count(), 2u);
-}
-
-// Pop order is the determinism contract: recycling must not perturb it even
-// under interleaved pushes and cancels at tied timestamps.
+// Pop order is the determinism contract: slot recycling and tombstone
+// compaction must not perturb it.  A reference model — the surviving
+// pushes, stable-sorted by time — predicts every pop under interleaved
+// pushes, pops, and cancels at tied timestamps.
 TEST(EventQueue, RecyclingPreservesPopOrder) {
-  const auto run = [](bool recycling) {
-    EventQueue queue;
-    queue.set_recycling(recycling);
-    std::vector<int> fired;
-    std::vector<std::uint64_t> handles;
-    for (int i = 0; i < 500; ++i) {
-      handles.push_back(queue.push(Seconds(static_cast<double>(i % 7)),
-                                   [&fired, i] { fired.push_back(i); }));
-      if (i % 3 == 2) queue.cancel(handles[static_cast<std::size_t>(i) - 1]);
-      if (i % 5 == 4) queue.pop().callback();
-    }
-    while (!queue.empty()) {
-      queue.pop().callback();
-    }
-    return fired;
+  EventQueue queue;
+  std::vector<int> fired;
+  std::vector<int> expected;
+  // Reference: live (time, id) pairs in push order; the next pop is the
+  // first pair with the smallest time.
+  std::vector<std::pair<int, int>> pending;
+  std::vector<std::uint64_t> handles;
+  const auto pop_both = [&] {
+    const auto next = std::min_element(
+        pending.begin(), pending.end(),
+        [](const auto& a, const auto& b) { return a.first < b.first; });
+    expected.push_back(next->second);
+    pending.erase(next);
+    queue.pop().callback();
   };
-  EXPECT_EQ(run(true), run(false));
+  for (int i = 0; i < 2000; ++i) {
+    const int time = i % 7;
+    handles.push_back(queue.push(Seconds(static_cast<double>(time)),
+                                 [&fired, i] { fired.push_back(i); }));
+    pending.emplace_back(time, i);
+    // Cancel two of every three pushes (the previous one, which may have
+    // popped already), so tombstones dominate and the heap compacts.
+    if (i % 3 != 0) {
+      const auto victim =
+          std::find_if(pending.begin(), pending.end(),
+                       [i](const auto& p) { return p.second == i - 1; });
+      const bool live = victim != pending.end();
+      if (live) pending.erase(victim);
+      EXPECT_EQ(queue.cancel(handles[static_cast<std::size_t>(i) - 1]), live);
+    }
+    if (i % 5 == 4) pop_both();
+  }
+  // Cancelled and popped slots were handed out again.
+  EXPECT_LT(queue.slot_count(), handles.size());
+  EXPECT_EQ(queue.size(), pending.size());
+  while (!queue.empty()) pop_both();
+  EXPECT_TRUE(pending.empty());
+  EXPECT_EQ(fired, expected);
 }
 
 TEST(EventQueue, ManyInterleavedOperations) {
