@@ -9,7 +9,8 @@
 // rebuild on the same band) or a kRestart, a ToR loss is a kRestart on the
 // other substrate (migration), a wavelength loss is a kShrink.  Detection
 // is at BSP step boundaries: a running execution finishes its in-flight
-// step, then the runtime reconciles it against the down set.
+// step, then the runtime reconciles it against its substrate's fault state
+// (each substrate books the faults that hit its own units).
 //
 // Two sources exist: FaultInjector draws merged per-domain Poisson
 // processes from a seed (chaos mode — MTBF per failure domain fleet-wide,
@@ -26,8 +27,8 @@
 
 namespace wrht::runtime {
 
-/// What failed.  Domains are independent Poisson processes in the injector
-/// and independent handling paths in the runtime.
+/// What failed.  Domains are independent Poisson processes in the injector;
+/// each substrate books the domains that name its units.
 enum class FaultDomain : std::uint8_t {
   /// One ring position's optics (micro-ring transceiver): the node leaves
   /// OPTICAL service but its electrical host keeps working — light crosses

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <tuple>
 
 #include "coll/oracle.hpp"
 #include "util/check.hpp"
@@ -117,11 +118,6 @@ CollectiveRuntime::CollectiveRuntime(RuntimeConfig config)
                       ? nullptr
                       : make_electrical_substrate(config_.ring_size,
                                                   config_.electrical)) {
-  optical_node_down_.assign(config_.ring_size, 0);
-  host_down_.assign(config_.ring_size, 0);
-  wavelength_down_.assign(config_.optical.wdm.num_wavelengths, 0);
-  wavelength_quarantined_.assign(config_.optical.wdm.num_wavelengths, false);
-  host_quarantined_.assign(config_.ring_size, false);
   init_instruments();
 }
 
@@ -296,10 +292,10 @@ void CollectiveRuntime::release_fuse_hold(JobId id) {
 }
 
 std::int32_t CollectiveRuntime::top_suspended_priority(
-    SubstrateKind kind) const {
+    const ExecutionSubstrate& substrate) const {
   std::int32_t top = std::numeric_limits<std::int32_t>::min();
   for (const auto& exec : suspended_) {
-    if (exec->substrate->kind() == kind) {
+    if (exec->substrate == &substrate) {
       top = std::max(top, effective_priority(*exec));
     }
   }
@@ -314,10 +310,12 @@ std::int32_t CollectiveRuntime::effective_priority(
                        config_.aging_half_life);
 }
 
-void CollectiveRuntime::publish_optical_demand(const Execution* excluding) {
+void CollectiveRuntime::publish_demand(ExecutionSubstrate& substrate,
+                                       const Execution* excluding) {
   // Advisory planner input only — recomputed immediately before each
-  // planner placement, so the snapshot is exact at decision time.  Skipped
-  // entirely under the first-fit ablation (the substrate would ignore it).
+  // placement and renegotiation, so the snapshot is exact at decision time.
+  // Skipped entirely under the first-fit ablation (no substrate reads it
+  // then).
   //
   // The scan is bounded to a head-of-queue window: the head is what
   // admission considers next, and the planner's blocked/sliver terms only
@@ -331,26 +329,41 @@ void CollectiveRuntime::publish_optical_demand(const Execution* excluding) {
   const std::size_t scan = std::min(queue_.size(), kDemandWindow);
   for (std::size_t i = 0; i < scan; ++i) {
     const QueueEntry& entry = queue_.at(i);
-    if (optically_eligible(entry)) widths.push_back(entry.min_wavelengths);
-  }
-  for (const auto& exec : suspended_) {
-    if (exec.get() == excluding) continue;
-    if (exec->substrate->kind() == SubstrateKind::kOptical) {
-      widths.push_back(exec->min_width);
+    if (waits_for(entry, substrate)) {
+      widths.push_back(floor_grant(substrate, entry.participants.size(),
+                                   entry.min_wavelengths));
     }
   }
-  optical_->note_pending_demand(widths);
+  for (const auto& exec : suspended_) {
+    if (exec.get() == excluding || exec->substrate != &substrate) continue;
+    widths.push_back(
+        floor_grant(substrate, exec->participants.size(), exec->min_width));
+  }
+  substrate.note_pending_demand(widths);
 }
 
-bool CollectiveRuntime::has_suspended(SubstrateKind kind) const {
+bool CollectiveRuntime::has_suspended(
+    const ExecutionSubstrate& substrate) const {
   return std::any_of(suspended_.begin(), suspended_.end(),
-                     [kind](const std::shared_ptr<Execution>& exec) {
-                       return exec->substrate->kind() == kind;
+                     [&substrate](const std::shared_ptr<Execution>& exec) {
+                       return exec->substrate == &substrate;
                      });
 }
 
-bool CollectiveRuntime::electrically_pinned(const QueueEntry& entry) {
-  return !entry.held && entry.pin == SubstratePin::kElectricalOnly;
+bool CollectiveRuntime::waits_for(const QueueEntry& entry,
+                                  const ExecutionSubstrate& substrate) const {
+  if (entry.held) return false;
+  return entry.pin == SubstratePin::kElectricalOnly
+             ? &substrate == electrical_.get()
+             : &substrate == optical_.get();
+}
+
+std::uint32_t CollectiveRuntime::floor_grant(
+    const ExecutionSubstrate& substrate, std::size_t participants,
+    std::uint32_t min_width) {
+  return substrate.caps().remaps_on_resume
+             ? static_cast<std::uint32_t>(participants)
+             : min_width;
 }
 
 void CollectiveRuntime::try_admit() {
@@ -374,7 +387,7 @@ void CollectiveRuntime::try_admit() {
     // not spectrum; they get the mirror guard inside the electrical
     // placement path and must not hold up the optical line here.
     if (config_.policy == FairnessPolicy::kPriorityPreempt &&
-        has_suspended(SubstrateKind::kOptical)) {
+        has_suspended(*optical_)) {
       const util::Seconds now = simulator_.now();
       const std::optional<std::size_t> head =
           priority_head(queue_, now, config_.aging_half_life);
@@ -383,7 +396,7 @@ void CollectiveRuntime::try_admit() {
                                queue_.at(*head).arrival, now,
                                config_.aging_half_life)
                : std::numeric_limits<std::int32_t>::min();
-      if (top_suspended_priority(SubstrateKind::kOptical) > queued_top) {
+      if (top_suspended_priority(*optical_) > queued_top) {
         if (try_resume_one()) continue;
         break;  // resume blocked: hold the line, ask for preemptions below
       }
@@ -425,7 +438,7 @@ bool CollectiveRuntime::try_place_one_electrical() {
   // or a trickle of small pinned jobs starves the preempted victim.
   const std::int32_t top_elec_suspended =
       config_.policy == FairnessPolicy::kPriorityPreempt
-          ? top_suspended_priority(SubstrateKind::kElectrical)
+          ? top_suspended_priority(*electrical_)
           : std::numeric_limits<std::int32_t>::min();
   // Candidate order mirrors the fairness policy's preference: priority
   // (ties on arrival) under kPriorityPreempt, arrival order otherwise.
@@ -491,149 +504,83 @@ bool CollectiveRuntime::try_place_one_electrical() {
 }
 
 void CollectiveRuntime::request_preemptions() {
-  request_optical_preemptions();
-  request_electrical_preemptions();
-}
-
-void CollectiveRuntime::request_optical_preemptions() {
-  // The most urgent spectrum waiter: the queued admission head (the same
-  // selection the policy itself uses, so preemptions always benefit the job
-  // admission will actually pick) or a suspended OPTICAL execution awaiting
-  // resume, whichever outranks the other.
-  std::int32_t target_priority = std::numeric_limits<std::int32_t>::min();
-  std::uint32_t target_min = 0;
-  const util::Seconds now = simulator_.now();
-  if (const std::optional<std::size_t> head =
-          priority_head(queue_, now, config_.aging_half_life)) {
-    target_priority = aged_priority(queue_.at(*head).priority,
-                                    queue_.at(*head).arrival, now,
-                                    config_.aging_half_life);
-    target_min = queue_.at(*head).min_wavelengths;
-  }
-  for (const auto& exec : suspended_) {
-    if (exec->substrate->kind() != SubstrateKind::kOptical) continue;
-    const std::int32_t effective = effective_priority(*exec);
-    if (effective > target_priority) {
-      target_priority = effective;
-      target_min = exec->min_width;
+  for (ExecutionSubstrate* substrate : {optical_.get(), electrical_.get()}) {
+    if (substrate != nullptr && substrate->caps().preemptible) {
+      request_preemptions(*substrate);
     }
-  }
-  if (target_min == 0) return;
-
-  // Spectrum usable today plus bands already being surrendered at the next
-  // boundary.  Admission needs a CONTIGUOUS run, so the baseline is the
-  // largest free block, not the free total — a fragmented pool that sums to
-  // the minimum admits nothing.  Adding victim widths is still approximate
-  // (their bands may not abut the free runs); both error directions
-  // self-correct: under-preemption retries here on the next try_admit, and
-  // a victim whose suspension became unnecessary is reprieved by the
-  // boundary re-check in renegotiate().
-  std::uint32_t pending = optical_->largest_free_grant();
-  for (const auto& exec : running_execs_) {
-    if (exec->substrate->kind() != SubstrateKind::kOptical) continue;
-    if (exec->preempt_requested) pending += exec->plan->grant();
-  }
-  if (pending >= target_min) return;
-
-  // Victims: lower-priority executions of the OPTICAL substrate only —
-  // surrendering host links would not free a wavelength — cheapest first
-  // (lowest priority, then widest band so one victim usually suffices,
-  // then oldest lead job for determinism).  The band is not taken here —
-  // the victim surrenders it at its next step boundary, which is what
-  // makes the handoff safe.
-  std::vector<std::shared_ptr<Execution>> victims;
-  for (const auto& exec : running_execs_) {
-    if (exec->substrate->kind() != SubstrateKind::kOptical) continue;
-    if (!exec->substrate->caps().preemptible) continue;
-    if (!exec->preempt_requested && exec->priority < target_priority) {
-      victims.push_back(exec);
-    }
-  }
-  std::sort(victims.begin(), victims.end(),
-            [](const auto& a, const auto& b) {
-              if (a->priority != b->priority) return a->priority < b->priority;
-              if (a->plan->grant() != b->plan->grant()) {
-                return a->plan->grant() > b->plan->grant();
-              }
-              return a->jobs.front() < b->jobs.front();
-            });
-  for (const auto& victim : victims) {
-    if (pending >= target_min) break;
-    victim->preempt_requested = true;
-    pending += victim->plan->grant();
   }
 }
 
-void CollectiveRuntime::request_electrical_preemptions() {
-  if (!electrical_ || !electrical_->caps().preemptible) return;
-  // The most urgent HOST waiter: the highest-priority pinned-electrical
-  // arrival (a kAny job also has the optical line working for it and never
-  // justifies evicting an electrical tenant), or a suspended electrical
-  // execution awaiting resume.  A queued waiter needs ITS OWN ring
-  // positions' hosts; a suspended one can resume on any free host set of
-  // its size (remaps_on_resume).
-  std::int32_t target_priority = std::numeric_limits<std::int32_t>::min();
+void CollectiveRuntime::request_preemptions(ExecutionSubstrate& substrate) {
+  // Positioned units (hosts) are fungible at resume, so a suspended waiter
+  // can use free units anywhere; positionless bands need a contiguous run.
+  const bool host_units = substrate.caps().remaps_on_resume;
+  // The most urgent waiter: the top aged queued entry this fabric may serve
+  // (for the optical ring, the same pick as the priority policy's, so
+  // preemptions always benefit the job admission will actually take) or a
+  // suspended execution of this fabric, whichever outranks the other.  The
+  // queue is in seq order, so the oldest of equals wins.
+  std::int32_t target = std::numeric_limits<std::int32_t>::min();
   const util::Seconds now = simulator_.now();
-  const QueueEntry* queued_waiter = nullptr;
+  const QueueEntry* queued = nullptr;
   for (std::size_t i = 0; i < queue_.size(); ++i) {
     const QueueEntry& entry = queue_.at(i);
-    if (!electrically_pinned(entry)) continue;
+    if (!waits_for(entry, substrate)) continue;
     const std::int32_t effective = aged_priority(
         entry.priority, entry.arrival, now, config_.aging_half_life);
-    if (!queued_waiter || effective > target_priority ||
-        (effective == target_priority && entry.seq < queued_waiter->seq)) {
-      queued_waiter = &entry;
-      target_priority = effective;
+    if (queued == nullptr || effective > target) {
+      queued = &entry;
+      target = effective;
     }
   }
-  std::uint32_t suspended_need = 0;
+  std::uint32_t need =
+      queued != nullptr ? floor_grant(substrate, queued->participants.size(),
+                                      queued->min_wavelengths)
+                        : 0;
   for (const auto& exec : suspended_) {
-    if (exec->substrate->kind() != SubstrateKind::kElectrical) continue;
+    if (exec->substrate != &substrate) continue;
     const std::int32_t effective = effective_priority(*exec);
-    if (effective > target_priority) {
-      target_priority = effective;
-      queued_waiter = nullptr;
-      suspended_need =
-          static_cast<std::uint32_t>(exec->participants.size());
+    if (effective > target) {
+      target = effective;
+      queued = nullptr;
+      need = floor_grant(substrate, exec->participants.size(),
+                         exec->min_width);
     }
   }
-  if (!queued_waiter && suspended_need == 0) return;
-  if (queued_waiter &&
-      electrical_->can_place(queued_waiter->participants, 1)) {
-    return;  // placeable right now; the placement path will take it
-  }
+  if (need == 0) return;
 
-  // Same surrender-at-the-boundary protocol as the optical planner: mark
-  // victims, let renegotiate() re-check at their next step boundary, and
-  // retry here on the next try_admit if this round under-shot.  Host sets
-  // are snapshotted once — hosts() copies, and the scans below would
-  // otherwise re-copy per (waiter host x execution) pair.
-  struct Holder {
-    std::shared_ptr<Execution> exec;
-    std::vector<topo::NodeId> hosts;
-  };
-  std::vector<Holder> electrical_running;
-  for (const auto& exec : running_execs_) {
-    if (exec->substrate->kind() == SubstrateKind::kElectrical) {
-      electrical_running.push_back(Holder{exec, exec->plan->hosts()});
+  // Victims surrender at their next step boundary, which is what makes the
+  // handoff safe: renegotiate() re-checks there, and an under-shoot here is
+  // retried on the next try_admit.
+  if (queued != nullptr && host_units) {
+    // A queued waiter claims ITS OWN hosts at first placement.
+    if (substrate.can_place(queued->participants, 1)) {
+      return;  // placeable right now; the placement path will take it
     }
-  }
-
-  if (queued_waiter) {
-    // The waiter's hosts are busy: every holder must be preemptible and
-    // strictly lower-priority, or preemption cannot help at all.
+    // Host sets are snapshotted once — hosts() copies, and the scan below
+    // would otherwise re-copy per (waiter host x execution) pair.
+    struct Holder {
+      std::shared_ptr<Execution> exec;
+      std::vector<topo::NodeId> hosts;
+    };
+    std::vector<Holder> holders;
+    for (const auto& exec : running_execs_) {
+      if (exec->substrate == &substrate) {
+        holders.push_back(Holder{exec, exec->plan->hosts()});
+      }
+    }
+    // The waiter's hosts are busy: every holder must be strictly
+    // lower-priority, or preemption cannot help at all.
     bool any_busy_holder = false;
     std::vector<std::shared_ptr<Execution>> blockers;
-    for (const topo::NodeId host : queued_waiter->participants) {
-      for (const Holder& holder : electrical_running) {
+    for (const topo::NodeId host : queued->participants) {
+      for (const Holder& holder : holders) {
         if (std::find(holder.hosts.begin(), holder.hosts.end(), host) ==
             holder.hosts.end()) {
           continue;
         }
         any_busy_holder = true;
-        if (holder.exec->priority >= target_priority) {
-          return;  // outranked: hopeless
-        }
+        if (holder.exec->priority >= target) return;  // outranked: hopeless
         if (!holder.exec->preempt_requested &&
             std::find(blockers.begin(), blockers.end(), holder.exec) ==
                 blockers.end()) {
@@ -654,56 +601,55 @@ void CollectiveRuntime::request_electrical_preemptions() {
     // concurrency cap is the bottleneck.  One victim frees a slot;
     // cheapest first (lowest priority, then fewest hosts surrendered, then
     // oldest lead job for determinism).
-    const Holder* cheapest = nullptr;
-    for (const Holder& holder : electrical_running) {
-      if (holder.exec->preempt_requested ||
-          holder.exec->priority >= target_priority) {
-        continue;
-      }
-      const auto better = [](const Holder& a, const Holder& b) {
-        if (a.exec->priority != b.exec->priority) {
-          return a.exec->priority < b.exec->priority;
-        }
-        if (a.hosts.size() != b.hosts.size()) {
-          return a.hosts.size() < b.hosts.size();
-        }
-        return a.exec->jobs.front() < b.exec->jobs.front();
-      };
-      if (cheapest == nullptr || better(holder, *cheapest)) {
-        cheapest = &holder;
+    const auto cost = [](const Execution& exec) {
+      return std::tuple(exec.priority, exec.plan->grant(), exec.jobs.front());
+    };
+    Execution* cheapest = nullptr;
+    for (const Holder& holder : holders) {
+      Execution& exec = *holder.exec;
+      if (exec.preempt_requested || exec.priority >= target) continue;
+      if (cheapest == nullptr || cost(exec) < cost(*cheapest)) {
+        cheapest = &exec;
       }
     }
-    if (cheapest != nullptr) cheapest->exec->preempt_requested = true;
+    if (cheapest != nullptr) cheapest->preempt_requested = true;
     return;
   }
 
-  // Suspended waiter: free hosts anywhere count, so accumulate surrendered
-  // host sets (largest first, so one victim usually suffices) until the
-  // resume could fit.
-  std::uint32_t pending = electrical_->free_grant_total();
-  std::vector<const Holder*> victims;
-  for (const Holder& holder : electrical_running) {
-    if (holder.exec->preempt_requested) {
-      pending += static_cast<std::uint32_t>(holder.hosts.size());
-    } else if (holder.exec->priority < target_priority) {
-      victims.push_back(&holder);
+  // Capacity usable today plus grants already being surrendered.  Free
+  // hosts count wherever they are; a band needs a CONTIGUOUS run, so there
+  // the baseline is the largest free block, not the free total — a
+  // fragmented pool that sums to the minimum admits nothing.  Adding victim
+  // bands is still approximate (they may not abut the free runs); both
+  // error directions self-correct: under-preemption retries on the next
+  // try_admit, and a victim whose suspension became unnecessary is
+  // reprieved by the boundary re-check in renegotiate().
+  std::uint32_t pending = host_units ? substrate.free_grant_total()
+                                     : substrate.largest_free_grant();
+  std::vector<std::shared_ptr<Execution>> victims;
+  for (const auto& exec : running_execs_) {
+    if (exec->substrate != &substrate) continue;
+    if (exec->preempt_requested) {
+      pending += exec->plan->grant();
+    } else if (exec->priority < target) {
+      victims.push_back(exec);
     }
   }
-  if (pending >= suspended_need) return;
+  if (pending >= need) return;
+  // Cheapest first: lowest priority, then widest grant so one victim
+  // usually suffices, then oldest lead job for determinism.
   std::sort(victims.begin(), victims.end(),
-            [](const Holder* a, const Holder* b) {
-              if (a->exec->priority != b->exec->priority) {
-                return a->exec->priority < b->exec->priority;
+            [](const auto& a, const auto& b) {
+              if (a->priority != b->priority) return a->priority < b->priority;
+              if (a->plan->grant() != b->plan->grant()) {
+                return a->plan->grant() > b->plan->grant();
               }
-              if (a->hosts.size() != b->hosts.size()) {
-                return a->hosts.size() > b->hosts.size();
-              }
-              return a->exec->jobs.front() < b->exec->jobs.front();
+              return a->jobs.front() < b->jobs.front();
             });
-  for (const Holder* victim : victims) {
-    if (pending >= suspended_need) break;
-    victim->exec->preempt_requested = true;
-    pending += static_cast<std::uint32_t>(victim->hosts.size());
+  for (const auto& victim : victims) {
+    if (pending >= need) break;
+    victim->preempt_requested = true;
+    pending += victim->plan->grant();
   }
 }
 
@@ -826,11 +772,9 @@ void CollectiveRuntime::place_execution(ExecutionSubstrate& substrate,
   std::reverse(exec->jobs.begin(), exec->jobs.end());  // oldest first
   exec->useful_cap = useful_wavelength_cap(exec->participants.size());
 
-  if (substrate.kind() == SubstrateKind::kOptical) {
-    // The members just left the queue, so the snapshot is exactly the
-    // demand this placement must not strand.
-    publish_optical_demand(nullptr);
-  }
+  // The members just left the queue, so the snapshot is exactly the
+  // demand this placement must not strand.
+  publish_demand(substrate, nullptr);
   exec->plan =
       substrate.place(exec->participants, exec->batch_payload, grant);
   verify_composite_or_die(*exec);
@@ -878,16 +822,11 @@ void CollectiveRuntime::place_execution(ExecutionSubstrate& substrate,
   running_execs_.push_back(exec);
 
   // Admission does not filter on node liveness (a down TRANSCEIVER's job
-  // may still have been queued before the fault): a fresh optical placement
-  // over dead participants runs its first step and reconciles at the first
-  // boundary, exactly like a running execution the fault caught.
-  if (any_fault_ever_ && kind == SubstrateKind::kOptical) {
-    for (const topo::NodeId node : exec->participants) {
-      if (optical_node_down_[node] != 0) {
-        exec->fault_pending = true;
-        break;
-      }
-    }
+  // may still have been queued before the fault): a fresh placement over
+  // participants its fabric has lost runs its first step and reconciles at
+  // the first boundary, exactly like a running execution the fault caught.
+  if (any_fault_ever_ && !newly_dead(*exec).empty()) {
+    exec->fault_pending = true;
   }
 
   audit_route_decision(*exec, grant, lead_request, lead_pin);
@@ -961,32 +900,27 @@ void CollectiveRuntime::audit_route_decision(const Execution& exec,
 
 bool CollectiveRuntime::renegotiate(const std::shared_ptr<Execution>& exec) {
   // Faults outrank every voluntary renegotiation: dead hardware cannot
-  // carry the next step, so reconcile against the down sets before the
-  // preempt/resize logic gets a say.
+  // carry the next step, so reconcile against the fabric's fault state
+  // before the preempt/resize logic gets a say.
   if (exec->fault_pending || exec->migrate_pending) {
-    if (handle_fault_at_boundary(exec)) return true;
+    if (reconcile_fault(exec)) return true;
   }
-  const SubstrateCaps& caps = exec->substrate->caps();
+  ExecutionSubstrate& substrate = *exec->substrate;
+  const SubstrateCaps& caps = substrate.caps();
   if (caps.preemptible && exec->preempt_requested) {
     exec->preempt_requested = false;
     // Re-check at the boundary: the waiter that asked for this grant — a
     // queued arrival or a suspended execution trying to resume — may have
-    // been satisfied meanwhile by a completion elsewhere.  Eligibility is
-    // per substrate: only a waiter this fabric could actually serve
-    // justifies the suspension (an electrically-pinned arrival gains
-    // nothing from an optical band, and a kAny arrival never justified
-    // evicting an electrical tenant in the first place).
-    const SubstrateKind kind = exec->substrate->kind();
-    bool still_needed = top_suspended_priority(kind) > exec->priority;
+    // been satisfied meanwhile by a completion elsewhere.  Only a waiter
+    // this fabric could actually serve justifies the suspension (see
+    // waits_for).
+    bool still_needed = top_suspended_priority(substrate) > exec->priority;
     for (std::size_t i = 0; i < queue_.size() && !still_needed; ++i) {
       const QueueEntry& entry = queue_.at(i);
-      const bool eligible = kind == SubstrateKind::kOptical
-                                ? optically_eligible(entry)
-                                : electrically_pinned(entry);
       still_needed =
-          eligible && aged_priority(entry.priority, entry.arrival,
-                                    simulator_.now(),
-                                    config_.aging_half_life) > exec->priority;
+          waits_for(entry, substrate) &&
+          aged_priority(entry.priority, entry.arrival, simulator_.now(),
+                        config_.aging_half_life) > exec->priority;
     }
     if (still_needed) {
       // suspend_execution re-runs admission, which may legally resume THIS
@@ -999,14 +933,14 @@ bool CollectiveRuntime::renegotiate(const std::shared_ptr<Execution>& exec) {
   }
   if (!config_.elastic_resize || !caps.resizable) return false;
   // Held (fuse-window) entries are not admissible yet, so they neither
-  // justify a shrink nor block a grow.  Suspended OPTICAL executions are
-  // waiting on spectrum too: growing past them would hand a runner the
-  // very band a preempted (possibly more urgent) job needs to resume —
-  // priority inversion by resize.  (Suspended electrical executions wait
-  // for hosts; spectrum resizes neither help nor hurt them.)
-  bool admissible_waiter = has_suspended(SubstrateKind::kOptical);
+  // justify a shrink nor block a grow.  Suspended executions of this fabric
+  // are waiting on its capacity too: growing past them would hand a runner
+  // the very grant a preempted (possibly more urgent) job needs to resume —
+  // priority inversion by resize.  (Another fabric's waiters are neither
+  // helped nor hurt by this resize.)
+  bool admissible_waiter = has_suspended(substrate);
   for (std::size_t i = 0; i < queue_.size() && !admissible_waiter; ++i) {
-    admissible_waiter = optically_eligible(queue_.at(i));
+    admissible_waiter = waits_for(queue_.at(i), substrate);
   }
   if (!admissible_waiter) {
     try_grow(exec);
@@ -1039,10 +973,6 @@ void CollectiveRuntime::suspend_released(
   running_execs_.erase(
       std::find(running_execs_.begin(), running_execs_.end(), exec));
   suspended_.push_back(exec);
-  // A fault suspension just surrendered the DEAD units along with the live
-  // ones; quarantine them before the admission re-run below can hand them
-  // to a queued tenant.
-  if (fault) quarantine_downed_units();
   // The surrendered band is free NOW, at the boundary — the waiting
   // high-priority job starts without waiting for this execution to finish.
   try_admit();
@@ -1062,20 +992,14 @@ bool CollectiveRuntime::try_resume_one() {
   for (const std::size_t idx : order) {
     const std::shared_ptr<Execution> exec = suspended_[idx];
     // Never hand capacity back to a victim while the queue still holds a
-    // strictly more urgent job contending for the SAME fabric — that is
-    // the resource being fought over.  Spectrum fights are between
-    // optically eligible entries, host fights between pinned-electrical
-    // ones.
+    // strictly more urgent job waiting for the SAME fabric — that is the
+    // resource being fought over.
     if (config_.policy == FairnessPolicy::kPriorityPreempt) {
-      const SubstrateKind kind = exec->substrate->kind();
       const util::Seconds now = simulator_.now();
       std::int32_t top_queued = std::numeric_limits<std::int32_t>::min();
       for (std::size_t i = 0; i < queue_.size(); ++i) {
         const QueueEntry& entry = queue_.at(i);
-        const bool same_fabric = kind == SubstrateKind::kOptical
-                                     ? optically_eligible(entry)
-                                     : electrically_pinned(entry);
-        if (same_fabric) {
+        if (waits_for(entry, *exec->substrate)) {
           top_queued = std::max(
               top_queued, aged_priority(entry.priority, entry.arrival, now,
                                         config_.aging_half_life));
@@ -1086,8 +1010,7 @@ bool CollectiveRuntime::try_resume_one() {
     // Fault reconciliation first: participants that died while this
     // execution waited must be dropped before (or instead of) resuming.
     std::vector<topo::NodeId> dead;
-    if (any_fault_ever_ &&
-        exec->substrate->kind() == SubstrateKind::kOptical) {
+    if (any_fault_ever_) {
       dead = newly_dead(*exec);
       if (!dead.empty() &&
           exec->participants.size() - exec->evicted.size() - dead.size() <
@@ -1106,9 +1029,7 @@ bool CollectiveRuntime::try_resume_one() {
     // for less (never below the floor) or need more for inherited mirrors.
     const std::uint32_t desired = std::clamp(
         exec->plan->band().width, exec->min_width, exec->useful_cap);
-    if (exec->substrate->kind() == SubstrateKind::kOptical) {
-      publish_optical_demand(exec.get());
-    }
+    publish_demand(*exec->substrate, exec.get());
     bool restarted = exec->fresh_restart;
     RenegotiationOutcome outcome;
     if (exec->fresh_restart) {
@@ -1126,14 +1047,9 @@ bool CollectiveRuntime::try_resume_one() {
         // The remainder cannot absorb the eviction (a dead node still
         // carries state it needs): discard the prefix and restart fresh
         // among the survivors.
-        report_.faults.wasted_step_time += exec->busy_time;
-        exec->busy_time = util::Seconds(0.0);
-        exec->quiet_time = util::Seconds(0.0);
         exec->participants = live_participants(*exec);
         exec->useful_cap = useful_wavelength_cap(exec->participants.size());
-        exec->executed.clear();
-        exec->evicted.clear();
-        exec->next_step = 0;
+        discard_prefix(*exec);
         exec->fresh_restart = true;
         restarted = true;
         outcome = exec->substrate->renegotiate(
@@ -1208,7 +1124,7 @@ void CollectiveRuntime::try_shrink(const std::shared_ptr<Execution>& exec) {
       return true;
     }
     for (const auto& suspended : suspended_) {
-      if (suspended->substrate->kind() != SubstrateKind::kOptical) continue;
+      if (suspended->substrate != exec->substrate) continue;
       if (suspended->min_width <= would) return true;
     }
     return false;
@@ -1264,35 +1180,32 @@ void CollectiveRuntime::on_fault(const FaultSpec& fault) {
   obs::inc(ins_.faults_injected);
   const util::Seconds now = simulator_.now();
   const std::uint32_t hpt = std::max(1u, config_.electrical.hosts_per_tor);
+  const std::uint32_t num_tors = (config_.ring_size + hpt - 1) / hpt;
   switch (fault.domain) {
     case FaultDomain::kTransceiver:
       WRHT_REQUIRE(fault.subject < config_.ring_size,
                    "on_fault: transceiver subject " << fault.subject
                                                     << " off the ring");
       ++report_.faults.transceiver_faults;
-      ++optical_node_down_[fault.subject];
       break;
     case FaultDomain::kNode:
       WRHT_REQUIRE(fault.subject < config_.ring_size,
                    "on_fault: node subject " << fault.subject
                                              << " off the ring");
       ++report_.faults.node_faults;
-      ++optical_node_down_[fault.subject];
-      ++host_down_[fault.subject];
       break;
     case FaultDomain::kTor:
+      WRHT_REQUIRE(fault.subject < num_tors,
+                   "on_fault: tor subject " << fault.subject
+                                            << " off the fabric ("
+                                            << num_tors << " ToRs)");
       ++report_.faults.tor_faults;
-      for (std::uint32_t h = fault.subject * hpt;
-           h < (fault.subject + 1) * hpt && h < config_.ring_size; ++h) {
-        ++host_down_[h];
-      }
       break;
     case FaultDomain::kWavelength:
       WRHT_REQUIRE(fault.subject < config_.optical.wdm.num_wavelengths,
                    "on_fault: wavelength subject " << fault.subject
                                                    << " off the spectrum");
       ++report_.faults.wavelength_faults;
-      ++wavelength_down_[fault.subject];
       break;
   }
   if (trace_.enabled()) {
@@ -1303,44 +1216,43 @@ void CollectiveRuntime::on_fault(const FaultSpec& fault) {
                   fault.subject, static_cast<std::int64_t>(fault.domain),
                   fault_domain_name(fault.domain));
   }
-  // Free down units leave service immediately; units inside live grants are
-  // quarantined when their holders release.
-  quarantine_downed_units();
+  // Every fabric books the fault against its own units (free down units
+  // leave service at once, held ones when their holders release).
+  std::vector<const ExecutionSubstrate*> touched;
+  for (ExecutionSubstrate* substrate : {optical_.get(), electrical_.get()}) {
+    if (substrate != nullptr && substrate->apply_fault(fault, false)) {
+      touched.push_back(substrate);
+    }
+  }
 
   // Mark every running execution the fault touches for reconciliation at
   // its next BSP step boundary — the in-flight step finishes first (its
-  // transfers were committed when the step was dispatched).
+  // transfers were committed when the step was dispatched).  Touched means:
+  // the faulted ring position is a live participant its fabric lost (an
+  // earlier loss marked the execution when it happened), or part of its
+  // grant is out of service.
+  const bool names_node = fault.domain == FaultDomain::kTransceiver ||
+                          fault.domain == FaultDomain::kNode;
   for (const auto& exec : running_execs_) {
-    bool hit = false;
-    bool migrate = false;
-    if (exec->substrate->kind() == SubstrateKind::kOptical) {
-      if (fault.domain == FaultDomain::kTransceiver ||
-          fault.domain == FaultDomain::kNode) {
-        hit = std::find(exec->participants.begin(), exec->participants.end(),
-                        fault.subject) != exec->participants.end() &&
-              std::find(exec->evicted.begin(), exec->evicted.end(),
-                        fault.subject) == exec->evicted.end();
-      } else if (fault.domain == FaultDomain::kWavelength) {
-        const WavelengthBand band = exec->plan->band();
-        hit = fault.subject >= band.base &&
-              fault.subject < band.base + band.width;
-      }
-    } else {
-      if (fault.domain == FaultDomain::kNode ||
-          fault.domain == FaultDomain::kTor) {
-        const std::vector<topo::NodeId> hosts = exec->plan->hosts();
-        for (const topo::NodeId host : hosts) {
-          if (host_down_[host] != 0) {
-            hit = true;
-            migrate = fault.domain == FaultDomain::kTor;
-            break;
-          }
-        }
-      }
+    ExecutionSubstrate& substrate = *exec->substrate;
+    if (std::find(touched.begin(), touched.end(), &substrate) ==
+        touched.end()) {
+      continue;
     }
-    if (!hit) continue;
+    const bool lost_participant =
+        names_node && substrate.node_down(fault.subject) &&
+        std::find(exec->participants.begin(), exec->participants.end(),
+                  fault.subject) != exec->participants.end() &&
+        std::find(exec->evicted.begin(), exec->evicted.end(),
+                  fault.subject) == exec->evicted.end();
+    if (!lost_participant &&
+        substrate.healthy_grant(*exec->plan) >= exec->plan->grant()) {
+      continue;
+    }
     const bool first = !exec->fault_pending && !exec->migrate_pending;
-    if (migrate) {
+    // A ToR loss orphans a whole host group while the optical ring stays
+    // up: try moving the work there first.
+    if (fault.domain == FaultDomain::kTor) {
       exec->migrate_pending = true;
     } else {
       exec->fault_pending = true;
@@ -1349,20 +1261,16 @@ void CollectiveRuntime::on_fault(const FaultSpec& fault) {
     if (exec->fault_since.value() <= 0.0) exec->fault_since = now;
   }
 
-  // Suspended optical work whose survivor set this fault just shrank below
-  // two can never resume — kill it now rather than strand it (and the
+  // Suspended work whose survivor set this fault just shrank below two can
+  // never resume — kill it now rather than strand it (and the
   // drained-clock invariant) behind a resume that will refuse forever.
-  if (fault.domain == FaultDomain::kTransceiver ||
-      fault.domain == FaultDomain::kNode) {
-    const std::vector<std::shared_ptr<Execution>> snapshot = suspended_;
-    for (const auto& exec : snapshot) {
-      if (exec->substrate->kind() != SubstrateKind::kOptical) continue;
-      if (std::find(suspended_.begin(), suspended_.end(), exec) ==
-          suspended_.end()) {
-        continue;  // a kill's admission re-run already moved it
-      }
-      if (live_participants(*exec).size() < 2) kill_execution(exec);
+  const std::vector<std::shared_ptr<Execution>> snapshot = suspended_;
+  for (const auto& exec : snapshot) {
+    if (std::find(suspended_.begin(), suspended_.end(), exec) ==
+        suspended_.end()) {
+      continue;  // a kill's admission re-run already moved it
     }
+    if (live_participants(*exec).size() < 2) kill_execution(exec);
   }
 
   if (fault.repair_after.value() > 0.0) {
@@ -1376,78 +1284,25 @@ void CollectiveRuntime::on_fault(const FaultSpec& fault) {
 void CollectiveRuntime::on_fault_repair(const FaultSpec& fault) {
   ++report_.faults.repairs;
   obs::inc(ins_.fault_repairs);
-  const std::uint32_t hpt = std::max(1u, config_.electrical.hosts_per_tor);
-  // Refcounted un-down: overlapping faults on one subject must not
-  // resurrect it on the FIRST repair.
-  const auto lower = [](std::uint8_t& count) {
-    WRHT_CHECK(count > 0, "on_fault_repair: repair without a fault");
-    --count;
-  };
-  switch (fault.domain) {
-    case FaultDomain::kTransceiver:
-      lower(optical_node_down_[fault.subject]);
-      break;
-    case FaultDomain::kNode:
-      lower(optical_node_down_[fault.subject]);
-      lower(host_down_[fault.subject]);
-      break;
-    case FaultDomain::kTor:
-      for (std::uint32_t h = fault.subject * hpt;
-           h < (fault.subject + 1) * hpt && h < config_.ring_size; ++h) {
-        lower(host_down_[h]);
-      }
-      break;
-    case FaultDomain::kWavelength:
-      lower(wavelength_down_[fault.subject]);
-      break;
+  for (ExecutionSubstrate* substrate : {optical_.get(), electrical_.get()}) {
+    if (substrate != nullptr) substrate->apply_fault(fault, true);
   }
   if (trace_.enabled()) {
     trace_.record(simulator_.now(), sim::TraceKind::kFaultRepair,
                   fault.subject, static_cast<std::int64_t>(fault.domain),
                   fault_domain_name(fault.domain));
   }
-  restore_repaired_units();
   // Restored capacity is free capacity: suspended work may resume and
   // queued work may admit at this very instant.
   try_admit();
   pump_metrics();
 }
 
-void CollectiveRuntime::quarantine_downed_units() {
-  for (std::uint32_t w = 0;
-       w < static_cast<std::uint32_t>(wavelength_down_.size()); ++w) {
-    if (wavelength_down_[w] == 0 || wavelength_quarantined_[w]) continue;
-    if (optical_->quarantine_unit(w)) wavelength_quarantined_[w] = true;
-  }
-  if (!electrical_) return;
-  for (std::uint32_t h = 0;
-       h < static_cast<std::uint32_t>(host_down_.size()); ++h) {
-    if (host_down_[h] == 0 || host_quarantined_[h]) continue;
-    if (electrical_->quarantine_unit(h)) host_quarantined_[h] = true;
-  }
-}
-
-void CollectiveRuntime::restore_repaired_units() {
-  for (std::uint32_t w = 0;
-       w < static_cast<std::uint32_t>(wavelength_down_.size()); ++w) {
-    if (!wavelength_quarantined_[w] || wavelength_down_[w] != 0) continue;
-    optical_->restore_unit(w);
-    wavelength_quarantined_[w] = false;
-  }
-  if (!electrical_) return;
-  for (std::uint32_t h = 0;
-       h < static_cast<std::uint32_t>(host_down_.size()); ++h) {
-    if (!host_quarantined_[h] || host_down_[h] != 0) continue;
-    electrical_->restore_unit(h);
-    host_quarantined_[h] = false;
-  }
-}
-
 std::vector<topo::NodeId> CollectiveRuntime::newly_dead(
     const Execution& exec) const {
   std::vector<topo::NodeId> dead;
   for (const topo::NodeId node : exec.participants) {
-    if (optical_node_down_[node] == 0) continue;
+    if (!exec.substrate->node_down(node)) continue;
     if (std::find(exec.evicted.begin(), exec.evicted.end(), node) !=
         exec.evicted.end()) {
       continue;
@@ -1462,7 +1317,7 @@ std::vector<topo::NodeId> CollectiveRuntime::live_participants(
   std::vector<topo::NodeId> live;
   live.reserve(exec.participants.size());
   for (const topo::NodeId node : exec.participants) {
-    if (optical_node_down_[node] != 0) continue;
+    if (exec.substrate->node_down(node)) continue;
     if (std::find(exec.evicted.begin(), exec.evicted.end(), node) !=
         exec.evicted.end()) {
       continue;
@@ -1501,7 +1356,6 @@ void CollectiveRuntime::kill_execution(
   } else {
     running_jobs_ -= static_cast<std::uint32_t>(exec->jobs.size());
     exec->substrate->release(*exec->plan, simulator_.now());
-    quarantine_downed_units();
     running_execs_.erase(
         std::find(running_execs_.begin(), running_execs_.end(), exec));
   }
@@ -1510,26 +1364,25 @@ void CollectiveRuntime::kill_execution(
   pump_metrics();
 }
 
-bool CollectiveRuntime::handle_fault_at_boundary(
-    const std::shared_ptr<Execution>& exec) {
-  return exec->substrate->kind() == SubstrateKind::kOptical
-             ? handle_optical_fault(exec)
-             : handle_electrical_fault(exec);
+void CollectiveRuntime::discard_prefix(Execution& exec) {
+  report_.faults.wasted_step_time += exec.busy_time;
+  exec.busy_time = util::Seconds(0.0);
+  exec.quiet_time = util::Seconds(0.0);
+  exec.executed.clear();
+  exec.evicted.clear();
+  exec.next_step = 0;
 }
 
-bool CollectiveRuntime::handle_optical_fault(
+bool CollectiveRuntime::reconcile_fault(
     const std::shared_ptr<Execution>& exec) {
+  const bool migrate = exec->migrate_pending;
   exec->fault_pending = false;
+  exec->migrate_pending = false;
+  ExecutionSubstrate& substrate = *exec->substrate;
   const std::vector<topo::NodeId> dead = newly_dead(*exec);
-  const WavelengthBand band = exec->plan->band();
-  std::uint32_t first_degraded = band.width;  // band-relative index
-  for (std::uint32_t i = 0; i < band.width; ++i) {
-    if (wavelength_down_[band.base + i] != 0) {
-      first_degraded = i;
-      break;
-    }
-  }
-  if (dead.empty() && first_degraded == band.width) {
+  const std::uint32_t grant = exec->plan->grant();
+  const std::uint32_t healthy = substrate.healthy_grant(*exec->plan);
+  if (dead.empty() && healthy == grant) {
     // Stale marker: the repair beat this boundary.  The execution never
     // actually stopped — close the recovery window and carry on.
     note_recovery(*exec);
@@ -1541,10 +1394,10 @@ bool CollectiveRuntime::handle_optical_fault(
       kill_execution(exec);
       return true;
     }
-    if (first_degraded == band.width) {
-      // Survivor rebuild in place: same band, remainder re-proven with the
+    if (healthy == grant) {
+      // Survivor rebuild in place: same grant, remainder re-proven with the
       // dead nodes stripped from its delivery set.
-      RenegotiationOutcome outcome = exec->substrate->renegotiate(
+      RenegotiationOutcome outcome = substrate.renegotiate(
           exec->plan.get(),
           RenegotiationRequest::evict(exec->next_step, dead));
       if (outcome.accepted()) {
@@ -1556,22 +1409,16 @@ bool CollectiveRuntime::handle_optical_fault(
       }
     }
     // The remainder cannot absorb the eviction (a dead node still carries
-    // live state), or the band itself is degraded: discard the prefix and
-    // restart fresh among the survivors on freshly-allocated spectrum.
-    report_.faults.wasted_step_time += exec->busy_time;
-    exec->busy_time = util::Seconds(0.0);
-    exec->quiet_time = util::Seconds(0.0);
+    // live state), or the grant itself is degraded: discard the prefix and
+    // restart fresh among the survivors on a fresh grant.
     exec->participants = live_participants(*exec);
     exec->useful_cap = useful_wavelength_cap(exec->participants.size());
-    exec->executed.clear();
-    exec->evicted.clear();
-    exec->next_step = 0;
-    exec->substrate->release(*exec->plan, simulator_.now());
-    quarantine_downed_units();
+    discard_prefix(*exec);
+    substrate.release(*exec->plan, simulator_.now());
     const std::uint32_t desired =
-        std::clamp(band.width, exec->min_width, exec->useful_cap);
-    publish_optical_demand(exec.get());
-    RenegotiationOutcome restart = exec->substrate->renegotiate(
+        std::clamp(grant, exec->min_width, exec->useful_cap);
+    publish_demand(substrate, exec.get());
+    RenegotiationOutcome restart = substrate.renegotiate(
         nullptr,
         RenegotiationRequest::restart(exec->participants,
                                       exec->batch_payload, desired,
@@ -1580,7 +1427,7 @@ bool CollectiveRuntime::handle_optical_fault(
       ++report_.faults.restarts;
       adopt_plan(*exec, std::move(restart.plan));
       note_recovery(*exec);
-      // The band moved: record the new claim so band-disjointness audits
+      // The grant moved: record the new claim so band-disjointness audits
       // can follow the execution across the restart.
       for (const JobId id : exec->jobs) {
         trace_job(sim::TraceKind::kJobResize, id, exec->plan->band());
@@ -1592,12 +1439,60 @@ bool CollectiveRuntime::handle_optical_fault(
     return true;
   }
 
-  // Pure wavelength degradation on the held band: keep the healthy prefix
-  // when the floor allows, surrender the band otherwise.
-  if (first_degraded >= exec->min_width) {
-    RenegotiationOutcome outcome = exec->substrate->renegotiate(
+  // Degraded grant, every participant alive.
+  if (migrate) {
+    // A ToR loss took a whole host group down, but the optical ring is
+    // untouched — try a cross-substrate restart FIRST, before any state
+    // here is mutated, so a refusal degrades cleanly into the fallbacks
+    // below.  Only migratable work qualifies: no job pinned to the
+    // electrical fabric, and every participant's ring position optically
+    // alive (the restart re-runs the all-reduce from the participants'
+    // initial gradients).
+    bool migratable = true;
+    for (const JobId id : exec->jobs) {
+      migratable &= records_[id].spec.pin != SubstratePin::kElectricalOnly;
+    }
+    for (const topo::NodeId node : exec->participants) {
+      migratable &= !optical_->node_down(node);
+    }
+    if (migratable) {
+      const std::uint32_t desired = std::clamp(
+          config_.default_request, exec->min_width, exec->useful_cap);
+      publish_demand(*optical_, exec.get());
+      RenegotiationOutcome outcome = optical_->renegotiate(
+          nullptr,
+          RenegotiationRequest::restart(exec->participants,
+                                        exec->batch_payload, desired,
+                                        exec->min_width));
+      if (outcome.accepted()) {
+        discard_prefix(*exec);
+        substrate.release(*exec->plan, simulator_.now());
+        // The jobs change fabric mid-flight; move their breakdown slice so
+        // per-substrate job counts keep closing against completions.
+        const auto moved = static_cast<std::uint32_t>(exec->jobs.size());
+        SubstrateBreakdown& from = breakdown(substrate.kind());
+        SubstrateBreakdown& to = breakdown(optical_->kind());
+        from.jobs -= moved;
+        to.jobs += moved;
+        --from.executions;
+        ++to.executions;
+        exec->substrate = optical_.get();
+        adopt_plan(*exec, std::move(outcome.plan));
+        ++report_.faults.migrations;
+        note_recovery(*exec);
+        for (const JobId id : exec->jobs) {
+          records_[id].substrate = optical_->kind();
+          trace_job(sim::TraceKind::kJobMigrate, id, exec->plan->band());
+        }
+        return false;  // still running; the caller dispatches step 0
+      }
+    }
+  }
+  // Keep the healthy prefix of the grant when the floor allows.
+  if (healthy >= exec->min_width) {
+    RenegotiationOutcome outcome = substrate.renegotiate(
         exec->plan.get(),
-        RenegotiationRequest::shrink(exec->next_step, first_degraded));
+        RenegotiationRequest::shrink(exec->next_step, healthy));
     if (outcome.accepted()) {
       adopt_plan(*exec, std::move(outcome.plan));
       for (const JobId id : exec->jobs) {
@@ -1606,98 +1501,13 @@ bool CollectiveRuntime::handle_optical_fault(
       }
       ++report_.resizes;
       obs::inc(ins_.resizes);
-      // The shrink just freed the degraded tail; take it out of service.
-      quarantine_downed_units();
       note_recovery(*exec);
       return false;
     }
   }
-  suspend_execution(exec, /*fault=*/true);
-  return true;
-}
-
-bool CollectiveRuntime::handle_electrical_fault(
-    const std::shared_ptr<Execution>& exec) {
-  const bool migrate = exec->migrate_pending;
-  exec->fault_pending = false;
-  exec->migrate_pending = false;
-  const std::vector<topo::NodeId> hosts = exec->plan->hosts();
-  bool any_down = false;
-  for (const topo::NodeId host : hosts) {
-    if (host_down_[host] != 0) {
-      any_down = true;
-      break;
-    }
-  }
-  if (!any_down) {
-    note_recovery(*exec);
-    return false;  // stale marker: the repair beat this boundary
-  }
-
-  if (migrate) {
-    // A ToR loss took the whole host group down at once, but the optical
-    // ring is untouched — try a cross-substrate restart FIRST, before any
-    // electrical state is mutated, so a refusal degrades cleanly into the
-    // ordinary fault-suspend below.  Only migratable work qualifies: no
-    // job pinned to the electrical fabric, and every participant's ring
-    // position optically alive (the restart re-runs the all-reduce from
-    // the participants' initial gradients).
-    bool migratable = true;
-    for (const JobId id : exec->jobs) {
-      if (records_[id].spec.pin == SubstratePin::kElectricalOnly) {
-        migratable = false;
-        break;
-      }
-    }
-    for (const topo::NodeId node : exec->participants) {
-      if (optical_node_down_[node] != 0) {
-        migratable = false;
-        break;
-      }
-    }
-    if (migratable) {
-      const std::uint32_t desired = std::clamp(
-          config_.default_request, exec->min_width, exec->useful_cap);
-      publish_optical_demand(exec.get());
-      RenegotiationOutcome outcome = optical_->renegotiate(
-          nullptr,
-          RenegotiationRequest::restart(exec->participants,
-                                        exec->batch_payload, desired,
-                                        exec->min_width));
-      if (outcome.accepted()) {
-        report_.faults.wasted_step_time += exec->busy_time;
-        exec->busy_time = util::Seconds(0.0);
-        exec->quiet_time = util::Seconds(0.0);
-        exec->substrate->release(*exec->plan, simulator_.now());
-        quarantine_downed_units();
-        // The jobs change fabric mid-flight; move their breakdown slice so
-        // per-substrate job counts keep closing against completions.
-        const auto moved = static_cast<std::uint32_t>(exec->jobs.size());
-        report_.electrical.jobs -= moved;
-        report_.optical.jobs += moved;
-        --report_.electrical.executions;
-        ++report_.optical.executions;
-        exec->substrate = optical_.get();
-        exec->executed.clear();
-        exec->evicted.clear();
-        exec->next_step = 0;
-        adopt_plan(*exec, std::move(outcome.plan));
-        ++report_.faults.migrations;
-        note_recovery(*exec);
-        for (const JobId id : exec->jobs) {
-          records_[id].substrate = SubstrateKind::kOptical;
-          trace_job(sim::TraceKind::kJobMigrate, id, exec->plan->band());
-        }
-        return false;  // still running; the caller dispatches step 0
-      }
-    }
-  }
-
-  // A node fault on a held host, or a migration that could not happen:
-  // fault-suspend.  Hosts checkpoint at BSP boundaries, so a dead host
-  // costs a remap at resume, not data — the resume simply picks a live
-  // host set (the dead ones are quarantined the moment this release
-  // frees them).
+  // Otherwise surrender the grant and wait for repair or free capacity.
+  // Hosts checkpoint at BSP boundaries, so a dead host costs a remap at
+  // resume, not data; a degraded band is simply not re-granted.
   suspend_execution(exec, /*fault=*/true);
   return true;
 }
@@ -1826,9 +1636,6 @@ void CollectiveRuntime::finish_execution(
   obs::inc(ins_.jobs_completed,
            static_cast<std::uint64_t>(exec->jobs.size()));
   exec->substrate->release(*exec->plan, simulator_.now());
-  // The finished execution may have been holding down units hostage (a
-  // fault landed mid-grant); they only become quarantinable now.
-  if (any_fault_ever_) quarantine_downed_units();
   running_execs_.erase(
       std::find(running_execs_.begin(), running_execs_.end(), exec));
   try_admit();

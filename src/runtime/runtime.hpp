@@ -395,8 +395,8 @@ class CollectiveRuntime {
     /// A queued higher-priority job asked for this band; surrender it at
     /// the next step boundary.
     bool preempt_requested = false;
-    /// A fault touched this execution's resources; reconcile against the
-    /// down sets at the next step boundary.
+    /// A fault touched this execution's resources; reconcile against its
+    /// substrate's fault state at the next step boundary.
     bool fault_pending = false;
     /// A ToR fault orphaned this electrical execution; attempt a
     /// cross-substrate restart at the next step boundary.
@@ -467,9 +467,9 @@ class CollectiveRuntime {
   /// same-instant resume already restarted the execution (the resume
   /// dispatched it).
   [[nodiscard]] bool renegotiate(const std::shared_ptr<Execution>& exec);
-  /// `fault` marks a fault-triggered suspension: counted separately, and
-  /// the units the release just freed are quarantined BEFORE the re-run of
-  /// admission can hand them to anyone else.
+  /// `fault` marks a fault-triggered suspension, counted separately.  The
+  /// substrate takes any down unit the release frees out of service, so the
+  /// re-run of admission cannot hand it to anyone else.
   void suspend_execution(const std::shared_ptr<Execution>& exec,
                          bool fault = false);
   /// suspend_execution minus the release — for paths that already
@@ -480,37 +480,30 @@ class CollectiveRuntime {
   /// Pull the next fault from the stream and schedule its injection event
   /// (which chains the next pull) — the chaos mirror of pump_source.
   void pump_faults();
-  /// The injection event body: update the down sets, quarantine free
-  /// units, mark affected executions for boundary reconciliation, kill
-  /// unrecoverable suspended work, and schedule the repair.
+  /// The injection event body: book the fault on every fabric, mark the
+  /// executions it touched for boundary reconciliation, kill unrecoverable
+  /// suspended work, and schedule the repair.
   void on_fault(const FaultSpec& fault);
   void on_fault_repair(const FaultSpec& fault);
-  /// Boundary reconciliation of a fault-marked execution against the
-  /// CURRENT down sets (a repair may have landed first — then this is a
-  /// no-op recovery).  Returns true when the caller must not dispatch the
-  /// next step (killed, suspended, or the execution now runs a plan whose
-  /// dispatch happened elsewhere).
-  [[nodiscard]] bool handle_fault_at_boundary(
-      const std::shared_ptr<Execution>& exec);
-  [[nodiscard]] bool handle_optical_fault(
-      const std::shared_ptr<Execution>& exec);
-  [[nodiscard]] bool handle_electrical_fault(
-      const std::shared_ptr<Execution>& exec);
+  /// Boundary reconciliation of a fault-marked execution against its
+  /// substrate's CURRENT fault state (node_down, healthy_grant); a repair
+  /// may have landed first, and then this is a no-op recovery.  Returns
+  /// true when the caller must not dispatch the next step (killed,
+  /// suspended, or the execution now runs a plan whose dispatch happened
+  /// elsewhere).
+  [[nodiscard]] bool reconcile_fault(const std::shared_ptr<Execution>& exec);
+  /// Throw away exec's executed prefix before a fresh plan: bill its step
+  /// time as wasted and restart the step count.  The caller sets the new
+  /// participant set first (live_participants reads `evicted`).
+  void discard_prefix(Execution& exec);
   /// Faults left fewer than 2 live participants: mark every carried job
   /// JobState::kFailed, release the grant, and drop the execution.
   void kill_execution(const std::shared_ptr<Execution>& exec);
   /// Close the MTTR window opened when a fault disrupted this running
   /// execution (no-op when none is open).
   void note_recovery(Execution& exec);
-  /// Take every currently-down FREE unit out of service (degraded
-  /// wavelengths on the optical substrate, down hosts on the electrical
-  /// one).  Called after every release on a faulty run, so freed dead
-  /// capacity is never re-granted.
-  void quarantine_downed_units();
-  /// Return every quarantined unit whose down refcount dropped to zero.
-  void restore_repaired_units();
-  /// Participants currently down and not yet evicted — the nodes the next
-  /// renegotiation must drop.
+  /// Participants exec's substrate has lost and not yet evicted — the
+  /// nodes the next renegotiation must drop.
   [[nodiscard]] std::vector<topo::NodeId> newly_dead(
       const Execution& exec) const;
   /// participants − evicted − newly dead: the survivor set a restart runs
@@ -518,31 +511,41 @@ class CollectiveRuntime {
   [[nodiscard]] std::vector<topo::NodeId> live_participants(
       const Execution& exec) const;
   /// Ask lower-priority executions to surrender their grants at the next
-  /// step boundary, per substrate: spectrum waiters preempt optical
-  /// victims, host waiters (kElectricalOnly arrivals, suspended electrical
-  /// executions) preempt electrical victims.  Suspending across fabrics
-  /// would free nothing the waiter can use.
+  /// step boundary, on every preemptible substrate: a fabric's waiters
+  /// (see waits_for) preempt only that fabric's executions.  Suspending
+  /// across fabrics would free nothing the waiter can use.
   void request_preemptions();
-  void request_optical_preemptions();
-  void request_electrical_preemptions();
-  /// Highest priority among suspended executions of `kind`'s substrate —
-  /// the waiters contending for that fabric's capacity.  Aged: a suspended
+  void request_preemptions(ExecutionSubstrate& substrate);
+  /// Highest priority among suspended executions of `substrate` — the
+  /// waiters contending for that fabric's capacity.  Aged: a suspended
   /// execution's priority rises with its wait under aging_half_life.
-  [[nodiscard]] std::int32_t top_suspended_priority(SubstrateKind kind) const;
+  [[nodiscard]] std::int32_t top_suspended_priority(
+      const ExecutionSubstrate& substrate) const;
   /// `exec`'s effective priority right now: raw while running, aged by the
   /// suspension wait while suspended.
   [[nodiscard]] std::int32_t effective_priority(const Execution& exec) const;
-  /// Refresh the optical substrate's advisory pending-demand snapshot
-  /// (minimum widths of queued optically-eligible jobs + suspended optical
-  /// executions, minus `excluding`) ahead of a planner placement.
-  void publish_optical_demand(const Execution* excluding);
-  [[nodiscard]] bool has_suspended(SubstrateKind kind) const;
-  /// True when `entry` could be served by the electrical fallback AND its
-  /// urgency may drive electrical preemptions / block lower-priority
-  /// electrical placements (pinned tenants only: a kAny waiter also has
+  /// Refresh `substrate`'s advisory pending-demand snapshot (floor grants
+  /// of the queued jobs waiting for it + its suspended executions, minus
+  /// `excluding`) ahead of a placement or renegotiation.
+  void publish_demand(ExecutionSubstrate& substrate,
+                      const Execution* excluding);
+  [[nodiscard]] bool has_suspended(const ExecutionSubstrate& substrate) const;
+  /// True when `entry`'s urgency counts against `substrate`'s capacity:
+  /// it may drive preemptions there and block lower-priority placements
+  /// and resumes.  Electrically pinned entries wait for the electrical
+  /// fabric; every other entry waits for the optical ring (a kAny job has
   /// the optical line working for it, and host claims it could get by
-  /// preemption are claims the optical path never needed).
-  [[nodiscard]] static bool electrically_pinned(const QueueEntry& entry);
+  /// preemption are claims the optical path never needed).  Held entries
+  /// wait for nothing yet.
+  [[nodiscard]] bool waits_for(const QueueEntry& entry,
+                               const ExecutionSubstrate& substrate) const;
+  /// Smallest grant, in `substrate`'s units, that lets waiting work over
+  /// `participants` run: one unit per participant where units are
+  /// positioned hosts (remaps_on_resume), the band floor `min_width`
+  /// otherwise.
+  [[nodiscard]] static std::uint32_t floor_grant(
+      const ExecutionSubstrate& substrate, std::size_t participants,
+      std::uint32_t min_width);
   /// Record + trace the cost-model verdict that just bound for `exec`.
   /// Only genuine router choices are audited: kCostModelChoice placements
   /// of un-pinned jobs (a pinned tenant decided for itself — its outcome
@@ -632,17 +635,6 @@ class CollectiveRuntime {
   /// configured); the floor enforces the stream's nondecreasing contract.
   FaultSource* fault_source_ = nullptr;
   util::Seconds last_fault_at_{0.0};
-  /// Down refcounts (overlapping faults on one subject must not resurrect
-  /// it on the first repair): ring positions out of OPTICAL service, hosts
-  /// out of electrical service, degraded wavelengths.
-  std::vector<std::uint8_t> optical_node_down_;
-  std::vector<std::uint8_t> host_down_;
-  std::vector<std::uint8_t> wavelength_down_;
-  /// Which down units this runtime currently holds a substrate quarantine
-  /// for (a unit granted to a tenant at fault time is quarantined only
-  /// once its holder releases).
-  std::vector<bool> wavelength_quarantined_;
-  std::vector<bool> host_quarantined_;
   /// Any fault ever injected — gates the fault-path scans so a fault-free
   /// run pays nothing on the hot path.
   bool any_fault_ever_ = false;

@@ -20,8 +20,8 @@ const char* renegotiation_kind_name(RenegotiationRequest::Kind kind) {
 
 // Renegotiation defaults: a substrate that does not opt in through caps()
 // simply declines every request kind, the what-if probe reports the plain
-// free capacity (releasing nothing frees nothing extra), and quarantine
-// refuses because there is no per-unit capacity to take out of service.
+// free capacity (releasing nothing frees nothing extra), and the fault hooks
+// see no units: nothing goes down, every grant unit stays healthy.
 
 RenegotiationOutcome ExecutionSubstrate::renegotiate(
     SubstrateExecution*, const RenegotiationRequest&) {
@@ -33,9 +33,14 @@ std::uint32_t ExecutionSubstrate::free_grant_if_kept(const SubstrateExecution&,
   return largest_free_grant();
 }
 
-bool ExecutionSubstrate::quarantine_unit(std::uint32_t) { return false; }
+bool ExecutionSubstrate::apply_fault(const FaultSpec&, bool) { return false; }
 
-void ExecutionSubstrate::restore_unit(std::uint32_t) {}
+bool ExecutionSubstrate::node_down(topo::NodeId) const { return false; }
+
+std::uint32_t ExecutionSubstrate::healthy_grant(
+    const SubstrateExecution& plan) const {
+  return plan.grant();
+}
 
 util::Seconds ExecutionSubstrate::predict_completion(
     const std::vector<topo::NodeId>& participants, util::Bytes payload,

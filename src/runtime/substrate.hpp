@@ -27,6 +27,9 @@
 //
 // A substrate declares what it can renegotiate through SubstrateCaps; the
 // runtime only exercises preemption/resize against substrates that opt in.
+// Each substrate also owns the fault state of its own units (apply_fault),
+// so the runtime reconciles a faulted execution through two read-only
+// queries, node_down and healthy_grant, without knowing the fabric.
 #pragma once
 
 #include <cstdint>
@@ -37,6 +40,7 @@
 #include "elec/topology.hpp"
 #include "optical/assign.hpp"
 #include "optical/params.hpp"
+#include "runtime/faults.hpp"
 #include "runtime/job.hpp"
 #include "runtime/planner.hpp"
 #include "sim/simulator.hpp"
@@ -330,15 +334,23 @@ class ExecutionSubstrate {
   [[nodiscard]] virtual std::uint32_t free_grant_if_kept(
       const SubstrateExecution& exec, std::uint32_t keep) const;
 
-  /// Take one grant unit (a wavelength index for optical substrates, a host
-  /// id for electrical ones) out of service — the fault injector's
-  /// quarantine hook.  Succeeds only when the unit is currently free: a
-  /// granted unit must first be renegotiated away from its holder.  The
-  /// default has no per-unit capacity and refuses.
-  [[nodiscard]] virtual bool quarantine_unit(std::uint32_t unit);
-  /// Return a quarantined unit to service (repair).  No-op when `unit` is
-  /// not quarantined.
-  virtual void restore_unit(std::uint32_t unit);
+  /// Book `fault` against the units this fabric serves (optical: ring
+  /// positions for kTransceiver/kNode, wavelengths for kWavelength;
+  /// electrical: hosts for kNode/kTor), or un-book it when `repaired`.  Down
+  /// units are refcounted, so overlapping faults keep a unit down until the
+  /// last repair.  A free down unit leaves service at once; a held one when
+  /// its holder's grant is released or shrunk away; a unit whose count
+  /// returns to 0 goes back into service.  Returns false when the fault's
+  /// domain is not one this fabric serves.  The default serves none.
+  virtual bool apply_fault(const FaultSpec& fault, bool repaired);
+  /// True when this fabric has lost ring position `node`'s data, so a
+  /// remainder must drop it.  Fabrics that remap a dead unit at resume
+  /// (electrical hosts checkpoint at step boundaries) answer false.
+  [[nodiscard]] virtual bool node_down(topo::NodeId node) const;
+  /// Grant units of `plan`, counted from the grant's base, still in
+  /// service: plan.grant() when nothing it holds is down.
+  [[nodiscard]] virtual std::uint32_t healthy_grant(
+      const SubstrateExecution& plan) const;
 };
 
 /// The WDM-ring substrate (spectrum arbiter + Wrht builds + shared-map

@@ -43,7 +43,8 @@
 // re-places the remainder on whatever host set is free then — the original
 // positions when available, else any free hosts, carried over by the same
 // schedule remap placement uses.  Host fungibility is also the fault story:
-// a dead host gets quarantined (quarantine_unit) and the resume simply
+// the substrate refcounts its down hosts (node and ToR faults), a dead host
+// leaves service as soon as no execution holds it, and the resume simply
 // remaps around it, so electrical node faults cost a suspension, never
 // data.  The shared fabric's whole-horizon replay oracle covers remapped
 // resumes for free: it replays the logged physical routes, which are
@@ -63,6 +64,7 @@
 #include "elec/alphabeta.hpp"
 #include "elec/schedule_runner.hpp"
 #include "elec/shared_fabric.hpp"
+#include "runtime/down_units.hpp"
 #include "util/check.hpp"
 
 namespace wrht::runtime {
@@ -167,7 +169,8 @@ class ElectricalSubstrate final : public ExecutionSubstrate {
       : cluster_(make_fallback_cluster(num_hosts, config)),
         timer_(cluster_),
         config_(config),
-        host_busy_(num_hosts, false) {
+        host_busy_(num_hosts, false),
+        hosts_down_(num_hosts) {
     if (config_.fabric == ElectricalFabric::kTwoLevelShared) {
       shared_.emplace(cluster_, config_.replay_audit);
     }
@@ -288,6 +291,7 @@ class ElectricalSubstrate final : public ExecutionSubstrate {
     for (const topo::NodeId host : exec.hosts_) host_busy_[host] = false;
     exec.holds_hosts = false;
     --active_;
+    if (hosts_down_.pending()) take_down_hosts();
   }
 
   [[nodiscard]] RenegotiationOutcome renegotiate(
@@ -311,22 +315,31 @@ class ElectricalSubstrate final : public ExecutionSubstrate {
     return {};
   }
 
-  [[nodiscard]] bool quarantine_unit(std::uint32_t unit) override {
-    // A busy host cannot be pulled out from under its tenant — the runtime
-    // must first renegotiate the holder away (fault-suspend), release its
-    // claims, and retry.
-    if (unit >= host_busy_.size() || host_busy_[unit]) return false;
-    host_busy_[unit] = true;
-    quarantined_hosts_.push_back(unit);
+  bool apply_fault(const FaultSpec& fault, bool repaired) override {
+    std::uint64_t first = fault.subject;
+    std::uint64_t last = first + 1;
+    if (fault.domain == FaultDomain::kTor) {
+      const std::uint64_t per_tor = std::max(1u, config_.hosts_per_tor);
+      first = fault.subject * per_tor;
+      last = std::min<std::uint64_t>(first + per_tor, host_busy_.size());
+    } else if (fault.domain != FaultDomain::kNode) {
+      return false;
+    }
+    for (std::uint64_t host = first; host < last; ++host) {
+      if (hosts_down_.apply(host, repaired)) host_busy_[host] = false;
+    }
+    take_down_hosts();
     return true;
   }
 
-  void restore_unit(std::uint32_t unit) override {
-    const auto it = std::find(quarantined_hosts_.begin(),
-                              quarantined_hosts_.end(), unit);
-    if (it == quarantined_hosts_.end()) return;
-    quarantined_hosts_.erase(it);
-    host_busy_[unit] = false;
+  [[nodiscard]] std::uint32_t healthy_grant(
+      const SubstrateExecution& e) const override {
+    // Any dead host stops the whole BSP step: there is no healthy prefix.
+    const auto& exec = static_cast<const ElectricalExecution&>(e);
+    for (const topo::NodeId host : exec.hosts_) {
+      if (hosts_down_.down(host)) return 0;
+    }
+    return exec.grant();
   }
 
   [[nodiscard]] std::vector<StepRetiming> take_retimings() override {
@@ -501,6 +514,16 @@ class ElectricalSubstrate final : public ExecutionSubstrate {
     return hosts;
   }
 
+  /// Take every down host no execution holds out of service (marked busy,
+  /// so no placement or resume can claim it).
+  void take_down_hosts() {
+    hosts_down_.sweep([this](std::size_t host) {
+      if (host_busy_[host]) return false;
+      host_busy_[host] = true;
+      return true;
+    });
+  }
+
   /// Claim `hosts` (which must be free) and build the plan that runs
   /// `compact` for `participants` on them.  Shared placement tail of both
   /// place() and renegotiate().
@@ -536,9 +559,9 @@ class ElectricalSubstrate final : public ExecutionSubstrate {
   std::map<elec::SharedFabricTimer::SessionId, SubstrateExecution*>
       session_plans_;
   std::vector<StepRetiming> pending_retimings_;
+  /// Claimed by an execution, or down and out of service.
   std::vector<bool> host_busy_;
-  /// Hosts held down by quarantine_unit (fault injection), not by a tenant.
-  std::vector<topo::NodeId> quarantined_hosts_;
+  DownUnits hosts_down_;
   std::uint32_t active_ = 0;
   mutable std::map<std::pair<std::uint32_t, std::uint64_t>, util::Seconds>
       prediction_cache_;

@@ -8,13 +8,14 @@
 // typed renegotiate() entry point covering resume, grow, shrink, fault
 // eviction, and restart — rebuilds the not-yet-run remainder through
 // core::rebuild_wrht_remainder_evicting and transacts the band on the
-// arbiter, with rollback when a rebuild does not pay off.  Degraded
-// wavelengths are quarantined as width-1 arbiter allocations, so neither the
-// planner nor first-fit can grant them until repair.
+// arbiter, with rollback when a rebuild does not pay off.  The substrate
+// owns its fault state: down ring positions (transceiver and node faults)
+// and degraded wavelengths, both refcounted.  A degraded wavelength leaves
+// service as a width-1 arbiter allocation, so neither the planner nor
+// first-fit can grant it until repair.
 #include "runtime/substrate.hpp"
 
 #include <algorithm>
-#include <map>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -23,6 +24,7 @@
 #include "optical/spectrum.hpp"
 #include "optical/transceiver.hpp"
 #include "runtime/arbiter.hpp"
+#include "runtime/down_units.hpp"
 #include "runtime/planner.hpp"
 #include "wrht/builder.hpp"
 #include "wrht/executor.hpp"
@@ -75,7 +77,9 @@ class OpticalSubstrate final : public ExecutionSubstrate {
         policy_(spectrum_policy),
         spectrum_(ring, params.wdm.num_wavelengths),
         transceivers_(ring.num_nodes()),
-        arbiter_(params.wdm.num_wavelengths) {}
+        arbiter_(params.wdm.num_wavelengths),
+        nodes_down_(ring.num_nodes()),
+        wavelengths_down_(params.wdm.num_wavelengths) {}
 
   [[nodiscard]] SubstrateKind kind() const override {
     return SubstrateKind::kOptical;
@@ -199,6 +203,7 @@ class OpticalSubstrate final : public ExecutionSubstrate {
     forget(exec);
     // exec.band_ keeps its value: the pre-suspension width is the resume
     // path's sizing hint.
+    if (wavelengths_down_.pending()) take_down_wavelengths();
   }
 
   [[nodiscard]] util::Seconds predict_makespan(
@@ -275,22 +280,37 @@ class OpticalSubstrate final : public ExecutionSubstrate {
     return arbiter_.largest_free_block_assuming(freed);
   }
 
-  [[nodiscard]] bool quarantine_unit(std::uint32_t unit) override {
-    if (quarantined_.count(unit) != 0) return false;
-    // A width-1 allocation at the degraded wavelength: the arbiter refuses
-    // while any granted band covers it, and neither the planner nor
-    // first-fit can hand it out until restore_unit releases it.
-    const std::optional<WavelengthBand> band = arbiter_.allocate_at(unit, 1);
-    if (!band) return false;
-    quarantined_.emplace(unit, *band);
-    return true;
+  bool apply_fault(const FaultSpec& fault, bool repaired) override {
+    switch (fault.domain) {
+      case FaultDomain::kTransceiver:
+      case FaultDomain::kNode:
+        // Ring positions hold no grant: they only change what node_down
+        // answers.
+        nodes_down_.apply(fault.subject, repaired);
+        return true;
+      case FaultDomain::kWavelength:
+        if (wavelengths_down_.apply(fault.subject, repaired)) {
+          arbiter_.release(WavelengthBand{fault.subject, 1});
+        }
+        take_down_wavelengths();
+        return true;
+      case FaultDomain::kTor:
+        return false;
+    }
+    return false;
   }
 
-  void restore_unit(std::uint32_t unit) override {
-    const auto it = quarantined_.find(unit);
-    if (it == quarantined_.end()) return;
-    arbiter_.release(it->second);
-    quarantined_.erase(it);
+  [[nodiscard]] bool node_down(topo::NodeId node) const override {
+    return nodes_down_.down(node);
+  }
+
+  [[nodiscard]] std::uint32_t healthy_grant(
+      const SubstrateExecution& e) const override {
+    const WavelengthBand band = static_cast<const OpticalExecution&>(e).band_;
+    for (std::uint32_t i = 0; i < band.width; ++i) {
+      if (wavelengths_down_.down(band.base + i)) return i;
+    }
+    return band.width;
   }
 
  private:
@@ -348,6 +368,8 @@ class OpticalSubstrate final : public ExecutionSubstrate {
     arbiter_.shrink_to(old, kept);
     current.holds_band = false;  // the kept band moves to the new plan
     forget(current);
+    // A fault shrink cuts a degraded tail; it leaves service now.
+    if (wavelengths_down_.pending()) take_down_wavelengths();
     return {make_plan(std::move(*rebuilt), kept, current.participants,
                       current.payload)};
   }
@@ -389,6 +411,15 @@ class OpticalSubstrate final : public ExecutionSubstrate {
                    << band->width << ")");
     return {make_plan(std::move(build), *band, request.nodes,
                       request.payload)};
+  }
+
+  /// Quarantine every degraded wavelength no band holds: a width-1
+  /// allocation the arbiter refuses while a granted band covers it.
+  void take_down_wavelengths() {
+    wavelengths_down_.sweep([this](std::size_t w) {
+      return arbiter_.allocate_at(static_cast<std::uint32_t>(w), 1)
+          .has_value();
+    });
   }
 
   [[nodiscard]] static std::vector<topo::NodeId> without(
@@ -505,10 +536,10 @@ class OpticalSubstrate final : public ExecutionSubstrate {
   /// suspended demand, excluding the job being placed.  Read only by the
   /// planner policy's placement cost.
   std::vector<std::uint32_t> pending_widths_;
-  /// Degraded wavelengths held out of service as width-1 arbiter
-  /// allocations, keyed by wavelength index (ordered map: substrate state
-  /// feeds deterministic reports).
-  std::map<std::uint32_t, WavelengthBand> quarantined_;
+  /// Fault state: ring positions out of optical service, and degraded
+  /// wavelengths (out of service once no band holds them).
+  DownUnits nodes_down_;
+  DownUnits wavelengths_down_;
 };
 
 }  // namespace

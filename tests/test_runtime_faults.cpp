@@ -312,6 +312,33 @@ TEST(FaultRecovery, RepairsRestoreServiceAndAreCounted) {
   EXPECT_EQ(report.faults.mttr(), util::Seconds(0.0));
 }
 
+TEST(FaultRecovery, OffFabricTorSubjectDies) {
+  // 32 hosts at 8 per ToR make ToRs 0-3.  A subject past them is a bad
+  // fault schedule, refused like the other domains' off-range subjects:
+  // 536870912 * 8 wraps to 0 in 32 bits and would otherwise take down
+  // ToR 0's hosts.
+  const auto serve_with_tor_fault = [](std::uint32_t subject) {
+    runtime::RuntimeConfig config;
+    config.ring_size = 32;
+    config.optical.wdm.num_wavelengths = 8;
+    config.batcher.enabled = false;
+    config.placement = runtime::HybridPlacementPolicy::kElectricalOverflow;
+    config.electrical.hosts_per_tor = 8;
+    ScriptedFaultSource faults({
+        {FaultDomain::kTor, subject, util::microseconds(1.0),
+         util::Seconds(0.0)},
+    });
+    config.faults = &faults;
+    runtime::CollectiveRuntime rt(config);
+    rt.submit(span_job(0, 4, util::kilobytes(64)));
+    return rt.run().faults.tor_faults;
+  };
+  EXPECT_EQ(serve_with_tor_fault(3), 1u);
+  EXPECT_DEATH(serve_with_tor_fault(4), "tor subject 4 off the fabric");
+  EXPECT_DEATH(serve_with_tor_fault(536870912),
+               "tor subject 536870912 off the fabric");
+}
+
 TEST(FaultTrace, RoundTripsByteStableAndReplaysThroughTheReader) {
   // Record-then-replay for chaos schedules: the injector's stream written
   // twice is byte-identical, the reader parses it back field-for-field, and

@@ -4,10 +4,11 @@
 //   1. serve() (specs pulled one at a time off a JobSource, arrival events
 //      chained) produces the SAME RuntimeReport as run() (every spec
 //      submitted up front) on the same workload.
-//   2. On three seeded configurations — optical-only FIFO, electrical
-//      overflow onto the shared two-level fabric, and a chaos mix of
-//      cost-model routing, priority preemption, elastic resize and faults —
-//      the report's FNV-1a digest equals a pinned constant.  Any change to
+//   2. On four seeded configurations — optical-only FIFO, electrical
+//      overflow onto the shared two-level fabric, a chaos mix of cost-model
+//      routing, priority preemption, elastic resize and faults, and that
+//      mix at 8x the fault rate with pinned electrical tenants — the
+//      report's FNV-1a digest equals a pinned constant.  Any change to
 //      the event loop, admission queue, spectrum arbiter or substrates that
 //      moves a single report field (doubles printed exactly) breaks it.
 //
@@ -193,10 +194,12 @@ std::uint64_t report_digest(const RuntimeReport& r) {
   return hash;
 }
 
-// The pinned constants below were computed before the event loop lost its
-// second (unflattened) implementation, and both implementations produced
-// them.  A changed digest means changed behaviour: find the cause rather
-// than re-pinning.
+// The first three pinned constants below were computed before the event
+// loop lost its second (unflattened) implementation, and both
+// implementations produced them.  The fault-recovery constant was computed
+// before the fault bookkeeping moved from the runtime into the substrates.
+// A changed digest means changed behaviour: find the cause rather than
+// re-pinning.
 
 TEST(RuntimeServe, GoldenDigestOpticalFifo) {
   // Above-capacity optical-only FIFO: the admission queue's head take and
@@ -254,6 +257,67 @@ TEST(RuntimeServe, GoldenDigestRoutedChaos) {
   EXPECT_GT(report.resizes, 0u);
   EXPECT_GT(report.faults.injected, 0u);
   EXPECT_EQ(report_digest(report), 0xa6cff5c3ffb90341ULL);
+}
+
+/// Pins every 5th spec (the 1st, 6th, ...) to the electrical fabric, with
+/// priority alternating 3, 0, 3, ... among the pinned ones, so urgent
+/// pinned arrivals preempt electrical tenants for their own hosts.
+class PinEveryFifthElectrical final : public JobSource {
+ public:
+  explicit PinEveryFifthElectrical(JobSource& inner) : inner_(inner) {}
+  std::optional<JobSpec> next() override {
+    std::optional<JobSpec> spec = inner_.next();
+    if (spec && seen_++ % 5 == 0) {
+      spec->pin = SubstratePin::kElectricalOnly;
+      spec->priority = pinned_++ % 2 == 0 ? 3 : 0;
+    }
+    return spec;
+  }
+
+ private:
+  JobSource& inner_;
+  std::uint64_t seen_ = 0;
+  std::uint64_t pinned_ = 0;
+};
+
+TEST(RuntimeServe, GoldenDigestFaultRecoveryAndHostPreemption) {
+  // The routed-chaos mix at 8x its fault rate plus a pinned electrical
+  // tenant class.  Reaches what the routed-chaos golden does not:
+  // cross-substrate migration, fault suspension, kills, and host-claim
+  // preemption.  Aging stays off.
+  workload::WorkloadConfig w = small_workload(1000, 1500.0);
+  w.seed = 3;
+  w.fault_horizon = util::Seconds(1.0);
+  w.transceiver_mtbf = util::Seconds(0.05 / 8.0);
+  w.node_mtbf = util::Seconds(0.08 / 8.0);
+  w.tor_mtbf = util::Seconds(0.15 / 8.0);
+  w.wavelength_mtbf = util::Seconds(0.06 / 8.0);
+  w.fault_mttr = util::Seconds(0.01);
+  w.fault_num_wavelengths = 32;
+  w.fault_num_tors = 4;
+  RuntimeConfig config = base_config();
+  config.placement = HybridPlacementPolicy::kCostModelChoice;
+  config.routing_cost_model = RoutingCostModel::kCongestionAware;
+  config.electrical.fabric = ElectricalFabric::kTwoLevelShared;
+  config.electrical.hosts_per_tor = 8;
+  config.electrical.oversubscription = 4.0;
+  config.policy = FairnessPolicy::kPriorityPreempt;
+  config.elastic_resize = true;
+
+  workload::WorkloadGenerator gen(w);
+  FaultInjector injector = gen.make_fault_injector();
+  config.faults = &injector;
+  PinEveryFifthElectrical source(gen);
+  CollectiveRuntime rt(config);
+  const RuntimeReport report = rt.serve(source);
+  EXPECT_GT(report.preemptions, 0u);
+  EXPECT_GT(report.resizes, 0u);
+  EXPECT_GT(report.faults.evictions, 0u);
+  EXPECT_GT(report.faults.restarts, 0u);
+  EXPECT_GT(report.faults.migrations, 0u);
+  EXPECT_GT(report.faults.fault_preemptions, 0u);
+  EXPECT_GT(report.faults.killed_jobs, 0u);
+  EXPECT_EQ(report_digest(report), 0x1bfbd2fd08028730ULL);
 }
 
 TEST(RuntimeServe, PreSubmittedJobsServeAheadOfTheSource) {

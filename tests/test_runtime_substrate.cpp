@@ -3,7 +3,9 @@
 // passes the functional oracle), per-substrate report accounting, hybrid
 // cost-model routing, host-link exclusivity on the fallback fabric, and —
 // because the optical path now runs behind the same interface — proof that
-// preemption and elastic resize behave exactly as before.
+// preemption and elastic resize behave exactly as before.  Each substrate's
+// own fault bookkeeping (refcounted down units, out of service when free)
+// is tested directly against the interface.
 #include "runtime/substrate.hpp"
 
 #include <gtest/gtest.h>
@@ -528,6 +530,167 @@ TEST(Substrate, MaxConcurrentCapsElectricalPlacements) {
   EXPECT_FALSE(sub->can_place({4, 5}, 1));
   sub->release(*first, util::Seconds(0.0));
   EXPECT_TRUE(sub->can_place({4, 5}, 1));
+}
+
+// ---------------------------------------------------------------------------
+// Fault bookkeeping inside the substrates.
+
+FaultSpec fault_on(FaultDomain domain, std::uint32_t subject) {
+  FaultSpec fault;
+  fault.domain = domain;
+  fault.subject = subject;
+  return fault;
+}
+
+/// An 8-node ring with 4 wavelengths, standalone.
+struct OpticalFixture {
+  topo::RingTopology ring{8};
+  sim::Simulator sim;
+  std::unique_ptr<ExecutionSubstrate> sub;
+
+  OpticalFixture() {
+    optical::OpticalParams params;
+    params.wdm.num_wavelengths = 4;
+    sub = make_optical_substrate(ring, params, optical::FitPolicy::kFirstFit,
+                                 sim, SpectrumPolicy::kFirstFit);
+  }
+};
+
+TEST(SubstrateFaults, OpticalOverlappingFaultsOutlastTheFirstRepair) {
+  OpticalFixture f;
+  const FaultSpec lambda = fault_on(FaultDomain::kWavelength, 1);
+  EXPECT_TRUE(f.sub->apply_fault(lambda, false));
+  EXPECT_TRUE(f.sub->apply_fault(lambda, false));
+  EXPECT_TRUE(f.sub->apply_fault(lambda, true));
+  EXPECT_EQ(f.sub->free_grant_total(), 3u);
+  EXPECT_EQ(f.sub->largest_free_grant(), 2u);
+  // The last repair puts it back: the whole spectrum is one run again.
+  f.sub->apply_fault(lambda, true);
+  EXPECT_EQ(f.sub->largest_free_grant(), 4u);
+
+  // Ring positions are refcounted the same way, across both domains that
+  // name them.
+  f.sub->apply_fault(fault_on(FaultDomain::kTransceiver, 5), false);
+  f.sub->apply_fault(fault_on(FaultDomain::kNode, 5), false);
+  f.sub->apply_fault(fault_on(FaultDomain::kTransceiver, 5), true);
+  EXPECT_TRUE(f.sub->node_down(5));
+  EXPECT_FALSE(f.sub->node_down(4));
+  f.sub->apply_fault(fault_on(FaultDomain::kNode, 5), true);
+  EXPECT_FALSE(f.sub->node_down(5));
+  // A ToR fault names no optical unit.
+  EXPECT_FALSE(f.sub->apply_fault(fault_on(FaultDomain::kTor, 0), false));
+}
+
+TEST(SubstrateFaults, OpticalFreeDownWavelengthIsNeverGranted) {
+  OpticalFixture f;
+  f.sub->apply_fault(fault_on(FaultDomain::kWavelength, 0), false);
+  EXPECT_FALSE(f.sub->can_place({0, 1, 2}, 4));
+  ASSERT_TRUE(f.sub->can_place({0, 1, 2}, 3));
+  std::unique_ptr<SubstrateExecution> plan =
+      f.sub->place({0, 1, 2}, util::kilobytes(64), 3);
+  EXPECT_EQ(plan->band().base, 1u);
+  EXPECT_EQ(f.sub->healthy_grant(*plan), 3u);
+  f.sub->release(*plan, util::Seconds(0.0));
+  // Repaired, the wavelength can be granted again.
+  f.sub->apply_fault(fault_on(FaultDomain::kWavelength, 0), true);
+  plan = f.sub->place({0, 1, 2}, util::kilobytes(64), 4);
+  EXPECT_EQ(plan->band().base, 0u);
+}
+
+TEST(SubstrateFaults, OpticalHeldDownWavelengthLeavesServiceOnRelease) {
+  OpticalFixture f;
+  std::unique_ptr<SubstrateExecution> plan =
+      f.sub->place({0, 1, 2, 3}, util::kilobytes(64), 4);
+  f.sub->apply_fault(fault_on(FaultDomain::kWavelength, 2), false);
+  // Still held: the holder keeps it until it lets go, but only the
+  // prefix below the degraded wavelength is healthy.
+  EXPECT_EQ(f.sub->free_grant_total(), 0u);
+  EXPECT_EQ(f.sub->healthy_grant(*plan), 2u);
+  f.sub->release(*plan, util::Seconds(0.0));
+  EXPECT_EQ(f.sub->free_grant_total(), 3u);
+  EXPECT_EQ(f.sub->largest_free_grant(), 2u);
+  f.sub->apply_fault(fault_on(FaultDomain::kWavelength, 2), true);
+  EXPECT_EQ(f.sub->largest_free_grant(), 4u);
+}
+
+TEST(SubstrateFaults, OpticalRepairWithoutFaultDies) {
+  OpticalFixture f;
+  EXPECT_DEATH(
+      f.sub->apply_fault(fault_on(FaultDomain::kWavelength, 3), true),
+      "repair without a fault");
+  EXPECT_DEATH(f.sub->apply_fault(fault_on(FaultDomain::kNode, 3), true),
+               "repair without a fault");
+}
+
+/// 16 hosts, 4 per ToR.
+std::unique_ptr<ExecutionSubstrate> electrical_fixture() {
+  ElectricalFallbackConfig config;
+  config.hosts_per_tor = 4;
+  return make_electrical_substrate(16, config);
+}
+
+TEST(SubstrateFaults, ElectricalOverlappingFaultsOutlastTheFirstRepair) {
+  const std::unique_ptr<ExecutionSubstrate> sub = electrical_fixture();
+  // Host 5 is down twice over: once itself, once with its ToR (hosts 4-7).
+  EXPECT_TRUE(sub->apply_fault(fault_on(FaultDomain::kNode, 5), false));
+  EXPECT_TRUE(sub->apply_fault(fault_on(FaultDomain::kTor, 1), false));
+  EXPECT_EQ(sub->free_grant_total(), 12u);
+  sub->apply_fault(fault_on(FaultDomain::kTor, 1), true);
+  EXPECT_EQ(sub->free_grant_total(), 15u);
+  EXPECT_FALSE(sub->can_place({5, 6}, 1));
+  EXPECT_TRUE(sub->can_place({4, 6}, 1));
+  sub->apply_fault(fault_on(FaultDomain::kNode, 5), true);
+  EXPECT_TRUE(sub->can_place({5, 6}, 1));
+  EXPECT_EQ(sub->free_grant_total(), 16u);
+  // Hosts remap at resume: the fabric never loses a participant's data,
+  // and optical-only domains name nothing here.
+  sub->apply_fault(fault_on(FaultDomain::kNode, 2), false);
+  EXPECT_FALSE(sub->node_down(2));
+  EXPECT_FALSE(
+      sub->apply_fault(fault_on(FaultDomain::kTransceiver, 2), false));
+  EXPECT_FALSE(
+      sub->apply_fault(fault_on(FaultDomain::kWavelength, 2), false));
+}
+
+TEST(SubstrateFaults, ElectricalFreeDownHostIsNeverGranted) {
+  const std::unique_ptr<ExecutionSubstrate> sub = electrical_fixture();
+  sub->apply_fault(fault_on(FaultDomain::kNode, 3), false);
+  EXPECT_FALSE(sub->can_place({2, 3}, 1));
+  // A restart among participants 0-15 must seat all 16 and cannot.
+  std::vector<topo::NodeId> everyone;
+  for (topo::NodeId n = 0; n < 16; ++n) everyone.push_back(n);
+  EXPECT_FALSE(sub->renegotiate(nullptr,
+                                RenegotiationRequest::restart(
+                                    everyone, util::kilobytes(64), 1, 1))
+                   .accepted());
+  sub->apply_fault(fault_on(FaultDomain::kNode, 3), true);
+  EXPECT_TRUE(sub->can_place({2, 3}, 1));
+}
+
+TEST(SubstrateFaults, ElectricalHeldDownHostLeavesServiceOnRelease) {
+  const std::unique_ptr<ExecutionSubstrate> sub = electrical_fixture();
+  std::unique_ptr<SubstrateExecution> plan =
+      sub->place({0, 1, 2, 3}, util::kilobytes(64), 1);
+  EXPECT_EQ(sub->healthy_grant(*plan), 4u);
+  sub->apply_fault(fault_on(FaultDomain::kNode, 2), false);
+  // One dead host stalls the whole BSP step: nothing of the grant is
+  // healthy, and the host stays claimed until its holder lets go.
+  EXPECT_EQ(sub->healthy_grant(*plan), 0u);
+  EXPECT_EQ(sub->free_grant_total(), 12u);
+  sub->release(*plan, util::Seconds(0.0));
+  EXPECT_EQ(sub->free_grant_total(), 15u);
+  EXPECT_TRUE(sub->can_place({0, 1, 3}, 1));
+  EXPECT_FALSE(sub->can_place({1, 2}, 1));
+  sub->apply_fault(fault_on(FaultDomain::kNode, 2), true);
+  EXPECT_TRUE(sub->can_place({1, 2}, 1));
+}
+
+TEST(SubstrateFaults, ElectricalRepairWithoutFaultDies) {
+  const std::unique_ptr<ExecutionSubstrate> sub = electrical_fixture();
+  EXPECT_DEATH(sub->apply_fault(fault_on(FaultDomain::kNode, 7), true),
+               "repair without a fault");
+  EXPECT_DEATH(sub->apply_fault(fault_on(FaultDomain::kTor, 0), true),
+               "repair without a fault");
 }
 
 }  // namespace
