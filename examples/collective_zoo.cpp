@@ -1,7 +1,7 @@
 // Tour of the collective-primitive library: run broadcast, reduce, scatter,
 // gather, all-gather and reduce-scatter on both substrates, verifying each
 // against its oracle before timing it.  Demonstrates the full public API
-// beyond all-reduce.
+// beyond all-reduce.  Exits 1 if any verdict prints FAIL.
 //
 //   $ ./examples/collective_zoo --nodes 32 --payload-mb 64
 #include <cstdio>
@@ -82,8 +82,10 @@ int main(int argc, char** argv) {
               util::to_string(payload).c_str());
   util::Table table(
       {"primitive", "steps", "verified", "electrical", "optical ring"});
+  bool all_ok = true;
   for (const Entry& entry : zoo) {
     const coll::OracleResult verdict = entry.oracle();
+    all_ok = all_ok && verdict.ok;
     const double electrical =
         elec::run_on_electrical(entry.schedule, cluster, payload)
             .total.value();
@@ -125,5 +127,5 @@ int main(int argc, char** argv) {
            core::run_on_optical(wrht_bcast.annotated, optical, payload)
                .total.value()))});
   std::fputs(table.render().c_str(), stdout);
-  return 0;
+  return all_ok && reduce_ok.ok && bcast_ok.ok ? 0 : 1;
 }

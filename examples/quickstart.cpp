@@ -5,7 +5,7 @@
 #include <cstdio>
 
 #include "coll/algorithms.hpp"
-#include "coll/executor.hpp"
+#include "coll/oracle.hpp"
 #include "harness/fig2.hpp"
 #include "wrht/analysis.hpp"
 #include "wrht/builder.hpp"
@@ -26,8 +26,8 @@ int main() {
 
   // 2. Prove it computes an all-reduce: execute it on real payload vectors
   //    and compare every node's result against the element-wise sum.
-  const bool correct = coll::FunctionalExecutor::verify_allreduce(
-      build.annotated.schedule, /*payload_len=*/256);
+  const bool correct = coll::Oracle::verify_allreduce(
+      build.annotated.schedule, /*payload_len=*/256).ok;
   std::printf("functional check      : %s\n", correct ? "PASS" : "FAIL");
 
   // 3. Time it on the optical ring simulator against the single-wavelength

@@ -1,7 +1,7 @@
 // Baseline all-reduce schedule builders.
 //
-// Every builder returns a Schedule in the shared IR; correctness of each is
-// established by the FunctionalExecutor tests, and timing comes from the
+// Every builder returns a Schedule in the shared IR; the tests prove each
+// one with coll::Oracle::verify_allreduce, and timing comes from the
 // electrical/optical simulators or the analytic cost models.
 //
 //   ring_allreduce        Patarasuk & Yuan bandwidth-optimal ring:

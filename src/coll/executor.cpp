@@ -1,29 +1,8 @@
 #include "coll/executor.hpp"
 
-#include <cmath>
-
 #include "util/check.hpp"
-#include "util/random.hpp"
 
 namespace wrht::coll {
-namespace {
-
-struct ChunkRange {
-  std::size_t begin;
-  std::size_t end;
-};
-
-ChunkRange chunk_range(const Schedule& schedule, std::size_t payload_len,
-                       ChunkId chunk) {
-  const std::uint64_t offset =
-      split_part_offset(payload_len, schedule.num_chunks(), chunk);
-  const std::uint64_t size =
-      split_part_size(payload_len, schedule.num_chunks(), chunk);
-  return ChunkRange{static_cast<std::size_t>(offset),
-                    static_cast<std::size_t>(offset + size)};
-}
-
-}  // namespace
 
 void FunctionalExecutor::run(const Schedule& schedule,
                              std::vector<std::vector<double>>& node_data) {
@@ -72,45 +51,6 @@ void FunctionalExecutor::run(const Schedule& schedule,
       }
     }
   }
-}
-
-FunctionalExecutor::VerifyResult FunctionalExecutor::verify_allreduce_detailed(
-    const Schedule& schedule, std::size_t payload_len, std::uint64_t seed) {
-  const std::uint32_t n = schedule.num_nodes();
-  util::Rng rng(seed);
-
-  std::vector<std::vector<double>> data(n);
-  std::vector<double> expected(payload_len, 0.0);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    data[i].resize(payload_len);
-    for (std::size_t e = 0; e < payload_len; ++e) {
-      // Small integers: the sums are exact in double precision, so the
-      // comparison below can be exact too.
-      data[i][e] = static_cast<double>(rng.next_below(1000));
-      expected[e] += data[i][e];
-    }
-  }
-
-  run(schedule, data);
-
-  for (std::uint32_t i = 0; i < n; ++i) {
-    for (std::size_t e = 0; e < payload_len; ++e) {
-      if (data[i][e] != expected[e]) {
-        return VerifyResult{
-            false, "schedule '" + schedule.name() + "' N=" + std::to_string(n) +
-                       ": node " + std::to_string(i) + " element " +
-                       std::to_string(e) + " = " + std::to_string(data[i][e]) +
-                       ", expected " + std::to_string(expected[e])};
-      }
-    }
-  }
-  return VerifyResult{};
-}
-
-bool FunctionalExecutor::verify_allreduce(const Schedule& schedule,
-                                          std::size_t payload_len,
-                                          std::uint64_t seed) {
-  return verify_allreduce_detailed(schedule, payload_len, seed).ok;
 }
 
 }  // namespace wrht::coll

@@ -7,9 +7,10 @@
 // destination buffer (kReduce) or overwrites it (kCopy).
 //
 // The IR carries real data semantics, so any schedule can be executed by the
-// FunctionalExecutor on actual payload vectors and checked against the
-// mathematical definition of all-reduce.  Timing layers (electrical flow
-// simulation, optical DES, analytic alpha-beta) consume the same IR.
+// FunctionalExecutor on actual payload vectors, and coll::Oracle checks the
+// result against the collective's mathematical definition.  Timing layers
+// (electrical flow simulation, optical DES, analytic alpha-beta) consume the
+// same IR.
 #pragma once
 
 #include <cstdint>

@@ -686,22 +686,16 @@ void CollectiveRuntime::verify_composite_or_die(const Execution& exec) {
   // evicted mid-flight, every ORIGINAL participant contributed but only
   // the survivors must end holding the total (the evicted nodes' hardware
   // is gone — their final state is unspecified).
-  coll::OracleResult verdict;
-  if (exec.evicted.empty()) {
-    verdict = coll::Oracle::verify_allreduce_among(
-        composite, exec.participants, config_.oracle_payload_len);
-  } else {
-    std::vector<topo::NodeId> recipients;
-    recipients.reserve(exec.participants.size());
-    for (const topo::NodeId node : exec.participants) {
-      if (std::find(exec.evicted.begin(), exec.evicted.end(), node) ==
-          exec.evicted.end()) {
-        recipients.push_back(node);
-      }
+  std::vector<topo::NodeId> recipients;
+  recipients.reserve(exec.participants.size());
+  for (const topo::NodeId node : exec.participants) {
+    if (std::find(exec.evicted.begin(), exec.evicted.end(), node) ==
+        exec.evicted.end()) {
+      recipients.push_back(node);
     }
-    verdict = coll::Oracle::verify_allreduce_among(
-        composite, exec.participants, recipients, config_.oracle_payload_len);
   }
+  const coll::OracleResult verdict = coll::Oracle::verify_allreduce_among(
+      composite, exec.participants, recipients, config_.oracle_payload_len);
   if (!verdict.ok) ++report_.oracle_failures;
   // A schedule that fails the oracle must never touch its fabric; like a
   // wavelength conflict, this is a library bug, not a tenant error.

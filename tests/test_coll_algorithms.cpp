@@ -7,7 +7,7 @@
 
 #include <set>
 
-#include "coll/executor.hpp"
+#include "coll/oracle.hpp"
 #include "coll/validation.hpp"
 #include "util/math.hpp"
 
@@ -39,8 +39,7 @@ class AllAlgorithms
 
 TEST_P(AllAlgorithms, ComputesAllReduce) {
   const Schedule schedule = algo().build(nodes());
-  const auto result = FunctionalExecutor::verify_allreduce_detailed(
-      schedule, /*payload_len=*/64);
+  const auto result = Oracle::verify_allreduce(schedule, /*payload_len=*/64);
   EXPECT_TRUE(result.ok) << result.message;
 }
 
@@ -53,8 +52,7 @@ TEST_P(AllAlgorithms, PassesStructuralValidation) {
 TEST_P(AllAlgorithms, PayloadSmallerThanChunksStillWorks) {
   const Schedule schedule = algo().build(nodes());
   // A payload of exactly num_chunks elements gives 1-element chunks.
-  EXPECT_TRUE(
-      FunctionalExecutor::verify_allreduce(schedule, schedule.num_chunks()));
+  EXPECT_TRUE(Oracle::verify_allreduce(schedule, schedule.num_chunks()).ok);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -179,8 +177,7 @@ class HierarchicalSweep
 TEST_P(HierarchicalSweep, ComputesAllReduce) {
   const auto [n, g] = GetParam();
   const Schedule schedule = hierarchical_allreduce(n, g);
-  const auto result =
-      FunctionalExecutor::verify_allreduce_detailed(schedule, 48);
+  const auto result = Oracle::verify_allreduce(schedule, 48);
   EXPECT_TRUE(result.ok) << result.message;
   EXPECT_TRUE(validate(schedule).ok());
 }
@@ -226,7 +223,7 @@ TEST(AllAlgorithmsLarge, CorrectAtN128) {
   for (const AlgoCase& algo : kAlgos) {
     if (std::string(algo.name) == "direct") continue;
     const Schedule schedule = algo.build(128);
-    EXPECT_TRUE(FunctionalExecutor::verify_allreduce(schedule, 128))
+    EXPECT_TRUE(Oracle::verify_allreduce(schedule, 128).ok)
         << algo.name;
   }
 }

@@ -6,7 +6,7 @@
 
 #include "coll/algorithms.hpp"
 #include "coll/cost_model.hpp"
-#include "coll/executor.hpp"
+#include "coll/oracle.hpp"
 #include "coll/validation.hpp"
 #include "dnn/catalog.hpp"
 #include "dnn/training.hpp"
@@ -34,7 +34,7 @@ TEST(Integration, WrhtEndToEndPipeline) {
 
   ASSERT_TRUE(coll::validate(build.annotated.schedule).ok());
   ASSERT_TRUE(
-      coll::FunctionalExecutor::verify_allreduce(build.annotated.schedule, 64));
+      coll::Oracle::verify_allreduce(build.annotated.schedule, 64).ok);
 
   optical::OpticalParams optical;
   optical.wdm.num_wavelengths = 16;
@@ -147,7 +147,7 @@ TEST(Integration, StripedWrhtStillCorrectAndFaster) {
   const core::AnnotatedSchedule striped =
       core::apply_striping(build.annotated, 32, payload);
 
-  ASSERT_TRUE(coll::FunctionalExecutor::verify_allreduce(striped.schedule, 16));
+  ASSERT_TRUE(coll::Oracle::verify_allreduce(striped.schedule, 16).ok);
   optical::OpticalParams p;
   p.wdm.num_wavelengths = 32;
   const double base =

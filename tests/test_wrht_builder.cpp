@@ -8,7 +8,7 @@
 
 #include <algorithm>
 
-#include "coll/executor.hpp"
+#include "coll/oracle.hpp"
 #include "coll/validation.hpp"
 #include "util/math.hpp"
 
@@ -45,7 +45,7 @@ class WrhtSweep : public ::testing::TestWithParam<
 
 TEST_P(WrhtSweep, ComputesAllReduce) {
   const WrhtBuild build = build_wrht(nodes(), params_with(wavelengths()));
-  const auto result = coll::FunctionalExecutor::verify_allreduce_detailed(
+  const auto result = coll::Oracle::verify_allreduce(
       build.annotated.schedule, /*payload_len=*/32);
   EXPECT_TRUE(result.ok) << result.message;
 }
@@ -94,8 +94,7 @@ TEST(WrhtBuilder, PaperScalePoints) {
   for (const std::uint32_t n : {128u, 256u, 512u, 1024u}) {
     const WrhtBuild build = build_wrht(n, params_with(64));
     EXPECT_EQ(build.group_size_m, std::min(n, 129u));
-    EXPECT_TRUE(coll::FunctionalExecutor::verify_allreduce(
-        build.annotated.schedule, 8))
+    EXPECT_TRUE(coll::Oracle::verify_allreduce(build.annotated.schedule, 8).ok)
         << "N=" << n;
     EXPECT_LE(build.annotated.wavelengths_required, 64u);
   }
@@ -140,8 +139,7 @@ TEST(WrhtBuilder, MergeDisabledReducesToRoot) {
   EXPECT_EQ(build.final_rep_count_mstar, 1u);
   // 2 tree levels down + 2 broadcast levels = 2*ceil(log_129 1024) = 4.
   EXPECT_EQ(build.annotated.schedule.num_steps(), 4u);
-  EXPECT_TRUE(coll::FunctionalExecutor::verify_allreduce(
-      build.annotated.schedule, 8));
+  EXPECT_TRUE(coll::Oracle::verify_allreduce(build.annotated.schedule, 8).ok);
 }
 
 TEST(WrhtBuilder, ForcedGroupSizeHonored) {
@@ -154,8 +152,7 @@ TEST(WrhtBuilder, ForcedGroupSizeHonored) {
       EXPECT_LE(group.size(), 4u);
     }
   }
-  EXPECT_TRUE(coll::FunctionalExecutor::verify_allreduce(
-      build.annotated.schedule, 16));
+  EXPECT_TRUE(coll::Oracle::verify_allreduce(build.annotated.schedule, 16).ok);
 }
 
 TEST(WrhtBuilder, ForcedGroupSizeTooBigForSpectrumAborts) {
@@ -169,14 +166,12 @@ TEST(WrhtBuilder, SingleWavelengthStillWorks) {
   const WrhtBuild build = build_wrht(81, params_with(1));
   EXPECT_EQ(build.group_size_m, 3u);
   EXPECT_LE(build.annotated.wavelengths_required, 1u);
-  EXPECT_TRUE(coll::FunctionalExecutor::verify_allreduce(
-      build.annotated.schedule, 8));
+  EXPECT_TRUE(coll::Oracle::verify_allreduce(build.annotated.schedule, 8).ok);
 }
 
 TEST(WrhtBuilder, TwoNodes) {
   const WrhtBuild build = build_wrht(2, params_with(64));
-  EXPECT_TRUE(coll::FunctionalExecutor::verify_allreduce(
-      build.annotated.schedule, 4));
+  EXPECT_TRUE(coll::Oracle::verify_allreduce(build.annotated.schedule, 4).ok);
   EXPECT_EQ(build.annotated.schedule.num_steps(), 1u);  // pair all-to-all
 }
 

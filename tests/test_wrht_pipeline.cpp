@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "coll/executor.hpp"
+#include "coll/oracle.hpp"
 #include "coll/validation.hpp"
 #include "optical/spectrum.hpp"
 #include "util/math.hpp"
@@ -46,7 +46,7 @@ class PipelineSweep
 TEST_P(PipelineSweep, ComputesAllReduce) {
   const WrhtPipelineBuild build = build_wrht_pipelined(
       nodes(), pipeline_params(wavelengths(), segments()));
-  const auto result = coll::FunctionalExecutor::verify_allreduce_detailed(
+  const auto result = coll::Oracle::verify_allreduce(
       build.annotated.schedule, std::max<std::size_t>(64, segments()));
   EXPECT_TRUE(result.ok) << result.message;
 }
@@ -109,8 +109,7 @@ TEST(Pipeline, ShrinksGroupSizeWhenStagesCollide) {
   const WrhtPipelineBuild build =
       build_wrht_pipelined(256, pipeline_params(8, 16));
   EXPECT_LE(build.annotated.wavelengths_required, 8u);
-  EXPECT_TRUE(coll::FunctionalExecutor::verify_allreduce(
-      build.annotated.schedule, 64));
+  EXPECT_TRUE(coll::Oracle::verify_allreduce(build.annotated.schedule, 64).ok);
 }
 
 TEST(Pipeline, BeatsPlainWrhtOnHugePayloads) {

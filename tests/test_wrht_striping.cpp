@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "coll/executor.hpp"
+#include "coll/oracle.hpp"
 #include "optical/spectrum.hpp"
 #include "wrht/builder.hpp"
 #include "wrht/executor.hpp"
@@ -31,8 +31,7 @@ TEST(Striping, PreservesFunctionalSchedule) {
   const AnnotatedSchedule striped =
       apply_striping(build.annotated, 16, Bytes(1'000'000));
   // Striping only touches wavelength sets, never the transfers.
-  EXPECT_TRUE(
-      coll::FunctionalExecutor::verify_allreduce(striped.schedule, 16));
+  EXPECT_TRUE(coll::Oracle::verify_allreduce(striped.schedule, 16).ok);
   ASSERT_EQ(striped.paths.size(), build.annotated.paths.size());
   for (std::size_t s = 0; s < striped.paths.size(); ++s) {
     ASSERT_EQ(striped.paths[s].size(), build.annotated.paths[s].size());
@@ -128,7 +127,7 @@ TEST(Striping, ComposesWithPipeline) {
   const AnnotatedSchedule both =
       apply_striping(pipelined.annotated, w, payload);
 
-  EXPECT_TRUE(coll::FunctionalExecutor::verify_allreduce(both.schedule, 32));
+  EXPECT_TRUE(coll::Oracle::verify_allreduce(both.schedule, 32).ok);
   EXPECT_LE(both.wavelengths_required, w);
 
   const optical::OpticalParams p = optical_params(w);
