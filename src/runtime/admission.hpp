@@ -132,8 +132,8 @@ struct AdmissionDecision {
 
 /// Index of the entry kPriorityPreempt would admit next: highest EFFECTIVE
 /// (aged) priority, oldest among equals; nullopt on an empty (or all-held)
-/// queue.  Shared by the admission policy and the runtime's preemption
-/// planner so the job that triggers preemptions is always the job admission
+/// queue.  The runtime's wait line for the optical ring picks the same
+/// entry, so the job that triggers preemptions is always the job admission
 /// will actually pick — and a held job triggers none.
 [[nodiscard]] std::optional<std::size_t> priority_head(
     const JobQueue& queue, util::Seconds now = util::Seconds(0.0),

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <tuple>
 
 #include "coll/oracle.hpp"
@@ -118,6 +119,12 @@ CollectiveRuntime::CollectiveRuntime(RuntimeConfig config)
                       ? nullptr
                       : make_electrical_substrate(config_.ring_size,
                                                   config_.electrical)) {
+  fabrics_.push_back(optical_.get());
+  if (electrical_) fabrics_.push_back(electrical_.get());
+  placement_order_ = fabrics_;
+  if (config_.placement == HybridPlacementPolicy::kCostModelChoice) {
+    std::reverse(placement_order_.begin(), placement_order_.end());
+  }
   init_instruments();
 }
 
@@ -144,8 +151,7 @@ void CollectiveRuntime::init_instruments() {
   ins_.fault_repairs = reg->counter("runtime.fault_repairs");
   ins_.fault_recoveries = reg->counter("runtime.fault_recoveries");
   ins_.jobs_killed = reg->counter("runtime.jobs_killed");
-  optical_->attach_metrics(*reg);
-  if (electrical_) electrical_->attach_metrics(*reg);
+  for (ExecutionSubstrate* fabric : fabrics_) fabric->attach_metrics(*reg);
 }
 
 void CollectiveRuntime::pump_metrics() {
@@ -291,15 +297,31 @@ void CollectiveRuntime::release_fuse_hold(JobId id) {
   if (queue_.release_hold(id)) try_admit();
 }
 
-std::int32_t CollectiveRuntime::top_suspended_priority(
-    const ExecutionSubstrate& substrate) const {
-  std::int32_t top = std::numeric_limits<std::int32_t>::min();
-  for (const auto& exec : suspended_) {
-    if (exec->substrate == &substrate) {
-      top = std::max(top, effective_priority(*exec));
+CollectiveRuntime::WaitLine CollectiveRuntime::wait_line(
+    const ExecutionSubstrate& fabric) const {
+  // The queue is in seq order and suspended_ in suspension order, so a
+  // strict > keeps the oldest of equals on both sides.
+  WaitLine line;
+  const util::Seconds now = simulator_.now();
+  for (std::size_t i = 0; i < queue_.size(); ++i) {
+    const QueueEntry& entry = queue_.at(i);
+    if (!waits_for(entry, fabric)) continue;
+    const std::int32_t aged = aged_priority(entry.priority, entry.arrival,
+                                            now, config_.aging_half_life);
+    if (line.queued == nullptr || aged > line.queued_priority) {
+      line.queued = &entry;
+      line.queued_priority = aged;
     }
   }
-  return top;
+  for (const auto& exec : suspended_) {
+    if (exec->substrate != &fabric) continue;
+    const std::int32_t effective = effective_priority(*exec);
+    if (line.suspended == nullptr || effective > line.suspended_priority) {
+      line.suspended = exec.get();
+      line.suspended_priority = effective;
+    }
+  }
+  return line;
 }
 
 std::int32_t CollectiveRuntime::effective_priority(
@@ -342,14 +364,6 @@ void CollectiveRuntime::publish_demand(ExecutionSubstrate& substrate,
   substrate.note_pending_demand(widths);
 }
 
-bool CollectiveRuntime::has_suspended(
-    const ExecutionSubstrate& substrate) const {
-  return std::any_of(suspended_.begin(), suspended_.end(),
-                     [&substrate](const std::shared_ptr<Execution>& exec) {
-                       return exec->substrate == &substrate;
-                     });
-}
-
 bool CollectiveRuntime::waits_for(const QueueEntry& entry,
                                   const ExecutionSubstrate& substrate) const {
   if (entry.held) return false;
@@ -367,147 +381,110 @@ std::uint32_t CollectiveRuntime::floor_grant(
 }
 
 void CollectiveRuntime::try_admit() {
-  // Cost-model routing happens before the optical loop, so a job the
-  // models send to the electrical fabric is not grabbed by the optical
-  // admission just because spectrum happens to be free.  The routing is
-  // work-conserving, not sticky: when the job's hosts are busy, the
-  // optical loop below may still run it on free spectrum rather than
-  // idle-wait for the predicted-faster fabric.
-  if (config_.placement == HybridPlacementPolicy::kCostModelChoice) {
-    while (try_place_one_electrical()) {
+  // Each fabric, in the placement policy's preference order, places until
+  // it declines.  kCostModelChoice asks the electrical fabric first, so a
+  // job the router sends there is not grabbed by the optical admission
+  // just because spectrum is free; a job whose hosts are busy may still
+  // run on free spectrum (routing is work-conserving, not sticky).  A
+  // decline on the primary fabric is followed by one resume, and placement
+  // repeats when it succeeds.
+  for (ExecutionSubstrate* fabric : placement_order_) {
+    while (place_one(*fabric) ||
+           (fabric == fabrics_.front() && try_resume_one())) {
     }
   }
-  while (true) {
-    // Under kPriorityPreempt a suspended OPTICAL execution that outranks
-    // every queued job has first claim on freed spectrum, and while it
-    // cannot resume, lower-priority arrivals must not be admitted into the
-    // band it waits for — otherwise a steady trickle of small low-priority
-    // jobs starves a preempted high-priority victim forever (admission-side
-    // priority inversion).  Suspended ELECTRICAL executions wait for hosts,
-    // not spectrum; they get the mirror guard inside the electrical
-    // placement path and must not hold up the optical line here.
-    if (config_.policy == FairnessPolicy::kPriorityPreempt &&
-        has_suspended(*optical_)) {
-      const util::Seconds now = simulator_.now();
-      const std::optional<std::size_t> head =
-          priority_head(queue_, now, config_.aging_half_life);
-      const std::int32_t queued_top =
-          head ? aged_priority(queue_.at(*head).priority,
-                               queue_.at(*head).arrival, now,
-                               config_.aging_half_life)
-               : std::numeric_limits<std::int32_t>::min();
-      if (top_suspended_priority(*optical_) > queued_top) {
-        if (try_resume_one()) continue;
-        break;  // resume blocked: hold the line, ask for preemptions below
-      }
-    }
-    const std::optional<AdmissionDecision> decision =
-        next_admission(queue_, config_.policy, optical_->largest_free_grant(),
-                       optical_->free_grant_total(), simulator_.now(),
-                       config_.aging_half_life);
-    if (decision) {
-      admit(*decision);
-      continue;
-    }
-    if (try_resume_one()) continue;
-    break;
-  }
-  // Overflow: whatever the optical loop declined spills onto free
-  // electrical hosts instead of queueing for spectrum.
-  if (config_.placement == HybridPlacementPolicy::kElectricalOverflow) {
-    bool spilled = false;
-    while (try_place_one_electrical()) spilled = true;
-    // A spill drains the host-priority guard's reason to wait: the urgent
-    // pinned arrival that was holding hosts hostage is running now, so a
-    // suspended electrical execution may resume on what is left — at this
-    // very instant, not at the next completion event.
-    if (spilled) {
-      while (try_resume_one()) {
-      }
-    }
+  // A placement on a later fabric may have drained a guard's reason to
+  // wait (the urgent pinned arrival that held hosts is running now), so
+  // suspended work resumes on what is left at this very instant.
+  while (try_resume_one()) {
   }
   if (config_.policy == FairnessPolicy::kPriorityPreempt) {
     request_preemptions();
   }
 }
 
-bool CollectiveRuntime::try_place_one_electrical() {
-  if (!electrical_) return false;
-  // Mirror of the optical admission guard: hosts freed for a suspended
-  // electrical execution must not leak to lower-priority queued arrivals,
-  // or a trickle of small pinned jobs starves the preempted victim.
-  const std::int32_t top_elec_suspended =
-      config_.policy == FairnessPolicy::kPriorityPreempt
-          ? top_suspended_priority(*electrical_)
-          : std::numeric_limits<std::int32_t>::min();
-  // Candidate order mirrors the fairness policy's preference: priority
-  // (ties on arrival) under kPriorityPreempt, arrival order otherwise.
-  std::vector<std::size_t> order;
-  for (std::size_t i = 0; i < queue_.size(); ++i) {
-    if (!queue_.at(i).held) order.push_back(i);
+CollectiveRuntime::RoutePrediction CollectiveRuntime::predict_route(
+    const std::vector<topo::NodeId>& participants, util::Bytes payload,
+    std::uint32_t optical_grant) const {
+  // Under kCongestionAware both sides answer for their CURRENT state — the
+  // electrical estimate stretches with the live residual uplink bandwidth,
+  // the optical one with the predicted wait for a free band — so a
+  // saturated fabric stops attracting spill and a backed-up ring stops
+  // holding jobs.  Under kQuietAlphaBeta the comparison is of quiet run
+  // times only (the ablation baseline).
+  const util::Seconds now = simulator_.now();
+  if (config_.routing_cost_model == RoutingCostModel::kCongestionAware) {
+    return {optical_->predict_completion(participants, payload,
+                                         optical_grant, now),
+            electrical_->predict_completion(participants, payload, 1, now)};
   }
-  const util::Seconds age_now = simulator_.now();
-  std::sort(order.begin(), order.end(),
-            [this, age_now](std::size_t a, std::size_t b) {
-              const QueueEntry& ja = queue_.at(a);
-              const QueueEntry& jb = queue_.at(b);
-              if (config_.policy == FairnessPolicy::kPriorityPreempt) {
-                const std::int32_t pa = aged_priority(
-                    ja.priority, ja.arrival, age_now, config_.aging_half_life);
-                const std::int32_t pb = aged_priority(
-                    jb.priority, jb.arrival, age_now, config_.aging_half_life);
-                if (pa != pb) return pa > pb;
-              }
-              return ja.seq < jb.seq;
-            });
-  for (const std::size_t idx : order) {
-    const QueueEntry& job = queue_.at(idx);
-    if (job.pin == SubstratePin::kOpticalOnly) continue;
-    if (top_elec_suspended > aged_priority(job.priority, job.arrival, age_now,
-                                           config_.aging_half_life)) {
-      continue;
+  return {now + optical_->predict_makespan(participants, payload,
+                                           optical_grant),
+          now + electrical_->predict_makespan(participants, payload, 1)};
+}
+
+bool CollectiveRuntime::place_one(ExecutionSubstrate& fabric) {
+  // The priority guard: capacity this fabric's most urgent suspended
+  // execution waits for must not leak to a less urgent candidate, or a
+  // steady trickle of small low-priority jobs starves a preempted victim
+  // forever (admission-side priority inversion).  Another fabric's
+  // suspended work waits for other capacity and holds nothing up here.
+  const bool by_priority = config_.policy == FairnessPolicy::kPriorityPreempt;
+  const std::int32_t floor = by_priority
+                                 ? wait_line(fabric).suspended_priority
+                                 : std::numeric_limits<std::int32_t>::min();
+  const util::Seconds now = simulator_.now();
+  const auto aged = [this, now](const QueueEntry& entry) {
+    return aged_priority(entry.priority, entry.arrival, now,
+                         config_.aging_half_life);
+  };
+
+  if (!fabric.caps().remaps_on_resume) {
+    // A band fabric: the fairness policy picks the candidate and its grant.
+    const std::optional<AdmissionDecision> decision = next_admission(
+        queue_, config_.policy, fabric.largest_free_grant(),
+        fabric.free_grant_total(), now, config_.aging_half_life);
+    if (!decision || floor > aged(queue_.at(decision->queue_index))) {
+      return false;
     }
-    if (!electrical_->can_place(job.participants, 1)) continue;
+    place_execution(fabric, decision->queue_index, decision->grant,
+                    std::nullopt);
+    return true;
+  }
+
+  // A fabric of positioned hosts: the first candidate whose hosts are free,
+  // in the fairness policy's preference — arrival order, which is the
+  // queue's own (seq) order, re-ranked by aged priority under
+  // kPriorityPreempt (a stable sort keeps arrival among equals).
+  std::vector<std::size_t> order(queue_.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  if (by_priority) {
+    std::stable_sort(order.begin(), order.end(),
+                     [this, &aged](std::size_t a, std::size_t b) {
+                       return aged(queue_.at(a)) > aged(queue_.at(b));
+                     });
+  }
+  for (const std::size_t index : order) {
+    const QueueEntry& job = queue_.at(index);
+    if (job.held || job.pin == SubstratePin::kOpticalOnly) continue;
+    if (floor > aged(job) || !fabric.can_place(job.participants, 1)) continue;
+    std::optional<RoutePrediction> verdict;
     if (config_.placement == HybridPlacementPolicy::kCostModelChoice &&
-        job.pin != SubstratePin::kElectricalOnly) {
-      // Route by predicted completion.  Under kCongestionAware both sides
-      // answer for their CURRENT state — the electrical estimate stretches
-      // with the live residual uplink bandwidth, the optical one with the
-      // predicted wait for a free band — so a saturated fabric stops
-      // attracting spill and a backed-up ring stops holding jobs.  Under
-      // kQuietAlphaBeta the comparison is of quiet run times only (the
-      // ablation baseline).  A pinned job skips the comparison — the
-      // tenant already decided.
-      const util::Seconds now = simulator_.now();
-      util::Seconds elec_done;
-      util::Seconds optic_done;
-      if (config_.routing_cost_model == RoutingCostModel::kCongestionAware) {
-        elec_done = electrical_->predict_completion(job.participants,
-                                                    job.payload, 1, now);
-        optic_done = optical_->predict_completion(
-            job.participants, job.payload, job.requested_wavelengths, now);
-      } else {
-        elec_done =
-            now + electrical_->predict_makespan(job.participants, job.payload,
-                                                1);
-        optic_done = now + optical_->predict_makespan(
-                               job.participants, job.payload,
-                               job.requested_wavelengths);
-      }
-      if (elec_done >= optic_done) continue;
-      pending_route_prediction_ = {optic_done, elec_done};
+        job.pin == SubstratePin::kAny) {
+      // A pinned job skips the comparison: the tenant already decided.
+      verdict = predict_route(job.participants, job.payload,
+                              job.requested_wavelengths);
+      if (verdict->electrical >= verdict->optical) continue;
     }
-    place_execution(*electrical_, idx, /*grant=*/1);
+    place_execution(fabric, index, /*grant=*/1, verdict);
     return true;
   }
   return false;
 }
 
 void CollectiveRuntime::request_preemptions() {
-  for (ExecutionSubstrate* substrate : {optical_.get(), electrical_.get()}) {
-    if (substrate != nullptr && substrate->caps().preemptible) {
-      request_preemptions(*substrate);
-    }
+  for (ExecutionSubstrate* fabric : fabrics_) {
+    if (fabric->caps().preemptible) request_preemptions(*fabric);
   }
 }
 
@@ -518,34 +495,20 @@ void CollectiveRuntime::request_preemptions(ExecutionSubstrate& substrate) {
   // The most urgent waiter: the top aged queued entry this fabric may serve
   // (for the optical ring, the same pick as the priority policy's, so
   // preemptions always benefit the job admission will actually take) or a
-  // suspended execution of this fabric, whichever outranks the other.  The
-  // queue is in seq order, so the oldest of equals wins.
-  std::int32_t target = std::numeric_limits<std::int32_t>::min();
-  const util::Seconds now = simulator_.now();
-  const QueueEntry* queued = nullptr;
-  for (std::size_t i = 0; i < queue_.size(); ++i) {
-    const QueueEntry& entry = queue_.at(i);
-    if (!waits_for(entry, substrate)) continue;
-    const std::int32_t effective = aged_priority(
-        entry.priority, entry.arrival, now, config_.aging_half_life);
-    if (queued == nullptr || effective > target) {
-      queued = &entry;
-      target = effective;
-    }
-  }
+  // suspended execution of this fabric, whichever outranks the other (the
+  // queued entry on a tie).
+  const WaitLine line = wait_line(substrate);
+  const QueueEntry* queued = line.queued;
+  std::int32_t target = line.queued_priority;
   std::uint32_t need =
       queued != nullptr ? floor_grant(substrate, queued->participants.size(),
                                       queued->min_wavelengths)
                         : 0;
-  for (const auto& exec : suspended_) {
-    if (exec->substrate != &substrate) continue;
-    const std::int32_t effective = effective_priority(*exec);
-    if (effective > target) {
-      target = effective;
-      queued = nullptr;
-      need = floor_grant(substrate, exec->participants.size(),
-                         exec->min_width);
-    }
+  if (line.suspended != nullptr && line.suspended_priority > target) {
+    target = line.suspended_priority;
+    queued = nullptr;
+    need = floor_grant(substrate, line.suspended->participants.size(),
+                       line.suspended->min_width);
   }
   if (need == 0) return;
 
@@ -723,13 +686,9 @@ void CollectiveRuntime::adopt_plan(Execution& exec,
   }
 }
 
-void CollectiveRuntime::admit(const AdmissionDecision& decision) {
-  place_execution(*optical_, decision.queue_index, decision.grant);
-}
-
-void CollectiveRuntime::place_execution(ExecutionSubstrate& substrate,
-                                        std::size_t queue_index,
-                                        std::uint32_t grant) {
+void CollectiveRuntime::place_execution(
+    ExecutionSubstrate& substrate, std::size_t queue_index,
+    std::uint32_t grant, const std::optional<RoutePrediction>& verdict) {
   // Read before the entry is popped: the width the routing audit prices
   // the optical alternative at when the execution lands electrically, and
   // the pin that tells it whether the router chose at all.
@@ -823,14 +782,13 @@ void CollectiveRuntime::place_execution(ExecutionSubstrate& substrate,
     exec->fault_pending = true;
   }
 
-  audit_route_decision(*exec, grant, lead_request, lead_pin);
+  audit_route_decision(*exec, grant, lead_request, lead_pin, verdict);
   run_step(exec);
 }
 
-void CollectiveRuntime::audit_route_decision(const Execution& exec,
-                                             std::uint32_t grant,
-                                             std::uint32_t optical_request,
-                                             SubstratePin pin) {
+void CollectiveRuntime::audit_route_decision(
+    const Execution& exec, std::uint32_t grant, std::uint32_t optical_request,
+    SubstratePin pin, const std::optional<RoutePrediction>& verdict) {
   // The routing verdict binds HERE, at placement — until now the
   // comparison was re-asked on every event and carried no commitment.
   // Record both fabrics' predictions (the decision's inputs, frozen for
@@ -839,45 +797,27 @@ void CollectiveRuntime::audit_route_decision(const Execution& exec,
   // per EXECUTION (the router ran once; fused peers ride the verdict),
   // and none at all for pinned jobs — a forced placement says nothing
   // about the router's accuracy.
-  const std::optional<std::pair<util::Seconds, util::Seconds>> precomputed =
-      std::exchange(pending_route_prediction_, std::nullopt);
   if (config_.placement != HybridPlacementPolicy::kCostModelChoice ||
-      !electrical_ || pin != SubstratePin::kAny) {
+      pin != SubstratePin::kAny) {
     return;
   }
   const util::Seconds now = simulator_.now();
   const bool placed_electrical =
       exec.substrate->kind() == SubstrateKind::kElectrical;
-  util::Seconds optic;
-  util::Seconds elec;
-  if (precomputed && exec.jobs.size() == 1) {
-    // The electrical placement path just priced both sides for exactly
-    // this work — no fusion happened, the fabric state is untouched (the
-    // execution's own flows are injected by run_step, after this audit) —
-    // so re-running the congestion probe would buy the same numbers for
-    // another FlowNetwork clone.  A FUSED execution runs batch_payload,
-    // not the lead's payload the comparison priced; it falls through to a
-    // fresh estimate so electrical and optical decisions are scored
-    // against the same (batched) work.
-    optic = precomputed->first;
-    elec = precomputed->second;
-  } else {
-    const bool aware =
-        config_.routing_cost_model == RoutingCostModel::kCongestionAware;
-    const std::uint32_t optical_grant =
-        placed_electrical ? optical_request : grant;
-    optic = aware ? optical_->predict_completion(exec.participants,
-                                                 exec.batch_payload,
-                                                 optical_grant, now)
-                  : now + optical_->predict_makespan(exec.participants,
-                                                     exec.batch_payload,
-                                                     optical_grant);
-    elec = aware ? electrical_->predict_completion(exec.participants,
-                                                   exec.batch_payload, 1, now)
-                 : now + electrical_->predict_makespan(exec.participants,
-                                                       exec.batch_payload, 1);
-  }
-  const util::Seconds chosen = placed_electrical ? elec : optic;
+  // The router's own verdict priced exactly this work unless fusion
+  // happened (the fabric state is untouched: the execution's own flows are
+  // injected by run_step, after this audit), so re-running the congestion
+  // probe would buy the same numbers for another FlowNetwork clone.  A
+  // FUSED execution runs batch_payload, not the lead's payload the verdict
+  // priced; it gets a fresh estimate, so electrical and optical decisions
+  // are scored against the same (batched) work.
+  const RoutePrediction prediction =
+      verdict && exec.jobs.size() == 1
+          ? *verdict
+          : predict_route(exec.participants, exec.batch_payload,
+                          placed_electrical ? optical_request : grant);
+  const util::Seconds chosen =
+      placed_electrical ? prediction.electrical : prediction.optical;
   ++report_.routing.decisions;
   ++(placed_electrical ? report_.routing.to_electrical
                        : report_.routing.to_optical);
@@ -886,8 +826,9 @@ void CollectiveRuntime::audit_route_decision(const Execution& exec,
     if (trace_.enabled()) {
       trace_.record(now, sim::TraceKind::kRouteDecision, id,
                     static_cast<std::int64_t>(exec.substrate->kind()),
-                    "optical=" + util::to_string(optic) +
-                        " electrical=" + util::to_string(elec));
+                    "optical=" + util::to_string(prediction.optical) +
+                        " electrical=" +
+                        util::to_string(prediction.electrical));
     }
   }
 }
@@ -899,24 +840,20 @@ bool CollectiveRuntime::renegotiate(const std::shared_ptr<Execution>& exec) {
   if (exec->fault_pending || exec->migrate_pending) {
     if (reconcile_fault(exec)) return true;
   }
-  ExecutionSubstrate& substrate = *exec->substrate;
-  const SubstrateCaps& caps = substrate.caps();
-  if (caps.preemptible && exec->preempt_requested) {
+  const SubstrateCaps& caps = exec->substrate->caps();
+  const bool preempt = caps.preemptible && exec->preempt_requested;
+  const bool resize = config_.elastic_resize && caps.resizable;
+  if (!preempt && !resize) return false;
+  const WaitLine line = wait_line(*exec->substrate);
+  if (preempt) {
     exec->preempt_requested = false;
     // Re-check at the boundary: the waiter that asked for this grant — a
     // queued arrival or a suspended execution trying to resume — may have
     // been satisfied meanwhile by a completion elsewhere.  Only a waiter
     // this fabric could actually serve justifies the suspension (see
     // waits_for).
-    bool still_needed = top_suspended_priority(substrate) > exec->priority;
-    for (std::size_t i = 0; i < queue_.size() && !still_needed; ++i) {
-      const QueueEntry& entry = queue_.at(i);
-      still_needed =
-          waits_for(entry, substrate) &&
-          aged_priority(entry.priority, entry.arrival, simulator_.now(),
-                        config_.aging_half_life) > exec->priority;
-    }
-    if (still_needed) {
+    if (std::max(line.queued_priority, line.suspended_priority) >
+        exec->priority) {
       // suspend_execution re-runs admission, which may legally resume THIS
       // execution at the same instant on a different band (run_step already
       // dispatched by the resume) — so the verdict here is "surrendered",
@@ -925,18 +862,14 @@ bool CollectiveRuntime::renegotiate(const std::shared_ptr<Execution>& exec) {
       return true;
     }
   }
-  if (!config_.elastic_resize || !caps.resizable) return false;
+  if (!resize) return false;
   // Held (fuse-window) entries are not admissible yet, so they neither
   // justify a shrink nor block a grow.  Suspended executions of this fabric
   // are waiting on its capacity too: growing past them would hand a runner
   // the very grant a preempted (possibly more urgent) job needs to resume —
   // priority inversion by resize.  (Another fabric's waiters are neither
   // helped nor hurt by this resize.)
-  bool admissible_waiter = has_suspended(substrate);
-  for (std::size_t i = 0; i < queue_.size() && !admissible_waiter; ++i) {
-    admissible_waiter = waits_for(queue_.at(i), substrate);
-  }
-  if (!admissible_waiter) {
+  if (line.queued == nullptr && line.suspended == nullptr) {
     try_grow(exec);
   } else {
     try_shrink(exec);
@@ -988,18 +921,10 @@ bool CollectiveRuntime::try_resume_one() {
     // Never hand capacity back to a victim while the queue still holds a
     // strictly more urgent job waiting for the SAME fabric — that is the
     // resource being fought over.
-    if (config_.policy == FairnessPolicy::kPriorityPreempt) {
-      const util::Seconds now = simulator_.now();
-      std::int32_t top_queued = std::numeric_limits<std::int32_t>::min();
-      for (std::size_t i = 0; i < queue_.size(); ++i) {
-        const QueueEntry& entry = queue_.at(i);
-        if (waits_for(entry, *exec->substrate)) {
-          top_queued = std::max(
-              top_queued, aged_priority(entry.priority, entry.arrival, now,
-                                        config_.aging_half_life));
-        }
-      }
-      if (top_queued > effective_priority(*exec)) continue;
+    if (config_.policy == FairnessPolicy::kPriorityPreempt &&
+        wait_line(*exec->substrate).queued_priority >
+            effective_priority(*exec)) {
+      continue;
     }
     // Fault reconciliation first: participants that died while this
     // execution waited must be dropped before (or instead of) resuming.
@@ -1213,10 +1138,8 @@ void CollectiveRuntime::on_fault(const FaultSpec& fault) {
   // Every fabric books the fault against its own units (free down units
   // leave service at once, held ones when their holders release).
   std::vector<const ExecutionSubstrate*> touched;
-  for (ExecutionSubstrate* substrate : {optical_.get(), electrical_.get()}) {
-    if (substrate != nullptr && substrate->apply_fault(fault, false)) {
-      touched.push_back(substrate);
-    }
+  for (ExecutionSubstrate* fabric : fabrics_) {
+    if (fabric->apply_fault(fault, false)) touched.push_back(fabric);
   }
 
   // Mark every running execution the fault touches for reconciliation at
@@ -1243,7 +1166,6 @@ void CollectiveRuntime::on_fault(const FaultSpec& fault) {
         substrate.healthy_grant(*exec->plan) >= exec->plan->grant()) {
       continue;
     }
-    const bool first = !exec->fault_pending && !exec->migrate_pending;
     // A ToR loss orphans a whole host group while the optical ring stays
     // up: try moving the work there first.
     if (fault.domain == FaultDomain::kTor) {
@@ -1251,8 +1173,13 @@ void CollectiveRuntime::on_fault(const FaultSpec& fault) {
     } else {
       exec->fault_pending = true;
     }
-    if (first) ++report_.faults.disrupted_executions;
-    if (exec->fault_since.value() <= 0.0) exec->fault_since = now;
+    // A disruption opens the recovery window note_recovery closes, so the
+    // two counts pair up (a pending flag alone is no window: placement sets
+    // one for work queued before an earlier fault).
+    if (exec->fault_since.value() <= 0.0) {
+      ++report_.faults.disrupted_executions;
+      exec->fault_since = now;
+    }
   }
 
   // Suspended work whose survivor set this fault just shrank below two can
@@ -1278,9 +1205,7 @@ void CollectiveRuntime::on_fault(const FaultSpec& fault) {
 void CollectiveRuntime::on_fault_repair(const FaultSpec& fault) {
   ++report_.faults.repairs;
   obs::inc(ins_.fault_repairs);
-  for (ExecutionSubstrate* substrate : {optical_.get(), electrical_.get()}) {
-    if (substrate != nullptr) substrate->apply_fault(fault, true);
-  }
+  for (ExecutionSubstrate* fabric : fabrics_) fabric->apply_fault(fault, true);
   if (trace_.enabled()) {
     trace_.record(simulator_.now(), sim::TraceKind::kFaultRepair,
                   fault.subject, static_cast<std::int64_t>(fault.domain),
@@ -1442,18 +1367,19 @@ bool CollectiveRuntime::reconcile_fault(
     // electrical fabric, and every participant's ring position optically
     // alive (the restart re-runs the all-reduce from the participants'
     // initial gradients).
+    ExecutionSubstrate& ring = *optical_;
     bool migratable = true;
     for (const JobId id : exec->jobs) {
       migratable &= records_[id].spec.pin != SubstratePin::kElectricalOnly;
     }
     for (const topo::NodeId node : exec->participants) {
-      migratable &= !optical_->node_down(node);
+      migratable &= !ring.node_down(node);
     }
     if (migratable) {
       const std::uint32_t desired = std::clamp(
           config_.default_request, exec->min_width, exec->useful_cap);
-      publish_demand(*optical_, exec.get());
-      RenegotiationOutcome outcome = optical_->renegotiate(
+      publish_demand(ring, exec.get());
+      RenegotiationOutcome outcome = ring.renegotiate(
           nullptr,
           RenegotiationRequest::restart(exec->participants,
                                         exec->batch_payload, desired,
@@ -1465,17 +1391,17 @@ bool CollectiveRuntime::reconcile_fault(
         // per-substrate job counts keep closing against completions.
         const auto moved = static_cast<std::uint32_t>(exec->jobs.size());
         SubstrateBreakdown& from = breakdown(substrate.kind());
-        SubstrateBreakdown& to = breakdown(optical_->kind());
+        SubstrateBreakdown& to = breakdown(ring.kind());
         from.jobs -= moved;
         to.jobs += moved;
         --from.executions;
         ++to.executions;
-        exec->substrate = optical_.get();
+        exec->substrate = &ring;
         adopt_plan(*exec, std::move(outcome.plan));
         ++report_.faults.migrations;
         note_recovery(*exec);
         for (const JobId id : exec->jobs) {
-          records_[id].substrate = optical_->kind();
+          records_[id].substrate = ring.kind();
           trace_job(sim::TraceKind::kJobMigrate, id, exec->plan->band());
         }
         return false;  // still running; the caller dispatches step 0
@@ -1507,6 +1433,13 @@ bool CollectiveRuntime::reconcile_fault(
 }
 
 void CollectiveRuntime::run_step(const std::shared_ptr<Execution>& exec) {
+  // A rebuild can leave nothing ahead (a survivor eviction after the last
+  // step that owed the evicted nodes anything); the composite proof already
+  // covers the work, so the execution is done.
+  if (exec->next_step >= exec->plan->num_steps()) {
+    finish_execution(exec);
+    return;
+  }
   if (trace_.enabled()) {
     trace_.record(simulator_.now(), sim::TraceKind::kStepBegin,
                   exec->jobs.front(),
@@ -1716,9 +1649,10 @@ RuntimeReport CollectiveRuntime::drive() {
   // horizon into a fresh network and must reproduce every incremental step
   // time (aborts on disagreement); the per-link peaks tell the congestion
   // story the slowdown numbers summarize.
-  report_.replay_checked_steps += optical_->self_check();
+  for (ExecutionSubstrate* fabric : fabrics_) {
+    report_.replay_checked_steps += fabric->self_check();
+  }
   if (electrical_) {
-    report_.replay_checked_steps += electrical_->self_check();
     report_.electrical_link_peak = electrical_->link_peak_utilization();
   }
   if (report_.routing.decisions > 0) {

@@ -19,18 +19,21 @@
 // hybrid placement policy the runtime also serves the ELECTRICAL fallback
 // fabric (src/elec's flow simulator): when the spectrum saturates, queued
 // arrivals are placed onto host links of an electrical cluster instead of
-// waiting — kElectricalOverflow spills whatever the optical loop declined,
-// kCostModelChoice routes each job to whichever fabric the cost models
-// predict is faster, and JobSpec::pin lets a tenant force (or forbid) the
-// fallback outright.  The fallback fabric itself is configurable: an
-// exclusive star (every execution times its steps on a private quiet
-// network) or an oversubscribed two-level tree whose shared ToR uplinks
-// make concurrent executions contend — there one SharedFabricTimer times
-// every in-flight electrical step together, step-completion events are
-// re-scheduled when other tenants change the contention (kStepRetimed),
-// and a whole-horizon flow replay re-proves every step time at the end of
-// the run.  Both timing models run on the same clock and land in one
-// report, with per-substrate breakdowns and per-job contention slowdowns.
+// waiting.  Placement is one pass over the fabrics in the policy's
+// preference order, each placing until it declines — kElectricalOverflow
+// asks the ring first and spills whatever it declined, kCostModelChoice
+// asks the fallback first and places there only the jobs the cost models
+// predict finish sooner there — and JobSpec::pin lets a tenant force (or
+// forbid) the fallback outright.  The fallback fabric itself is
+// configurable: an exclusive star (every execution times its steps on a
+// private quiet network) or an oversubscribed two-level tree whose shared
+// ToR uplinks make concurrent executions contend — there one
+// SharedFabricTimer times every in-flight electrical step together,
+// step-completion events are re-scheduled when other tenants change the
+// contention (kStepRetimed), and a whole-horizon flow replay re-proves
+// every step time at the end of the run.  Both timing models run on the
+// same clock and land in one report, with per-substrate breakdowns and
+// per-job contention slowdowns.
 //
 // Small same-group jobs are fused by the Batcher into a single schedule
 // (one set of per-step overheads for the whole batch), optionally after a
@@ -55,7 +58,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -436,17 +438,28 @@ class CollectiveRuntime {
   RuntimeReport drive();
   void on_arrival(JobId id);
   void release_fuse_hold(JobId id);
+  /// The placement pass over placement_order_, then resumes and (under
+  /// kPriorityPreempt) preemption requests.
   void try_admit();
-  void admit(const AdmissionDecision& decision);
+  /// The router's completion predictions on both fabrics.
+  struct RoutePrediction {
+    util::Seconds optical;
+    util::Seconds electrical;
+  };
+  [[nodiscard]] RoutePrediction predict_route(
+      const std::vector<topo::NodeId>& participants, util::Bytes payload,
+      std::uint32_t optical_grant) const;
+  /// Place one queued job on `fabric` (the fairness policy's pick on a band
+  /// fabric, the first placeable candidate on a host fabric), behind the
+  /// priority guard; false when the fabric declines.
+  bool place_one(ExecutionSubstrate& fabric);
   /// Shared placement tail: pop the queue entry at `queue_index` (plus its
   /// fusable peers when the substrate batches), build the plan with `grant`
-  /// units on `substrate`, prove it, and dispatch its first step.
+  /// units on `substrate`, prove it, and dispatch its first step.  `verdict`
+  /// is the router's prediction that sent the lead here, if it ran.
   void place_execution(ExecutionSubstrate& substrate, std::size_t queue_index,
-                       std::uint32_t grant);
-  /// Hybrid placement: move one queued job onto the electrical fallback
-  /// (kElectricalOverflow: anything still queued; kCostModelChoice: only
-  /// jobs the cost models route there).  Returns true when a job was placed.
-  bool try_place_one_electrical();
+                       std::uint32_t grant,
+                       const std::optional<RoutePrediction>& verdict);
   void run_step(const std::shared_ptr<Execution>& exec);
   /// Schedule (or re-schedule) exec's in-flight step completion at `end`.
   void schedule_step_end(const std::shared_ptr<Execution>& exec,
@@ -516,11 +529,17 @@ class CollectiveRuntime {
   /// across fabrics would free nothing the waiter can use.
   void request_preemptions();
   void request_preemptions(ExecutionSubstrate& substrate);
-  /// Highest priority among suspended executions of `substrate` — the
-  /// waiters contending for that fabric's capacity.  Aged: a suspended
-  /// execution's priority rises with its wait under aging_half_life.
-  [[nodiscard]] std::int32_t top_suspended_priority(
-      const ExecutionSubstrate& substrate) const;
+  /// Who waits for a fabric's capacity: the most urgent queued entry that
+  /// waits_for it (aged priority, oldest among equals) and the most urgent
+  /// of its suspended executions (effective priority, earliest suspended
+  /// among equals); null at the lowest priority when there is none.
+  struct WaitLine {
+    const QueueEntry* queued = nullptr;
+    std::int32_t queued_priority = std::numeric_limits<std::int32_t>::min();
+    const Execution* suspended = nullptr;
+    std::int32_t suspended_priority = std::numeric_limits<std::int32_t>::min();
+  };
+  [[nodiscard]] WaitLine wait_line(const ExecutionSubstrate& fabric) const;
   /// `exec`'s effective priority right now: raw while running, aged by the
   /// suspension wait while suspended.
   [[nodiscard]] std::int32_t effective_priority(const Execution& exec) const;
@@ -529,7 +548,6 @@ class CollectiveRuntime {
   /// `excluding`) ahead of a placement or renegotiation.
   void publish_demand(ExecutionSubstrate& substrate,
                       const Execution* excluding);
-  [[nodiscard]] bool has_suspended(const ExecutionSubstrate& substrate) const;
   /// True when `entry`'s urgency counts against `substrate`'s capacity:
   /// it may drive preemptions there and block lower-priority placements
   /// and resumes.  Electrically pinned entries wait for the electrical
@@ -549,9 +567,11 @@ class CollectiveRuntime {
   /// Record + trace the cost-model verdict that just bound for `exec`.
   /// Only genuine router choices are audited: kCostModelChoice placements
   /// of un-pinned jobs (a pinned tenant decided for itself — its outcome
-  /// must not color the router's accuracy figures).
+  /// must not color the router's accuracy figures).  `verdict` is reused
+  /// when it priced exactly this work.
   void audit_route_decision(const Execution& exec, std::uint32_t grant,
-                            std::uint32_t optical_request, SubstratePin pin);
+                            std::uint32_t optical_request, SubstratePin pin,
+                            const std::optional<RoutePrediction>& verdict);
   void try_grow(const std::shared_ptr<Execution>& exec);
   void try_shrink(const std::shared_ptr<Execution>& exec);
 
@@ -605,6 +625,10 @@ class CollectiveRuntime {
   sim::Simulator simulator_;
   std::unique_ptr<ExecutionSubstrate> optical_;
   std::unique_ptr<ExecutionSubstrate> electrical_;
+  /// Every fabric served, the primary (the optical ring) first.
+  std::vector<ExecutionSubstrate*> fabrics_;
+  /// The same fabrics in the placement policy's preference order.
+  std::vector<ExecutionSubstrate*> placement_order_;
   JobQueue queue_;
   std::vector<JobRecord> records_;
   std::vector<JobId> completion_order_;
@@ -622,13 +646,6 @@ class CollectiveRuntime {
   /// Running sum of per-decision routing errors; becomes the report's mean
   /// at run end.
   double routing_error_sum_ = 0.0;
-  /// {optical, electrical} completion predictions try_place_one_electrical
-  /// already computed for the job it is placing, handed to
-  /// audit_route_decision so the congestion probe (a FlowNetwork clone +
-  /// fluid forward run) is not paid twice per placement.  Always consumed
-  /// (or discarded) by the audit of the very next placement.
-  std::optional<std::pair<util::Seconds, util::Seconds>>
-      pending_route_prediction_;
   /// Live only inside serve(): the stream the arrival chain pulls from.
   JobSource* source_ = nullptr;
   /// Live while the fault chain still pulls (null = exhausted or never

@@ -26,7 +26,9 @@
 //
 // Seeds are FIXED so a failure reproduces bit-for-bit: the runtime is
 // deterministic for a given submission set, and the generator is the
-// repo's own xoshiro Rng.
+// repo's own xoshiro Rng.  Each seed prints (and flushes) a "[stress]" line
+// naming its config before it runs — so an abort still names its seed —
+// and a report digest after, so two builds' sweeps diff line by line.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -42,6 +44,7 @@
 #include "obs/metrics.hpp"
 #include "obs/slo.hpp"
 #include "obs/trace_export.hpp"
+#include "report_digest.hpp"
 #include "runtime/runtime.hpp"
 #include "util/random.hpp"
 
@@ -175,6 +178,16 @@ std::uint32_t parse_width(const std::string& detail) {
 /// are admit -> (preempt -> resume)* -> complete, and no job is preempted
 /// and completed at the same instant.
 void audit_trace(const CollectiveRuntime& rt, const sim::Trace& trace) {
+  // A fused peer executes inside its lead's grant and is traced on the
+  // lead's band (its kJobPlaceOptical precedes its kJobFused), so it is not
+  // a second holder: every band a peer is traced on must EQUAL its lead's
+  // current band, and only leads enter the disjointness sweep.
+  std::map<JobId, JobId> lead_of;
+  for (const sim::TraceEvent& event : trace.events()) {
+    if (event.kind == sim::TraceKind::kJobFused) {
+      lead_of[static_cast<JobId>(event.a)] = static_cast<JobId>(event.b);
+    }
+  }
   std::map<JobId, BandInterval> running_optical;
   std::map<JobId, util::Seconds> last_preempt;
   std::map<JobId, std::uint32_t> preempt_counts;
@@ -183,30 +196,43 @@ void audit_trace(const CollectiveRuntime& rt, const sim::Trace& trace) {
     EXPECT_GE(event.time, clock) << "trace must be time-ordered";
     clock = std::max(clock, event.time);
     const auto job = static_cast<JobId>(event.a);
+    const auto peer = lead_of.find(job);
+    const auto claim = [&] {
+      const BandInterval band{static_cast<std::uint32_t>(event.b),
+                              parse_width(event.detail)};
+      if (peer == lead_of.end()) {
+        running_optical[job] = band;
+        return;
+      }
+      // The lead's event for the same execution is traced first.
+      const auto lead = running_optical.find(peer->second);
+      ASSERT_NE(lead, running_optical.end())
+          << "fused job " << job << " claims a band its lead " << peer->second
+          << " does not hold at t=" << event.time.value();
+      EXPECT_EQ(band.base, lead->second.base) << "fused job " << job;
+      EXPECT_EQ(band.width, lead->second.width) << "fused job " << job;
+    };
     switch (event.kind) {
       case sim::TraceKind::kJobPlaceOptical:
-        running_optical[job] = BandInterval{
-            static_cast<std::uint32_t>(event.b), parse_width(event.detail)};
+        claim();
         break;
       case sim::TraceKind::kJobResume:
         // A resumed OPTICAL job re-claims a band; a resumed ELECTRICAL job
         // records the invalid {0, 0} band (width 0, skipped by the span
         // check below) — host claims are not spectrum.
-        running_optical[job] = BandInterval{
-            static_cast<std::uint32_t>(event.b), parse_width(event.detail)};
+        claim();
         break;
       case sim::TraceKind::kJobResize:
-        ASSERT_TRUE(running_optical.count(job))
+        ASSERT_TRUE(running_optical.count(
+            peer == lead_of.end() ? job : peer->second))
             << "resize of a job not running optically";
-        running_optical[job] = BandInterval{
-            static_cast<std::uint32_t>(event.b), parse_width(event.detail)};
+        claim();
         break;
       case sim::TraceKind::kJobMigrate:
         // Cross-substrate migration: the tenant restarts on the optical
         // ring and claims the band the event carries — from here on it is
         // part of the spectrum-disjointness sweep.
-        running_optical[job] = BandInterval{
-            static_cast<std::uint32_t>(event.b), parse_width(event.detail)};
+        claim();
         break;
       case sim::TraceKind::kJobPreempt:
         running_optical.erase(job);
@@ -405,6 +431,7 @@ void audit_slo(const CollectiveRuntime& rt, const RuntimeReport& report,
   }
   std::printf("[seed %llu] max admission wait by priority: %s\n",
               static_cast<unsigned long long>(seed), waits.c_str());
+  std::fflush(stdout);
 }
 
 /// Nightly trace artifact: WRHT_STRESS_TRACE_OUT=<path> exports the first
@@ -422,21 +449,42 @@ void maybe_export_trace(const CollectiveRuntime& rt,
               static_cast<unsigned long long>(seed), path);
 }
 
+/// The completion floor a seed must clear.  The fixed per-PR seeds are
+/// deterministic and known to clear 3/4, so they keep that tight
+/// regression bound; arbitrary seeds get 5/8, since the generator's
+/// EXPECTED reject rate is ~20% (15% electrically-pinned jobs are valid
+/// rejects under optical-only placement, 5% deliberately malformed specs)
+/// and an unlucky-but-legal draw must not masquerade as a runtime bug.
+/// Chaos legs kill jobs and waste steps by design, so the floor relaxes to
+/// half.
+std::uint32_t completion_floor(std::uint32_t num_jobs, bool fixed_seed,
+                               bool chaos) {
+  if (chaos) return num_jobs / 2;
+  return fixed_seed ? num_jobs * 3 / 4 : num_jobs * 5 / 8;
+}
+
 void run_stress_seed(std::uint64_t seed, std::uint32_t num_jobs,
-                     std::uint32_t min_completed) {
-  SCOPED_TRACE("seed=" + std::to_string(seed));
+                     std::uint32_t min_completed, bool chaos) {
   util::Rng rng(seed);
   obs::MetricsRegistry registry;
   RuntimeConfig config = config_for_seed(rng);
   config.metrics = &registry;
-  SCOPED_TRACE(std::string("policy=") + fairness_policy_name(config.policy) +
-               " placement=" +
-               hybrid_placement_policy_name(config.placement) + " fabric=" +
-               electrical_fabric_name(config.electrical.fabric) +
-               " oversub=" +
-               std::to_string(config.electrical.oversubscription));
+  const std::string label =
+      "seed=" + std::to_string(seed) + " chaos=" + (chaos ? "1" : "0") +
+      " policy=" + fairness_policy_name(config.policy) +
+      " placement=" + hybrid_placement_policy_name(config.placement) +
+      " fabric=" + electrical_fabric_name(config.electrical.fabric) +
+      " oversub=" + std::to_string(config.electrical.oversubscription) +
+      " resize=" + (config.elastic_resize ? "1" : "0") +
+      " batcher=" + (config.batcher.enabled ? "1" : "0") +
+      " fuse_window=" + util::to_string(config.batcher.fuse_window);
+  SCOPED_TRACE(label);
+  // Printed and flushed BEFORE the run: a WRHT_CHECK abort or a crash
+  // loses buffered output, and this line is what names the failing seed.
+  std::printf("[stress] %s\n", label.c_str());
+  std::fflush(stdout);
   std::optional<FaultInjector> injector;
-  if (chaos_enabled()) {
+  if (chaos) {
     injector.emplace(chaos_for_seed(seed, config));
     config.faults = &*injector;
   }
@@ -446,7 +494,12 @@ void run_stress_seed(std::uint64_t seed, std::uint32_t num_jobs,
     rt.submit(job_for_seed(rng));
   }
   const RuntimeReport report = rt.run();
-  if (chaos_enabled()) {
+  // The whole report in one line, so two builds' sweeps diff per seed.
+  std::printf("[seed %llu] report digest %016llx\n",
+              static_cast<unsigned long long>(seed),
+              static_cast<unsigned long long>(report_digest(report)));
+  std::fflush(stdout);
+  if (chaos) {
     EXPECT_GT(report.faults.injected, 0u)
         << "chaos leg injected nothing — horizon/MTBF drifted";
     std::printf(
@@ -457,15 +510,10 @@ void run_stress_seed(std::uint64_t seed, std::uint32_t num_jobs,
         report.faults.restarts, report.faults.migrations,
         report.faults.killed_jobs,
         util::to_string(report.faults.mttr()).c_str(), report.goodput());
+    std::fflush(stdout);
   }
   // The mix must actually exercise the machinery, not degenerate into a
-  // pile of rejections.  The caller picks the floor: the fixed per-PR
-  // seeds are deterministic and known to clear 3/4, so they keep that
-  // tight regression bound; arbitrary nightly seeds get 5/8, since the
-  // generator's EXPECTED reject rate is ~20% (15% electrically-pinned
-  // jobs are valid rejects under optical-only placement, 5% deliberately
-  // malformed specs) and an unlucky-but-legal draw must not masquerade as
-  // a runtime bug.
+  // pile of rejections (the caller picks the floor, see completion_floor).
   EXPECT_GT(report.completed, min_completed);
   audit_report(rt, report, config, num_jobs);
   audit_trace(rt, rt.trace());
@@ -476,10 +524,9 @@ void run_stress_seed(std::uint64_t seed, std::uint32_t num_jobs,
 class RuntimeStress : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(RuntimeStress, InvariantsHoldOnRandomizedMix) {
-  // Chaos legs kill jobs and waste steps by design, so the completion floor
-  // relaxes to half; fault-free legs keep the tight 3/4 regression bound.
+  const bool chaos = chaos_enabled();
   run_stress_seed(GetParam(), 200,
-                  /*min_completed=*/chaos_enabled() ? 200 / 2 : 200 * 3 / 4);
+                  completion_floor(200, /*fixed_seed=*/true, chaos), chaos);
 }
 
 // Fixed seeds, fixed job counts: every CI failure names its seed and
@@ -515,11 +562,65 @@ TEST(RuntimeStress, ExtraSeedsFromEnvironment) {
     // far less than 64, so unit-stride windows would mostly re-test the
     // previous night's seeds.  i=0 is the bare base, so replaying a
     // printed seed needs no arithmetic.
+    const bool chaos = chaos_enabled();
     run_stress_seed(base + i * 0x9E3779B97F4A7C15ull, 200,
-                    /*min_completed=*/chaos_enabled() ? 200 / 2
-                                                      : 200 * 5 / 8);
+                    completion_floor(200, /*fixed_seed=*/false, chaos),
+                    chaos);
     if (::testing::Test::HasFailure()) break;  // first failing seed is enough
   }
+}
+
+TEST(RuntimeStress, RegressionSeeds) {
+  // Seeds a wider sweep once failed, replayed with the chaos axis each one
+  // failed under (whatever WRHT_STRESS_CHAOS says):
+  //  * 8652082552387635513 (chaos, weighted-fair, optical-only) and
+  //    2576766534230484809 (priority, overflow): the band sweep counted a
+  //    fused peer as a second holder of its lead's band.
+  //  * 1513358432138577085 and 9287422613789347101 (chaos): a survivor
+  //    eviction rebuilt a remainder with no steps left, and the runtime
+  //    dispatched its step 0 anyway.
+  //  * 17454148547877200717 (chaos, FIFO, optical-only): a fault on an
+  //    execution placed over already-dead nodes opened a recovery window
+  //    without counting a disruption (15 recoveries, 14 disruptions).
+  struct Regression {
+    std::uint64_t seed;
+    bool chaos;
+  };
+  constexpr Regression kSeeds[] = {
+      {8652082552387635513ull, true},
+      {2576766534230484809ull, false},
+      {1513358432138577085ull, true},
+      {9287422613789347101ull, true},
+      {17454148547877200717ull, true},
+  };
+  for (const Regression& r : kSeeds) {
+    run_stress_seed(r.seed, 200,
+                    completion_floor(200, /*fixed_seed=*/false, r.chaos),
+                    r.chaos);
+  }
+}
+
+TEST(RuntimeStress, FusedBatchSharesItsLeadsBand) {
+  // Two identical small jobs fuse into one optical execution (the fuse
+  // window holds the first until the second arrives): the peer is traced
+  // on the lead's band, and the band sweep must accept that.
+  RuntimeConfig config;
+  config.ring_size = kRingSize;
+  config.optical.wdm.num_wavelengths = 16;
+  config.placement = HybridPlacementPolicy::kOpticalOnly;
+  config.batcher.fuse_window = util::microseconds(200.0);
+  CollectiveRuntime rt(config);
+  rt.trace().enable();
+  for (int i = 0; i < 2; ++i) {
+    JobSpec spec;
+    spec.participants = {0, 1, 2, 3};
+    spec.payload = util::kilobytes(64);
+    rt.submit(spec);
+  }
+  const RuntimeReport report = rt.run();
+  ASSERT_EQ(report.batches, 1u);
+  ASSERT_EQ(report.executions, 1u);
+  audit_trace(rt, rt.trace());
 }
 
 TEST(PriorityAging, AgedWaiterIsAdmittedWithinAHardBound) {
