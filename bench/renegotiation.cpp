@@ -62,11 +62,6 @@ runtime::RuntimeReport run_mode(bool elastic) {
   config.optical.wdm.num_wavelengths = 64;
   config.batcher.enabled = false;
   config.elastic_resize = elastic;
-  // Both arms pinned to the historical greedy placement: this bench is the
-  // fixed-vs-elastic comparison, and its 1.59x baseline predates the
-  // SpectrumPlanner (now the default).  bench/spectrum_alloc measures the
-  // planner against this very first-fit baseline.
-  config.spectrum_policy = runtime::SpectrumPolicy::kFirstFit;
   runtime::CollectiveRuntime rt(config);
   for (const runtime::JobSpec& spec : contended_workload()) rt.submit(spec);
   return rt.run();

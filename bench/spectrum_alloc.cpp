@@ -1,4 +1,4 @@
-// SpectrumPlanner vs the first-fit ablation on a saturated spectrum.
+// SpectrumPlanner on a saturated spectrum.
 //
 // Two measurements, one verdict:
 //
@@ -6,13 +6,17 @@
 //              spectrum and then springs first-fit's classic trap.  Four
 //              jobs fill the spectrum at t=0; the two short ones release
 //              non-adjacent holes [0,4) and [8,10).  A narrow long-lived
-//              job (N, width 2) arrives first: first-fit carves it from
-//              the lowest hole, [0,2), stranding 2-wide slivers on both
-//              sides — the wide tenant (W, width 4) right behind it then
-//              waits ~45 ms for a release.  The planner's best-fit term
-//              parks N in the snug [8,10) hole, keeps [0,4) whole, and
-//              admits W immediately.  Every placement in both arms is
-//              still proven by the runtime's oracle machinery.
+//              job (N, width 2) arrives first: first-fit would carve it
+//              from the lowest hole, [0,2), stranding 2-wide slivers on
+//              both sides, and the wide tenant (W, width 4) right behind it
+//              would wait ~45 ms for a release.  The planner's best-fit
+//              term parks N in the snug [8,10) hole, keeps [0,4) whole,
+//              and admits W immediately.  The runtime no longer places
+//              bands first-fit, so the planner's makespan is gated against
+//              the first-fit makespan measured on this scenario at commit
+//              696b28d, the last one with a first-fit placement option.
+//              Every placement is still proven by the runtime's oracle
+//              machinery.
 //
 //   routing    the stress-harness seed set (8 seeds x 60 jobs) under
 //              kCostModelChoice: the congestion-aware model now rides the
@@ -35,6 +39,11 @@ using namespace wrht;
 
 constexpr std::uint32_t kRingSize = 32;
 constexpr std::uint32_t kWavelengths = 16;
+/// Makespan of the fragmentation trap under first-fit placement, measured
+/// at commit 696b28d (the planner measured 58.7 ms there).
+constexpr util::Seconds kFirstFitMakespanAt696b28d{0.1002002};
+/// The planner must beat that first-fit makespan by more than this factor.
+constexpr double kMinPlannerSpeedup = 1.59;
 
 runtime::JobSpec span_job(const char* name, std::uint32_t first,
                           std::uint32_t len, std::uint32_t width,
@@ -54,7 +63,7 @@ runtime::JobSpec span_job(const char* name, std::uint32_t first,
 /// The fragmentation trap.  Widths are pinned (min == requested) and
 /// elastic resize is off in this arm, so admission timing is decided by
 /// placement alone; B, D, and N all drain near t=58 ms, which maximizes
-/// the price first-fit pays for blocking W behind its own sliver.
+/// the price first-fit would pay for blocking W behind its own sliver.
 std::vector<runtime::JobSpec> placement_scenario() {
   return {
       span_job("A", 0, 6, 4, util::megabytes(5), util::Seconds(0.0)),
@@ -66,7 +75,7 @@ std::vector<runtime::JobSpec> placement_scenario() {
   };
 }
 
-runtime::RuntimeReport run_placement(runtime::SpectrumPolicy policy) {
+runtime::RuntimeReport run_placement() {
   runtime::RuntimeConfig config;
   config.ring_size = kRingSize;
   config.optical.wdm.num_wavelengths = kWavelengths;
@@ -74,7 +83,6 @@ runtime::RuntimeReport run_placement(runtime::SpectrumPolicy policy) {
   config.placement = runtime::HybridPlacementPolicy::kOpticalOnly;
   config.policy = runtime::FairnessPolicy::kFifo;
   config.elastic_resize = false;
-  config.spectrum_policy = policy;
   runtime::CollectiveRuntime rt(config);
   for (const runtime::JobSpec& spec : placement_scenario()) rt.submit(spec);
   return rt.run();
@@ -135,25 +143,22 @@ RoutingArm run_routing(runtime::RoutingCostModel model) {
 }  // namespace
 
 int main() {
-  const runtime::RuntimeReport planner =
-      run_placement(runtime::SpectrumPolicy::kPlanner);
-  const runtime::RuntimeReport first_fit =
-      run_placement(runtime::SpectrumPolicy::kFirstFit);
+  const runtime::RuntimeReport planner = run_placement();
   const RoutingArm aware =
       run_routing(runtime::RoutingCostModel::kCongestionAware);
   const RoutingArm quiet =
       run_routing(runtime::RoutingCostModel::kQuietAlphaBeta);
 
   const std::size_t seeds = sizeof(kSeeds) / sizeof(kSeeds[0]);
-  const double speedup = first_fit.makespan / planner.makespan;
+  const double speedup = kFirstFitMakespanAt696b28d / planner.makespan;
 
   std::printf("fragmentation trap: 6 jobs, %u-node ring, %u wavelengths\n\n",
               kRingSize, kWavelengths);
   std::printf("%-12s %-14s %-18s %s\n", "placement", "makespan",
               "mean turnaround", "speedup");
   std::printf("%-12s %-14s %-18s %7.2fx\n", "first-fit",
-              util::to_string(first_fit.makespan).c_str(),
-              util::to_string(first_fit.mean_turnaround()).c_str(), 1.0);
+              util::to_string(kFirstFitMakespanAt696b28d).c_str(),
+              "(at 696b28d)", 1.0);
   std::printf("%-12s %-14s %-18s %7.2fx\n", "planner",
               util::to_string(planner.makespan).c_str(),
               util::to_string(planner.mean_turnaround()).c_str(), speedup);
@@ -169,29 +174,26 @@ int main() {
                   util::Seconds(aware.mean_error_sum / seeds)).c_str());
 
   const bool placements_proven = planner.oracle_failures == 0 &&
-                                 first_fit.oracle_failures == 0 &&
                                  aware.oracle_failures == 0 &&
                                  quiet.oracle_failures == 0;
-  // The tentpole target: beat bench/renegotiation's elastic 1.59x win,
-  // with the planner's routing promises strictly better kept than the
-  // quiet baseline's and every placement oracle-proven.
-  const bool ok = planner.makespan < first_fit.makespan &&
-                  speedup > 1.59 &&
+  // The planner beats the recorded first-fit makespan by the margin it
+  // held when both placements ran side by side, its routing promises are
+  // kept strictly better than the quiet baseline's, and every placement is
+  // oracle-proven.
+  const bool ok = speedup > kMinPlannerSpeedup &&
                   aware.mean_error_sum < quiet.mean_error_sum &&
                   placements_proven;
-  std::printf("\nplanner beats first-fit (target > 1.59x), aware error < "
-              "quiet baseline, all placements oracle-proven: %s\n",
-              ok ? "PASS" : "FAIL");
+  std::printf("\nplanner beats first-fit at 696b28d (target > %.2fx), aware "
+              "error < quiet baseline, all placements oracle-proven: %s\n",
+              kMinPlannerSpeedup, ok ? "PASS" : "FAIL");
 
   harness::BenchJson json("spectrum_alloc");
   json.note("verdict", ok ? "PASS" : "FAIL");
   json.metric("planner_makespan_s", planner.makespan.value());
-  json.metric("first_fit_makespan_s", first_fit.makespan.value());
+  json.metric("first_fit_makespan_s", kFirstFitMakespanAt696b28d.value());
   json.metric("planner_speedup", speedup);
   json.metric("planner_mean_turnaround_s",
               planner.mean_turnaround().value());
-  json.metric("first_fit_mean_turnaround_s",
-              first_fit.mean_turnaround().value());
   json.metric("aware_mean_routing_error_s", aware.mean_error_sum / seeds);
   json.metric("quiet_mean_routing_error_s", quiet.mean_error_sum / seeds);
   json.write();

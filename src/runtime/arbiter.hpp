@@ -8,7 +8,9 @@
 // preserved by construction, with the SpectrumMap still checking every
 // reservation as a backstop.
 //
-// Bands are handed out first-fit.  Queries run over a sorted free-interval
+// The runtime places bands with the SpectrumPlanner (runtime/planner.hpp),
+// claiming the exact range it chose through allocate_at(); allocate() is
+// the first-fit primitive.  Queries run over a sorted free-interval
 // list (O(#holes) instead of O(W) per grant/probe — the difference matters
 // once a million-job run calls can_place on every admission attempt); a
 // per-wavelength occupancy bitmap is maintained alongside it as the
@@ -63,8 +65,7 @@ class SpectrumArbiter {
 
   /// Placed allocation: claim exactly [base, base + width).  Returns
   /// nullopt when any wavelength of the range is taken (the caller's
-  /// placement went stale) — the planner's chosen placements land here, and
-  /// first-fit remains the policy default through allocate().
+  /// placement went stale) — the planner's chosen placements land here.
   [[nodiscard]] std::optional<WavelengthBand> allocate_at(std::uint32_t base,
                                                           std::uint32_t width);
 

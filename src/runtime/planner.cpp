@@ -121,16 +121,6 @@ void merge_free(std::vector<FreeInterval>& intervals, std::uint32_t base,
 
 }  // namespace
 
-const char* spectrum_policy_name(SpectrumPolicy policy) {
-  switch (policy) {
-    case SpectrumPolicy::kFirstFit:
-      return "first_fit";
-    case SpectrumPolicy::kPlanner:
-      return "planner";
-  }
-  return "unknown";
-}
-
 std::optional<std::uint32_t> SpectrumPlanner::choose_base(
     std::uint32_t width, const PlannerContext& ctx) {
   WRHT_REQUIRE(width > 0, "SpectrumPlanner: zero-width placement requested");

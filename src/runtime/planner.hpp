@@ -1,8 +1,8 @@
 // Global spectrum allocation at renegotiation boundaries.
 //
-// The arbiter's first-fit hands every band the lowest-based free run that
-// fits — blind to who else is queued, to when its neighbors' bands come
-// back, and to the fragments it strands.  rostam allocates ring bandwidth
+// First-fit would hand every band the lowest-based free run that fits —
+// blind to who else is queued, to when its neighbors' bands come back, and
+// to the fragments it strands.  rostam allocates ring bandwidth
 // per episode as a small optimization problem (BWDecisionType::ILP /
 // MINCOSTFLOW); SpectrumPlanner recasts band placement the same way, as a
 // DP over the contiguous-band structure of the arbiter's interval index:
@@ -45,15 +45,15 @@
 // earliest_fit() is the planner's availability function: the first instant
 // a CONTIGUOUS run of the needed width exists, found by merging outstanding
 // bands back into the free-interval structure in predicted-release order.
-// It replaces the contiguity-blind free-total credit walk the congestion-
-// aware router used to use — a fragmented pool whose total covers the
-// request no longer reads as "available now".
+// Unlike a contiguity-blind credit walk over the free total, it never reads
+// a fragmented pool whose total covers the request as "available now".
 //
 // The planner only proposes; every placement still goes through
 // SpectrumArbiter::allocate_at (occupancy-checked) and the existing
 // disjointness/oracle machinery proves the result before it touches the
-// ring.  First-fit stays selectable (SpectrumPolicy::kFirstFit) as the
-// ablation baseline.
+// ring.  The planner is the optical substrate's only placement; first-fit
+// survives as the arbiter's allocate() primitive and as the counterfactual
+// the planner's tests audit every decision against.
 #pragma once
 
 #include <cstdint>
@@ -65,16 +65,6 @@
 #include "util/units.hpp"
 
 namespace wrht::runtime {
-
-/// How the optical substrate places bands.
-enum class SpectrumPolicy : std::uint8_t {
-  /// Lowest-based free run that fits (the historical greedy baseline).
-  kFirstFit,
-  /// SpectrumPlanner's joint placement (the default).
-  kPlanner,
-};
-
-[[nodiscard]] const char* spectrum_policy_name(SpectrumPolicy policy);
 
 /// An outstanding band and the instant its owner is predicted to return it.
 struct OutstandingBand {

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
-#include <tuple>
 
 #include "coll/oracle.hpp"
 #include "util/check.hpp"
@@ -113,8 +112,7 @@ CollectiveRuntime::CollectiveRuntime(RuntimeConfig config)
     : config_(config),
       ring_(config.ring_size),
       optical_(make_optical_substrate(ring_, config_.optical,
-                                      config_.fit_policy, simulator_,
-                                      config_.spectrum_policy)),
+                                      config_.fit_policy, simulator_)),
       electrical_(config_.placement == HybridPlacementPolicy::kOpticalOnly
                       ? nullptr
                       : make_electrical_substrate(config_.ring_size,
@@ -336,15 +334,12 @@ void CollectiveRuntime::publish_demand(ExecutionSubstrate& substrate,
                                        const Execution* excluding) {
   // Advisory planner input only — recomputed immediately before each
   // placement and renegotiation, so the snapshot is exact at decision time.
-  // Skipped entirely under the first-fit ablation (no substrate reads it
-  // then).
   //
   // The scan is bounded to a head-of-queue window: the head is what
   // admission considers next, and the planner's blocked/sliver terms only
   // discriminate on the near-term demand — an unbounded walk would make
   // every placement O(queue depth) and melt the streaming hot path (a
   // 100k-job serve keeps tens of thousands of jobs queued at once).
-  if (config_.spectrum_policy != SpectrumPolicy::kPlanner) return;
   constexpr std::size_t kDemandWindow = 32;
   std::vector<std::uint32_t> widths;
   widths.reserve(kDemandWindow + suspended_.size());
@@ -483,9 +478,7 @@ bool CollectiveRuntime::place_one(ExecutionSubstrate& fabric) {
 }
 
 void CollectiveRuntime::request_preemptions() {
-  for (ExecutionSubstrate* fabric : fabrics_) {
-    if (fabric->caps().preemptible) request_preemptions(*fabric);
-  }
+  for (ExecutionSubstrate* fabric : fabrics_) request_preemptions(*fabric);
 }
 
 void CollectiveRuntime::request_preemptions(ExecutionSubstrate& substrate) {
@@ -532,9 +525,12 @@ void CollectiveRuntime::request_preemptions(ExecutionSubstrate& substrate) {
         holders.push_back(Holder{exec, exec->plan->hosts()});
       }
     }
-    // The waiter's hosts are busy: every holder must be strictly
-    // lower-priority, or preemption cannot help at all.
-    bool any_busy_holder = false;
+    // Only the holders of the waiter's own hosts are victims, and every
+    // one must be strictly lower-priority, or preemption cannot help at
+    // all.  A holder already surrendering needs no new request: it is
+    // waiting on its step boundary.  When no running execution holds a
+    // waiter host (its host is down), nobody is marked: suspending
+    // unrelated tenants would free nothing the waiter can use.
     std::vector<std::shared_ptr<Execution>> blockers;
     for (const topo::NodeId host : queued->participants) {
       for (const Holder& holder : holders) {
@@ -542,7 +538,6 @@ void CollectiveRuntime::request_preemptions(ExecutionSubstrate& substrate) {
             holder.hosts.end()) {
           continue;
         }
-        any_busy_holder = true;
         if (holder.exec->priority >= target) return;  // outranked: hopeless
         if (!holder.exec->preempt_requested &&
             std::find(blockers.begin(), blockers.end(), holder.exec) ==
@@ -552,30 +547,7 @@ void CollectiveRuntime::request_preemptions(ExecutionSubstrate& substrate) {
         break;  // hosts are exclusive; one holder per host
       }
     }
-    if (any_busy_holder) {
-      // Empty `blockers` with a busy holder means every holder is already
-      // surrendering — the request is in flight, waiting on their step
-      // boundaries, and marking unrelated tenants would only cascade
-      // collateral suspensions that free nothing the waiter can use.
-      for (const auto& victim : blockers) victim->preempt_requested = true;
-      return;
-    }
-    // No busy host blocks the waiter, yet can_place said no: the
-    // concurrency cap is the bottleneck.  One victim frees a slot;
-    // cheapest first (lowest priority, then fewest hosts surrendered, then
-    // oldest lead job for determinism).
-    const auto cost = [](const Execution& exec) {
-      return std::tuple(exec.priority, exec.plan->grant(), exec.jobs.front());
-    };
-    Execution* cheapest = nullptr;
-    for (const Holder& holder : holders) {
-      Execution& exec = *holder.exec;
-      if (exec.preempt_requested || exec.priority >= target) continue;
-      if (cheapest == nullptr || cost(exec) < cost(*cheapest)) {
-        cheapest = &exec;
-      }
-    }
-    if (cheapest != nullptr) cheapest->preempt_requested = true;
+    for (const auto& victim : blockers) victim->preempt_requested = true;
     return;
   }
 
@@ -695,19 +667,15 @@ void CollectiveRuntime::place_execution(
   const std::uint32_t lead_request =
       queue_.at(queue_index).requested_wavelengths;
   const SubstratePin lead_pin = queue_.at(queue_index).pin;
-  const SubstrateCaps& caps = substrate.caps();
-  std::vector<std::size_t> members;
-  if (caps.batchable) {
-    // A fused peer executes inside the lead's grant; only substrates whose
-    // grants are wavelength-denominated impose the peer's min_wavelengths
-    // floor on it (electrical peers ride host links, not a band).
-    const std::uint32_t fuse_width =
-        caps.fuse_respects_grant ? grant
-                                 : std::numeric_limits<std::uint32_t>::max();
-    members = fusable_peers(queue_, queue_index, fuse_width, config_.batcher);
-  } else {
-    members = {queue_index};
-  }
+  // A fused peer executes inside the lead's grant; only substrates whose
+  // grants are wavelength-denominated impose the peer's min_wavelengths
+  // floor on it (electrical peers ride host links, not a band).
+  const std::uint32_t fuse_width =
+      substrate.caps().fuse_respects_grant
+          ? grant
+          : std::numeric_limits<std::uint32_t>::max();
+  const std::vector<std::size_t> members =
+      fusable_peers(queue_, queue_index, fuse_width, config_.batcher);
 
   auto exec = std::make_shared<Execution>();
   exec->substrate = &substrate;
@@ -840,9 +808,9 @@ bool CollectiveRuntime::renegotiate(const std::shared_ptr<Execution>& exec) {
   if (exec->fault_pending || exec->migrate_pending) {
     if (reconcile_fault(exec)) return true;
   }
-  const SubstrateCaps& caps = exec->substrate->caps();
-  const bool preempt = caps.preemptible && exec->preempt_requested;
-  const bool resize = config_.elastic_resize && caps.resizable;
+  const bool preempt = exec->preempt_requested;
+  const bool resize =
+      config_.elastic_resize && exec->substrate->caps().resizable;
   if (!preempt && !resize) return false;
   const WaitLine line = wait_line(*exec->substrate);
   if (preempt) {

@@ -41,12 +41,12 @@
 // fuse, and every execution's schedule is proven correct with the coll::
 // oracle before it touches its fabric.
 //
-// Step-boundary renegotiation: on substrates whose caps() allow it, the
-// runtime may PREEMPT an execution at a step boundary (suspend it,
-// surrender its whole band to a higher-priority arrival under
-// FairnessPolicy::kPriorityPreempt, resume it later on whatever band it
-// regains) or RESIZE it (grow into freed neighboring spectrum, or shrink
-// toward the job's floor when queued tenants starve).  Both paths rebuild
+// Step-boundary renegotiation: the runtime may PREEMPT an execution at a
+// step boundary (suspend it, surrender its whole grant to a higher-priority
+// arrival under FairnessPolicy::kPriorityPreempt, resume it later on
+// whatever grant it regains) or, on substrates whose caps() allow it,
+// RESIZE it (grow into freed neighboring spectrum, or shrink toward the
+// job's floor when queued tenants starve).  Both paths rebuild
 // the execution's remaining schedule through the substrate and every
 // rebuilt remainder is re-proven with the oracle — composed with the
 // functional steps already executed — before it touches the fabric.
@@ -131,11 +131,6 @@ struct RuntimeConfig {
   /// shrink a band toward its jobs' floor when the shrink would unblock a
   /// starved queued job.
   bool elastic_resize = false;
-  /// Who places spectrum bands on the optical substrate: the global
-  /// SpectrumPlanner (default — joint placement against queued + suspended
-  /// demand and outstanding bands' predicted frees, see runtime/planner.hpp)
-  /// or the historical greedy first-fit, kept as the ablation baseline.
-  SpectrumPolicy spectrum_policy = SpectrumPolicy::kPlanner;
   /// Priority aging half-life for starvation control (0 = aging off, the
   /// historical behavior).  While a job waits — queued, or suspended after a
   /// preemption — its EFFECTIVE priority rises by one class per
@@ -524,7 +519,7 @@ class CollectiveRuntime {
   [[nodiscard]] std::vector<topo::NodeId> live_participants(
       const Execution& exec) const;
   /// Ask lower-priority executions to surrender their grants at the next
-  /// step boundary, on every preemptible substrate: a fabric's waiters
+  /// step boundary, on every substrate: a fabric's waiters
   /// (see waits_for) preempt only that fabric's executions.  Suspending
   /// across fabrics would free nothing the waiter can use.
   void request_preemptions();

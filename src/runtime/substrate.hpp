@@ -25,8 +25,9 @@
 //    model, produced incrementally so electrical steps interleave with
 //    optical tenants on one clock.
 //
-// A substrate declares what it can renegotiate through SubstrateCaps; the
-// runtime only exercises preemption/resize against substrates that opt in.
+// Every substrate suspends at step boundaries (preemption) and fuses
+// same-group jobs; what else it can renegotiate it declares through
+// SubstrateCaps, and the runtime only resizes substrates that opt in.
 // Each substrate also owns the fault state of its own units (apply_fault),
 // so the runtime reconciles a faulted execution through two read-only
 // queries, node_down and healthy_grant, without knowing the fabric.
@@ -42,7 +43,6 @@
 #include "optical/params.hpp"
 #include "runtime/faults.hpp"
 #include "runtime/job.hpp"
-#include "runtime/planner.hpp"
 #include "sim/simulator.hpp"
 #include "topo/ring.hpp"
 
@@ -52,15 +52,13 @@ class MetricsRegistry;
 
 namespace wrht::runtime {
 
-/// What a substrate lets the runtime renegotiate at step boundaries.
+/// What a substrate lets the runtime renegotiate at step boundaries beyond
+/// what every substrate supports: suspending at a step boundary,
+/// surrendering the grant and resuming later on a rebuilt remainder, and
+/// fusing same-group small jobs into one execution.
 struct SubstrateCaps {
-  /// Executions can suspend at a step boundary, surrender their grant, and
-  /// resume later on a rebuilt remainder.
-  bool preemptible = false;
   /// Grants can grow/shrink mid-flight (elastic resize).
   bool resizable = false;
-  /// Same-group small jobs may fuse into one execution here.
-  bool batchable = false;
   /// Fused peers execute inside the lead's grant, so a peer's
   /// min_wavelengths floor must hold against the granted width.  False when
   /// grants are not wavelength-denominated (electrical host claims).
@@ -354,13 +352,11 @@ class ExecutionSubstrate {
 };
 
 /// The WDM-ring substrate (spectrum arbiter + Wrht builds + shared-map
-/// per-step reservations).  `ring` and `sim` must outlive the substrate.
-/// `spectrum_policy` picks who places bands: the SpectrumPlanner (default)
-/// or the historical greedy first-fit (ablation baseline).
+/// per-step reservations).  Bands are placed by the SpectrumPlanner.
+/// `ring` and `sim` must outlive the substrate.
 [[nodiscard]] std::unique_ptr<ExecutionSubstrate> make_optical_substrate(
     const topo::RingTopology& ring, const optical::OpticalParams& params,
-    optical::FitPolicy fit_policy, sim::Simulator& sim,
-    SpectrumPolicy spectrum_policy = SpectrumPolicy::kPlanner);
+    optical::FitPolicy fit_policy, sim::Simulator& sim);
 
 /// Which electrical fabric backs the fallback substrate.
 enum class ElectricalFabric : std::uint8_t {
@@ -381,9 +377,6 @@ enum class ElectricalFabric : std::uint8_t {
 struct ElectricalFallbackConfig {
   /// Host access-link spec of the cluster backing the fallback.
   elec::ElectricalParams link{};
-  /// Hard cap on concurrent electrical executions (0 = bounded only by
-  /// per-host link exclusivity).
-  std::uint32_t max_concurrent = 0;
   ElectricalFabric fabric = ElectricalFabric::kStarExclusive;
   /// kTwoLevelShared shape: hosts per ToR switch, and the factor by which
   /// each ToR uplink is undersized relative to its hosts' aggregate access

@@ -38,11 +38,11 @@
 //
 // At first placement the two coincide (hosts are claimed 1:1 at the
 // participants' ring positions).  They diverge at a REMAPPED RESUME: BSP
-// step boundaries are preemption points (SubstrateCaps::preemptible), a
-// suspended execution surrenders its hosts, and a kResume renegotiation
-// re-places the remainder on whatever host set is free then — the original
-// positions when available, else any free hosts, carried over by the same
-// schedule remap placement uses.  Host fungibility is also the fault story:
+// step boundaries are preemption points, a suspended execution surrenders
+// its hosts, and a kResume renegotiation re-places the remainder on
+// whatever host set is free then — the original positions when available,
+// else any free hosts, carried over by the same schedule remap placement
+// uses.  Host fungibility is also the fault story:
 // the substrate refcounts its down hosts (node and ToR faults), a dead host
 // leaves service as soon as no execution holds it, and the resume simply
 // remaps around it, so electrical node faults cost a suspension, never
@@ -191,15 +191,11 @@ class ElectricalSubstrate final : public ExecutionSubstrate {
     // not a wavelength band, so no grant-width floor constrains fusion.  On
     // the shared two-level fabric step completions move with other tenants'
     // traffic, so the runtime must expect retimings there.
-    static constexpr SubstrateCaps kStarCaps{/*preemptible=*/true,
-                                             /*resizable=*/false,
-                                             /*batchable=*/true,
+    static constexpr SubstrateCaps kStarCaps{/*resizable=*/false,
                                              /*fuse_respects_grant=*/false,
                                              /*retimes_steps=*/false,
                                              /*remaps_on_resume=*/true};
-    static constexpr SubstrateCaps kSharedCaps{/*preemptible=*/true,
-                                               /*resizable=*/false,
-                                               /*batchable=*/true,
+    static constexpr SubstrateCaps kSharedCaps{/*resizable=*/false,
                                                /*fuse_respects_grant=*/false,
                                                /*retimes_steps=*/true,
                                                /*remaps_on_resume=*/true};
@@ -207,16 +203,13 @@ class ElectricalSubstrate final : public ExecutionSubstrate {
   }
 
   [[nodiscard]] std::uint32_t largest_free_grant() const override {
-    // A unit of capacity exists only when BOTH gates could pass: a
-    // concurrency slot and at least one free host link.
-    if (!slots_available()) return 0;
+    // A unit of capacity is one free host link.
     const bool any_host_free =
         std::find(host_busy_.begin(), host_busy_.end(), false) !=
         host_busy_.end();
     return any_host_free ? 1u : 0u;
   }
   [[nodiscard]] std::uint32_t free_grant_total() const override {
-    if (!slots_available()) return 0;
     std::uint32_t free = 0;
     for (const bool busy : host_busy_) free += busy ? 0u : 1u;
     return free;
@@ -224,7 +217,6 @@ class ElectricalSubstrate final : public ExecutionSubstrate {
 
   [[nodiscard]] bool can_place(const std::vector<topo::NodeId>& participants,
                                std::uint32_t) const override {
-    if (!slots_available()) return false;
     return std::none_of(
         participants.begin(), participants.end(),
         [this](topo::NodeId host) { return host_busy_[host]; });
@@ -290,7 +282,6 @@ class ElectricalSubstrate final : public ExecutionSubstrate {
     }
     for (const topo::NodeId host : exec.hosts_) host_busy_[host] = false;
     exec.holds_hosts = false;
-    --active_;
     if (hosts_down_.pending()) take_down_hosts();
   }
 
@@ -444,10 +435,6 @@ class ElectricalSubstrate final : public ExecutionSubstrate {
   }
 
  private:
-  [[nodiscard]] bool slots_available() const {
-    return config_.max_concurrent == 0 || active_ < config_.max_concurrent;
-  }
-
   /// Cheapest of the baseline all-reduces for k ranks under this cluster's
   /// alpha-beta parameters: chunked ring (bandwidth-optimal) vs recursive
   /// doubling (latency-optimal; only a candidate at power-of-two k, where
@@ -475,7 +462,6 @@ class ElectricalSubstrate final : public ExecutionSubstrate {
   [[nodiscard]] RenegotiationOutcome resume(
       const ElectricalExecution& current,
       const RenegotiationRequest& request) {
-    if (!slots_available()) return {};
     const std::optional<std::vector<topo::NodeId>> hosts =
         pick_hosts(current.participants);
     if (!hosts) return {};
@@ -488,7 +474,7 @@ class ElectricalSubstrate final : public ExecutionSubstrate {
   /// a survivor restart after an eviction the remainder could not absorb.
   [[nodiscard]] RenegotiationOutcome restart(
       const RenegotiationRequest& request) {
-    if (!slots_available() || request.nodes.size() < 2) return {};
+    if (request.nodes.size() < 2) return {};
     const std::optional<std::vector<topo::NodeId>> hosts =
         pick_hosts(request.nodes);
     if (!hosts) return {};
@@ -545,7 +531,6 @@ class ElectricalSubstrate final : public ExecutionSubstrate {
       session_plans_[plan->session] = plan.get();
     }
     for (const topo::NodeId host : hosts) host_busy_[host] = true;
-    ++active_;
     return plan;
   }
 
@@ -562,7 +547,6 @@ class ElectricalSubstrate final : public ExecutionSubstrate {
   /// Claimed by an execution, or down and out of service.
   std::vector<bool> host_busy_;
   DownUnits hosts_down_;
-  std::uint32_t active_ = 0;
   mutable std::map<std::pair<std::uint32_t, std::uint64_t>, util::Seconds>
       prediction_cache_;
 };

@@ -11,8 +11,8 @@
 // arbiter, with rollback when a rebuild does not pay off.  The substrate
 // owns its fault state: down ring positions (transceiver and node faults)
 // and degraded wavelengths, both refcounted.  A degraded wavelength leaves
-// service as a width-1 arbiter allocation, so neither the planner nor
-// first-fit can grant it until repair.
+// service as a width-1 arbiter allocation, so the planner cannot grant it
+// until repair.
 #include "runtime/substrate.hpp"
 
 #include <algorithm>
@@ -68,13 +68,11 @@ class OpticalSubstrate final : public ExecutionSubstrate {
  public:
   OpticalSubstrate(const topo::RingTopology& ring,
                    const optical::OpticalParams& params,
-                   optical::FitPolicy fit_policy, sim::Simulator& sim,
-                   SpectrumPolicy spectrum_policy)
+                   optical::FitPolicy fit_policy, sim::Simulator& sim)
       : ring_(ring),
         params_(params),
         fit_policy_(fit_policy),
         sim_(sim),
-        policy_(spectrum_policy),
         spectrum_(ring, params.wdm.num_wavelengths),
         transceivers_(ring.num_nodes()),
         arbiter_(params.wdm.num_wavelengths),
@@ -86,9 +84,7 @@ class OpticalSubstrate final : public ExecutionSubstrate {
   }
   [[nodiscard]] const char* name() const override { return "optical"; }
   [[nodiscard]] const SubstrateCaps& caps() const override {
-    static constexpr SubstrateCaps kCaps{/*preemptible=*/true,
-                                         /*resizable=*/true,
-                                         /*batchable=*/true,
+    static constexpr SubstrateCaps kCaps{/*resizable=*/true,
                                          /*fuse_respects_grant=*/true};
     return kCaps;
   }
@@ -220,37 +216,15 @@ class OpticalSubstrate final : public ExecutionSubstrate {
   [[nodiscard]] util::Seconds predict_completion(
       const std::vector<topo::NodeId>& participants, util::Bytes payload,
       std::uint32_t grant, util::Seconds now) const override {
-    // Run time plus the predicted wait for a band.  Under the planner
-    // policy the wait is SpectrumPlanner::earliest_fit — the first instant
-    // a CONTIGUOUS run of the width exists when outstanding bands release
-    // at their predicted ends — so a fragmented pool whose free TOTAL
-    // covers the request no longer reads as "available now".  The first-fit
-    // ablation keeps the historical estimate (largest-free-block point
-    // check, then a contiguity-blind credit walk over the free total) so
-    // its measured routing error stays the documented baseline.
+    // Run time plus the predicted wait for a band:
+    // SpectrumPlanner::earliest_fit, the first instant a CONTIGUOUS run of
+    // the width exists when outstanding bands release at their predicted
+    // ends — so a fragmented pool whose free TOTAL covers the request does
+    // not read as "available now".
     const util::Seconds run = predict_makespan(participants, payload, grant);
-    const std::uint32_t width = std::max(grant, 1u);
-    if (policy_ == SpectrumPolicy::kPlanner) {
-      const util::Seconds start =
-          SpectrumPlanner::earliest_fit(width, planner_context(now));
-      return start + run;
-    }
-    if (arbiter_.largest_free_block() >= width) return now + run;
-    std::vector<std::pair<util::Seconds, std::uint32_t>> releases;
-    releases.reserve(outstanding_.size());
-    for (const OpticalExecution* exec : outstanding_) {
-      releases.emplace_back(std::max(exec->predicted_end, now),
-                            exec->band_.width);
-    }
-    std::sort(releases.begin(), releases.end());
-    std::uint32_t free = arbiter_.free_total();
-    util::Seconds wait{0.0};
-    for (const auto& [end, released] : releases) {
-      wait = end - now;
-      free += released;
-      if (free >= width) break;
-    }
-    return now + wait + run;
+    return SpectrumPlanner::earliest_fit(std::max(grant, 1u),
+                                         planner_context(now)) +
+           run;
   }
 
   [[nodiscard]] RenegotiationOutcome renegotiate(
@@ -451,14 +425,13 @@ class OpticalSubstrate final : public ExecutionSubstrate {
     return ctx;
   }
 
-  /// Claim a `width`-wide band under the active spectrum policy.  The
-  /// planner proposes a base scored against outstanding bands and pending
-  /// demand; the arbiter still occupancy-checks the exact range (a
-  /// collision would be a planner/arbiter disagreement and aborts), so a
-  /// planned placement is proven before it exists.
+  /// Claim a `width`-wide band.  The planner proposes a base scored against
+  /// outstanding bands and pending demand; the arbiter still
+  /// occupancy-checks the exact range (a collision would be a
+  /// planner/arbiter disagreement and aborts), so a planned placement is
+  /// proven before it exists.
   [[nodiscard]] std::optional<WavelengthBand> acquire_band(
       std::uint32_t width) {
-    if (policy_ == SpectrumPolicy::kFirstFit) return arbiter_.allocate(width);
     const std::optional<std::uint32_t> base =
         SpectrumPlanner::choose_base(width, planner_context(sim_.now()));
     if (!base) return std::nullopt;
@@ -505,8 +478,9 @@ class OpticalSubstrate final : public ExecutionSubstrate {
   /// Drop an execution from the backlog registry the moment its band stops
   /// being outstanding (release, or a resize moving the band to a successor
   /// plan) — the plan object itself may be destroyed right after.  Swap-
-  /// remove keeps this O(1); predict_completion sorts the registry before
-  /// reading it, so the order perturbation is invisible.
+  /// remove keeps this O(1); earliest_fit sorts the bands it reads by
+  /// predicted release (base breaks ties), so the order perturbation is
+  /// invisible.
   void forget(OpticalExecution& exec) {
     const std::size_t idx = exec.outstanding_index;
     WRHT_CHECK(idx < outstanding_.size() && outstanding_[idx] == &exec,
@@ -520,8 +494,6 @@ class OpticalSubstrate final : public ExecutionSubstrate {
   optical::OpticalParams params_;
   optical::FitPolicy fit_policy_;
   sim::Simulator& sim_;
-  /// Who places bands: the SpectrumPlanner or greedy first-fit (ablation).
-  SpectrumPolicy policy_;
   optical::SpectrumMap spectrum_;
   optical::TransceiverBank transceivers_;
   SpectrumArbiter arbiter_;
@@ -534,7 +506,7 @@ class OpticalSubstrate final : public ExecutionSubstrate {
   std::vector<OpticalExecution*> outstanding_;
   /// Latest note_pending_demand snapshot: minimum widths of queued +
   /// suspended demand, excluding the job being placed.  Read only by the
-  /// planner policy's placement cost.
+  /// planner's placement cost.
   std::vector<std::uint32_t> pending_widths_;
   /// Fault state: ring positions out of optical service, and degraded
   /// wavelengths (out of service once no band holds them).
@@ -546,10 +518,8 @@ class OpticalSubstrate final : public ExecutionSubstrate {
 
 std::unique_ptr<ExecutionSubstrate> make_optical_substrate(
     const topo::RingTopology& ring, const optical::OpticalParams& params,
-    optical::FitPolicy fit_policy, sim::Simulator& sim,
-    SpectrumPolicy spectrum_policy) {
-  return std::make_unique<OpticalSubstrate>(ring, params, fit_policy, sim,
-                                            spectrum_policy);
+    optical::FitPolicy fit_policy, sim::Simulator& sim) {
+  return std::make_unique<OpticalSubstrate>(ring, params, fit_policy, sim);
 }
 
 }  // namespace wrht::runtime

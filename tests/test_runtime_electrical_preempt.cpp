@@ -2,8 +2,7 @@
 //
 // Substrate-level: suspend/resume mechanics, host remapping when the
 // original positions are taken, the final-step-boundary edge (a remainder
-// of exactly one step), and the refusals (not enough free hosts, no
-// concurrency slot).
+// of exactly one step), and the refusal when too few hosts are free.
 //
 // Runtime-level: a pinned electrical victim evicted by a pinned urgent
 // arrival under kPriorityPreempt, resume with ZERO surviving hosts on the
@@ -24,11 +23,8 @@
 namespace wrht::runtime {
 namespace {
 
-std::unique_ptr<ExecutionSubstrate> star_substrate(
-    std::uint32_t hosts, std::uint32_t max_concurrent = 0) {
-  ElectricalFallbackConfig config;
-  config.max_concurrent = max_concurrent;
-  return make_electrical_substrate(hosts, config);
+std::unique_ptr<ExecutionSubstrate> star_substrate(std::uint32_t hosts) {
+  return make_electrical_substrate(hosts, ElectricalFallbackConfig{});
 }
 
 /// kResume renegotiation with the test's defaults (desired width 1, floor
@@ -124,21 +120,6 @@ TEST(ElectricalResume, RefusesWithoutEnoughFreeHosts) {
   EXPECT_EQ(resume(*sub, *plan, 1), nullptr);
   // The refusal touched nothing: freeing the blocker re-enables resume.
   sub->release(*blocker, clock);
-  EXPECT_NE(resume(*sub, *plan, 1), nullptr);
-}
-
-TEST(ElectricalResume, RefusesWithoutAConcurrencySlot) {
-  const std::unique_ptr<ExecutionSubstrate> sub =
-      star_substrate(16, /*max_concurrent=*/1);
-  std::unique_ptr<SubstrateExecution> plan =
-      sub->place({0, 1}, util::megabytes(1), 1);
-  util::Seconds clock = run_steps(*sub, *plan, 0, 1, util::Seconds(0.0));
-  sub->release(*plan, clock);
-
-  std::unique_ptr<SubstrateExecution> other =
-      sub->place({4, 5}, util::megabytes(1), 1);
-  EXPECT_EQ(resume(*sub, *plan, 1), nullptr);
-  sub->release(*other, clock);
   EXPECT_NE(resume(*sub, *plan, 1), nullptr);
 }
 

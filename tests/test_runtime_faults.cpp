@@ -1,7 +1,8 @@
 // Faults as renegotiation events: the seeded injector's determinism and
 // domain independence, every failure-domain recovery path through the
 // runtime (transceiver evict / node-loss kill / wavelength shrink / ToR
-// migration / repair), and the chaos-schedule trace round-trip.  Each
+// migration / repair, and a down-host waiter that preempts nobody), and the
+// chaos-schedule trace round-trip.  Each
 // scenario completing with zero oracle failures is itself the correctness
 // statement — every post-fault remainder is re-proven by the composite
 // prefix+remainder oracle inside the runtime.
@@ -337,6 +338,42 @@ TEST(FaultRecovery, OffFabricTorSubjectDies) {
   EXPECT_DEATH(serve_with_tor_fault(4), "tor subject 4 off the fabric");
   EXPECT_DEATH(serve_with_tor_fault(536870912),
                "tor subject 536870912 off the fabric");
+}
+
+TEST(FaultRecovery, DownHostWaiterPreemptsNobody) {
+  // An urgent electrical-pinned waiter whose own host is down cannot be
+  // helped by preemption: no running execution holds that host, so
+  // suspending the lower-priority tenant frees nothing it can use.  The
+  // tenant must run undisturbed and finish long before the repair.
+  runtime::RuntimeConfig config;
+  config.ring_size = 16;
+  config.optical.wdm.num_wavelengths = 8;
+  config.policy = runtime::FairnessPolicy::kPriorityPreempt;
+  config.batcher.enabled = false;
+  config.placement = runtime::HybridPlacementPolicy::kElectricalOverflow;
+  const util::Seconds repair_after(10.0);
+  ScriptedFaultSource faults({
+      {FaultDomain::kNode, 5, util::Seconds(0.0), repair_after},
+  });
+  config.faults = &faults;
+
+  runtime::CollectiveRuntime rt(config);
+  runtime::JobSpec low = span_job(0, 4, util::megabytes(64));
+  low.pin = runtime::SubstratePin::kElectricalOnly;
+  low.priority = 0;
+  const runtime::JobId low_id = rt.submit(low);
+  runtime::JobSpec urgent =
+      span_job(4, 2, util::megabytes(1), util::milliseconds(1.0));
+  urgent.pin = runtime::SubstratePin::kElectricalOnly;
+  urgent.priority = 5;
+  rt.submit(urgent);
+  const runtime::RuntimeReport report = rt.run();
+
+  EXPECT_EQ(report.completed, 2u);
+  EXPECT_EQ(report.oracle_failures, 0u);
+  EXPECT_EQ(report.preemptions, 0u);
+  EXPECT_EQ(rt.record(low_id).state, runtime::JobState::kDone);
+  EXPECT_LT(rt.record(low_id).completed.value(), repair_after.value());
 }
 
 TEST(FaultTrace, RoundTripsByteStableAndReplaysThroughTheReader) {

@@ -317,12 +317,10 @@ TEST(Substrate, ElectricalFactoryStandsAlone) {
   const std::unique_ptr<ExecutionSubstrate> sub =
       make_electrical_substrate(16, config);
   EXPECT_EQ(sub->kind(), SubstrateKind::kElectrical);
-  // BSP step boundaries are preemption points; resize stays off (the grant
-  // is exactly one host per participant).
-  EXPECT_TRUE(sub->caps().preemptible);
+  // Resize stays off (the grant is exactly one host per participant), and
+  // a resume may land on other hosts.
   EXPECT_TRUE(sub->caps().remaps_on_resume);
   EXPECT_FALSE(sub->caps().resizable);
-  EXPECT_TRUE(sub->caps().batchable);
 
   const std::vector<topo::NodeId> group{0, 1, 2, 3};
   ASSERT_TRUE(sub->can_place(group, 1));
@@ -519,19 +517,6 @@ TEST(SubstratePinning, PinsRouteAndRejectAsPromised) {
   EXPECT_FALSE(optical_only.record(stranded_id).reject_reason.empty());
 }
 
-TEST(Substrate, MaxConcurrentCapsElectricalPlacements) {
-  ElectricalFallbackConfig config;
-  config.max_concurrent = 1;
-  const std::unique_ptr<ExecutionSubstrate> sub =
-      make_electrical_substrate(16, config);
-  std::unique_ptr<SubstrateExecution> first =
-      sub->place({0, 1}, util::kilobytes(1), 1);
-  // Disjoint hosts, but the concurrency slot is taken.
-  EXPECT_FALSE(sub->can_place({4, 5}, 1));
-  sub->release(*first, util::Seconds(0.0));
-  EXPECT_TRUE(sub->can_place({4, 5}, 1));
-}
-
 // ---------------------------------------------------------------------------
 // Fault bookkeeping inside the substrates.
 
@@ -552,7 +537,7 @@ struct OpticalFixture {
     optical::OpticalParams params;
     params.wdm.num_wavelengths = 4;
     sub = make_optical_substrate(ring, params, optical::FitPolicy::kFirstFit,
-                                 sim, SpectrumPolicy::kFirstFit);
+                                 sim);
   }
 };
 
