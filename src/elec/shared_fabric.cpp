@@ -242,14 +242,6 @@ std::vector<double> SharedFabricTimer::link_peak_utilization() const {
   return peaks;
 }
 
-std::vector<double> SharedFabricTimer::link_utilization() const {
-  std::vector<double> current(network_.num_links());
-  for (std::size_t l = 0; l < current.size(); ++l) {
-    current[l] = network_.link_utilization(static_cast<LinkId>(l));
-  }
-  return current;
-}
-
 std::uint64_t SharedFabricTimer::verify_replay() const {
   FlowNetwork replay = cluster_->make_network();
   std::vector<std::vector<FlowId>> replay_ids(steps_.size());

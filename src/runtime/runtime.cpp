@@ -370,9 +370,8 @@ bool CollectiveRuntime::waits_for(const QueueEntry& entry,
 std::uint32_t CollectiveRuntime::floor_grant(
     const ExecutionSubstrate& substrate, std::size_t participants,
     std::uint32_t min_width) {
-  return substrate.caps().remaps_on_resume
-             ? static_cast<std::uint32_t>(participants)
-             : min_width;
+  return substrate.grants_hosts() ? static_cast<std::uint32_t>(participants)
+                                  : min_width;
 }
 
 void CollectiveRuntime::try_admit() {
@@ -434,7 +433,7 @@ bool CollectiveRuntime::place_one(ExecutionSubstrate& fabric) {
                          config_.aging_half_life);
   };
 
-  if (!fabric.caps().remaps_on_resume) {
+  if (!fabric.grants_hosts()) {
     // A band fabric: the fairness policy picks the candidate and its grant.
     const std::optional<AdmissionDecision> decision = next_admission(
         queue_, config_.policy, fabric.largest_free_grant(),
@@ -484,7 +483,7 @@ void CollectiveRuntime::request_preemptions() {
 void CollectiveRuntime::request_preemptions(ExecutionSubstrate& substrate) {
   // Positioned units (hosts) are fungible at resume, so a suspended waiter
   // can use free units anywhere; positionless bands need a contiguous run.
-  const bool host_units = substrate.caps().remaps_on_resume;
+  const bool host_units = substrate.grants_hosts();
   // The most urgent waiter: the top aged queued entry this fabric may serve
   // (for the optical ring, the same pick as the priority policy's, so
   // preemptions always benefit the job admission will actually take) or a
@@ -528,23 +527,25 @@ void CollectiveRuntime::request_preemptions(ExecutionSubstrate& substrate) {
     // Only the holders of the waiter's own hosts are victims, and every
     // one must be strictly lower-priority, or preemption cannot help at
     // all.  A holder already surrendering needs no new request: it is
-    // waiting on its step boundary.  When no running execution holds a
-    // waiter host (its host is down), nobody is marked: suspending
-    // unrelated tenants would free nothing the waiter can use.
+    // waiting on its step boundary.  Hosts are exclusive, so each has at
+    // most one holder; a busy waiter host that none holds is down and stays
+    // unusable until its repair whoever is suspended, so nobody is marked.
     std::vector<std::shared_ptr<Execution>> blockers;
     for (const topo::NodeId host : queued->participants) {
-      for (const Holder& holder : holders) {
-        if (std::find(holder.hosts.begin(), holder.hosts.end(), host) ==
-            holder.hosts.end()) {
-          continue;
-        }
-        if (holder.exec->priority >= target) return;  // outranked: hopeless
-        if (!holder.exec->preempt_requested &&
-            std::find(blockers.begin(), blockers.end(), holder.exec) ==
-                blockers.end()) {
-          blockers.push_back(holder.exec);
-        }
-        break;  // hosts are exclusive; one holder per host
+      const auto holder = std::find_if(
+          holders.begin(), holders.end(), [host](const Holder& h) {
+            return std::find(h.hosts.begin(), h.hosts.end(), host) !=
+                   h.hosts.end();
+          });
+      if (holder == holders.end()) {
+        if (!substrate.can_place({host}, 1)) return;  // down: hopeless
+        continue;
+      }
+      if (holder->exec->priority >= target) return;  // outranked: hopeless
+      if (!holder->exec->preempt_requested &&
+          std::find(blockers.begin(), blockers.end(), holder->exec) ==
+              blockers.end()) {
+        blockers.push_back(holder->exec);
       }
     }
     for (const auto& victim : blockers) victim->preempt_requested = true;
@@ -671,9 +672,8 @@ void CollectiveRuntime::place_execution(
   // grants are wavelength-denominated impose the peer's min_wavelengths
   // floor on it (electrical peers ride host links, not a band).
   const std::uint32_t fuse_width =
-      substrate.caps().fuse_respects_grant
-          ? grant
-          : std::numeric_limits<std::uint32_t>::max();
+      substrate.grants_hosts() ? std::numeric_limits<std::uint32_t>::max()
+                               : grant;
   const std::vector<std::size_t> members =
       fusable_peers(queue_, queue_index, fuse_width, config_.batcher);
 
@@ -810,7 +810,7 @@ bool CollectiveRuntime::renegotiate(const std::shared_ptr<Execution>& exec) {
   }
   const bool preempt = exec->preempt_requested;
   const bool resize =
-      config_.elastic_resize && exec->substrate->caps().resizable;
+      config_.elastic_resize && !exec->substrate->grants_hosts();
   if (!preempt && !resize) return false;
   const WaitLine line = wait_line(*exec->substrate);
   if (preempt) {
@@ -1459,7 +1459,6 @@ void CollectiveRuntime::on_step_end(const std::shared_ptr<Execution>& exec) {
 }
 
 void CollectiveRuntime::apply_retimings(ExecutionSubstrate& substrate) {
-  if (!substrate.caps().retimes_steps) return;
   for (const StepRetiming& retiming : substrate.take_retimings()) {
     for (const std::shared_ptr<Execution>& exec : running_execs_) {
       if (exec->plan.get() != retiming.exec) continue;

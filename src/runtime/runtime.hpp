@@ -8,8 +8,8 @@
 // the fairness policy decides who runs next.  Execution itself is delegated
 // to a polymorphic ExecutionSubstrate (runtime/substrate.hpp): the
 // substrate owns schedule construction, resource grant/release, per-step
-// timing, and the renegotiation capability flags, while the runtime keeps
-// admission, fairness, batching, the shared clock, and oracle validation.
+// timing, and renegotiation, while the runtime keeps admission, fairness,
+// batching, the shared clock, and oracle validation.
 //
 // The primary substrate is the paper's optical WDM ring: the arbiter
 // carves a disjoint wavelength band per admitted job, each job's Wrht
@@ -44,8 +44,8 @@
 // Step-boundary renegotiation: the runtime may PREEMPT an execution at a
 // step boundary (suspend it, surrender its whole grant to a higher-priority
 // arrival under FairnessPolicy::kPriorityPreempt, resume it later on
-// whatever grant it regains) or, on substrates whose caps() allow it,
-// RESIZE it (grow into freed neighboring spectrum, or shrink toward the
+// whatever grant it regains) or, on band substrates (grants_hosts() is
+// false), RESIZE it (grow into freed neighboring spectrum, or shrink toward the
 // job's floor when queued tenants starve).  Both paths rebuild
 // the execution's remaining schedule through the substrate and every
 // rebuilt remainder is re-proven with the oracle — composed with the
@@ -554,8 +554,7 @@ class CollectiveRuntime {
                                const ExecutionSubstrate& substrate) const;
   /// Smallest grant, in `substrate`'s units, that lets waiting work over
   /// `participants` run: one unit per participant where units are
-  /// positioned hosts (remaps_on_resume), the band floor `min_width`
-  /// otherwise.
+  /// hosts (grants_hosts), the band floor `min_width` otherwise.
   [[nodiscard]] static std::uint32_t floor_grant(
       const ExecutionSubstrate& substrate, std::size_t participants,
       std::uint32_t min_width);

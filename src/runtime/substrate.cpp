@@ -1,5 +1,7 @@
 #include "runtime/substrate.hpp"
 
+#include "util/check.hpp"
+
 namespace wrht::runtime {
 
 const char* renegotiation_kind_name(RenegotiationRequest::Kind kind) {
@@ -18,35 +20,32 @@ const char* renegotiation_kind_name(RenegotiationRequest::Kind kind) {
   return "?";
 }
 
-// Renegotiation defaults: a substrate that does not opt in through caps()
-// simply declines every request kind, the what-if probe reports the plain
-// free capacity (releasing nothing frees nothing extra), and the fault hooks
-// see no units: nothing goes down, every grant unit stays healthy.
-
-RenegotiationOutcome ExecutionSubstrate::renegotiate(
-    SubstrateExecution*, const RenegotiationRequest&) {
-  return {};
+std::unique_ptr<SubstrateExecution> ExecutionSubstrate::place(
+    const std::vector<topo::NodeId>& participants, util::Bytes payload,
+    std::uint32_t grant) {
+  RenegotiationOutcome placed = renegotiate(
+      nullptr,
+      RenegotiationRequest::restart(participants, payload, grant, grant));
+  // Admission promised this grant (a free run of the width, or the
+  // participants' own free hosts); a refusal or a remap onto other hosts
+  // is an admission/fabric disagreement.
+  WRHT_CHECK(placed.accepted(), "ExecutionSubstrate: placement of a "
+                                    << grant << "-unit grant refused — "
+                                    << "arbitration bug");
+  const std::vector<topo::NodeId> hosts = placed.plan->hosts();
+  WRHT_CHECK(hosts.empty() || hosts == participants,
+             "ExecutionSubstrate: placement on busy hosts — arbitration bug");
+  return std::move(placed.plan);
 }
+
+// Inheritable defaults: the what-if probe reports the plain free capacity
+// (releasing nothing frees nothing extra); no ring position loses its data.
 
 std::uint32_t ExecutionSubstrate::free_grant_if_kept(const SubstrateExecution&,
                                                      std::uint32_t) const {
   return largest_free_grant();
 }
 
-bool ExecutionSubstrate::apply_fault(const FaultSpec&, bool) { return false; }
-
 bool ExecutionSubstrate::node_down(topo::NodeId) const { return false; }
-
-std::uint32_t ExecutionSubstrate::healthy_grant(
-    const SubstrateExecution& plan) const {
-  return plan.grant();
-}
-
-util::Seconds ExecutionSubstrate::predict_completion(
-    const std::vector<topo::NodeId>& participants, util::Bytes payload,
-    std::uint32_t grant, util::Seconds now) const {
-  // No congestion signal to fold in: the quiet run time, starting now.
-  return now + predict_makespan(participants, payload, grant);
-}
 
 }  // namespace wrht::runtime

@@ -26,11 +26,11 @@
 //    optical tenants on one clock.
 //
 // Every substrate suspends at step boundaries (preemption) and fuses
-// same-group jobs; what else it can renegotiate it declares through
-// SubstrateCaps, and the runtime only resizes substrates that opt in.
-// Each substrate also owns the fault state of its own units (apply_fault),
-// so the runtime reconciles a faulted execution through two read-only
-// queries, node_down and healthy_grant, without knowing the fabric.
+// same-group jobs; grants_hosts() names its grant model, and the runtime
+// resizes only band grants.  Each substrate also owns the fault state of
+// its own units (apply_fault), so the runtime reconciles a faulted
+// execution through two read-only queries, node_down and healthy_grant,
+// without knowing the fabric.
 #pragma once
 
 #include <cstdint>
@@ -51,32 +51,6 @@ class MetricsRegistry;
 }  // namespace wrht::obs
 
 namespace wrht::runtime {
-
-/// What a substrate lets the runtime renegotiate at step boundaries beyond
-/// what every substrate supports: suspending at a step boundary,
-/// surrendering the grant and resuming later on a rebuilt remainder, and
-/// fusing same-group small jobs into one execution.
-struct SubstrateCaps {
-  /// Grants can grow/shrink mid-flight (elastic resize).
-  bool resizable = false;
-  /// Fused peers execute inside the lead's grant, so a peer's
-  /// min_wavelengths floor must hold against the granted width.  False when
-  /// grants are not wavelength-denominated (electrical host claims).
-  bool fuse_respects_grant = false;
-  /// Step completion times may move after time_step() returned, because
-  /// another tenant's flows changed the sharing of this substrate's fabric
-  /// (shared electrical uplinks).  The runtime must drain take_retimings()
-  /// after every time_step() and re-schedule the affected step-completion
-  /// events on the sim clock.
-  bool retimes_steps = false;
-  /// A kResume renegotiation may re-place a suspended execution on a
-  /// DIFFERENT resource set than it held before (electrical hosts are
-  /// fungible: any free host set of the right size carries the remainder
-  /// after a schedule remap).  False for substrates whose resume merely
-  /// re-acquires the same kind of grant (an optical band is positionless
-  /// spectrum either way).
-  bool remaps_on_resume = false;
-};
 
 /// Per-execution state owned by a substrate: the schedule still ahead and
 /// the resources backing it.  The runtime folds executed steps into its own
@@ -221,8 +195,12 @@ class ExecutionSubstrate {
   virtual ~ExecutionSubstrate() = default;
 
   [[nodiscard]] virtual SubstrateKind kind() const = 0;
-  [[nodiscard]] virtual const char* name() const = 0;
-  [[nodiscard]] virtual const SubstrateCaps& caps() const = 0;
+  /// True when a grant is one exclusive host per participant (electrical):
+  /// placed on the participants' own hosts, remapped onto any free ones at
+  /// resume, ridden by fused peers.  False for a positionless wavelength
+  /// band (optical), which the fairness policy sizes, a fused peer's
+  /// min_wavelengths floor must fit, and elastic resize may grow or shrink.
+  [[nodiscard]] virtual bool grants_hosts() const = 0;
 
   /// Capacity view the admission policies reason over, in grant units.
   [[nodiscard]] virtual std::uint32_t largest_free_grant() const = 0;
@@ -235,13 +213,14 @@ class ExecutionSubstrate {
       std::uint32_t min_grant) const = 0;
 
   /// Claim `grant` units and build the execution plan for an all-reduce of
-  /// `payload` among `participants`.  The caller must have established
-  /// feasibility (optical: the arbiter advertised a free run; electrical:
-  /// can_place said yes) — an unsatisfiable claim is an arbitration bug and
-  /// aborts, never a quiet failure.
-  [[nodiscard]] virtual std::unique_ptr<SubstrateExecution> place(
+  /// `payload` among `participants`: a kRestart with no prior plan.  The
+  /// caller must have established feasibility (optical: the arbiter
+  /// advertised a free run; electrical: can_place said yes) — a refusal, or
+  /// a plan on hosts other than the participants' own, is an arbitration
+  /// bug and aborts, never a quiet failure.
+  [[nodiscard]] std::unique_ptr<SubstrateExecution> place(
       const std::vector<topo::NodeId>& participants, util::Bytes payload,
-      std::uint32_t grant) = 0;
+      std::uint32_t grant);
 
   /// Execute step `step` of `exec` starting at `now`: claim any per-step
   /// shared-medium resources, schedule their release events, and return the
@@ -256,9 +235,11 @@ class ExecutionSubstrate {
   /// the execution's last flows out of the shared fabric.
   virtual void release(SubstrateExecution& exec, util::Seconds now) = 0;
 
-  /// Step-completion corrections accumulated since the last drain (see
-  /// SubstrateCaps::retimes_steps).  Ownership of the entries passes to the
-  /// caller; for an execution appearing twice, the later entry supersedes.
+  /// Step-completion corrections accumulated since the last drain: step
+  /// ends another tenant's flows moved after time_step() returned (shared
+  /// electrical uplinks; empty where step ends never move).  Ownership
+  /// passes to the caller; for an execution appearing twice, the later
+  /// entry supersedes.
   [[nodiscard]] virtual std::vector<StepRetiming> take_retimings() {
     return {};
   }
@@ -266,13 +247,6 @@ class ExecutionSubstrate {
   /// Peak utilization (fraction of capacity, in [0,1]) per fabric link over
   /// the run so far.  Empty for substrates without per-link accounting.
   [[nodiscard]] virtual std::vector<double> link_peak_utilization() const {
-    return {};
-  }
-
-  /// CURRENT per-link utilization — the instantaneous counterpart of
-  /// link_peak_utilization, as of the fabric's last rate recomputation.
-  /// Empty for substrates without per-link accounting.
-  [[nodiscard]] virtual std::vector<double> link_utilization() const {
     return {};
   }
 
@@ -289,11 +263,9 @@ class ExecutionSubstrate {
 
   /// Register the substrate's own metrics (grant-churn counters, occupancy
   /// and utilization gauges) with `registry` and keep the handles for the
-  /// run.  Called at most once, before any placement; the default registers
-  /// nothing.  The registry must outlive the substrate.
-  virtual void attach_metrics(obs::MetricsRegistry& registry) {
-    (void)registry;
-  }
+  /// run.  Called at most once, before any placement.  The registry must
+  /// outlive the substrate.
+  virtual void attach_metrics(obs::MetricsRegistry& registry) = 0;
 
   /// End-of-run self audit.  A substrate with an independent whole-horizon
   /// oracle (the shared electrical fabric replays every logged flow into a
@@ -314,18 +286,18 @@ class ExecutionSubstrate {
   /// substrate knows about its current state — the live residual bandwidth
   /// of shared fabric links (electrical), or the expected wait for a free
   /// spectrum band (optical).  On an idle substrate this equals
-  /// now + predict_makespan, which is also the default for substrates with
-  /// no congestion signal to fold in.
+  /// now + predict_makespan.
   [[nodiscard]] virtual util::Seconds predict_completion(
       const std::vector<topo::NodeId>& participants, util::Bytes payload,
-      std::uint32_t grant, util::Seconds now) const;
+      std::uint32_t grant, util::Seconds now) const = 0;
 
-  /// THE step-boundary renegotiation entry point (meaningful only when
-  /// caps() opt in; the default refuses every kind).  `current` is the plan
-  /// being renegotiated — null allowed only for kRestart, which reads
-  /// nothing from it.  See RenegotiationRequest for per-kind semantics.
+  /// THE step-boundary renegotiation entry point.  A kind the fabric cannot
+  /// honour is refused (a host-granting fabric has no wider or narrower
+  /// grant to resize toward).  `current` is the plan being renegotiated —
+  /// null allowed only for kRestart, which reads nothing from it.  See
+  /// RenegotiationRequest for per-kind semantics.
   [[nodiscard]] virtual RenegotiationOutcome renegotiate(
-      SubstrateExecution* current, const RenegotiationRequest& request);
+      SubstrateExecution* current, const RenegotiationRequest& request) = 0;
 
   /// What-if probe: largest free grant if `exec` kept only `keep` units of
   /// its current grant (the shrink-under-pressure decision signal).
@@ -339,8 +311,8 @@ class ExecutionSubstrate {
   /// last repair.  A free down unit leaves service at once; a held one when
   /// its holder's grant is released or shrunk away; a unit whose count
   /// returns to 0 goes back into service.  Returns false when the fault's
-  /// domain is not one this fabric serves.  The default serves none.
-  virtual bool apply_fault(const FaultSpec& fault, bool repaired);
+  /// domain is not one this fabric serves.
+  virtual bool apply_fault(const FaultSpec& fault, bool repaired) = 0;
   /// True when this fabric has lost ring position `node`'s data, so a
   /// remainder must drop it.  Fabrics that remap a dead unit at resume
   /// (electrical hosts checkpoint at step boundaries) answer false.
@@ -348,7 +320,7 @@ class ExecutionSubstrate {
   /// Grant units of `plan`, counted from the grant's base, still in
   /// service: plan.grant() when nothing it holds is down.
   [[nodiscard]] virtual std::uint32_t healthy_grant(
-      const SubstrateExecution& plan) const;
+      const SubstrateExecution& plan) const = 0;
 };
 
 /// The WDM-ring substrate (spectrum arbiter + Wrht builds + shared-map
@@ -367,7 +339,7 @@ enum class ElectricalFabric : std::uint8_t {
   /// FlowNetwork for the whole fabric: concurrent executions' flows share
   /// the ToR uplinks under max-min fairness, so a step's completion time
   /// depends on what other tenants are sending — and moves when they start
-  /// or stop (SubstrateCaps::retimes_steps).
+  /// or stop (surfaced through take_retimings).
   kTwoLevelShared,
 };
 

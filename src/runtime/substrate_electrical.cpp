@@ -179,28 +179,11 @@ class ElectricalSubstrate final : public ExecutionSubstrate {
   [[nodiscard]] SubstrateKind kind() const override {
     return SubstrateKind::kElectrical;
   }
-  [[nodiscard]] const char* name() const override { return "electrical"; }
-  [[nodiscard]] const SubstrateCaps& caps() const override {
-    // BSP step boundaries are preemption points: between two steps no flow
-    // of this execution is in flight, so the host claims can be surrendered
-    // whole and the remainder re-placed later — on different hosts if the
-    // original ones are taken (remaps_on_resume).  Resize stays off: the
-    // grant is exactly one host per participant, so there is no wider or
-    // narrower grant to rebuild toward.  Batching applies (per-step alpha
-    // dominates small jobs here too), and a fused peer rides host links,
-    // not a wavelength band, so no grant-width floor constrains fusion.  On
-    // the shared two-level fabric step completions move with other tenants'
-    // traffic, so the runtime must expect retimings there.
-    static constexpr SubstrateCaps kStarCaps{/*resizable=*/false,
-                                             /*fuse_respects_grant=*/false,
-                                             /*retimes_steps=*/false,
-                                             /*remaps_on_resume=*/true};
-    static constexpr SubstrateCaps kSharedCaps{/*resizable=*/false,
-                                               /*fuse_respects_grant=*/false,
-                                               /*retimes_steps=*/true,
-                                               /*remaps_on_resume=*/true};
-    return shared_ ? kSharedCaps : kStarCaps;
-  }
+  // Hosts are fungible: no flow is in flight at a BSP step boundary, so a
+  // suspended remainder resumes on whatever hosts are free; a fused peer
+  // rides the lead's host links; and there is no resize, since the grant is
+  // exactly one host per participant.
+  [[nodiscard]] bool grants_hosts() const override { return true; }
 
   [[nodiscard]] std::uint32_t largest_free_grant() const override {
     // A unit of capacity is one free host link.
@@ -220,19 +203,6 @@ class ElectricalSubstrate final : public ExecutionSubstrate {
     return std::none_of(
         participants.begin(), participants.end(),
         [this](topo::NodeId host) { return host_busy_[host]; });
-  }
-
-  [[nodiscard]] std::unique_ptr<SubstrateExecution> place(
-      const std::vector<topo::NodeId>& participants, util::Bytes payload,
-      std::uint32_t) override {
-    WRHT_CHECK(can_place(participants, 1),
-               "ElectricalSubstrate: placement on busy hosts — "
-               "arbitration bug");
-    const coll::Schedule compact = best_compact_schedule(
-        static_cast<std::uint32_t>(participants.size()), payload);
-    // First placement claims hosts 1:1 at the participants' ring positions,
-    // so functional and physical coincide.
-    return make_plan(compact, participants, participants, payload);
   }
 
   [[nodiscard]] StepTiming time_step(SubstrateExecution& e, std::size_t step,
@@ -297,7 +267,7 @@ class ElectricalSubstrate final : public ExecutionSubstrate {
       case RenegotiationRequest::Kind::kGrow:
       case RenegotiationRequest::Kind::kShrink:
       case RenegotiationRequest::Kind::kEvict:
-        // Grants are exactly one host per participant (resizable is off),
+        // Grants are exactly one host per participant (no resize),
         // and an evicted participant's partial sums live in its host's
         // memory — there is no narrower remainder to rebuild in place.  The
         // runtime falls back to kRestart among the survivors.
@@ -342,10 +312,6 @@ class ElectricalSubstrate final : public ExecutionSubstrate {
   [[nodiscard]] std::vector<double> link_peak_utilization() const override {
     return shared_ ? shared_->link_peak_utilization()
                    : std::vector<double>{};
-  }
-
-  [[nodiscard]] std::vector<double> link_utilization() const override {
-    return shared_ ? shared_->link_utilization() : std::vector<double>{};
   }
 
   void attach_metrics(obs::MetricsRegistry& registry) override {
@@ -470,8 +436,10 @@ class ElectricalSubstrate final : public ExecutionSubstrate {
   }
 
   /// kRestart: a brand-new plan among request.nodes carrying
-  /// request.payload — the landing half of a cross-substrate migration, or
-  /// a survivor restart after an eviction the remainder could not absorb.
+  /// request.payload — a first placement (on the participants' own hosts,
+  /// so functional and physical coincide), the landing half of a
+  /// cross-substrate migration, or a survivor restart after an eviction the
+  /// remainder could not absorb.
   [[nodiscard]] RenegotiationOutcome restart(
       const RenegotiationRequest& request) {
     if (request.nodes.size() < 2) return {};
@@ -511,8 +479,8 @@ class ElectricalSubstrate final : public ExecutionSubstrate {
   }
 
   /// Claim `hosts` (which must be free) and build the plan that runs
-  /// `compact` for `participants` on them.  Shared placement tail of both
-  /// place() and renegotiate().
+  /// `compact` for `participants` on them.  Shared tail of kResume and
+  /// kRestart.
   [[nodiscard]] std::unique_ptr<SubstrateExecution> make_plan(
       const coll::Schedule& compact, const std::vector<topo::NodeId>& hosts,
       const std::vector<topo::NodeId>& participants, util::Bytes payload) {

@@ -82,12 +82,7 @@ class OpticalSubstrate final : public ExecutionSubstrate {
   [[nodiscard]] SubstrateKind kind() const override {
     return SubstrateKind::kOptical;
   }
-  [[nodiscard]] const char* name() const override { return "optical"; }
-  [[nodiscard]] const SubstrateCaps& caps() const override {
-    static constexpr SubstrateCaps kCaps{/*resizable=*/true,
-                                         /*fuse_respects_grant=*/true};
-    return kCaps;
-  }
+  [[nodiscard]] bool grants_hosts() const override { return false; }
 
   void attach_metrics(obs::MetricsRegistry& registry) override {
     arbiter_.attach_metrics(registry);
@@ -110,26 +105,6 @@ class OpticalSubstrate final : public ExecutionSubstrate {
   void note_pending_demand(
       const std::vector<std::uint32_t>& min_grants) override {
     pending_widths_ = min_grants;
-  }
-
-  [[nodiscard]] std::unique_ptr<SubstrateExecution> place(
-      const std::vector<topo::NodeId>& participants, util::Bytes payload,
-      std::uint32_t grant) override {
-    const std::optional<WavelengthBand> band = acquire_band(grant);
-    // Admission promised a free run of this width; not finding one is an
-    // arbiter/admission disagreement.
-    WRHT_CHECK(band.has_value(),
-               "OpticalSubstrate: arbiter refused a " << grant << "-band");
-    core::WrhtParams wrht;
-    wrht.num_wavelengths = band->width;
-    wrht.fit_policy = fit_policy_;
-    core::WrhtBuild build =
-        core::build_wrht_among(participants, ring_.num_nodes(), wrht);
-    WRHT_CHECK(build.annotated.wavelengths_required <= band->width,
-               "OpticalSubstrate: schedule overflowed its band ("
-                   << build.annotated.wavelengths_required << " > "
-                   << band->width << ")");
-    return make_plan(std::move(build), *band, participants, payload);
   }
 
   [[nodiscard]] StepTiming time_step(SubstrateExecution& e, std::size_t step,
@@ -366,7 +341,8 @@ class OpticalSubstrate final : public ExecutionSubstrate {
   }
 
   /// Brand-new plan among request.nodes on a fresh band — the from-scratch
-  /// path for survivor restarts and cross-substrate migrations.
+  /// path for first placements, survivor restarts and cross-substrate
+  /// migrations.
   [[nodiscard]] RenegotiationOutcome restart(
       const RenegotiationRequest& request) {
     const std::uint32_t budget = arbiter_.largest_free_block();
@@ -380,7 +356,7 @@ class OpticalSubstrate final : public ExecutionSubstrate {
     core::WrhtBuild build =
         core::build_wrht_among(request.nodes, ring_.num_nodes(), wrht);
     WRHT_CHECK(build.annotated.wavelengths_required <= band->width,
-               "OpticalSubstrate: restart schedule overflowed its band ("
+               "OpticalSubstrate: schedule overflowed its band ("
                    << build.annotated.wavelengths_required << " > "
                    << band->width << ")");
     return {make_plan(std::move(build), *band, request.nodes,

@@ -1,7 +1,7 @@
 // Faults as renegotiation events: the seeded injector's determinism and
 // domain independence, every failure-domain recovery path through the
 // runtime (transceiver evict / node-loss kill / wavelength shrink / ToR
-// migration / repair, and a down-host waiter that preempts nobody), and the
+// migration / repair, and down-host waiters that preempt nobody), and the
 // chaos-schedule trace round-trip.  Each
 // scenario completing with zero oracle failures is itself the correctness
 // statement — every post-fault remainder is re-proven by the composite
@@ -340,11 +340,14 @@ TEST(FaultRecovery, OffFabricTorSubjectDies) {
                "tor subject 536870912 off the fabric");
 }
 
-TEST(FaultRecovery, DownHostWaiterPreemptsNobody) {
-  // An urgent electrical-pinned waiter whose own host is down cannot be
-  // helped by preemption: no running execution holds that host, so
-  // suspending the lower-priority tenant frees nothing it can use.  The
-  // tenant must run undisturbed and finish long before the repair.
+/// Host 5 of a 16-node ring is down from t=0 for 10 s.  A low-priority
+/// electrical-pinned tenant holds hosts 0-3; an urgent electrical-pinned
+/// waiter over `count` hosts from `first` (host 5 among them) arrives at
+/// 1 ms.  Preemption cannot help it: whatever the tenant surrenders, host 5
+/// stays down until the repair.  The tenant must run undisturbed and finish
+/// long before the repair.
+void expect_down_host_waiter_preempts_nobody(std::uint32_t first,
+                                             std::uint32_t count) {
   runtime::RuntimeConfig config;
   config.ring_size = 16;
   config.optical.wdm.num_wavelengths = 8;
@@ -363,7 +366,7 @@ TEST(FaultRecovery, DownHostWaiterPreemptsNobody) {
   low.priority = 0;
   const runtime::JobId low_id = rt.submit(low);
   runtime::JobSpec urgent =
-      span_job(4, 2, util::megabytes(1), util::milliseconds(1.0));
+      span_job(first, count, util::megabytes(1), util::milliseconds(1.0));
   urgent.pin = runtime::SubstratePin::kElectricalOnly;
   urgent.priority = 5;
   rt.submit(urgent);
@@ -374,6 +377,16 @@ TEST(FaultRecovery, DownHostWaiterPreemptsNobody) {
   EXPECT_EQ(report.preemptions, 0u);
   EXPECT_EQ(rt.record(low_id).state, runtime::JobState::kDone);
   EXPECT_LT(rt.record(low_id).completed.value(), repair_after.value());
+}
+
+TEST(FaultRecovery, DownHostWaiterPreemptsNobody) {
+  // No running execution holds any of the waiter's hosts 4-5.
+  expect_down_host_waiter_preempts_nobody(4, 2);
+}
+
+TEST(FaultRecovery, WaiterWithADownHostPreemptsNobody) {
+  // The tenant holds the waiter's host 3, but host 5 is down.
+  expect_down_host_waiter_preempts_nobody(3, 3);
 }
 
 TEST(FaultTrace, RoundTripsByteStableAndReplaysThroughTheReader) {

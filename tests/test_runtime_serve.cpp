@@ -244,7 +244,7 @@ TEST(RuntimeServe, GoldenDigestFaultRecoveryAndHostPreemption) {
   EXPECT_GT(report.faults.migrations, 0u);
   EXPECT_GT(report.faults.fault_preemptions, 0u);
   EXPECT_GT(report.faults.killed_jobs, 0u);
-  EXPECT_EQ(report_digest(report), 0x290efcb2fead10c8ULL)
+  EXPECT_EQ(report_digest(report), 0x1a1763f7f206b117ULL)
       << report.to_string();
 }
 

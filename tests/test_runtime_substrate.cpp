@@ -317,10 +317,9 @@ TEST(Substrate, ElectricalFactoryStandsAlone) {
   const std::unique_ptr<ExecutionSubstrate> sub =
       make_electrical_substrate(16, config);
   EXPECT_EQ(sub->kind(), SubstrateKind::kElectrical);
-  // Resize stays off (the grant is exactly one host per participant), and
-  // a resume may land on other hosts.
-  EXPECT_TRUE(sub->caps().remaps_on_resume);
-  EXPECT_FALSE(sub->caps().resizable);
+  // The grant is exactly one host per participant: no resize, and a
+  // resume may land on other hosts.
+  EXPECT_TRUE(sub->grants_hosts());
 
   const std::vector<topo::NodeId> group{0, 1, 2, 3};
   ASSERT_TRUE(sub->can_place(group, 1));
@@ -598,6 +597,18 @@ TEST(SubstrateFaults, OpticalHeldDownWavelengthLeavesServiceOnRelease) {
   EXPECT_EQ(f.sub->largest_free_grant(), 4u);
 }
 
+TEST(SubstrateFaults, OpticalPlacementWiderThanTheFreeRunDies) {
+  OpticalFixture f;
+  EXPECT_FALSE(f.sub->grants_hosts());  // grants are bands, sized by admission
+  std::unique_ptr<SubstrateExecution> held =
+      f.sub->place({0, 1, 2}, util::kilobytes(64), 3);
+  ASSERT_EQ(f.sub->largest_free_grant(), 1u);
+  // Admission only asks for a width the arbiter advertised; a wider claim
+  // is an arbitration bug, never a quiet refusal.
+  EXPECT_DEATH((void)f.sub->place({4, 5}, util::kilobytes(64), 2),
+               "refused");
+}
+
 TEST(SubstrateFaults, OpticalRepairWithoutFaultDies) {
   OpticalFixture f;
   EXPECT_DEATH(
@@ -668,6 +679,17 @@ TEST(SubstrateFaults, ElectricalHeldDownHostLeavesServiceOnRelease) {
   EXPECT_FALSE(sub->can_place({1, 2}, 1));
   sub->apply_fault(fault_on(FaultDomain::kNode, 2), true);
   EXPECT_TRUE(sub->can_place({1, 2}, 1));
+}
+
+TEST(SubstrateFaults, ElectricalPlacementOnABusyHostDies) {
+  const std::unique_ptr<ExecutionSubstrate> sub = electrical_fixture();
+  std::unique_ptr<SubstrateExecution> held =
+      sub->place({0, 1, 2, 3}, util::kilobytes(64), 1);
+  ASSERT_FALSE(sub->can_place({2, 5}, 1));
+  // Host 2 is held.  A first placement claims the participants' own hosts;
+  // landing on any other free pair would be an arbitration bug.
+  EXPECT_DEATH((void)sub->place({2, 5}, util::kilobytes(64), 1),
+               "placement on busy hosts");
 }
 
 TEST(SubstrateFaults, ElectricalRepairWithoutFaultDies) {
