@@ -15,7 +15,14 @@
 // Every path ends in the same place: a RuntimeReport, the SLO table, and —
 // optionally — a Chrome/Perfetto trace of the whole run.
 //
+// --fabric picks one of the three fabric configurations the repository
+// benchmark (perfbench/) serves: `optical` (the 64-λ ring alone),
+// `overflow` (jobs the ring cannot place spill to a shared two-level
+// electrical fabric, 8 hosts per ToR, 4:1 oversubscribed) or `routed` (the
+// same two fabrics, each job routed by the congestion-aware cost model).
+//
 //   $ ./examples/trace_serve --jobs=5000 --arrivals=bursty --rate=2000
+//   $ ./examples/trace_serve --fabric=overflow --trace-out=hybrid.json
 //   $ ./examples/trace_serve --jobs=2000 --record=trace.jsonl
 //   $ ./examples/trace_serve --trace-in=trace.jsonl --trace-out=perfetto.json
 #include <cstdio>
@@ -40,6 +47,7 @@ int main(int argc, char** argv) {
   cli.add_flag("seed", "1", "workload seed");
   cli.add_flag("arrivals", "poisson", "arrival process: poisson|diurnal|bursty");
   cli.add_flag("rate", "2000", "mean arrival rate, jobs per simulated second");
+  cli.add_flag("fabric", "optical", "fabric config: optical|overflow|routed");
   cli.add_flag("format", "jsonl", "trace file format: jsonl|csv");
   cli.add_flag("trace-in", "", "replay this recorded trace instead of generating");
   cli.add_flag("record", "", "write the generated trace here, then replay it");
@@ -57,6 +65,14 @@ int main(int argc, char** argv) {
   if (!format) {
     std::fprintf(stderr, "unknown --format '%s' (want jsonl|csv)\n",
                  cli.get_string("format").c_str());
+    return 1;
+  }
+
+  const std::string fabric = cli.get_string("fabric");
+  if (fabric != "optical" && fabric != "overflow" && fabric != "routed") {
+    std::fprintf(stderr,
+                 "unknown --fabric '%s' (want optical|overflow|routed)\n",
+                 fabric.c_str());
     return 1;
   }
 
@@ -98,6 +114,14 @@ int main(int argc, char** argv) {
   config.default_request = 8;
   config.batcher.enabled = false;
   config.metrics = &registry;
+  if (fabric != "optical") {
+    config.placement = fabric == "overflow"
+                           ? runtime::HybridPlacementPolicy::kElectricalOverflow
+                           : runtime::HybridPlacementPolicy::kCostModelChoice;
+    config.electrical.fabric = runtime::ElectricalFabric::kTwoLevelShared;
+    config.electrical.hosts_per_tor = 8;
+    config.electrical.oversubscription = 4.0;
+  }
 
   runtime::CollectiveRuntime rt(config);
   if (!trace_out.empty()) rt.trace().enable();
@@ -118,10 +142,11 @@ int main(int argc, char** argv) {
   } else {
     workload::WorkloadGenerator gen(wconfig);
     report = rt.serve(gen);
-    std::printf("served %lu generated jobs (%s arrivals, seed %lu)\n\n",
+    std::printf("served %lu generated jobs (%s arrivals, seed %lu, %s "
+                "fabric)\n\n",
                 static_cast<unsigned long>(wconfig.num_jobs),
                 workload::arrival_process_name(wconfig.arrivals),
-                static_cast<unsigned long>(wconfig.seed));
+                static_cast<unsigned long>(wconfig.seed), fabric.c_str());
   }
 
   std::fputs(report.to_string().c_str(), stdout);

@@ -1,13 +1,17 @@
 // Functional executor: runs a Schedule on real payload vectors.
 //
-// Each node holds a payload vector; transfers within a step read the
-// *pre-step* values (MPI superstep semantics: all sends of a step are posted
-// against the state at the start of the step), then reductions and copies
-// are applied.  It carries the data semantics only; coll::Oracle runs it on
-// seeded payloads and checks each collective's promises about the result.
+// Each materialised node holds a payload vector; transfers within a step
+// read the *pre-step* values (MPI superstep semantics: all sends of a step
+// are posted against the state at the start of the step), then reductions
+// and copies are applied.  Only nodes that some transfer touches need a
+// vector: a node no transfer names keeps its contents, so the store holds
+// rows for a chosen subset of the schedule's nodes.  It carries the data
+// semantics only; coll::Oracle runs it on seeded payloads and checks each
+// collective's promises about the result.
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "coll/schedule.hpp"
@@ -33,12 +37,30 @@ struct ChunkRange {
                     static_cast<std::size_t>(offset + size)};
 }
 
+/// Payload vectors for some of a schedule's nodes in one flat row-major
+/// buffer: row k is node `nodes[k]`'s vector, elements
+/// [k * payload_len, (k + 1) * payload_len) of `values`.
+struct NodePayloads {
+  std::vector<NodeId> nodes;  // strictly increasing
+  std::size_t payload_len = 0;
+  std::vector<double> values;
+
+  /// The row holding `node`'s vector; aborts if `node` has none.
+  [[nodiscard]] std::size_t row_of(NodeId node) const;
+  [[nodiscard]] std::span<double> row(NodeId node) {
+    return {values.data() + row_of(node) * payload_len, payload_len};
+  }
+  [[nodiscard]] std::span<const double> row(NodeId node) const {
+    return {values.data() + row_of(node) * payload_len, payload_len};
+  }
+};
+
 class FunctionalExecutor {
  public:
-  /// Executes `schedule` in place on `node_data` (one vector per node, all
-  /// the same length, length >= num_chunks).  Aborts on shape mismatch.
-  static void run(const Schedule& schedule,
-                  std::vector<std::vector<double>>& node_data);
+  /// Executes `schedule` in place on `payloads`, which must hold a row for
+  /// every transfer endpoint, with payload_len >= num_chunks.  Aborts on a
+  /// shape mismatch or a transfer touching a node without a row.
+  static void run(const Schedule& schedule, NodePayloads& payloads);
 };
 
 }  // namespace wrht::coll

@@ -4,6 +4,15 @@
 // Small integers keep double arithmetic exact, so every comparison is
 // equality, not tolerance.  A failure names the first broken promise:
 // "schedule '<name>': <what> at node N element E".
+//
+// A proof pays per participant, not per ring node.  It materialises a
+// payload row only for a node that is a transfer endpoint or carries a
+// promise other than "equals its own initial vector"; an untouched node
+// promised its own vector holds by construction, since no transfer writes
+// it.  Node i's payload is drawn from its own (seed, i) stream, so the
+// verdict and the message of a subset proof do not depend on ring size.
+// The whole-ring contracts (every form below except the *_among ones)
+// read or promise something of every node, so they still touch all of them.
 #pragma once
 
 #include <string>

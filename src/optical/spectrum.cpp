@@ -20,6 +20,13 @@ std::size_t SpectrumMap::cell(topo::Direction dir, topo::SpanId span,
          lambda;
 }
 
+void SpectrumMap::require_wavelength(WavelengthId lambda) const {
+  WRHT_REQUIRE(lambda < num_wavelengths_, "SpectrumMap: wavelength "
+                                              << lambda << " outside "
+                                              << num_wavelengths_
+                                              << " wavelengths");
+}
+
 bool SpectrumMap::is_free(const topo::Arc& arc, WavelengthId lambda) const {
   if (lambda >= num_wavelengths_) return false;
   for (const topo::SpanId span : ring_->spans(arc)) {
@@ -37,6 +44,7 @@ std::optional<WavelengthId> SpectrumMap::first_free(
 }
 
 void SpectrumMap::reserve(const topo::Arc& arc, WavelengthId lambda) {
+  require_wavelength(lambda);
   for (const topo::SpanId span : ring_->spans(arc)) {
     const std::size_t c = cell(arc.direction, span, lambda);
     WRHT_REQUIRE(!occupied_[c],
@@ -55,6 +63,7 @@ bool SpectrumMap::try_reserve(const topo::Arc& arc, WavelengthId lambda) {
 }
 
 void SpectrumMap::release(const topo::Arc& arc, WavelengthId lambda) {
+  require_wavelength(lambda);
   for (const topo::SpanId span : ring_->spans(arc)) {
     const std::size_t c = cell(arc.direction, span, lambda);
     WRHT_REQUIRE(occupied_[c], "SpectrumMap: releasing free wavelength "

@@ -31,7 +31,8 @@ class SpectrumMap {
       const topo::Arc& arc) const;
 
   /// Claim `lambda` along `arc`.  Aborts if any span is already taken
-  /// (callers must check is_free first; a conflict here is a logic error).
+  /// (callers must check is_free first; a conflict here is a logic error)
+  /// or if `lambda` is not below num_wavelengths().
   void reserve(const topo::Arc& arc, WavelengthId lambda);
 
   /// Atomic check-and-claim: reserve `lambda` along `arc` iff every span is
@@ -40,7 +41,8 @@ class SpectrumMap {
   /// and report it instead of dying inside the map.
   [[nodiscard]] bool try_reserve(const topo::Arc& arc, WavelengthId lambda);
 
-  /// Release `lambda` along `arc`.  Aborts if any span was not reserved.
+  /// Release `lambda` along `arc`.  Aborts if any span was not reserved or
+  /// if `lambda` is not below num_wavelengths().
   void release(const topo::Arc& arc, WavelengthId lambda);
 
   /// Number of wavelengths with at least one occupied span.
@@ -55,6 +57,7 @@ class SpectrumMap {
   void clear();
 
  private:
+  void require_wavelength(WavelengthId lambda) const;
   [[nodiscard]] std::size_t cell(topo::Direction dir, topo::SpanId span,
                                  WavelengthId lambda) const;
 

@@ -630,8 +630,12 @@ void CollectiveRuntime::verify_composite_or_die(const Execution& exec) {
       recipients.push_back(node);
     }
   }
+  // An electrical ring schedule over a large group can carry more chunks
+  // than oracle_payload_len elements; every chunk needs at least one.
   const coll::OracleResult verdict = coll::Oracle::verify_allreduce_among(
-      composite, exec.participants, recipients, config_.oracle_payload_len);
+      composite, exec.participants, recipients,
+      std::max<std::size_t>(config_.oracle_payload_len,
+                            composite.num_chunks()));
   if (!verdict.ok) ++report_.oracle_failures;
   // A schedule that fails the oracle must never touch its fabric; like a
   // wavelength conflict, this is a library bug, not a tenant error.

@@ -123,7 +123,8 @@ struct RuntimeConfig {
   std::uint32_t default_request = 8;
   optical::FitPolicy fit_policy = optical::FitPolicy::kFirstFit;
   /// Prove every execution's schedule with the functional oracle before
-  /// running it (cheap: oracle payloads are oracle_payload_len doubles).
+  /// running it (cheap: oracle payloads are oracle_payload_len doubles,
+  /// or one per chunk when a schedule has more chunks than that).
   bool validate_with_oracle = true;
   std::size_t oracle_payload_len = 48;
   /// Step-boundary elastic resize: grow a running execution's band into

@@ -56,17 +56,12 @@ Arc RingTopology::arc(NodeId src, NodeId dst, Direction dir) const {
   return Arc{dir, first, length};
 }
 
-std::vector<SpanId> RingTopology::spans(const Arc& a) const {
-  std::vector<SpanId> out;
-  out.reserve(a.length);
-  SpanId span = a.first;
-  for (std::uint32_t i = 0; i < a.length; ++i) {
-    out.push_back(span);
-    span = a.direction == Direction::kClockwise
-               ? (span + 1) % num_nodes_
-               : (span + num_nodes_ - 1) % num_nodes_;
-  }
-  return out;
+SpanRange RingTopology::spans(const Arc& a) const {
+  WRHT_REQUIRE(a.first < num_nodes_ && a.length <= num_nodes_,
+               "RingTopology::spans: arc (first " << a.first << ", length "
+                                                  << a.length << ") outside "
+                                                  << num_nodes_ << " spans");
+  return SpanRange(a, num_nodes_);
 }
 
 bool RingTopology::arc_covers(const Arc& a, SpanId span) const {

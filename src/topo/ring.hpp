@@ -10,8 +10,9 @@
 //  * distance — number of spans a transfer crosses (= hop count).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <iterator>
 
 namespace wrht::topo {
 
@@ -39,6 +40,67 @@ struct Arc {
   [[nodiscard]] bool empty() const { return length == 0; }
 };
 
+/// The span ids an arc covers, in traversal order, computed on the fly: a
+/// value holding (first, length, direction, ring size), so walking an arc
+/// never touches the heap.  Iterating yields first, then each next span
+/// clockwise (first+1, ...) or counter-clockwise (first-1, ...) mod N;
+/// size() is the arc's length and an empty arc yields nothing.
+class SpanRange {
+ public:
+  class iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = SpanId;
+    using difference_type = std::ptrdiff_t;
+    using reference = SpanId;
+
+    iterator() = default;
+    iterator(SpanId span, std::uint32_t remaining, Direction direction,
+             std::uint32_t num_spans)
+        : span_(span), remaining_(remaining), direction_(direction),
+          num_spans_(num_spans) {}
+
+    [[nodiscard]] SpanId operator*() const { return span_; }
+    iterator& operator++() {
+      if (direction_ == Direction::kClockwise) {
+        span_ = span_ + 1 == num_spans_ ? 0 : span_ + 1;
+      } else {
+        span_ = (span_ == 0 ? num_spans_ : span_) - 1;
+      }
+      --remaining_;
+      return *this;
+    }
+    iterator operator++(int) {
+      iterator before = *this;
+      ++*this;
+      return before;
+    }
+    // Iterators of one range differ only in how many spans remain.
+    friend bool operator==(const iterator& a, const iterator& b) {
+      return a.remaining_ == b.remaining_;
+    }
+
+   private:
+    SpanId span_ = 0;
+    std::uint32_t remaining_ = 0;
+    Direction direction_ = Direction::kClockwise;
+    std::uint32_t num_spans_ = 0;
+  };
+
+  SpanRange(const Arc& arc, std::uint32_t num_spans)
+      : arc_(arc), num_spans_(num_spans) {}
+
+  [[nodiscard]] iterator begin() const {
+    return {arc_.first, arc_.length, arc_.direction, num_spans_};
+  }
+  [[nodiscard]] iterator end() const { return {}; }
+  [[nodiscard]] std::uint32_t size() const { return arc_.length; }
+
+ private:
+  Arc arc_;
+  std::uint32_t num_spans_;
+};
+
 class RingTopology {
  public:
   explicit RingTopology(std::uint32_t num_nodes);
@@ -60,8 +122,9 @@ class RingTopology {
   /// Requires src != dst.
   [[nodiscard]] Arc arc(NodeId src, NodeId dst, Direction dir) const;
 
-  /// Span ids covered by an arc, in traversal order.
-  [[nodiscard]] std::vector<SpanId> spans(const Arc& arc) const;
+  /// Span ids covered by an arc, in traversal order, as an allocation-free
+  /// range.  Requires arc.first < num_spans() and arc.length <= num_spans().
+  [[nodiscard]] SpanRange spans(const Arc& arc) const;
 
   /// Whether two arcs share at least one span *on the same waveguide*.
   /// Arcs on opposite directions never conflict (separate waveguides).

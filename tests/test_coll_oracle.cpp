@@ -5,6 +5,10 @@
 // contributors unspecified, and a repeated copy within one step is
 // idempotent, so both of those pass.  A node id outside the schedule
 // aborts instead of indexing past the payloads.
+//
+// A subset proof materialises only the nodes it touches, so its verdict is
+// the same on an 8-, 64- or 4096-node ring; a whole-ring contract still
+// covers every node, so re-homing its schedule onto a larger ring fails it.
 #include "coll/oracle.hpp"
 
 #include <gtest/gtest.h>
@@ -89,6 +93,31 @@ auto retarget_final_copy(NodeId from, NodeId to) {
     }
     FAIL() << "no final copy lands on node " << from;
   };
+}
+
+// `schedule`'s transfers on a ring of `num_nodes` nodes.
+Schedule rehomed(const Schedule& schedule, std::uint32_t num_nodes) {
+  Schedule out(schedule.name(), num_nodes, schedule.num_chunks());
+  for (const Step& step : schedule.steps()) {
+    out.add_step();
+    for (const Transfer& t : step.transfers) out.add_transfer(t);
+  }
+  return out;
+}
+
+constexpr std::uint32_t kRingSizes[] = {kNodes, 64, 4096};
+
+// `verify(schedule)`, after checking that re-homing the schedule onto every
+// ring size in kRingSizes leaves the verdict, message and all, unchanged.
+template <typename Verify>
+OracleResult on_every_ring(const Schedule& schedule, Verify verify) {
+  const OracleResult verdict = verify(schedule);
+  for (const std::uint32_t nodes : kRingSizes) {
+    const OracleResult other = verify(rehomed(schedule, nodes));
+    EXPECT_EQ(other.ok, verdict.ok) << nodes << " nodes: " << other.message;
+    EXPECT_EQ(other.message, verdict.message) << nodes << " nodes";
+  }
+  return verdict;
 }
 
 void expect_rejected(const OracleResult& verdict, const std::string& what) {
@@ -197,7 +226,9 @@ TEST(OracleReduceScatter, RejectsMutations) {
 TEST(OracleAllreduceAmong, RejectsMutations) {
   const Schedule s = subset_ring();
   const auto verify = [](const Schedule& x) {
-    return Oracle::verify_allreduce_among(x, kMembers, kPayload);
+    return on_every_ring(x, [](const Schedule& y) {
+      return Oracle::verify_allreduce_among(y, kMembers, kPayload);
+    });
   };
   EXPECT_TRUE(verify(s).ok) << verify(s).message;
   expect_rejected(verify(mutated(s, drop_last)), "all-reduce mismatch");
@@ -211,7 +242,9 @@ TEST(OracleAllreduceAmong, SurvivorFormLeavesEvictedUnspecified) {
   const Schedule s = subset_ring();
   const std::vector<NodeId> survivors = {1, 3, 4};
   const auto verify = [&](const Schedule& x) {
-    return Oracle::verify_allreduce_among(x, kMembers, survivors, kPayload);
+    return on_every_ring(x, [&](const Schedule& y) {
+      return Oracle::verify_allreduce_among(y, kMembers, survivors, kPayload);
+    });
   };
   EXPECT_TRUE(verify(s).ok) << verify(s).message;
   expect_rejected(verify(mutated(s, drop_final_copy_to(4))),
@@ -237,14 +270,49 @@ TEST(OracleAllreduce, RejectsMutations) {
 TEST(OracleAllreduceAmong, WholeGroupMatchesFullAllreduce) {
   const Schedule s = mutated(ring_allreduce(kNodes), drop_last);
   const std::vector<NodeId> everyone = {0, 1, 2, 3, 4, 5, 6, 7};
-  const OracleResult among =
-      Oracle::verify_allreduce_among(s, everyone, kPayload);
+  const OracleResult among = on_every_ring(s, [&](const Schedule& y) {
+    return Oracle::verify_allreduce_among(y, everyone, kPayload);
+  });
   const OracleResult full = Oracle::verify_allreduce(s, kPayload);
   ASSERT_FALSE(among.ok);
   ASSERT_FALSE(full.ok);
   // Same promise, same first broken element; only the what-string differs.
   EXPECT_EQ(among.message.substr(among.message.find(" at node ")),
             full.message.substr(full.message.find(" at node ")));
+}
+
+TEST(OracleAllreduceAmong, WriteToUntouchedNodeOfLargeRingFails) {
+  // Node 4000 takes no part in the correct schedule, so its proof does not
+  // materialise it; a copy re-targeted there must still be caught.  Node 6
+  // is evicted, so losing its final copy is not itself a failure.
+  const Schedule s = rehomed(subset_ring(), 4096);
+  const std::vector<NodeId> survivors = {1, 3, 4};
+  const auto verify = [&](const Schedule& x) {
+    return Oracle::verify_allreduce_among(x, kMembers, survivors, kPayload);
+  };
+  EXPECT_TRUE(verify(s).ok) << verify(s).message;
+  expect_rejected(verify(mutated(s, retarget_final_copy(6, 4000))),
+                  "non-participant was written at node 4000");
+}
+
+TEST(OracleWholeRing, RehomedScheduleFailsOnLargerRing) {
+  // The whole-ring contracts promise something of every node, so the
+  // 8-node schedules stop proving them once nodes 8.. exist.
+  for (const std::uint32_t nodes : {64u, 4096u}) {
+    expect_rejected(
+        Oracle::verify_allreduce(rehomed(ring_allreduce(kNodes), nodes),
+                                 kPayload),
+        "all-reduce mismatch at node 0");
+    expect_rejected(
+        Oracle::verify_reduce(rehomed(reduce_binomial(kNodes, kRoot), nodes),
+                              kRoot, kPayload),
+        "reduce mismatch at node 3");
+    expect_rejected(
+        Oracle::verify_broadcast(
+            rehomed(broadcast_binomial(kNodes, kRoot), nodes), kRoot,
+            kPayload),
+        "broadcast mismatch at node 8 element 0");
+  }
 }
 
 TEST(OracleDeathTest, ContributorOutsideScheduleAborts) {

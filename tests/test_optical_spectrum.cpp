@@ -2,6 +2,30 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <new>
+
+namespace {
+std::size_t g_allocations = 0;
+}  // namespace
+
+// Counting replacements for the global allocator: the zero-allocation test
+// below snapshots g_allocations around a burst of spectrum operations.
+void* operator new(std::size_t size) {
+  ++g_allocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) {
+  ++g_allocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
 namespace wrht::optical {
 namespace {
 
@@ -92,6 +116,50 @@ TEST(Spectrum, OutOfRangeWavelengthNeverFree) {
   const RingTopology ring(4);
   const SpectrumMap spectrum(ring, 2);
   EXPECT_FALSE(spectrum.is_free(ring.arc(0, 1, Direction::kClockwise), 7));
+}
+
+TEST(SpectrumDeathTest, ReserveRejectsOutOfRangeWavelength) {
+  // Wavelength 4 of 4 would alias span 1's wavelength 0 and write past the
+  // per-wavelength usage counts.
+  const RingTopology ring(8);
+  SpectrumMap spectrum(ring, 4);
+  const Arc arc{Direction::kClockwise, 0, 1};
+  EXPECT_DEATH(spectrum.reserve(arc, 4), "wavelength 4 outside 4 wavelengths");
+}
+
+TEST(SpectrumDeathTest, ReleaseRejectsOutOfRangeWavelength) {
+  const RingTopology ring(8);
+  SpectrumMap spectrum(ring, 4);
+  spectrum.reserve(Arc{Direction::kClockwise, 1, 1}, 0);
+  EXPECT_DEATH(spectrum.release(Arc{Direction::kClockwise, 0, 1}, 4),
+               "wavelength 4 outside 4 wavelengths");
+}
+
+TEST(Spectrum, ArcWalksMakeNoHeapAllocations) {
+  const RingTopology ring(64);
+  SpectrumMap spectrum(ring, 16);
+  const Arc cw = ring.arc(60, 10, Direction::kClockwise);         // wraps
+  const Arc ccw = ring.arc(5, 40, Direction::kCounterClockwise);  // wraps
+  const Arc full{Direction::kClockwise, 7, 64};
+  std::size_t reserved = 0;
+  std::size_t free_found = 0;
+  const std::size_t before = g_allocations;
+  for (int round = 0; round < 100; ++round) {
+    for (const Arc& arc : {cw, ccw, full}) {
+      for (WavelengthId lambda = 0; lambda < 16; ++lambda) {
+        if (spectrum.is_free(arc, lambda)) ++free_found;
+        if (spectrum.try_reserve(arc, lambda)) {
+          ++reserved;
+          if (spectrum.first_free(arc).has_value()) ++free_found;
+          spectrum.release(arc, lambda);
+        }
+      }
+    }
+  }
+  const std::size_t allocations = g_allocations - before;
+  EXPECT_EQ(allocations, 0u);
+  EXPECT_EQ(reserved, 100u * 3 * 16);
+  EXPECT_GT(free_found, 0u);
 }
 
 TEST(Spectrum, NestedArcsOneSide) {

@@ -100,6 +100,25 @@ TEST(ElectricalOverflow, PlacedJobsPassTheOracleAndComplete) {
   }
 }
 
+TEST(ElectricalOverflow, ScheduleWithMoreChunksThanOraclePayloadIsProven) {
+  // An electrical ring schedule over 31 hosts (not a power of two, so no
+  // recursive doubling) carries 31 chunks, more than the 16-element oracle
+  // payload: the proof widens to one element a chunk instead of aborting
+  // the serve.
+  RuntimeConfig config =
+      hybrid_config(HybridPlacementPolicy::kElectricalOverflow);
+  config.oracle_payload_len = 16;
+  CollectiveRuntime rt(config);
+  JobSpec everyone = span_job(0, 31, util::megabytes(1));
+  everyone.pin = SubstratePin::kElectricalOnly;
+  const JobId id = rt.submit(everyone);
+  const RuntimeReport report = rt.run();
+  EXPECT_EQ(report.completed, 1u);
+  EXPECT_EQ(report.oracle_failures, 0u);
+  EXPECT_EQ(rt.record(id).substrate, SubstrateKind::kElectrical);
+  EXPECT_TRUE(rt.record(id).oracle_ok);
+}
+
 TEST(ElectricalOverflow, BreakdownCountersSumToTheTotals) {
   CollectiveRuntime rt(
       hybrid_config(HybridPlacementPolicy::kElectricalOverflow));

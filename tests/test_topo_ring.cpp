@@ -3,9 +3,27 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 namespace wrht::topo {
 namespace {
+
+std::vector<SpanId> listed(const SpanRange& range) {
+  return {range.begin(), range.end()};
+}
+
+// The span list as spans() built it when it returned a vector: first, then
+// one step per span in the arc's direction, mod N.
+std::vector<SpanId> reference_walk(const Arc& arc, std::uint32_t n) {
+  std::vector<SpanId> out;
+  SpanId span = arc.first;
+  for (std::uint32_t i = 0; i < arc.length; ++i) {
+    out.push_back(span);
+    span = arc.direction == Direction::kClockwise ? (span + 1) % n
+                                                  : (span + n - 1) % n;
+  }
+  return out;
+}
 
 TEST(Ring, Distances) {
   const RingTopology ring(8);
@@ -30,7 +48,7 @@ TEST(Ring, ClockwiseArcSpans) {
   const RingTopology ring(8);
   const Arc arc = ring.arc(2, 5, Direction::kClockwise);
   EXPECT_EQ(arc.length, 3u);
-  EXPECT_EQ(ring.spans(arc), (std::vector<SpanId>{2, 3, 4}));
+  EXPECT_EQ(listed(ring.spans(arc)), (std::vector<SpanId>{2, 3, 4}));
 }
 
 TEST(Ring, CounterClockwiseArcSpans) {
@@ -38,14 +56,14 @@ TEST(Ring, CounterClockwiseArcSpans) {
   const Arc arc = ring.arc(2, 7, Direction::kCounterClockwise);
   EXPECT_EQ(arc.length, 3u);
   // Travelling 2 -> 1 -> 0 -> 7 uses spans 1, 0, 7 in that order.
-  EXPECT_EQ(ring.spans(arc), (std::vector<SpanId>{1, 0, 7}));
+  EXPECT_EQ(listed(ring.spans(arc)), (std::vector<SpanId>{1, 0, 7}));
 }
 
 TEST(Ring, WrappingClockwiseArc) {
   const RingTopology ring(8);
   const Arc arc = ring.arc(6, 1, Direction::kClockwise);
   EXPECT_EQ(arc.length, 3u);
-  EXPECT_EQ(ring.spans(arc), (std::vector<SpanId>{6, 7, 0}));
+  EXPECT_EQ(listed(ring.spans(arc)), (std::vector<SpanId>{6, 7, 0}));
 }
 
 TEST(Ring, ArcCovers) {
@@ -153,9 +171,49 @@ TEST(Ring, TwoNodeRing) {
   EXPECT_EQ(ring.shortest_distance(0, 1), 1u);
   const Arc cw = ring.arc(0, 1, Direction::kClockwise);
   const Arc ccw = ring.arc(0, 1, Direction::kCounterClockwise);
-  EXPECT_EQ(ring.spans(cw), (std::vector<SpanId>{0}));
-  EXPECT_EQ(ring.spans(ccw), (std::vector<SpanId>{1}));
+  EXPECT_EQ(listed(ring.spans(cw)), (std::vector<SpanId>{0}));
+  EXPECT_EQ(listed(ring.spans(ccw)), (std::vector<SpanId>{1}));
   EXPECT_FALSE(ring.arcs_conflict(cw, ccw));
+}
+
+TEST(Ring, SpanRangeMatchesReferenceWalk) {
+  // Every (first, length, direction) on a few ring sizes: clockwise and
+  // counter-clockwise, wrapping, full-ring and empty arcs alike.
+  for (const std::uint32_t n : {2u, 3u, 8u, 13u}) {
+    const RingTopology ring(n);
+    for (const Direction dir :
+         {Direction::kClockwise, Direction::kCounterClockwise}) {
+      for (SpanId first = 0; first < n; ++first) {
+        for (std::uint32_t length = 0; length <= n; ++length) {
+          const Arc arc{dir, first, length};
+          const SpanRange range = ring.spans(arc);
+          EXPECT_EQ(range.size(), length);
+          EXPECT_EQ(listed(range), reference_walk(arc, n))
+              << "n " << n << " first " << first << " length " << length
+              << " " << direction_name(dir);
+        }
+      }
+    }
+  }
+}
+
+TEST(Ring, SpanRangeNamedCases) {
+  const RingTopology ring(8);
+  EXPECT_EQ(listed(ring.spans(Arc{Direction::kCounterClockwise, 1, 4})),
+            (std::vector<SpanId>{1, 0, 7, 6}));
+  EXPECT_EQ(listed(ring.spans(Arc{Direction::kClockwise, 5, 8})),
+            (std::vector<SpanId>{5, 6, 7, 0, 1, 2, 3, 4}));
+  const SpanRange empty = ring.spans(Arc{Direction::kClockwise, 3, 0});
+  EXPECT_EQ(empty.size(), 0u);
+  EXPECT_TRUE(empty.begin() == empty.end());
+}
+
+TEST(RingDeathTest, SpansRejectArcOutsideRing) {
+  const RingTopology ring(8);
+  EXPECT_DEATH((void)ring.spans(Arc{Direction::kClockwise, 8, 1}),
+               "arc \\(first 8, length 1\\) outside 8 spans");
+  EXPECT_DEATH((void)ring.spans(Arc{Direction::kCounterClockwise, 0, 9}),
+               "arc \\(first 0, length 9\\) outside 8 spans");
 }
 
 TEST(Ring, OppositeHelper) {
