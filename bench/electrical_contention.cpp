@@ -135,8 +135,8 @@ int main() {
       "exceeds 16/8 = 2.\n(the exclusive star would claim: makespan %s, "
       "slowdown 1.000x at every oversubscription)\n\n",
       util::to_string(star_straddle.makespan).c_str());
-  std::printf("%-16s %-12s %-10s %-9s %-10s %s\n", "oversubscription",
-              "makespan", "vs star", "retimes", "slowdown", "uplink peak");
+  std::printf("%-16s %-12s %-10s %-10s %s\n", "oversubscription",
+              "makespan", "vs star", "slowdown", "uplink peak");
 
   bool diverged = false;
   bool matched_at_one = false;
@@ -154,11 +154,10 @@ int main() {
             ? 0.0
             : *std::max_element(outcome.report.electrical_link_peak.begin(),
                                 outcome.report.electrical_link_peak.end());
-    std::printf("%-16.0f %-12s %-10.3f %-9llu %-10.3f %.0f%%\n", oversub,
+    std::printf("%-16.0f %-12s %-10.3f %-10.3f %.0f%%\n", oversub,
                 util::to_string(outcome.report.makespan).c_str(),
                 outcome.report.makespan.value() /
                     star_straddle.makespan.value(),
-                static_cast<unsigned long long>(outcome.report.step_retimes),
                 outcome.worst_slowdown, peak * 100.0);
     const std::string tag = "oversub_" + std::to_string(
                                 static_cast<int>(oversub));

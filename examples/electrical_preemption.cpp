@@ -49,7 +49,8 @@ int main() {
 
   util::Seconds clock{0.0};
   const runtime::StepTiming first = sub->time_step(*tenant, 0, clock);
-  clock = first.end;  // one executed step; the boundary is the preemption point
+  clock = *first.end;  // one executed step; the boundary is the preemption
+                       // point (the star's step ends are closed form)
   sub->release(*tenant, clock);
   std::printf("%-22s step 0 done at %s, hosts surrendered\n", "suspended",
               util::to_string(clock).c_str());

@@ -26,7 +26,8 @@ LinkId FlowNetwork::add_link(LinkSpec spec) {
   return static_cast<LinkId>(links_.size() - 1);
 }
 
-FlowId FlowNetwork::add_flow(std::vector<LinkId> route, util::Bytes bytes) {
+FlowId FlowNetwork::add_flow(std::vector<LinkId> route, util::Bytes bytes,
+                             std::uint32_t tag) {
   util::Seconds latency{0.0};
   for (const LinkId link : route) {
     WRHT_REQUIRE(link < links_.size(),
@@ -37,6 +38,7 @@ FlowId FlowNetwork::add_flow(std::vector<LinkId> route, util::Bytes bytes) {
   flow.route = std::move(route);
   flow.remaining = bytes.as_double();
   flow.activation = now_ + latency;
+  flow.tag = tag;
   flows_.push_back(std::move(flow));
   const FlowId id = base_ + static_cast<FlowId>(flows_.size() - 1);
   live_.push_back(id);
@@ -44,28 +46,39 @@ FlowId FlowNetwork::add_flow(std::vector<LinkId> route, util::Bytes bytes) {
 }
 
 void FlowNetwork::recompute_rates() {
-  // Progressive filling over the active flows.
-  std::vector<double> residual(links_.size());
-  std::vector<std::uint32_t> crossing(links_.size(), 0);
-  for (std::size_t l = 0; l < links_.size(); ++l) {
-    residual[l] = links_[l].spec.capacity.bytes_per_second();
+  if (!rates_stale_) return;
+  rates_stale_ = false;
+  ++solves_;
+  if (crossing_.size() != links_.size()) {
+    residual_.resize(links_.size());
+    crossing_.resize(links_.size(), 0);
+    allocated_.resize(links_.size());
   }
+  // Links the previous solve loaded carry nothing unless re-touched below.
+  for (const LinkId link : touched_) links_[link].utilization = 0.0;
+  touched_.clear();
 
-  std::vector<FlowId> unfixed;
+  // Progressive filling over the active flows, on the links they cross.
+  unfixed_.clear();
   for (const FlowId f : live_) {
     Flow& flow = flow_ref(f);
     if (flow.state != FlowState::kActive) continue;
     flow.rate = 0.0;
-    unfixed.push_back(f);
-    for (const LinkId link : flow.route) ++crossing[link];
+    unfixed_.push_back(f);
+    for (const LinkId link : flow.route) {
+      if (crossing_[link]++ == 0) {
+        touched_.push_back(link);
+        residual_[link] = links_[link].spec.capacity.bytes_per_second();
+      }
+    }
   }
 
-  while (!unfixed.empty()) {
+  while (!unfixed_.empty()) {
     // The bottleneck link offers the smallest fair share.
     double min_share = std::numeric_limits<double>::infinity();
-    for (std::size_t l = 0; l < links_.size(); ++l) {
-      if (crossing[l] == 0) continue;
-      min_share = std::min(min_share, residual[l] / crossing[l]);
+    for (const LinkId link : touched_) {
+      if (crossing_[link] == 0) continue;
+      min_share = std::min(min_share, residual_[link] / crossing_[link]);
     }
     // Flows with empty routes have no constraining link; "infinitely
     // fast" is unphysical, so forbid them instead.
@@ -73,12 +86,12 @@ void FlowNetwork::recompute_rates() {
                "FlowNetwork: active flow with empty route");
 
     // Freeze every unfixed flow that crosses a bottleneck link.
-    std::vector<FlowId> still_unfixed;
-    for (const FlowId f : unfixed) {
+    still_unfixed_.clear();
+    for (const FlowId f : unfixed_) {
       Flow& flow = flow_ref(f);
       bool bottlenecked = false;
       for (const LinkId link : flow.route) {
-        if (residual[link] / crossing[link] <= min_share * (1 + 1e-12)) {
+        if (residual_[link] / crossing_[link] <= min_share * (1 + 1e-12)) {
           bottlenecked = true;
           break;
         }
@@ -86,40 +99,41 @@ void FlowNetwork::recompute_rates() {
       if (bottlenecked) {
         flow.rate = min_share;
       } else {
-        still_unfixed.push_back(f);
+        still_unfixed_.push_back(f);
       }
     }
     // Charge frozen flows against their links.
-    for (const FlowId f : unfixed) {
+    for (const FlowId f : unfixed_) {
       const Flow& flow = flow_ref(f);
       // simlint-allow(float-eq): 0.0 is an exact sentinel set by freeze(), not
       // a computed value; an epsilon would misclassify tiny live rates.
       if (flow.rate == 0.0) continue;
       for (const LinkId link : flow.route) {
-        residual[link] -= flow.rate;
-        if (residual[link] < 0.0) residual[link] = 0.0;
-        --crossing[link];
+        residual_[link] -= flow.rate;
+        if (residual_[link] < 0.0) residual_[link] = 0.0;
+        --crossing_[link];
       }
     }
-    WRHT_CHECK(still_unfixed.size() != unfixed.size(),
+    WRHT_CHECK(still_unfixed_.size() != unfixed_.size(),
                "FlowNetwork: progressive filling stalled with "
-                   << unfixed.size() << " unfixed flows");
-    unfixed = std::move(still_unfixed);
+                   << unfixed_.size() << " unfixed flows");
+    unfixed_.swap(still_unfixed_);
   }
 
   // Rates only change here, so sampling here makes the per-link peak exact.
-  std::vector<double> allocated(links_.size(), 0.0);
+  for (const LinkId link : touched_) {
+    crossing_[link] = 0;  // flows frozen at a zero share were never charged
+    allocated_[link] = 0.0;
+  }
   for (const FlowId f : live_) {
     const Flow& flow = flow_ref(f);
     if (flow.state != FlowState::kActive) continue;
-    for (const LinkId link : flow.route) allocated[link] += flow.rate;
+    for (const LinkId link : flow.route) allocated_[link] += flow.rate;
   }
-  for (std::size_t l = 0; l < links_.size(); ++l) {
-    const double utilization =
-        allocated[l] / links_[l].spec.capacity.bytes_per_second();
-    links_[l].utilization = utilization;
-    links_[l].peak_utilization = std::max(links_[l].peak_utilization,
-                                          utilization);
+  for (const LinkId link : touched_) {
+    Link& l = links_[link];
+    l.utilization = allocated_[link] / l.spec.capacity.bytes_per_second();
+    l.peak_utilization = std::max(l.peak_utilization, l.utilization);
   }
 }
 
@@ -150,18 +164,21 @@ void FlowNetwork::advance_to(util::Seconds when) {
   now_ = when;
 }
 
-void FlowNetwork::settle() {
+void FlowNetwork::settle(std::vector<std::uint32_t>* completed) {
   bool any_done = false;
   for (const FlowId f : live_) {
     Flow& flow = flow_ref(f);
     if (flow.state == FlowState::kWaiting && flow.activation <= now_) {
       flow.state = FlowState::kActive;
+      rates_stale_ = true;
     }
     if (flow.state == FlowState::kActive && flow.remaining <= kEpsilonBytes) {
       flow.state = FlowState::kDone;
       flow.completion = now_;
       flow.rate = 0.0;
       any_done = true;
+      rates_stale_ = true;
+      if (completed) completed->push_back(flow.tag);
     }
   }
   if (any_done) {
@@ -177,7 +194,8 @@ util::Seconds FlowNetwork::run() {
   return run_until(util::Seconds(std::numeric_limits<double>::infinity()));
 }
 
-util::Seconds FlowNetwork::run_until(util::Seconds horizon) {
+util::Seconds FlowNetwork::run_until(util::Seconds horizon,
+                                     std::vector<std::uint32_t>* completed) {
   while (!live_.empty()) {
     recompute_rates();
     const util::Seconds when = next_event_time();
@@ -186,16 +204,26 @@ util::Seconds FlowNetwork::run_until(util::Seconds horizon) {
                                           << " live flows, no events");
     if (when > horizon) break;
     advance_to(when);
-    settle();
+    settle(completed);
   }
   if (std::isfinite(horizon.value()) && horizon > now_) {
     // Partial progress up to the horizon (rates were just recomputed when
     // flows are live; with none, this only moves the clock), then absorb
     // any flow the rounding of a split advance left epsilon-short.
     advance_to(horizon);
-    settle();
+    settle(completed);
   }
   return now_;
+}
+
+std::optional<util::Seconds> FlowNetwork::next_event() {
+  if (live_.empty()) return std::nullopt;
+  recompute_rates();
+  const util::Seconds when = next_event_time();
+  WRHT_CHECK(std::isfinite(when.value()),
+             "FlowNetwork: deadlock — " << live_.size()
+                                        << " live flows, no events");
+  return when;
 }
 
 bool FlowNetwork::completed(FlowId flow) const {
@@ -236,6 +264,7 @@ FlowNetwork FlowNetwork::clone_live(std::vector<FlowId>& id_map) const {
   // downstream is bit-identical.
   FlowNetwork copy;
   copy.links_ = links_;
+  copy.touched_ = touched_;
   copy.now_ = now_;
   id_map.assign(flows_.size(), kNoFlow);
   for (const FlowId f : live_) {
@@ -267,6 +296,7 @@ void FlowNetwork::reset() {
   live_.clear();
   base_ = 0;
   now_ = util::Seconds(0.0);
+  rates_stale_ = true;
   for (Link& link : links_) {
     link.carried_bytes = 0.0;
     link.peak_utilization = 0.0;

@@ -5,8 +5,9 @@
 // receive the max-min fair allocation computed by progressive filling: the
 // most contended link determines the fair share of the flows crossing it,
 // those flows are frozen, residual capacity propagates, repeat.  Rates are
-// recomputed whenever a flow activates or completes, so completion times are
-// exact for the fluid model (no time-stepping error).
+// a pure function of the active flow set, so they are re-solved only after
+// a flow activates or completes; completion times are exact for the fluid
+// model (no time-stepping error).
 //
 // Latency is modelled as an activation delay: a flow placed at time t with
 // route latency L starts consuming bandwidth at t + L.
@@ -14,6 +15,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <vector>
 
 #include "util/units.hpp"
@@ -37,7 +39,9 @@ class FlowNetwork {
   [[nodiscard]] std::size_t num_links() const { return links_.size(); }
 
   /// Place a flow of `bytes` over `route` starting at the current time.
-  FlowId add_flow(std::vector<LinkId> route, util::Bytes bytes);
+  /// `tag` is the caller's opaque label, reported when the flow completes.
+  FlowId add_flow(std::vector<LinkId> route, util::Bytes bytes,
+                  std::uint32_t tag = 0);
 
   /// Advance the fluid simulation until every flow has completed.
   /// Returns the simulated time reached.
@@ -48,8 +52,24 @@ class FlowNetwork {
   /// The clock lands exactly on the horizon even when the network drains
   /// earlier, so flows added afterwards activate relative to it.  This is
   /// the seam the shared-fabric timer drives: one long-lived network,
-  /// advanced to each tenant's step boundary before new flows join.
-  util::Seconds run_until(util::Seconds horizon);
+  /// advanced event by event and to each tenant's step start.  With
+  /// `completed`, the tag of every flow completing on the way is appended
+  /// to it, in completion order — how a caller learns which of its flows
+  /// drained without polling them.
+  util::Seconds run_until(util::Seconds horizon,
+                          std::vector<std::uint32_t>* completed = nullptr);
+
+  /// The next instant a flow activates or completes under the current
+  /// rates (solving them first if the active set changed), or nullopt with
+  /// nothing in flight.  run_until() of exactly this instant processes the
+  /// event without splitting any flow's drain, so a caller that advances
+  /// event by event reproduces one long run_until bit for bit.
+  [[nodiscard]] std::optional<util::Seconds> next_event();
+
+  /// Max-min solves performed since construction (a solve is skipped when
+  /// the active set has not changed since the last one).  A deterministic
+  /// work counter for attributing host time.
+  [[nodiscard]] std::uint64_t solves() const { return solves_; }
 
   [[nodiscard]] util::Seconds now() const { return now_; }
   [[nodiscard]] bool completed(FlowId flow) const;
@@ -110,13 +130,14 @@ class FlowNetwork {
     double rate = 0.0;       // bytes/second while active
     util::Seconds activation{0.0};
     util::Seconds completion{0.0};
+    std::uint32_t tag = 0;
     FlowState state = FlowState::kWaiting;
   };
 
   void recompute_rates();
   [[nodiscard]] util::Seconds next_event_time() const;
   void advance_to(util::Seconds when);
-  void settle();
+  void settle(std::vector<std::uint32_t>* completed);
 
   [[nodiscard]] Flow& flow_ref(FlowId id) { return flows_[id - base_]; }
   [[nodiscard]] const Flow& flow_ref(FlowId id) const {
@@ -134,6 +155,20 @@ class FlowNetwork {
   /// flows through one network).
   std::vector<FlowId> live_;
   util::Seconds now_{0.0};
+  /// The active set changed since the last solve (activation, completion,
+  /// reset); recompute_rates() is a no-op while this is false.
+  bool rates_stale_ = true;
+  std::uint64_t solves_ = 0;
+  /// recompute_rates() scratch, reused across solves.  crossing_ and
+  /// residual_ are indexed by link (crossing_ all zero between solves);
+  /// touched_ lists the links some active flow crossed at the last solve,
+  /// so a solve walks only those instead of every link of the fabric.
+  std::vector<double> residual_;
+  std::vector<std::uint32_t> crossing_;
+  std::vector<double> allocated_;
+  std::vector<LinkId> touched_;
+  std::vector<FlowId> unfixed_;
+  std::vector<FlowId> still_unfixed_;
 };
 
 }  // namespace wrht::elec

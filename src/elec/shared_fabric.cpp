@@ -1,9 +1,9 @@
 #include "elec/shared_fabric.hpp"
 
 #include <algorithm>
-#include "util/check.hpp"
 
 #include "obs/metrics.hpp"
+#include "util/check.hpp"
 
 namespace wrht::elec {
 
@@ -15,7 +15,10 @@ SharedFabricTimer::SharedFabricTimer(const ElectricalCluster& cluster,
 
 void SharedFabricTimer::attach_metrics(obs::MetricsRegistry& registry) {
   steps_timed_ = registry.counter("fabric.steps_timed");
-  retimings_emitted_ = registry.counter("fabric.retimings");
+  network_solves_ = registry.counter("fabric.solves.network");
+  forecast_solves_ = registry.counter("fabric.solves.forecast");
+  probe_solves_ = registry.counter("fabric.solves.probe");
+  audit_solves_ = registry.counter("fabric.solves.audit");
   uplink_utilization_ = registry.sampled_gauge("electrical.uplink_utilization");
 }
 
@@ -29,6 +32,11 @@ void SharedFabricTimer::publish_utilization() {
   uplink_utilization_->set(hottest);
 }
 
+void SharedFabricTimer::count_network_solves() {
+  obs::inc(network_solves_, network_.solves() - network_solves_counted_);
+  network_solves_counted_ = network_.solves();
+}
+
 SharedFabricTimer::SessionId SharedFabricTimer::open_session() {
   sessions_.push_back(Session{});
   sessions_.back().open = true;
@@ -39,6 +47,20 @@ SharedFabricTimer::SessionId SharedFabricTimer::open_session() {
 
 std::size_t SharedFabricTimer::active_sessions() const {
   return open_sessions_.size();
+}
+
+void SharedFabricTimer::advance(util::Seconds to) {
+  completed_.clear();
+  network_.run_until(to, &completed_);
+  for (const SessionId id : completed_) {
+    if (--sessions_[id].flows_left == 0) drained_.push_back(id);
+  }
+  count_network_solves();
+}
+
+void SharedFabricTimer::undrain(SessionId session_id) {
+  const auto it = std::find(drained_.begin(), drained_.end(), session_id);
+  if (it != drained_.end()) drained_.erase(it);
 }
 
 void SharedFabricTimer::finalize_step(SessionId session_id) {
@@ -59,28 +81,29 @@ void SharedFabricTimer::finalize_step(SessionId session_id) {
   }
   session.inflight.clear();
   session.has_step = false;
+  forecast_valid_ = false;
 }
 
-std::optional<util::Seconds> SharedFabricTimer::begin_step(
-    SessionId session_id, const coll::Schedule& schedule, std::size_t step,
-    util::Bytes payload, util::Seconds now) {
+bool SharedFabricTimer::begin_step(SessionId session_id,
+                                   const coll::Schedule& schedule,
+                                   std::size_t step, util::Bytes payload,
+                                   util::Seconds now) {
   if (session_id >= sessions_.size() || !sessions_[session_id].open) {
-    return std::nullopt;
+    return false;
   }
-  if (step >= schedule.num_steps()) return std::nullopt;
-  if (schedule.num_nodes() > cluster_->num_hosts()) return std::nullopt;
-  if (now < network_.now()) return std::nullopt;
+  if (step >= schedule.num_steps()) return false;
+  if (schedule.num_nodes() > cluster_->num_hosts()) return false;
+  if (now < network_.now()) return false;
 
   Session& session = sessions_[session_id];
-  network_.run_until(now);
+  advance(now);
   // The advance itself is logged unconditionally — the replay oracle must
   // split its advances exactly where the live network split them, even when
   // the request dies on the completion check below.
   if (audit_) ops_.push_back(LoggedOp{now, -1});
   if (session.has_step) {
-    for (const FlowId flow : session.inflight) {
-      if (!network_.completed(flow)) return std::nullopt;
-    }
+    if (session.flows_left > 0) return false;
+    undrain(session_id);
     finalize_step(session_id);
   }
 
@@ -94,82 +117,84 @@ std::optional<util::Seconds> SharedFabricTimer::begin_step(
   for (const coll::Transfer& t : schedule.steps()[step].transfers) {
     const std::vector<LinkId>& route = cluster_->route(t.src, t.dst);
     const util::Bytes bytes = schedule.chunk_bytes(payload, t.chunk);
-    session.inflight.push_back(network_.add_flow(route, bytes));
+    session.inflight.push_back(network_.add_flow(route, bytes, session_id));
     if (audit_) logged.flows.push_back(LoggedFlow{route, bytes});
   }
-  session.has_step = !session.inflight.empty();
+  session.flows_left = session.inflight.size();
+  session.has_step = true;
+  // A flow-less step (e.g. a barrier round another group participates in)
+  // drains at once; nobody else's sharing changed.
+  if (session.flows_left == 0) drained_.push_back(session_id);
   if (audit_) {
     ops_.push_back(LoggedOp{now, static_cast<std::ptrdiff_t>(steps_.size())});
     steps_.push_back(std::move(logged));
   }
+  forecast_valid_ = false;
   obs::inc(steps_timed_);
   publish_utilization();
-
-  if (!session.has_step) {
-    // A flow-less step (e.g. a barrier round another group participates in)
-    // completes instantly; nobody else's sharing changed.
-    if (audit_) {
-      LoggedStep& empty = steps_[session.current_step];
-      empty.end = now;
-      empty.finalized = true;
-    }
-    session.predicted_end = now;
-    retire_drained();
-    return now;
-  }
-  session.predicted_end = now;  // repredict overwrites with the real value
-  repredict(session_id);
   retire_drained();
-  return session.predicted_end;
+  return true;
 }
 
-void SharedFabricTimer::repredict(SessionId started) {
+std::optional<util::Seconds> SharedFabricTimer::next_wake() {
+  if (!drained_.empty()) return network_.now();
+  const std::optional<util::Seconds> next = network_.next_event();
+  count_network_solves();
+  return next;
+}
+
+std::optional<SharedFabricTimer::SessionId> SharedFabricTimer::wake(
+    util::Seconds now) {
+  WRHT_REQUIRE(now >= network_.now(),
+               "SharedFabricTimer: wake at " << now.value()
+                                             << "s before the fabric clock "
+                                             << network_.now().value() << "s");
+  // Landing exactly on the network's next event splits no drain, so the
+  // replay reproduces it without a log entry and the forecast stays exact;
+  // any later instant is an advance the replay must split at too.
+  if (now > network_.now() && network_.next_event() != now) {
+    forecast_valid_ = false;
+    if (audit_) ops_.push_back(LoggedOp{now, -1});
+  }
+  advance(now);
+  if (drained_.empty()) return std::nullopt;
+  const auto first = std::min_element(drained_.begin(), drained_.end());
+  const SessionId id = *first;
+  drained_.erase(first);
+  finalize_step(id);
+  return id;
+}
+
+const std::vector<util::Seconds>& SharedFabricTimer::inflight_predicted_ends()
+    const {
+  if (forecast_valid_) return forecast_;
   // Forward-run a live-flows-only copy to completion: each in-flight step
   // ends when the last of its flows drains.  The copy shares the real
-  // network's arithmetic, so the prediction is the fluid model's answer,
-  // not an estimate — it only goes stale if another flow arrives later,
-  // and that arrival re-runs this very function.
+  // network's arithmetic and the real network advances only on its own
+  // events between injections, so the forecast is the fluid model's
+  // answer, not an estimate.
   std::vector<FlowId> id_map;
   FlowNetwork forward = network_.clone_live(id_map);
   forward.run();
+  obs::inc(forecast_solves_, forward.solves());
   const FlowId floor = network_.id_floor();
-  for (const SessionId id : open_sessions_) {
-    Session& session = sessions_[id];
-    if (!session.has_step) continue;
-    util::Seconds end = session.step_start;
-    bool any_live = false;
-    for (const FlowId flow : session.inflight) {
-      // A flow that already drained on the real network keeps its recorded
-      // completion; only still-live flows take the forward prediction.
-      const FlowId mapped = id_map[flow - floor];
-      if (mapped == kNoFlow) {
-        end = std::max(end, network_.completion_time(flow));
-      } else {
-        any_live = true;
-        end = std::max(end, forward.completion_time(mapped));
-      }
-    }
-    if (id == started) {
-      session.predicted_end = end;
-    } else if (any_live && end != session.predicted_end) {
-      // A fully-drained step is already over — its completion event is in
-      // the past of this arrival and must not be re-scheduled; the caller's
-      // pending boundary event will finalize it.
-      session.predicted_end = end;
-      retimings_.push_back(Retiming{id, end});
-      obs::inc(retimings_emitted_);
-    }
-  }
-}
-
-std::vector<util::Seconds> SharedFabricTimer::inflight_predicted_ends() const {
-  std::vector<util::Seconds> ends;
-  ends.reserve(open_sessions_.size());
+  forecast_.clear();
   for (const SessionId id : open_sessions_) {
     const Session& session = sessions_[id];
-    if (session.has_step) ends.push_back(session.predicted_end);
+    if (!session.has_step) continue;
+    util::Seconds end = session.step_start;
+    for (const FlowId flow : session.inflight) {
+      // A flow that already drained on the real network keeps its recorded
+      // completion; only still-live flows take the forward run's.
+      const FlowId mapped = id_map[flow - floor];
+      end = std::max(end, mapped == kNoFlow
+                              ? network_.completion_time(flow)
+                              : forward.completion_time(mapped));
+    }
+    forecast_.push_back(end);
   }
-  return ends;
+  forecast_valid_ = true;
+  return forecast_;
 }
 
 std::optional<util::Seconds> SharedFabricTimer::predict_step_completion(
@@ -191,6 +216,7 @@ std::optional<util::Seconds> SharedFabricTimer::predict_step_completion(
   }
   if (injected.empty()) return now;  // flow-less step completes instantly
   probe.run();
+  obs::inc(probe_solves_, probe.solves());
   util::Seconds end = now;
   for (const FlowId flow : injected) {
     end = std::max(end, probe.completion_time(flow));
@@ -203,8 +229,9 @@ void SharedFabricTimer::close_session(SessionId session_id,
   WRHT_REQUIRE(session_id < sessions_.size() && sessions_[session_id].open,
                "SharedFabricTimer: close of unknown session " << session_id);
   Session& session = sessions_[session_id];
-  network_.run_until(std::max(now, network_.now()));
+  advance(std::max(now, network_.now()));
   if (audit_) ops_.push_back(LoggedOp{network_.now(), -1});
+  undrain(session_id);
   finalize_step(session_id);
   session.open = false;
   const auto it = std::lower_bound(open_sessions_.begin(),
@@ -228,12 +255,6 @@ void SharedFabricTimer::retire_drained() {
   network_.retire_done_below(floor);
 }
 
-std::vector<SharedFabricTimer::Retiming> SharedFabricTimer::take_retimings() {
-  std::vector<Retiming> out = std::move(retimings_);
-  retimings_.clear();
-  return out;
-}
-
 std::vector<double> SharedFabricTimer::link_peak_utilization() const {
   std::vector<double> peaks(network_.num_links());
   for (std::size_t l = 0; l < peaks.size(); ++l) {
@@ -255,6 +276,7 @@ std::uint64_t SharedFabricTimer::verify_replay() const {
     }
   }
   replay.run();  // drains nothing on a fully-closed log
+  obs::inc(audit_solves_, replay.solves());
 
   std::uint64_t mismatches = 0;
   for (std::size_t s = 0; s < steps_.size(); ++s) {

@@ -10,24 +10,31 @@
 //
 // SharedFabricTimer therefore keeps ONE long-lived FlowNetwork for the
 // whole fabric and times the in-flight steps of ALL concurrent executions
-// together under max-min fair sharing:
+// together under max-min fair sharing.  It predicts nothing: step ends come
+// from the real network, advanced event by event.
 //
-//  * begin_step(session, ...) advances the shared network to `now`, injects
-//    the step's flows next to whatever other tenants have in flight, and
-//    returns the step's predicted completion — exact for the fluid model
-//    unless a LATER arrival changes the sharing.
-//  * When an arrival does change the sharing, every other in-flight step's
-//    completion moves; the corrections surface through take_retimings() so
-//    the caller can re-schedule its step-completion events.  Departures
-//    need no correction: the forward prediction already simulates every
-//    current flow to completion, including their rate changes as peers
-//    drain.
+//  * begin_step(session, ...) advances the shared network to `now` and
+//    injects the step's flows next to whatever other tenants have in
+//    flight.
+//  * next_wake() names the instant the network next needs advancing: its
+//    next flow activation or completion (now() while a drained step awaits
+//    delivery).  wake(t) advances to t and hands back, one at a time in
+//    ascending session order, the sessions whose step drained — found from
+//    the flows that completed during the advance, not by polling sessions.
+//    Arrivals and departures change the sharing; the next wake simply lands
+//    wherever the real network's next event now is, so no step end is ever
+//    predicted and corrected.
+//  * inflight_predicted_ends() is the drain forecast the congestion-aware
+//    router asks for: a forward run of a live-flows clone, done only when
+//    asked and cached until the next injection or delivery.
 //
 // Correctness is anchored by a whole-horizon replay oracle: the timer logs
 // every advance point and every injected flow, and verify_replay() re-runs
 // the identical operation sequence on a FRESH FlowNetwork — the per-step
 // completion times must reproduce the incremental timer's exactly (the same
 // arithmetic in the same order, so equality is bitwise, not approximate).
+// A wake that lands exactly on a network event splits no flow's drain, so
+// only off-event wakes are logged.
 #pragma once
 
 #include <cstddef>
@@ -60,8 +67,10 @@ class SharedFabricTimer {
   explicit SharedFabricTimer(const ElectricalCluster& cluster,
                              bool replay_audit = true);
 
-  /// Register the timer's metrics with `registry`: steps-timed and
-  /// retiming counters, plus the "electrical.uplink_utilization" sampled
+  /// Register the timer's metrics with `registry`: the steps-timed counter,
+  /// the max-min solve counters "fabric.solves.{network,forecast,probe,
+  /// audit}" (the real network, the drain forecast, the router probe and
+  /// the replay audit), and the "electrical.uplink_utilization" sampled
   /// gauge (utilization of the currently-hottest fabric link, refreshed on
   /// every injection/close).  The registry must outlive the timer.
   void attach_metrics(obs::MetricsRegistry& registry);
@@ -69,22 +78,35 @@ class SharedFabricTimer {
   /// Register a tenant execution.  Sessions are cheap; one per execution.
   [[nodiscard]] SessionId open_session();
 
-  /// Inject the flows of `schedule` step `step` (payload split exactly as
-  /// the quiet-network runner splits it) into the shared fabric at `now`,
-  /// and return the step's predicted completion time under max-min fair
-  /// sharing with every other in-flight step.  The session's previous step
-  /// must have completed by `now`.  Returns nullopt on a bad request:
-  /// unknown/closed session, out-of-range step, a schedule needing more
-  /// hosts than the cluster has, a clock running backwards, or a previous
-  /// step still in flight.  A rejected request injects no flows; the
-  /// still-in-flight case has already advanced the shared clock to `now`
-  /// and logged that advance (the replay oracle must split its advances
-  /// exactly where the live network did, failed requests included).
-  [[nodiscard]] std::optional<util::Seconds> begin_step(
-      SessionId session, const coll::Schedule& schedule, std::size_t step,
-      util::Bytes payload, util::Seconds now);
+  /// Advance the shared network to `now` and inject the flows of `schedule`
+  /// step `step` (payload split exactly as the quiet-network runner splits
+  /// it) next to every other in-flight step.  The step's end is not
+  /// predicted: wake() delivers it once its last flow drains (a flow-less
+  /// step drains at once).  The session's previous step must have drained
+  /// by `now`.  Returns false on a bad request: unknown/closed session,
+  /// out-of-range step, a schedule needing more hosts than the cluster has,
+  /// a clock running backwards, or a previous step still in flight.  A
+  /// rejected request injects no flows; the still-in-flight case has
+  /// already advanced the shared clock to `now` and logged that advance
+  /// (the replay oracle must split its advances exactly where the live
+  /// network did, failed requests included).
+  [[nodiscard]] bool begin_step(SessionId session,
+                                const coll::Schedule& schedule,
+                                std::size_t step, util::Bytes payload,
+                                util::Seconds now);
 
-  /// Close a session at `now` (its last step must have completed by then).
+  /// When the shared network next needs advancing: now() while a drained
+  /// step awaits delivery, else its next flow activation or completion;
+  /// nullopt with nothing in flight.
+  [[nodiscard]] std::optional<util::Seconds> next_wake();
+
+  /// Advance the shared network to `now` (>= its clock; normally the
+  /// instant next_wake() named) and deliver the lowest-id session whose
+  /// in-flight step has drained, finalizing that step; nullopt once none is
+  /// left.  Call until nullopt to take every step that ended at `now`.
+  [[nodiscard]] std::optional<SessionId> wake(util::Seconds now);
+
+  /// Close a session at `now` (its last step must have drained by then).
   void close_session(SessionId session, util::Seconds now);
 
   /// Congestion-aware what-if probe: the completion time `schedule` step
@@ -92,29 +114,24 @@ class SharedFabricTimer {
   /// to everything currently in flight.  Computed on a live-flows clone of
   /// the shared network, so the answer is the fluid model's own arithmetic
   /// against the real residual uplink bandwidth — a pure probe that injects
-  /// nothing, logs nothing, and retimes nobody.  Same rejection cases as
-  /// begin_step's schedule checks (out-of-range step, too many hosts, a
-  /// clock before the fabric's).
+  /// nothing and logs nothing.  Same rejection cases as begin_step's
+  /// schedule checks (out-of-range step, too many hosts, a clock before the
+  /// fabric's).
   [[nodiscard]] std::optional<util::Seconds> predict_step_completion(
       const coll::Schedule& schedule, std::size_t step, util::Bytes payload,
       util::Seconds now) const;
 
-  /// Predicted completion times of every in-flight step, one entry per open
-  /// session currently running one (order follows the ascending session-id
-  /// working set).  These are the instants the fabric's current contention
-  /// is predicted to DRAIN at — the congestion-aware router decays its
-  /// clone-probe stretch by them, so a fabric full of nearly-done tenants
-  /// stops repelling arrivals it could actually serve.
-  [[nodiscard]] std::vector<util::Seconds> inflight_predicted_ends() const;
-
-  /// A step whose predicted completion moved because a later arrival
-  /// changed the max-min sharing.  Entries are in detection order; for a
-  /// session appearing twice, the later entry supersedes.
-  struct Retiming {
-    SessionId session = 0;
-    util::Seconds end{0.0};
-  };
-  [[nodiscard]] std::vector<Retiming> take_retimings();
+  /// Forecast completion times of every in-flight step (drained but not
+  /// yet delivered included), one entry per open session running one, in
+  /// ascending session id.  These are the instants the fabric's current
+  /// contention is forecast to DRAIN at — the congestion-aware router
+  /// decays its clone-probe stretch by them, so a fabric full of
+  /// nearly-done tenants stops repelling arrivals it could actually serve.
+  /// A forward run of a live-flows clone, made on demand and cached until
+  /// the next injection, delivery or close; with no arrival in between, the
+  /// real network drains each step at exactly its forecast instant.
+  [[nodiscard]] const std::vector<util::Seconds>& inflight_predicted_ends()
+      const;
 
   [[nodiscard]] std::size_t active_sessions() const;
 
@@ -144,14 +161,15 @@ class SharedFabricTimer {
     std::uint64_t step = 0;
     util::Seconds start{0.0};
     /// Authoritative completion, read back from the shared network once the
-    /// step's flows have drained (predictions may sit an ulp away).
+    /// step's flows have drained.
     util::Seconds end{0.0};
     bool finalized = false;
     std::vector<LoggedFlow> flows;
   };
   /// One advance of the shared network, optionally followed by a step's
   /// flow injections.  The replay oracle re-runs exactly this sequence, so
-  /// every advance — even a flow-less close_session — is recorded.
+  /// every advance that may split a drain — even a flow-less close_session
+  /// — is recorded.
   struct LoggedOp {
     util::Seconds time{0.0};
     std::ptrdiff_t step = -1;  // index into steps_, -1 = pure advance
@@ -160,26 +178,31 @@ class SharedFabricTimer {
     bool open = false;
     /// FlowNetwork ids of the current step's flows, ascending.
     std::vector<FlowId> inflight;
+    /// Flows of the current step not yet completed; the step has drained
+    /// when this reaches 0.
+    std::size_t flows_left = 0;
     std::size_t current_step = 0;  // index into steps_ (valid iff audited)
     bool has_step = false;
     /// Start/ordinal of the in-flight step, kept on the session itself so
-    /// reprediction never needs the (optional) replay log.
+    /// the forecast never needs the (optional) replay log.
     util::Seconds step_start{0.0};
     std::uint64_t step_number = 0;
-    util::Seconds predicted_end{0.0};
   };
 
+  /// Advance the shared network to `to` and move every session whose last
+  /// flow completed on the way onto drained_.
+  void advance(util::Seconds to);
   /// Fold the session's in-flight step into the log: every flow must have
   /// completed on the shared network (aborts otherwise — a step boundary
-  /// fired before its flows drained, which the retiming contract forbids).
+  /// fired before its flows drained).
   void finalize_step(SessionId session_id);
-  /// Recompute predicted completions for every in-flight step after an
-  /// injection; queue a Retiming for each session other than `started`
-  /// whose prediction moved.
-  void repredict(SessionId started);
+  /// Take `session_id` off drained_ if it is there.
+  void undrain(SessionId session_id);
 
   /// Refresh the uplink-utilization gauge (no-op without a registry).
   void publish_utilization();
+  /// Add the real network's solves since the last call to its counter.
+  void count_network_solves();
 
   /// Let the network retire the storage of flows below every open
   /// session's oldest in-flight flow — nobody will query them again.
@@ -189,15 +212,26 @@ class SharedFabricTimer {
   FlowNetwork network_;
   bool audit_;
   std::vector<Session> sessions_;
-  /// Ids of open sessions, ascending — the working set repredict() and the
+  /// Ids of open sessions, ascending — the working set the forecast and the
   /// retirement floor walk instead of every session ever opened.
   std::vector<SessionId> open_sessions_;
+  /// Sessions whose step drained but was not yet delivered by wake().
+  std::vector<SessionId> drained_;
+  /// advance() scratch: the owning session of each flow that completed.
+  std::vector<SessionId> completed_;
   std::vector<LoggedStep> steps_;
   std::vector<LoggedOp> ops_;
-  std::vector<Retiming> retimings_;
+  /// inflight_predicted_ends() cache, valid until an injection, delivery
+  /// or close changes what is in flight.
+  mutable std::vector<util::Seconds> forecast_;
+  mutable bool forecast_valid_ = false;
+  std::uint64_t network_solves_counted_ = 0;
   /// Metric handles; nullptr (zero-overhead emission) without a registry.
   obs::Counter* steps_timed_ = nullptr;
-  obs::Counter* retimings_emitted_ = nullptr;
+  obs::Counter* network_solves_ = nullptr;
+  obs::Counter* forecast_solves_ = nullptr;
+  obs::Counter* probe_solves_ = nullptr;
+  obs::Counter* audit_solves_ = nullptr;
   obs::Gauge* uplink_utilization_ = nullptr;
 };
 

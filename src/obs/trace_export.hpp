@@ -8,7 +8,7 @@
 //     duration span from admission to completion; preempt/resume windows
 //     nest as "suspended" spans inside it, schedule steps nest as
 //     sequential "step N" spans on the execution's lead job, and resizes /
-//     fusions / retimings / route decisions render as instant events with
+//     fusions / route decisions render as instant events with
 //     their details as args (route decisions carry BOTH predicted
 //     completion times).
 //   * pid 0 "metrics" — one counter track per sampled gauge series

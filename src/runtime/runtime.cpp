@@ -59,9 +59,8 @@ std::string RuntimeReport::to_string() const {
   out += "renegotiations  : " + std::to_string(preemptions) + " preempted, " +
          std::to_string(resumes) + " resumed, " + std::to_string(resizes) +
          " resized\n";
-  out += "retimed steps   : " + std::to_string(step_retimes) +
-         " (shared-fabric contention changes), " +
-         std::to_string(replay_checked_steps) + " replay-audited\n";
+  out += "replay audit    : " + std::to_string(replay_checked_steps) +
+         " shared-fabric steps re-proven\n";
   out += "spectrum        : " + std::to_string(spectrum_reservations) +
          " reservations, 0 wavelength-conflict aborts\n";
   out += "peak concurrency: " + std::to_string(peak_concurrent_jobs) +
@@ -136,7 +135,7 @@ void CollectiveRuntime::init_instruments() {
   ins_.preemptions = reg->counter("runtime.preemptions");
   ins_.resumes = reg->counter("runtime.resumes");
   ins_.resizes = reg->counter("runtime.resizes");
-  ins_.step_retimes = reg->counter("runtime.step_retimes");
+  ins_.placement_probes = reg->counter("runtime.placement_probes");
   ins_.queue_depth = reg->sampled_gauge("runtime.queue_depth");
   ins_.running_jobs = reg->sampled_gauge("runtime.running_jobs");
   ins_.suspended_jobs = reg->sampled_gauge("runtime.suspended_jobs");
@@ -461,7 +460,9 @@ bool CollectiveRuntime::place_one(ExecutionSubstrate& fabric) {
   for (const std::size_t index : order) {
     const QueueEntry& job = queue_.at(index);
     if (job.held || job.pin == SubstratePin::kOpticalOnly) continue;
-    if (floor > aged(job) || !fabric.can_place(job.participants, 1)) continue;
+    if (floor > aged(job) || !probe_placement(fabric, job.participants)) {
+      continue;
+    }
     std::optional<RoutePrediction> verdict;
     if (config_.placement == HybridPlacementPolicy::kCostModelChoice &&
         job.pin == SubstratePin::kAny) {
@@ -509,7 +510,7 @@ void CollectiveRuntime::request_preemptions(ExecutionSubstrate& substrate) {
   // retried on the next try_admit.
   if (queued != nullptr && host_units) {
     // A queued waiter claims ITS OWN hosts at first placement.
-    if (substrate.can_place(queued->participants, 1)) {
+    if (probe_placement(substrate, queued->participants)) {
       return;  // placeable right now; the placement path will take it
     }
     // Host sets are snapshotted once — hosts() copies, and the scan below
@@ -538,7 +539,7 @@ void CollectiveRuntime::request_preemptions(ExecutionSubstrate& substrate) {
                    h.hosts.end();
           });
       if (holder == holders.end()) {
-        if (!substrate.can_place({host}, 1)) return;  // down: hopeless
+        if (!probe_placement(substrate, {host})) return;  // down: hopeless
         continue;
       }
       if (holder->exec->priority >= target) return;  // outranked: hopeless
@@ -1425,22 +1426,20 @@ void CollectiveRuntime::run_step(const std::shared_ptr<Execution>& exec) {
   ++breakdown(exec->substrate->kind()).steps;
   exec->step_started = simulator_.now();
   exec->quiet_time += timing.quiet;
-  schedule_step_end(exec, timing.end);
-  // Injecting this step's flows may have changed what every OTHER tenant on
-  // a shared fabric gets; their completion events move with the contention.
-  apply_retimings(*exec->substrate);
+  if (timing.end) {
+    simulator_.schedule_at(*timing.end, [this, exec] { on_step_end(exec); });
+  } else {
+    // Injecting this step's flows moved the fabric's next network event.
+    arm_wake(static_cast<std::size_t>(
+        std::find(fabrics_.begin(), fabrics_.end(), exec->substrate) -
+        fabrics_.begin()));
+  }
   pump_metrics();
-}
-
-void CollectiveRuntime::schedule_step_end(
-    const std::shared_ptr<Execution>& exec, util::Seconds end) {
-  exec->step_event =
-      simulator_.schedule_at(end, [this, exec] { on_step_end(exec); });
 }
 
 void CollectiveRuntime::on_step_end(const std::shared_ptr<Execution>& exec) {
   // Actual wall-clock of the step that just finished — under shared-fabric
-  // contention this is the (possibly re-scheduled) real duration, not the
+  // contention this is the real duration on the shared network, not the
   // quiet prediction, so busy_time / quiet_time is the contention slowdown.
   exec->busy_time += simulator_.now() - exec->step_started;
   report_.step_time_total += simulator_.now() - exec->step_started;
@@ -1462,23 +1461,48 @@ void CollectiveRuntime::on_step_end(const std::shared_ptr<Execution>& exec) {
   run_step(exec);
 }
 
-void CollectiveRuntime::apply_retimings(ExecutionSubstrate& substrate) {
-  for (const StepRetiming& retiming : substrate.take_retimings()) {
-    for (const std::shared_ptr<Execution>& exec : running_execs_) {
-      if (exec->plan.get() != retiming.exec) continue;
-      simulator_.cancel(exec->step_event);
-      schedule_step_end(exec, retiming.end);
-      ++report_.step_retimes;
-      obs::inc(ins_.step_retimes);
-      if (trace_.enabled()) {
-        trace_.record(simulator_.now(), sim::TraceKind::kStepRetimed,
-                      exec->jobs.front(),
-                      static_cast<std::int64_t>(exec->next_step),
-                      "end=" + util::to_string(retiming.end));
-      }
-      break;
-    }
+void CollectiveRuntime::on_wake(std::size_t fabric) {
+  FabricWake& wake = wakes_[fabric];
+  wake.armed = false;
+  wake.running = true;
+  ExecutionSubstrate& substrate = *fabrics_[fabric];
+  while (SubstrateExecution* plan = substrate.wake(simulator_.now())) {
+    const auto it = std::find_if(
+        running_execs_.begin(), running_execs_.end(),
+        [plan](const auto& exec) { return exec->plan.get() == plan; });
+    WRHT_CHECK(it != running_execs_.end(),
+               "CollectiveRuntime: fabric woke a step no running execution "
+               "owns");
+    const std::shared_ptr<Execution> exec = *it;  // on_step_end may erase it
+    on_step_end(exec);
   }
+  wake.running = false;
+  arm_wake(fabric);
+}
+
+void CollectiveRuntime::arm_wake(std::size_t fabric) {
+  // Sized on first use: a runtime whose fabrics all end steps in closed
+  // form never arms a wake, and its construction allocates none.
+  if (wakes_.empty()) wakes_.resize(fabrics_.size());
+  FabricWake& wake = wakes_[fabric];
+  if (wake.running) return;
+  const std::optional<util::Seconds> at = fabrics_[fabric]->next_wake();
+  if (wake.armed) {
+    if (at && *at == wake.at) return;
+    simulator_.cancel(wake.event);
+    wake.armed = false;
+  }
+  if (!at) return;
+  wake.event = simulator_.schedule_at(*at, [this, fabric] { on_wake(fabric); });
+  wake.at = *at;
+  wake.armed = true;
+}
+
+bool CollectiveRuntime::probe_placement(
+    const ExecutionSubstrate& fabric,
+    const std::vector<topo::NodeId>& participants) {
+  obs::inc(ins_.placement_probes);
+  return fabric.can_place(participants, 1);
 }
 
 void CollectiveRuntime::finish_execution(

@@ -28,9 +28,10 @@
 // configurable: an exclusive star (every execution times its steps on a
 // private quiet network) or an oversubscribed two-level tree whose shared
 // ToR uplinks make concurrent executions contend — there one
-// SharedFabricTimer times every in-flight electrical step together,
-// step-completion events are re-scheduled when other tenants change the
-// contention (kStepRetimed), and a whole-horizon flow replay re-proves
+// SharedFabricTimer times every in-flight electrical step together, the
+// runtime keeps one wake event per fabric on the sim clock that advances
+// the real flow network from one of its events to the next and ends the
+// steps that drained there, and a whole-horizon flow replay re-proves
 // every step time at the end of the run.  Both timing models run on the
 // same clock and land in one report, with per-substrate breakdowns and
 // per-job contention slowdowns.
@@ -264,9 +265,9 @@ struct RuntimeReport {
   std::uint32_t preemptions = 0;
   std::uint32_t resumes = 0;
   std::uint32_t resizes = 0;
-  /// Step-completion events re-scheduled on the sim clock because another
-  /// tenant's flows changed the shared electrical fabric's contention
-  /// (always 0 on the exclusive star fabric).
+  /// Always 0: step ends on the shared electrical fabric come from the
+  /// real flow network as it advances, so no step-completion event is ever
+  /// re-scheduled.  Kept so report digests and consumers keep their shape.
   std::uint64_t step_retimes = 0;
   /// Steps audited by the substrates' end-of-run self checks (the shared
   /// electrical fabric's whole-horizon flow replay).  A disagreement aborts
@@ -411,9 +412,6 @@ class CollectiveRuntime {
     /// When the execution last suspended (valid while `suspended`) — the
     /// clock priority aging runs against.
     util::Seconds suspended_since{0.0};
-    /// Sim-clock handle of the in-flight step's completion event — the
-    /// thing a shared-fabric retiming cancels and re-schedules.
-    std::uint64_t step_event = 0;
     /// When the in-flight step started, and the accumulated actual/quiet
     /// durations of finished steps (the per-job contention slowdown).
     util::Seconds step_started{0.0};
@@ -456,16 +454,23 @@ class CollectiveRuntime {
   void place_execution(ExecutionSubstrate& substrate, std::size_t queue_index,
                        std::uint32_t grant,
                        const std::optional<RoutePrediction>& verdict);
+  /// Dispatch exec's next step: a closed-form end schedules its boundary
+  /// event; otherwise the fabric's wake delivers it.
   void run_step(const std::shared_ptr<Execution>& exec);
-  /// Schedule (or re-schedule) exec's in-flight step completion at `end`.
-  void schedule_step_end(const std::shared_ptr<Execution>& exec,
-                         util::Seconds end);
-  /// The step-completion event body: fold the step's wall-clock, then
+  /// The step-completion body: fold the step's wall-clock, then
   /// finish / renegotiate / dispatch the next step.
   void on_step_end(const std::shared_ptr<Execution>& exec);
-  /// Drain `substrate`'s pending step retimings (shared-fabric contention
-  /// changes) and re-schedule the affected completion events.
-  void apply_retimings(ExecutionSubstrate& substrate);
+  /// The wake event of fabrics_[fabric]: run the step boundary of every
+  /// execution whose step the fabric ended now, then re-arm.
+  void on_wake(std::size_t fabric);
+  /// Point fabrics_[fabric]'s wake event at its next_wake(), keeping an
+  /// event already armed for that instant.  Deferred while its own wake is
+  /// running, which re-arms once at the end.
+  void arm_wake(std::size_t fabric);
+  /// can_place, counted as runtime.placement_probes.
+  [[nodiscard]] bool probe_placement(
+      const ExecutionSubstrate& fabric,
+      const std::vector<topo::NodeId>& participants);
   void finish_execution(const std::shared_ptr<Execution>& exec);
 
   /// The step-boundary renegotiation point: called between two steps of
@@ -589,7 +594,7 @@ class CollectiveRuntime {
     obs::Counter* preemptions = nullptr;
     obs::Counter* resumes = nullptr;
     obs::Counter* resizes = nullptr;
-    obs::Counter* step_retimes = nullptr;
+    obs::Counter* placement_probes = nullptr;
     obs::Gauge* queue_depth = nullptr;
     obs::Gauge* running_jobs = nullptr;
     obs::Gauge* suspended_jobs = nullptr;
@@ -624,6 +629,17 @@ class CollectiveRuntime {
   std::vector<ExecutionSubstrate*> fabrics_;
   /// The same fabrics in the placement policy's preference order.
   std::vector<ExecutionSubstrate*> placement_order_;
+  /// One wake event per fabric, parallel to fabrics_ (empty until the
+  /// first arm_wake): the sim-clock event that next advances a fabric
+  /// without closed-form step ends.
+  struct FabricWake {
+    std::uint64_t event = 0;
+    util::Seconds at{0.0};
+    bool armed = false;
+    /// Inside on_wake for this fabric: arm_wake waits for its end.
+    bool running = false;
+  };
+  std::vector<FabricWake> wakes_;
   JobQueue queue_;
   std::vector<JobRecord> records_;
   std::vector<JobId> completion_order_;

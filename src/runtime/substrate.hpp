@@ -35,6 +35,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "coll/schedule.hpp"
@@ -81,10 +82,11 @@ class SubstrateExecution {
 /// Timing of one executed step on the shared clock.
 struct StepTiming {
   /// Absolute completion time of the step, including the substrate's
-  /// inter-step barrier.  On a retiming substrate this is the prediction
-  /// under the sharing in force right now; later arrivals may move it
-  /// (surfaced through take_retimings).
-  util::Seconds end{0.0};
+  /// inter-step barrier — known in closed form at dispatch on the optical
+  /// ring and the exclusive star.  nullopt on the shared two-level fabric,
+  /// whose step ends depend on tenants that have not arrived yet: the
+  /// substrate delivers them through next_wake()/wake() instead.
+  std::optional<util::Seconds> end;
   std::uint64_t retunes = 0;
   /// (arc, wavelength) cells claimed on the shared spectrum map (0 for
   /// substrates without shared-medium reservations).
@@ -94,13 +96,6 @@ struct StepTiming {
   /// substrate has no meaningful quiet baseline (optical bands are private
   /// by construction).
   util::Seconds quiet{0.0};
-};
-
-/// A correction to an earlier StepTiming: `exec`'s current step now ends at
-/// `end` because another tenant's flows changed the fabric sharing.
-struct StepRetiming {
-  SubstrateExecution* exec = nullptr;
-  util::Seconds end{0.0};
 };
 
 /// One typed entry point for every way an execution's contract can change
@@ -224,24 +219,34 @@ class ExecutionSubstrate {
 
   /// Execute step `step` of `exec` starting at `now`: claim any per-step
   /// shared-medium resources, schedule their release events, and return the
-  /// step's completion time.  The caller owns the step-boundary event.
+  /// step's timing.  With a closed-form end the caller owns the
+  /// step-boundary event; without one (StepTiming::end empty) the step ends
+  /// when a later wake() hands `exec` back.
   [[nodiscard]] virtual StepTiming time_step(SubstrateExecution& exec,
                                              std::size_t step,
                                              util::Seconds now) = 0;
 
   /// Release exec's standing grant (band / host links) at time `now` on the
   /// shared clock.  Idempotent; the plan itself survives for a later
-  /// kResume renegotiation.  Retiming substrates need the clock to settle
-  /// the execution's last flows out of the shared fabric.
+  /// kResume renegotiation.  The shared electrical fabric needs the clock
+  /// to settle the execution's last flows out of its network.
   virtual void release(SubstrateExecution& exec, util::Seconds now) = 0;
 
-  /// Step-completion corrections accumulated since the last drain: step
-  /// ends another tenant's flows moved after time_step() returned (shared
-  /// electrical uplinks; empty where step ends never move).  Ownership
-  /// passes to the caller; for an execution appearing twice, the later
-  /// entry supersedes.
-  [[nodiscard]] virtual std::vector<StepRetiming> take_retimings() {
-    return {};
+  /// The instant the runtime must next call wake(): the shared fabric's
+  /// next network event while steps without a closed-form end are in
+  /// flight; nullopt otherwise (always, where every step end is closed
+  /// form).  Ask again after every time_step() without an end and after
+  /// every wake(); a release() at a step boundary never moves it earlier.
+  [[nodiscard]] virtual std::optional<util::Seconds> next_wake() {
+    return std::nullopt;
+  }
+
+  /// Advance the fabric to `now` and hand back one execution whose
+  /// in-flight step ended there, lowest fabric session first; nullptr once
+  /// none is left.  The caller runs that execution's step boundary, then
+  /// calls again.
+  [[nodiscard]] virtual SubstrateExecution* wake(util::Seconds /*now*/) {
+    return nullptr;
   }
 
   /// Peak utilization (fraction of capacity, in [0,1]) per fabric link over
@@ -338,8 +343,8 @@ enum class ElectricalFabric : std::uint8_t {
   /// Oversubscribed two-level tree (hosts -> ToRs -> core), ONE shared
   /// FlowNetwork for the whole fabric: concurrent executions' flows share
   /// the ToR uplinks under max-min fairness, so a step's completion time
-  /// depends on what other tenants are sending — and moves when they start
-  /// or stop (surfaced through take_retimings).
+  /// depends on what other tenants send while it is in flight.  Step ends
+  /// come from that network as it advances (next_wake / wake).
   kTwoLevelShared,
 };
 

@@ -16,11 +16,13 @@
 //  * kTwoLevelShared — hosts hang off ToR switches whose uplinks into the
 //    core are oversubscribed.  Different executions' flows SHARE those
 //    uplinks, so the substrate times every in-flight step of every tenant
-//    together on ONE elec::SharedFabricTimer: a step's completion time
-//    depends on what other tenants are sending, moves when they start
-//    (retimings re-schedule the step event on the sim clock), and is
-//    re-proven at end of run by a whole-horizon flow replay into a fresh
-//    network.  The quiet-network duration of each step is still computed
+//    together on ONE elec::SharedFabricTimer.  A step's completion time
+//    depends on what other tenants send while it is in flight, so
+//    time_step() gives no end: the runtime advances the real network from
+//    one of its events to the next (next_wake / wake), each wake hands back
+//    the executions whose steps drained there, and a whole-horizon flow
+//    replay into a fresh network re-proves every step time at end of run.
+//    The quiet-network duration of each step is still computed
 //    (StepFlowTimer) as the denominator of the per-job contention
 //    slowdown.
 //
@@ -227,19 +229,23 @@ class ElectricalSubstrate final : public ExecutionSubstrate {
       out.end = now + *quiet;
       return out;
     }
-    const std::optional<util::Seconds> end =
-        shared_->begin_step(exec.session, exec.physical_, step, exec.payload,
-                            now);
-    WRHT_CHECK(end.has_value(),
+    const bool accepted = shared_->begin_step(exec.session, exec.physical_,
+                                              step, exec.payload, now);
+    WRHT_CHECK(accepted,
                "ElectricalSubstrate: shared fabric refused step "
                    << step << " — arbitration bug");
-    out.end = *end;
-    for (const elec::SharedFabricTimer::Retiming& retiming :
-         shared_->take_retimings()) {
-      pending_retimings_.push_back(
-          StepRetiming{session_plans_.at(retiming.session), retiming.end});
-    }
-    return out;
+    return out;  // the end arrives through wake()
+  }
+
+  [[nodiscard]] std::optional<util::Seconds> next_wake() override {
+    return shared_ ? shared_->next_wake() : std::nullopt;
+  }
+
+  [[nodiscard]] SubstrateExecution* wake(util::Seconds now) override {
+    if (!shared_) return nullptr;
+    const std::optional<elec::SharedFabricTimer::SessionId> drained =
+        shared_->wake(now);
+    return drained ? session_plans_.at(*drained) : nullptr;
   }
 
   void release(SubstrateExecution& e, util::Seconds now) override {
@@ -301,12 +307,6 @@ class ElectricalSubstrate final : public ExecutionSubstrate {
       if (hosts_down_.down(host)) return 0;
     }
     return exec.grant();
-  }
-
-  [[nodiscard]] std::vector<StepRetiming> take_retimings() override {
-    std::vector<StepRetiming> out = std::move(pending_retimings_);
-    pending_retimings_.clear();
-    return out;
   }
 
   [[nodiscard]] std::vector<double> link_peak_utilization() const override {
@@ -384,7 +384,7 @@ class ElectricalSubstrate final : public ExecutionSubstrate {
     // the routing report keeps scoring that residual per decision.
     double ratio = probe_ratio;
     if (probe_ratio > 1.0) {
-      const std::vector<util::Seconds> ends =
+      const std::vector<util::Seconds>& ends =
           shared_->inflight_predicted_ends();
       if (!ends.empty() && quiet.value() > 0.0) {
         double overlap_sum = 0.0;
@@ -511,7 +511,6 @@ class ElectricalSubstrate final : public ExecutionSubstrate {
   std::optional<elec::SharedFabricTimer> shared_;
   std::map<elec::SharedFabricTimer::SessionId, SubstrateExecution*>
       session_plans_;
-  std::vector<StepRetiming> pending_retimings_;
   /// Claimed by an execution, or down and out of service.
   std::vector<bool> host_busy_;
   DownUnits hosts_down_;

@@ -152,17 +152,18 @@ class OpticalSubstrate final : public ExecutionSubstrate {
         }
       }
     });
-    out.end = step_end + params_.sync_time;
+    const util::Seconds end = step_end + params_.sync_time;
+    out.end = end;
     obs::inc(retunes_, out.retunes);
     obs::inc(reservations_, out.reservations);
     // Backlog bookkeeping: the band comes back roughly `remaining steps at
     // this step's pace` from now.  Wrht steps of one execution are close
     // enough in duration for a queue-wait ESTIMATE, and the figure is
     // refreshed every step, so it converges as the execution drains.
-    const double step_span = (out.end - now).value();
+    const double step_span = (end - now).value();
     const double remaining =
         static_cast<double>(exec.timed_steps.size() - step - 1);
-    exec.predicted_end = out.end + util::Seconds(step_span * remaining);
+    exec.predicted_end = end + util::Seconds(step_span * remaining);
     return out;
   }
 

@@ -36,10 +36,9 @@ enum class TraceKind : std::uint8_t {
   /// times, so routing errors are auditable post-hoc against the job's
   /// actual completion.
   kRouteDecision,
-  /// A running step's completion event moved on the sim clock because
-  /// another tenant's flows changed the shared-fabric contention.  `a` is
-  /// the execution's lead job, `b` the step index; the detail carries the
-  /// new absolute end time.
+  /// Never recorded: shared-fabric step ends come from the real flow
+  /// network and never move (RuntimeReport::step_retimes is always 0).
+  /// Kept so kind tables and trace consumers keep their shape.
   kStepRetimed,
   /// The Batcher fused a queued job into another execution's schedule.  `a`
   /// is the fused peer, `b` the batch's lead job — without this event a

@@ -1,19 +1,26 @@
 // The multi-tenant shared-fabric flow timer: one FlowNetwork timing every
-// concurrent execution's in-flight step together.  Covers the contention
-// mechanics (a tenant joining an oversubscribed uplink slows the tenants
-// already on it, surfaced as retimings), the quiet-fabric degenerate cases
-// (disjoint ToR-contained tenants neither contend nor retime each other
-// materially), the whole-horizon replay oracle, rejected inputs, and the
-// FlowNetwork seams it is built on (run_until, clone_live, per-link peaks).
+// concurrent execution's in-flight step together, with step ends delivered
+// by the real network as it advances event by event.  Covers the
+// contention mechanics (a tenant joining an oversubscribed uplink slows the
+// tenants already on it), a seeded differential check of every delivered
+// step end against the timer's own drain forecast, the quiet-fabric
+// degenerate cases (disjoint ToR-contained tenants never contend), the
+// whole-horizon replay oracle, rejected inputs, and the FlowNetwork seams
+// it is built on (run_until, next_event, clone_live, the skipped re-solve).
 #include "elec/shared_fabric.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
+#include <map>
 #include <optional>
+#include <set>
 
 #include "coll/algorithms.hpp"
 #include "elec/schedule_runner.hpp"
+#include "util/random.hpp"
 
 namespace wrht::elec {
 namespace {
@@ -45,9 +52,23 @@ coll::Schedule pair_schedule(
   return schedule;
 }
 
+/// Advance `shared` wake by wake until nothing is in flight, returning each
+/// delivered session's step end (the wake instant that handed it back).
+std::map<SharedFabricTimer::SessionId, Seconds> drain(
+    SharedFabricTimer& shared) {
+  std::map<SharedFabricTimer::SessionId, Seconds> ends;
+  while (const std::optional<Seconds> at = shared.next_wake()) {
+    while (const std::optional<SharedFabricTimer::SessionId> session =
+               shared.wake(*at)) {
+      ends[*session] = *at;
+    }
+  }
+  return ends;
+}
+
 TEST(SharedFabric, SoloSessionMatchesQuietTimer) {
   // One tenant alone on the shared fabric is the quiet network: every step
-  // must time exactly as the per-execution StepFlowTimer's quiet model.
+  // must end exactly as the per-execution StepFlowTimer's quiet model says.
   const ElectricalCluster cluster = two_tor_cluster(4.0);
   const coll::Schedule schedule = coll::ring_allreduce(8);
   const Bytes payload(8'000'000);
@@ -59,23 +80,28 @@ TEST(SharedFabric, SoloSessionMatchesQuietTimer) {
   for (std::size_t s = 0; s < schedule.num_steps(); ++s) {
     const std::optional<Seconds> quiet_step =
         quiet.time_step(schedule, s, payload);
-    const std::optional<Seconds> end =
-        shared.begin_step(session, schedule, s, payload, clock);
-    ASSERT_TRUE(quiet_step && end);
-    EXPECT_NEAR((*end - clock).value(), quiet_step->value(),
+    ASSERT_TRUE(quiet_step);
+    ASSERT_TRUE(shared.begin_step(session, schedule, s, payload, clock));
+    const std::map<SharedFabricTimer::SessionId, Seconds> ends =
+        drain(shared);
+    ASSERT_EQ(ends.size(), 1u);
+    const Seconds end = ends.at(session);
+    EXPECT_NEAR((end - clock).value(), quiet_step->value(),
                 1e-12 * quiet_step->value())
         << "step " << s;
-    clock = *end;
+    clock = end;
   }
   shared.close_session(session, clock);
   EXPECT_EQ(shared.verify_replay(), 0u);
   EXPECT_EQ(shared.active_sessions(), 0u);
 }
 
-TEST(SharedFabric, JoiningTenantRetimesTheTenantInFlight) {
+TEST(SharedFabric, JoiningTenantSlowsTheTenantInFlight) {
   // Tenant A sends cross-ToR alone; halfway through, tenant B starts a
-  // cross-ToR flow over the SAME oversubscribed uplink.  A's step must be
-  // retimed to a later end, and the final timing must replay exactly.
+  // cross-ToR flow over the SAME oversubscribed uplink.  A's step must end
+  // later than it would have alone — at the instant the real network
+  // drains it, which the forecast taken after B joined names exactly — and
+  // the final timing must replay exactly.
   const ElectricalCluster cluster = two_tor_cluster(4.0);
   // Uplink carries 4 hosts / 4.0 oversubscription = 1 GB/s.
   SharedFabricTimer shared(cluster);
@@ -86,35 +112,162 @@ TEST(SharedFabric, JoiningTenantRetimesTheTenantInFlight) {
   const coll::Schedule cross_b = pair_schedule({{1, 5}});
   const Bytes payload(1'000'000'000);  // 1 GB: ~1 s alone on the uplink
 
-  const std::optional<Seconds> a_alone =
-      shared.begin_step(a, cross_a, 0, payload, Seconds(0.0));
-  ASSERT_TRUE(a_alone);
-  EXPECT_NEAR(a_alone->value(), 1.0 + 100e-6, 1e-3);
-  EXPECT_TRUE(shared.take_retimings().empty());
+  ASSERT_TRUE(shared.begin_step(a, cross_a, 0, payload, Seconds(0.0)));
+  ASSERT_EQ(shared.inflight_predicted_ends().size(), 1u);
+  const Seconds a_alone = shared.inflight_predicted_ends()[0];
+  EXPECT_NEAR(a_alone.value(), 1.0 + 100e-6, 1e-3);
 
-  const std::optional<Seconds> b_end =
-      shared.begin_step(b, cross_b, 0, payload, Seconds(0.5));
-  ASSERT_TRUE(b_end);
-  const std::vector<SharedFabricTimer::Retiming> retimings =
-      shared.take_retimings();
-  ASSERT_EQ(retimings.size(), 1u);
-  EXPECT_EQ(retimings[0].session, a);
+  // Nothing is predicted at injection: the next wake is the network's next
+  // event (A's flow activating after the route latency), not A's end.
+  const std::optional<Seconds> first_wake = shared.next_wake();
+  ASSERT_TRUE(first_wake);
+  EXPECT_LT(*first_wake, Seconds(1e-3));
+  EXPECT_FALSE(shared.wake(*first_wake));
+
+  ASSERT_TRUE(shared.begin_step(b, cross_b, 0, payload, Seconds(0.5)));
+  const std::vector<Seconds> forecast = shared.inflight_predicted_ends();
+  ASSERT_EQ(forecast.size(), 2u);  // ascending session id: a, then b
   // A had ~0.5 GB left when B joined; the two flows then split the 1 GB/s
   // uplink, so A's remainder takes ~1 s instead of ~0.5 s.
-  EXPECT_NEAR(retimings[0].end.value(), 1.5 + 100e-6, 1e-3);
-  EXPECT_GT(retimings[0].end, *a_alone);
+  EXPECT_NEAR(forecast[0].value(), 1.5 + 100e-6, 1e-3);
+  EXPECT_GT(forecast[0], a_alone);
   // B carries its full 1 GB at the half rate until A drains (~1 s), then
   // the remaining ~0.5 GB at full rate: ~1.5 s of transfer.
-  EXPECT_NEAR(b_end->value(), 0.5 + 1.5 + 100e-6, 1e-2);
+  EXPECT_NEAR(forecast[1].value(), 0.5 + 1.5 + 100e-6, 1e-2);
 
-  shared.close_session(a, retimings[0].end);
-  shared.close_session(b, *b_end);
+  const std::map<SharedFabricTimer::SessionId, Seconds> ends = drain(shared);
+  ASSERT_EQ(ends.size(), 2u);
+  EXPECT_EQ(ends.at(a), forecast[0]);
+  EXPECT_EQ(ends.at(b), forecast[1]);
+
+  shared.close_session(a, ends.at(a));
+  shared.close_session(b, ends.at(b));
   EXPECT_EQ(shared.verify_replay(), 0u);
 
   // The saturated uplink peaked at full utilization; the idle ToR1->core
   // direction never carried these flows.
   const std::vector<double> peaks = shared.link_peak_utilization();
   EXPECT_NEAR(*std::max_element(peaks.begin(), peaks.end()), 1.0, 1e-9);
+}
+
+TEST(SharedFabric, DeliveredStepEndsMatchTheDrainForecast) {
+  // Seeded multi-tenant mixes on a 4:1 fabric: tenants join mid-flight at
+  // random instants with random host sets and payloads, run every step of
+  // a ring all-reduce, and leave (speeding up whoever still shares their
+  // uplinks).  Every step end the real network delivers must equal the
+  // drain forecast taken after the last injection before it drained.
+  // Tolerance: 0 — between injections the real network advances only on
+  // its own events, exactly the forward run's arithmetic.
+  constexpr double kTolerance = 0.0;
+  double worst_error = 0.0;
+  std::uint64_t steps_checked = 0;
+  std::uint64_t slowed_by_joins = 0;
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    util::Rng rng(seed);
+    const ElectricalCluster cluster =
+        *ElectricalCluster::two_level_tree(32, 8, 4.0, test_params());
+    SharedFabricTimer shared(cluster);
+
+    struct Tenant {
+      Seconds arrival{0.0};
+      coll::Schedule schedule{"unset", 2, 1};
+      Bytes payload{0};
+      SharedFabricTimer::SessionId session = 0;
+      std::size_t step = 0;
+    };
+    constexpr std::size_t kTenants = 24;
+    std::vector<Tenant> tenants(kTenants);
+    Seconds arrival{0.0};
+    for (Tenant& tenant : tenants) {
+      arrival += Seconds(rng.next_double() * 2e-3);
+      tenant.arrival = arrival;
+      // 2..8 distinct hosts anywhere on the fabric: routes vary from
+      // ToR-local to every-hop-crosses-the-core.
+      const auto k = static_cast<std::uint32_t>(2 + rng.next_below(7));
+      std::vector<std::uint32_t> hosts;
+      while (hosts.size() < k) {
+        const auto h = static_cast<std::uint32_t>(rng.next_below(32));
+        if (std::find(hosts.begin(), hosts.end(), h) == hosts.end()) {
+          hosts.push_back(h);
+        }
+      }
+      const coll::Schedule compact = coll::ring_allreduce(k);
+      coll::Schedule mapped("mapped", 32, compact.num_chunks());
+      for (const coll::Step& step : compact.steps()) {
+        mapped.add_step();
+        for (coll::Transfer t : step.transfers) {
+          t.src = hosts[t.src];
+          t.dst = hosts[t.dst];
+          mapped.add_transfer(t);
+        }
+      }
+      tenant.schedule = std::move(mapped);
+      tenant.payload = Bytes(100'000 + rng.next_below(20'000'000));
+    }
+
+    std::map<SharedFabricTimer::SessionId, std::size_t> owner;
+    std::set<SharedFabricTimer::SessionId> in_flight;
+    std::map<SharedFabricTimer::SessionId, Seconds> expected;
+    const auto inject = [&](Tenant& tenant, Seconds now) {
+      ASSERT_TRUE(shared.begin_step(tenant.session, tenant.schedule,
+                                    tenant.step, tenant.payload, now));
+      in_flight.insert(tenant.session);
+      const std::vector<Seconds>& forecast = shared.inflight_predicted_ends();
+      ASSERT_EQ(forecast.size(), in_flight.size());
+      std::size_t i = 0;
+      for (const SharedFabricTimer::SessionId id : in_flight) {
+        const auto known = expected.find(id);
+        if (known != expected.end() && id != tenant.session &&
+            forecast[i] > known->second) {
+          ++slowed_by_joins;
+        }
+        expected[id] = forecast[i++];
+      }
+    };
+
+    std::size_t next_arrival = 0;
+    std::size_t finished = 0;
+    while (finished < kTenants) {
+      const std::optional<Seconds> wake = shared.next_wake();
+      if (next_arrival < kTenants &&
+          (!wake || tenants[next_arrival].arrival < *wake)) {
+        Tenant& tenant = tenants[next_arrival++];
+        tenant.session = shared.open_session();
+        owner[tenant.session] = static_cast<std::size_t>(&tenant -
+                                                         tenants.data());
+        inject(tenant, tenant.arrival);
+        continue;
+      }
+      ASSERT_TRUE(wake);
+      while (const std::optional<SharedFabricTimer::SessionId> session =
+                 shared.wake(*wake)) {
+        const double error =
+            std::abs((*wake - expected.at(*session)).value());
+        worst_error = std::max(worst_error, error);
+        EXPECT_LE(error, kTolerance)
+            << "seed " << seed << " session " << *session;
+        ++steps_checked;
+        in_flight.erase(*session);
+        expected.erase(*session);
+        Tenant& tenant = tenants[owner.at(*session)];
+        if (++tenant.step < tenant.schedule.num_steps()) {
+          inject(tenant, *wake);
+        } else {
+          shared.close_session(*session, *wake);
+          ++finished;
+        }
+      }
+    }
+    EXPECT_EQ(shared.active_sessions(), 0u);
+    EXPECT_EQ(shared.verify_replay(), 0u) << "seed " << seed;
+  }
+  std::printf("[differential] %llu step ends checked, worst |delivered - "
+              "forecast| = %.3g s (tolerance %.3g s)\n",
+              static_cast<unsigned long long>(steps_checked), worst_error,
+              kTolerance);
+  EXPECT_GE(steps_checked, 300u);
+  // The mixes really contended: joins pushed in-flight steps later.
+  EXPECT_GT(slowed_by_joins, 0u);
 }
 
 TEST(SharedFabric, DisjointTorContainedTenantsDoNotContend) {
@@ -129,19 +282,18 @@ TEST(SharedFabric, DisjointTorContainedTenantsDoNotContend) {
   const coll::Schedule in_tor1 = pair_schedule({{4, 5}, {6, 7}});
   const Bytes payload(10'000'000);
 
-  const std::optional<Seconds> a_end =
-      shared.begin_step(a, in_tor0, 0, payload, Seconds(0.0));
-  const std::optional<Seconds> b_end =
-      shared.begin_step(b, in_tor1, 0, payload, Seconds(0.0));
-  ASSERT_TRUE(a_end && b_end);
+  ASSERT_TRUE(shared.begin_step(a, in_tor0, 0, payload, Seconds(0.0)));
+  ASSERT_TRUE(shared.begin_step(b, in_tor1, 0, payload, Seconds(0.0)));
+  const std::map<SharedFabricTimer::SessionId, Seconds> ends = drain(shared);
   const std::optional<Seconds> a_quiet = quiet.time_step(in_tor0, 0, payload);
   const std::optional<Seconds> b_quiet = quiet.time_step(in_tor1, 0, payload);
   ASSERT_TRUE(a_quiet && b_quiet);
-  EXPECT_NEAR(a_end->value(), a_quiet->value(), 1e-12);
-  EXPECT_NEAR(b_end->value(), b_quiet->value(), 1e-12);
+  ASSERT_EQ(ends.size(), 2u);
+  EXPECT_NEAR(ends.at(a).value(), a_quiet->value(), 1e-12);
+  EXPECT_NEAR(ends.at(b).value(), b_quiet->value(), 1e-12);
 
-  shared.close_session(a, *a_end);
-  shared.close_session(b, *b_end);
+  shared.close_session(a, ends.at(a));
+  shared.close_session(b, ends.at(b));
   EXPECT_EQ(shared.verify_replay(), 0u);
 }
 
@@ -151,11 +303,28 @@ TEST(SharedFabric, FlowLessStepCompletesInstantly) {
   const auto session = shared.open_session();
   coll::Schedule idle("idle", 8, 1);
   idle.add_step();  // no transfers
-  const std::optional<Seconds> end =
-      shared.begin_step(session, idle, 0, Bytes(1000), Seconds(2.5));
-  ASSERT_TRUE(end);
-  EXPECT_EQ(*end, Seconds(2.5));
+  ASSERT_TRUE(shared.begin_step(session, idle, 0, Bytes(1000), Seconds(2.5)));
+  EXPECT_EQ(shared.next_wake(), Seconds(2.5));
+  EXPECT_EQ(shared.wake(Seconds(2.5)), session);
+  EXPECT_FALSE(shared.next_wake());
   shared.close_session(session, Seconds(2.5));
+  EXPECT_EQ(shared.verify_replay(), 0u);
+}
+
+TEST(SharedFabric, OffEventWakesStillReplayExactly) {
+  // A wake between network events splits the flows' drains; the timer logs
+  // that advance so the replay splits there too.
+  const ElectricalCluster cluster = two_tor_cluster(4.0);
+  SharedFabricTimer shared(cluster);
+  const auto a = shared.open_session();
+  ASSERT_TRUE(shared.begin_step(a, pair_schedule({{0, 4}, {1, 5}}), 0,
+                                Bytes(100'000'000), Seconds(0.0)));
+  for (double t = 0.01; t < 0.1; t += 0.01) {
+    EXPECT_FALSE(shared.wake(Seconds(t)));
+  }
+  const std::map<SharedFabricTimer::SessionId, Seconds> ends = drain(shared);
+  ASSERT_EQ(ends.size(), 1u);
+  shared.close_session(a, ends.at(a));
   EXPECT_EQ(shared.verify_replay(), 0u);
 }
 
@@ -175,21 +344,23 @@ TEST(SharedFabric, RejectsBadRequests) {
   EXPECT_FALSE(shared.begin_step(session, coll::ring_allreduce(16), 0,
                                  payload, Seconds(0.0)));
 
-  const std::optional<Seconds> end =
-      shared.begin_step(session, schedule, 0, payload, Seconds(1.0));
-  ASSERT_TRUE(end);
+  ASSERT_TRUE(shared.begin_step(session, schedule, 0, payload, Seconds(1.0)));
   // Clock running backwards.
   EXPECT_FALSE(shared.begin_step(session, schedule, 1, payload,
                                  Seconds(0.5)));
   // Next step before the previous one finished.
   EXPECT_FALSE(shared.begin_step(session, schedule, 1, payload,
                                  Seconds(1.0 + 1e-6)));
-  // At the completed boundary, the next step is accepted.
-  EXPECT_TRUE(shared.begin_step(session, schedule, 1, payload, *end));
+  // At the drained boundary, the next step is accepted.
+  const std::map<SharedFabricTimer::SessionId, Seconds> ends = drain(shared);
+  ASSERT_EQ(ends.size(), 1u);
+  EXPECT_TRUE(shared.begin_step(session, schedule, 1, payload,
+                                ends.at(session)));
   // A closed session refuses further steps.
   const auto other = shared.open_session();
-  shared.close_session(other, *end);
-  EXPECT_FALSE(shared.begin_step(other, schedule, 0, payload, *end));
+  shared.close_session(other, ends.at(session));
+  EXPECT_FALSE(shared.begin_step(other, schedule, 0, payload,
+                                 ends.at(session)));
 }
 
 TEST(FlowNetwork, RunUntilSplitsMatchOneShotRun) {
@@ -238,6 +409,37 @@ TEST(FlowNetwork, CloneLiveCarriesOnlyInFlightFlows) {
   network.run();
   EXPECT_NEAR(copy.completion_time(id_map[slow]).value(),
               network.completion_time(slow).value(), 1e-9);
+}
+
+TEST(FlowNetwork, EventByEventAdvanceMatchesOneRunBitwise) {
+  // Advancing to exactly each next_event() instant splits no drain: the
+  // completions equal one uninterrupted run bit for bit, and the advances
+  // report every flow's tag once.
+  const ElectricalCluster cluster = two_tor_cluster(4.0);
+  FlowNetwork stepped = cluster.make_network();
+  FlowNetwork whole = cluster.make_network();
+  std::vector<FlowId> ids;
+  std::vector<std::uint32_t> tags;
+  for (std::uint32_t h = 0; h < 4; ++h) {
+    const Bytes bytes(50'000'000 * (h + 1));
+    ids.push_back(stepped.add_flow(cluster.route(h, 4 + h), bytes, h));
+    whole.add_flow(cluster.route(h, 4 + h), bytes, h);
+  }
+  std::uint64_t events = 0;
+  while (const std::optional<Seconds> at = stepped.next_event()) {
+    stepped.run_until(*at, &tags);
+    ++events;
+  }
+  whole.run();
+  EXPECT_EQ(events, 5u);  // one shared activation instant + 4 completions
+  for (const FlowId id : ids) {
+    EXPECT_EQ(stepped.completion_time(id), whole.completion_time(id));
+  }
+  std::sort(tags.begin(), tags.end());
+  EXPECT_EQ(tags, (std::vector<std::uint32_t>{0, 1, 2, 3}));
+  // Rates are solved once per change of the active set, however often the
+  // network is asked for its next event.
+  EXPECT_EQ(stepped.solves(), whole.solves());
 }
 
 }  // namespace

@@ -122,8 +122,13 @@ TEST(RuntimeServe, StreamingServeMatchesMaterializedRun) {
 // an unrelated electrical tenant: the parent commit with only that branch
 // replaced by a return gives the same digest, and the report moved
 // preemptions 58 -> 42, restarts 26 -> 25, mean turnaround 2.942 ->
-// 2.781 ms.  A changed digest means changed behaviour: find the cause
-// rather than re-pinning.  On a mismatch each test prints the report.
+// 2.781 ms.  The three electrical constants were re-pinned once when
+// shared-fabric step ends started coming from the real flow network
+// instead of forward predictions corrected by re-scheduled events: the
+// report's step_retimes became 0, and the previous commit's digests with
+// only step_retimes zeroed equal the new pins.  A changed digest means
+// changed behaviour: find the cause rather than re-pinning.  On a mismatch
+// each test prints the report.
 
 TEST(RuntimeServe, GoldenDigestOpticalFifo) {
   // Above-capacity optical-only FIFO: the admission queue's head take and
@@ -137,7 +142,7 @@ TEST(RuntimeServe, GoldenDigestOpticalFifo) {
 
 TEST(RuntimeServe, GoldenDigestHybridElectricalOverflow) {
   // Overflow load spills onto the shared two-level electrical fabric, so
-  // this run exercises the windowed flow-network clone, batched session
+  // this run exercises the event-driven step ends, batched session
   // retirement, AND the whole-horizon replay audit.
   RuntimeConfig config = base_config();
   config.placement = HybridPlacementPolicy::kElectricalOverflow;
@@ -148,7 +153,7 @@ TEST(RuntimeServe, GoldenDigestHybridElectricalOverflow) {
   EXPECT_GT(report.electrical.jobs, 0u);
   // The audit actually ran: the shared fabric re-proved its steps.
   EXPECT_GT(report.replay_checked_steps, 0u);
-  EXPECT_EQ(report_digest(report), 0x33bea8f07707e4b5ULL)
+  EXPECT_EQ(report_digest(report), 0x0d8ba5916cdfb6d5ULL)
       << report.to_string();
 }
 
@@ -182,7 +187,7 @@ TEST(RuntimeServe, GoldenDigestRoutedChaos) {
   EXPECT_GT(report.preemptions, 0u);
   EXPECT_GT(report.resizes, 0u);
   EXPECT_GT(report.faults.injected, 0u);
-  EXPECT_EQ(report_digest(report), 0xf6071997b3665d87ULL)
+  EXPECT_EQ(report_digest(report), 0x1c1a95bfc3c9eb26ULL)
       << report.to_string();
 }
 
@@ -244,7 +249,7 @@ TEST(RuntimeServe, GoldenDigestFaultRecoveryAndHostPreemption) {
   EXPECT_GT(report.faults.migrations, 0u);
   EXPECT_GT(report.faults.fault_preemptions, 0u);
   EXPECT_GT(report.faults.killed_jobs, 0u);
-  EXPECT_EQ(report_digest(report), 0x1a1763f7f206b117ULL)
+  EXPECT_EQ(report_digest(report), 0xe93c32ca6e20be2cULL)
       << report.to_string();
 }
 
