@@ -23,6 +23,23 @@ std::uint32_t useful_wavelength_cap(std::size_t num_participants) {
   return std::max(1u, core::all_to_all_wavelength_bound(p));
 }
 
+/// `participants` minus `evicted`, kept where `keep` says so: the one filter
+/// behind an execution's oracle recipients, survivors and newly dead.
+template <typename Keep>
+std::vector<topo::NodeId> unevicted(
+    const std::vector<topo::NodeId>& participants,
+    const std::vector<topo::NodeId>& evicted, Keep keep) {
+  std::vector<topo::NodeId> out;
+  out.reserve(participants.size());
+  for (const topo::NodeId node : participants) {
+    if (keep(node) &&
+        std::find(evicted.begin(), evicted.end(), node) == evicted.end()) {
+      out.push_back(node);
+    }
+  }
+  return out;
+}
+
 }  // namespace
 
 const char* hybrid_placement_policy_name(HybridPlacementPolicy policy) {
@@ -108,17 +125,14 @@ std::string RuntimeReport::to_string() const {
 }
 
 CollectiveRuntime::CollectiveRuntime(RuntimeConfig config)
-    : config_(config),
-      ring_(config.ring_size),
-      optical_(make_optical_substrate(ring_, config_.optical,
-                                      config_.fit_policy, simulator_)),
-      electrical_(config_.placement == HybridPlacementPolicy::kOpticalOnly
-                      ? nullptr
-                      : make_electrical_substrate(config_.ring_size,
-                                                  config_.electrical)) {
-  fabrics_.push_back(optical_.get());
-  if (electrical_) fabrics_.push_back(electrical_.get());
-  placement_order_ = fabrics_;
+    : config_(config), ring_(config.ring_size) {
+  fabrics_.push_back(make_optical_substrate(ring_, config_.optical,
+                                            config_.fit_policy, simulator_));
+  if (config_.placement != HybridPlacementPolicy::kOpticalOnly) {
+    fabrics_.push_back(
+        make_electrical_substrate(config_.ring_size, config_.electrical));
+  }
+  for (const auto& fabric : fabrics_) placement_order_.push_back(fabric.get());
   if (config_.placement == HybridPlacementPolicy::kCostModelChoice) {
     std::reverse(placement_order_.begin(), placement_order_.end());
   }
@@ -148,7 +162,7 @@ void CollectiveRuntime::init_instruments() {
   ins_.fault_repairs = reg->counter("runtime.fault_repairs");
   ins_.fault_recoveries = reg->counter("runtime.fault_recoveries");
   ins_.jobs_killed = reg->counter("runtime.jobs_killed");
-  for (ExecutionSubstrate* fabric : fabrics_) fabric->attach_metrics(*reg);
+  for (const auto& fabric : fabrics_) fabric->attach_metrics(*reg);
 }
 
 void CollectiveRuntime::pump_metrics() {
@@ -323,8 +337,6 @@ CollectiveRuntime::WaitLine CollectiveRuntime::wait_line(
 
 std::int32_t CollectiveRuntime::effective_priority(
     const Execution& exec) const {
-  // Running executions keep their raw priority; only WAITING work ages.
-  if (!exec.suspended) return exec.priority;
   return aged_priority(exec.priority, exec.suspended_since, simulator_.now(),
                        config_.aging_half_life);
 }
@@ -362,8 +374,8 @@ bool CollectiveRuntime::waits_for(const QueueEntry& entry,
                                   const ExecutionSubstrate& substrate) const {
   if (entry.held) return false;
   return entry.pin == SubstratePin::kElectricalOnly
-             ? &substrate == electrical_.get()
-             : &substrate == optical_.get();
+             ? substrate.kind() == SubstrateKind::kElectrical
+             : &substrate == fabrics_.front().get();
 }
 
 std::uint32_t CollectiveRuntime::floor_grant(
@@ -383,7 +395,7 @@ void CollectiveRuntime::try_admit() {
   // repeats when it succeeds.
   for (ExecutionSubstrate* fabric : placement_order_) {
     while (place_one(*fabric) ||
-           (fabric == fabrics_.front() && try_resume_one())) {
+           (fabric == fabrics_.front().get() && try_resume_one())) {
     }
   }
   // A placement on a later fabric may have drained a guard's reason to
@@ -392,7 +404,7 @@ void CollectiveRuntime::try_admit() {
   while (try_resume_one()) {
   }
   if (config_.policy == FairnessPolicy::kPriorityPreempt) {
-    request_preemptions();
+    for (const auto& fabric : fabrics_) request_preemptions(*fabric);
   }
 }
 
@@ -406,14 +418,16 @@ CollectiveRuntime::RoutePrediction CollectiveRuntime::predict_route(
   // holding jobs.  Under kQuietAlphaBeta the comparison is of quiet run
   // times only (the ablation baseline).
   const util::Seconds now = simulator_.now();
-  if (config_.routing_cost_model == RoutingCostModel::kCongestionAware) {
-    return {optical_->predict_completion(participants, payload,
-                                         optical_grant, now),
-            electrical_->predict_completion(participants, payload, 1, now)};
+  RoutePrediction out;
+  for (const auto& fabric : fabrics_) {
+    const std::uint32_t grant = fabric->grants_hosts() ? 1 : optical_grant;
+    (fabric->kind() == SubstrateKind::kOptical ? out.optical
+                                               : out.electrical) =
+        config_.routing_cost_model == RoutingCostModel::kCongestionAware
+            ? fabric->predict_completion(participants, payload, grant, now)
+            : now + fabric->predict_makespan(participants, payload, grant);
   }
-  return {now + optical_->predict_makespan(participants, payload,
-                                           optical_grant),
-          now + electrical_->predict_makespan(participants, payload, 1)};
+  return out;
 }
 
 bool CollectiveRuntime::place_one(ExecutionSubstrate& fabric) {
@@ -475,10 +489,6 @@ bool CollectiveRuntime::place_one(ExecutionSubstrate& fabric) {
     return true;
   }
   return false;
-}
-
-void CollectiveRuntime::request_preemptions() {
-  for (ExecutionSubstrate* fabric : fabrics_) request_preemptions(*fabric);
 }
 
 void CollectiveRuntime::request_preemptions(ExecutionSubstrate& substrate) {
@@ -606,35 +616,24 @@ void CollectiveRuntime::verify_composite_or_die(const Execution& exec) {
   // so the executed prefix always shares the plan's granularity.
   coll::Schedule composite("composite", config_.ring_size,
                            exec.plan->schedule().num_chunks());
-  for (const coll::Step& step : exec.executed) {
-    composite.add_step();
-    for (const coll::Transfer& t : step.transfers) {
-      composite.add_transfer(t);
-    }
-  }
-  const coll::Schedule& ahead = exec.plan->schedule();
-  for (const coll::Step& step : ahead.steps()) {
-    composite.add_step();
-    for (const coll::Transfer& t : step.transfers) {
-      composite.add_transfer(t);
+  for (const auto* steps : {&exec.executed, &exec.plan->schedule().steps()}) {
+    for (const coll::Step& step : *steps) {
+      composite.add_step();
+      for (const coll::Transfer& t : step.transfers) {
+        composite.add_transfer(t);
+      }
     }
   }
   // Faults change the delivery contract, not the sum: once nodes were
   // evicted mid-flight, every ORIGINAL participant contributed but only
   // the survivors must end holding the total (the evicted nodes' hardware
-  // is gone — their final state is unspecified).
-  std::vector<topo::NodeId> recipients;
-  recipients.reserve(exec.participants.size());
-  for (const topo::NodeId node : exec.participants) {
-    if (std::find(exec.evicted.begin(), exec.evicted.end(), node) ==
-        exec.evicted.end()) {
-      recipients.push_back(node);
-    }
-  }
-  // An electrical ring schedule over a large group can carry more chunks
-  // than oracle_payload_len elements; every chunk needs at least one.
+  // is gone — their final state is unspecified).  An electrical ring
+  // schedule over a large group can carry more chunks than
+  // oracle_payload_len elements; every chunk needs at least one.
   const coll::OracleResult verdict = coll::Oracle::verify_allreduce_among(
-      composite, exec.participants, recipients,
+      composite, exec.participants,
+      unevicted(exec.participants, exec.evicted,
+                [](topo::NodeId) { return true; }),
       std::max<std::size_t>(config_.oracle_payload_len,
                             composite.num_chunks()));
   if (!verdict.ok) ++report_.oracle_failures;
@@ -647,7 +646,15 @@ void CollectiveRuntime::verify_composite_or_die(const Execution& exec) {
 }
 
 void CollectiveRuntime::adopt_plan(Execution& exec,
-                                   std::unique_ptr<SubstrateExecution> next) {
+                                   std::unique_ptr<SubstrateExecution> next,
+                                   const std::vector<topo::NodeId>& dead) {
+  if (exec.fresh_restart) {
+    exec.fresh_restart = false;
+    ++report_.faults.restarts;
+  } else if (!dead.empty()) {
+    exec.evicted.insert(exec.evicted.end(), dead.begin(), dead.end());
+    ++report_.faults.evictions;
+  }
   const std::vector<coll::Step>& old_steps = exec.plan->schedule().steps();
   for (std::size_t s = 0; s < exec.next_step; ++s) {
     exec.executed.push_back(old_steps[s]);
@@ -655,6 +662,7 @@ void CollectiveRuntime::adopt_plan(Execution& exec,
   exec.plan = std::move(next);
   exec.next_step = 0;
   verify_composite_or_die(exec);
+  note_recovery(exec);
   const std::size_t ahead = exec.plan->num_steps();
   for (const JobId id : exec.jobs) {
     JobRecord& record = records_[id];
@@ -696,7 +704,6 @@ void CollectiveRuntime::place_execution(
     exec->jobs.push_back(entry.id);
   }
   std::reverse(exec->jobs.begin(), exec->jobs.end());  // oldest first
-  exec->useful_cap = useful_wavelength_cap(exec->participants.size());
 
   // The members just left the queue, so the snapshot is exactly the
   // demand this placement must not strand.
@@ -736,16 +743,12 @@ void CollectiveRuntime::place_execution(
   if (exec->jobs.size() > 1) {
     obs::inc(ins_.jobs_fused,
              static_cast<std::uint64_t>(exec->jobs.size() - 1));
+    ++report_.batches;
   }
-  running_jobs_ += static_cast<std::uint32_t>(exec->jobs.size());
-  report_.peak_concurrent_jobs =
-      std::max(report_.peak_concurrent_jobs, running_jobs_);
   ++report_.executions;
-  if (exec->jobs.size() > 1) ++report_.batches;
   SubstrateBreakdown& slice = breakdown(kind);
   slice.jobs += static_cast<std::uint32_t>(exec->jobs.size());
   ++slice.executions;
-  running_execs_.push_back(exec);
 
   // Admission does not filter on node liveness (a down TRANSCEIVER's job
   // may still have been queued before the fault): a fresh placement over
@@ -756,7 +759,7 @@ void CollectiveRuntime::place_execution(
   }
 
   audit_route_decision(*exec, grant, lead_request, lead_pin, verdict);
-  run_step(exec);
+  start_running(exec);
 }
 
 void CollectiveRuntime::audit_route_decision(
@@ -814,9 +817,9 @@ bool CollectiveRuntime::renegotiate(const std::shared_ptr<Execution>& exec) {
     if (reconcile_fault(exec)) return true;
   }
   const bool preempt = exec->preempt_requested;
-  const bool resize =
+  const bool resizable =
       config_.elastic_resize && !exec->substrate->grants_hosts();
-  if (!preempt && !resize) return false;
+  if (!preempt && !resizable) return false;
   const WaitLine line = wait_line(*exec->substrate);
   if (preempt) {
     exec->preempt_requested = false;
@@ -835,30 +838,24 @@ bool CollectiveRuntime::renegotiate(const std::shared_ptr<Execution>& exec) {
       return true;
     }
   }
-  if (!resize) return false;
+  if (!resizable) return false;
   // Held (fuse-window) entries are not admissible yet, so they neither
   // justify a shrink nor block a grow.  Suspended executions of this fabric
   // are waiting on its capacity too: growing past them would hand a runner
   // the very grant a preempted (possibly more urgent) job needs to resume —
   // priority inversion by resize.  (Another fabric's waiters are neither
-  // helped nor hurt by this resize.)
-  if (line.queued == nullptr && line.suspended == nullptr) {
-    try_grow(exec);
-  } else {
+  // helped nor hurt by this resize.)  A grow stops at the useful cap.
+  const std::uint32_t cap = useful_wavelength_cap(exec->participants.size());
+  if (line.queued != nullptr || line.suspended != nullptr) {
     try_shrink(exec);
+  } else if (exec->plan->grant() < cap) {
+    resize(*exec, RenegotiationRequest::grow(exec->next_step, cap));
   }
   return false;
 }
 
 void CollectiveRuntime::suspend_execution(
     const std::shared_ptr<Execution>& exec, bool fault) {
-  exec->substrate->release(*exec->plan, simulator_.now());
-  suspend_released(exec, fault);
-}
-
-void CollectiveRuntime::suspend_released(
-    const std::shared_ptr<Execution>& exec, bool fault) {
-  exec->suspended = true;
   exec->suspended_since = simulator_.now();
   for (const JobId id : exec->jobs) {
     JobRecord& record = records_[id];
@@ -866,24 +863,20 @@ void CollectiveRuntime::suspend_released(
     ++record.preemptions;
     trace_job(sim::TraceKind::kJobPreempt, id, exec->plan->band());
   }
-  running_jobs_ -= static_cast<std::uint32_t>(exec->jobs.size());
   ++report_.preemptions;
   obs::inc(ins_.preemptions);
   if (fault) ++report_.faults.fault_preemptions;
-  running_execs_.erase(
-      std::find(running_execs_.begin(), running_execs_.end(), exec));
   suspended_.push_back(exec);
   // The surrendered band is free NOW, at the boundary — the waiting
   // high-priority job starts without waiting for this execution to finish.
-  try_admit();
-  pump_metrics();
+  stop_running(exec);
 }
 
 bool CollectiveRuntime::try_resume_one() {
   if (suspended_.empty()) return false;
   // Highest EFFECTIVE (aged) priority first, FIFO among equals.
   std::vector<std::size_t> order(suspended_.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::iota(order.begin(), order.end(), std::size_t{0});
   std::stable_sort(order.begin(), order.end(),
                    [this](std::size_t a, std::size_t b) {
                      return effective_priority(*suspended_[a]) >
@@ -912,88 +905,65 @@ bool CollectiveRuntime::try_resume_one() {
       }
       if (exec->fresh_restart && !dead.empty()) {
         // Nothing executed survives anyway — just shrink the restart set.
-        exec->participants = live_participants(*exec);
-        exec->useful_cap = useful_wavelength_cap(exec->participants.size());
-        dead.clear();
+        restart_among_survivors(*exec);
       }
     }
     // The pre-suspension width is the sizing hint; the substrate may settle
     // for less (never below the floor) or need more for inherited mirrors.
-    const std::uint32_t desired = std::clamp(
-        exec->plan->band().width, exec->min_width, exec->useful_cap);
-    publish_demand(*exec->substrate, exec.get());
-    bool restarted = exec->fresh_restart;
+    // Survivors can be too few for the floor's cap; the cap then wins (here
+    // and at the other restarts: std::clamp requires floor <= cap).
+    const std::uint32_t desired =
+        std::min(std::max(exec->plan->band().width, exec->min_width),
+                 useful_wavelength_cap(exec->participants.size()));
     RenegotiationOutcome outcome;
-    if (exec->fresh_restart) {
-      outcome = exec->substrate->renegotiate(
-          nullptr,
-          RenegotiationRequest::restart(exec->participants,
-                                        exec->batch_payload, desired,
-                                        exec->min_width));
-    } else {
+    if (!exec->fresh_restart) {
+      publish_demand(*exec->substrate, exec.get());
       outcome = exec->substrate->renegotiate(
           exec->plan.get(),
           RenegotiationRequest::resume(exec->next_step, desired,
                                        exec->min_width, dead));
+      // The remainder cannot absorb the eviction (a dead node still
+      // carries state it needs): restart among the survivors instead, at
+      // the width sized before they shrank.
       if (!outcome.accepted() && !dead.empty()) {
-        // The remainder cannot absorb the eviction (a dead node still
-        // carries state it needs): discard the prefix and restart fresh
-        // among the survivors.
-        exec->participants = live_participants(*exec);
-        exec->useful_cap = useful_wavelength_cap(exec->participants.size());
-        discard_prefix(*exec);
-        exec->fresh_restart = true;
-        restarted = true;
-        outcome = exec->substrate->renegotiate(
-            nullptr,
-            RenegotiationRequest::restart(exec->participants,
-                                          exec->batch_payload, desired,
-                                          exec->min_width));
+        restart_among_survivors(*exec);
       }
+    }
+    if (exec->fresh_restart) {
+      outcome = request_restart(*exec->substrate, *exec, desired);
     }
     if (!outcome.accepted()) continue;
 
     suspended_.erase(suspended_.begin() +
                      static_cast<std::ptrdiff_t>(idx));
-    exec->suspended = false;
-    if (restarted) {
-      exec->fresh_restart = false;
-      ++report_.faults.restarts;
-    } else if (!dead.empty()) {
-      exec->evicted.insert(exec->evicted.end(), dead.begin(), dead.end());
-      ++report_.faults.evictions;
-    }
-    adopt_plan(*exec, std::move(outcome.plan));
-    note_recovery(*exec);
+    adopt_plan(*exec, std::move(outcome.plan), dead);
     for (const JobId id : exec->jobs) {
       records_[id].state = JobState::kRunning;
       trace_job(sim::TraceKind::kJobResume, id, exec->plan->band());
     }
-    running_jobs_ += static_cast<std::uint32_t>(exec->jobs.size());
-    report_.peak_concurrent_jobs =
-        std::max(report_.peak_concurrent_jobs, running_jobs_);
     ++report_.resumes;
     obs::inc(ins_.resumes);
-    running_execs_.push_back(exec);
-    run_step(exec);
+    start_running(exec);
     return true;
   }
   return false;
 }
 
-void CollectiveRuntime::try_grow(const std::shared_ptr<Execution>& exec) {
-  if (exec->plan->grant() >= exec->useful_cap) return;
-  RenegotiationOutcome outcome = exec->substrate->renegotiate(
-      exec->plan.get(),
-      RenegotiationRequest::grow(exec->next_step, exec->useful_cap));
-  if (!outcome.accepted()) return;
-  adopt_plan(*exec, std::move(outcome.plan));
-  for (const JobId id : exec->jobs) {
-    ++records_[id].resizes;
-    trace_job(sim::TraceKind::kJobResize, id, exec->plan->band());
-  }
-  ++report_.resizes;
-  obs::inc(ins_.resizes);
+void CollectiveRuntime::start_running(const std::shared_ptr<Execution>& exec) {
+  running_jobs_ += static_cast<std::uint32_t>(exec->jobs.size());
+  report_.peak_concurrent_jobs =
+      std::max(report_.peak_concurrent_jobs, running_jobs_);
+  running_execs_.push_back(exec);
+  run_step(exec);
+}
+
+void CollectiveRuntime::stop_running(const std::shared_ptr<Execution>& exec) {
+  running_jobs_ -= static_cast<std::uint32_t>(exec->jobs.size());
+  exec->substrate->release(*exec->plan, simulator_.now());
+  running_execs_.erase(
+      std::find(running_execs_.begin(), running_execs_.end(), exec));
+  try_admit();
+  pump_metrics();
 }
 
 void CollectiveRuntime::try_shrink(const std::shared_ptr<Execution>& exec) {
@@ -1028,18 +998,24 @@ void CollectiveRuntime::try_shrink(const std::shared_ptr<Execution>& exec) {
   // Deeper cuts only make the remainder rebuild harder (the owed mirrors
   // need their level widths), so if the gentlest helping cut cannot
   // rebuild, no helping cut can.
-  RenegotiationOutcome outcome = exec->substrate->renegotiate(
-      exec->plan.get(),
-      RenegotiationRequest::shrink(exec->next_step, target));
-  if (!outcome.accepted()) return;
-  adopt_plan(*exec, std::move(outcome.plan));
-  for (const JobId id : exec->jobs) {
+  if (resize(*exec, RenegotiationRequest::shrink(exec->next_step, target))) {
+    try_admit();
+  }
+}
+
+bool CollectiveRuntime::resize(Execution& exec,
+                               const RenegotiationRequest& request) {
+  RenegotiationOutcome outcome =
+      exec.substrate->renegotiate(exec.plan.get(), request);
+  if (!outcome.accepted()) return false;
+  adopt_plan(exec, std::move(outcome.plan));
+  for (const JobId id : exec.jobs) {
     ++records_[id].resizes;
-    trace_job(sim::TraceKind::kJobResize, id, exec->plan->band());
+    trace_job(sim::TraceKind::kJobResize, id, exec.plan->band());
   }
   ++report_.resizes;
   obs::inc(ins_.resizes);
-  try_admit();
+  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -1111,8 +1087,8 @@ void CollectiveRuntime::on_fault(const FaultSpec& fault) {
   // Every fabric books the fault against its own units (free down units
   // leave service at once, held ones when their holders release).
   std::vector<const ExecutionSubstrate*> touched;
-  for (ExecutionSubstrate* fabric : fabrics_) {
-    if (fabric->apply_fault(fault, false)) touched.push_back(fabric);
+  for (const auto& fabric : fabrics_) {
+    if (fabric->apply_fault(fault, false)) touched.push_back(fabric.get());
   }
 
   // Mark every running execution the fault touches for reconciliation at
@@ -1178,7 +1154,7 @@ void CollectiveRuntime::on_fault(const FaultSpec& fault) {
 void CollectiveRuntime::on_fault_repair(const FaultSpec& fault) {
   ++report_.faults.repairs;
   obs::inc(ins_.fault_repairs);
-  for (ExecutionSubstrate* fabric : fabrics_) fabric->apply_fault(fault, true);
+  for (const auto& fabric : fabrics_) fabric->apply_fault(fault, true);
   if (trace_.enabled()) {
     trace_.record(simulator_.now(), sim::TraceKind::kFaultRepair,
                   fault.subject, static_cast<std::int64_t>(fault.domain),
@@ -1192,31 +1168,16 @@ void CollectiveRuntime::on_fault_repair(const FaultSpec& fault) {
 
 std::vector<topo::NodeId> CollectiveRuntime::newly_dead(
     const Execution& exec) const {
-  std::vector<topo::NodeId> dead;
-  for (const topo::NodeId node : exec.participants) {
-    if (!exec.substrate->node_down(node)) continue;
-    if (std::find(exec.evicted.begin(), exec.evicted.end(), node) !=
-        exec.evicted.end()) {
-      continue;
-    }
-    dead.push_back(node);
-  }
-  return dead;
+  return unevicted(exec.participants, exec.evicted, [&exec](topo::NodeId node) {
+    return exec.substrate->node_down(node);
+  });
 }
 
 std::vector<topo::NodeId> CollectiveRuntime::live_participants(
     const Execution& exec) const {
-  std::vector<topo::NodeId> live;
-  live.reserve(exec.participants.size());
-  for (const topo::NodeId node : exec.participants) {
-    if (exec.substrate->node_down(node)) continue;
-    if (std::find(exec.evicted.begin(), exec.evicted.end(), node) !=
-        exec.evicted.end()) {
-      continue;
-    }
-    live.push_back(node);
-  }
-  return live;
+  return unevicted(exec.participants, exec.evicted, [&exec](topo::NodeId node) {
+    return !exec.substrate->node_down(node);
+  });
 }
 
 void CollectiveRuntime::note_recovery(Execution& exec) {
@@ -1243,15 +1204,13 @@ void CollectiveRuntime::kill_execution(
   // electrical.jobs == completed to keep closing.
   breakdown(exec->substrate->kind()).jobs -=
       static_cast<std::uint32_t>(exec->jobs.size());
-  if (exec->suspended) {
-    suspended_.erase(std::find(suspended_.begin(), suspended_.end(), exec));
-  } else {
-    running_jobs_ -= static_cast<std::uint32_t>(exec->jobs.size());
-    exec->substrate->release(*exec->plan, simulator_.now());
-    running_execs_.erase(
-        std::find(running_execs_.begin(), running_execs_.end(), exec));
-  }
   exec->fault_since = util::Seconds(0.0);  // killed, not recovered
+  const auto parked = std::find(suspended_.begin(), suspended_.end(), exec);
+  if (parked == suspended_.end()) {
+    stop_running(exec);
+    return;
+  }
+  suspended_.erase(parked);
   try_admit();
   pump_metrics();
 }
@@ -1263,6 +1222,21 @@ void CollectiveRuntime::discard_prefix(Execution& exec) {
   exec.executed.clear();
   exec.evicted.clear();
   exec.next_step = 0;
+}
+
+void CollectiveRuntime::restart_among_survivors(Execution& exec) {
+  exec.participants = live_participants(exec);
+  discard_prefix(exec);
+  exec.fresh_restart = true;
+}
+
+RenegotiationOutcome CollectiveRuntime::request_restart(
+    ExecutionSubstrate& fabric, const Execution& exec, std::uint32_t desired) {
+  publish_demand(fabric, &exec);
+  return fabric.renegotiate(
+      nullptr, RenegotiationRequest::restart(exec.participants,
+                                             exec.batch_payload, desired,
+                                             exec.min_width));
 }
 
 bool CollectiveRuntime::reconcile_fault(
@@ -1293,42 +1267,30 @@ bool CollectiveRuntime::reconcile_fault(
           exec->plan.get(),
           RenegotiationRequest::evict(exec->next_step, dead));
       if (outcome.accepted()) {
-        exec->evicted.insert(exec->evicted.end(), dead.begin(), dead.end());
-        ++report_.faults.evictions;
-        adopt_plan(*exec, std::move(outcome.plan));
-        note_recovery(*exec);
+        adopt_plan(*exec, std::move(outcome.plan), dead);
         return false;  // still running; the caller dispatches the next step
       }
     }
     // The remainder cannot absorb the eviction (a dead node still carries
-    // live state), or the grant itself is degraded: discard the prefix and
-    // restart fresh among the survivors on a fresh grant.
-    exec->participants = live_participants(*exec);
-    exec->useful_cap = useful_wavelength_cap(exec->participants.size());
-    discard_prefix(*exec);
+    // live state), or the grant itself is degraded: restart fresh among
+    // the survivors on a fresh grant, clamped to their useful cap.
+    restart_among_survivors(*exec);
     substrate.release(*exec->plan, simulator_.now());
-    const std::uint32_t desired =
-        std::clamp(grant, exec->min_width, exec->useful_cap);
-    publish_demand(substrate, exec.get());
-    RenegotiationOutcome restart = substrate.renegotiate(
-        nullptr,
-        RenegotiationRequest::restart(exec->participants,
-                                      exec->batch_payload, desired,
-                                      exec->min_width));
-    if (restart.accepted()) {
-      ++report_.faults.restarts;
-      adopt_plan(*exec, std::move(restart.plan));
-      note_recovery(*exec);
-      // The grant moved: record the new claim so band-disjointness audits
-      // can follow the execution across the restart.
-      for (const JobId id : exec->jobs) {
-        trace_job(sim::TraceKind::kJobResize, id, exec->plan->band());
-      }
-      return false;
+    RenegotiationOutcome restart = request_restart(
+        substrate, *exec,
+        std::min(std::max(grant, exec->min_width),
+                 useful_wavelength_cap(exec->participants.size())));
+    if (!restart.accepted()) {
+      suspend_execution(exec, /*fault=*/true);
+      return true;
     }
-    exec->fresh_restart = true;
-    suspend_released(exec, /*fault=*/true);
-    return true;
+    adopt_plan(*exec, std::move(restart.plan));
+    // The grant moved: record the new claim so band-disjointness audits
+    // can follow the execution across the restart.
+    for (const JobId id : exec->jobs) {
+      trace_job(sim::TraceKind::kJobResize, id, exec->plan->band());
+    }
+    return false;
   }
 
   // Degraded grant, every participant alive.
@@ -1340,7 +1302,7 @@ bool CollectiveRuntime::reconcile_fault(
     // electrical fabric, and every participant's ring position optically
     // alive (the restart re-runs the all-reduce from the participants'
     // initial gradients).
-    ExecutionSubstrate& ring = *optical_;
+    ExecutionSubstrate& ring = *fabrics_.front();
     bool migratable = true;
     for (const JobId id : exec->jobs) {
       migratable &= records_[id].spec.pin != SubstratePin::kElectricalOnly;
@@ -1349,14 +1311,10 @@ bool CollectiveRuntime::reconcile_fault(
       migratable &= !ring.node_down(node);
     }
     if (migratable) {
-      const std::uint32_t desired = std::clamp(
-          config_.default_request, exec->min_width, exec->useful_cap);
-      publish_demand(ring, exec.get());
-      RenegotiationOutcome outcome = ring.renegotiate(
-          nullptr,
-          RenegotiationRequest::restart(exec->participants,
-                                        exec->batch_payload, desired,
-                                        exec->min_width));
+      RenegotiationOutcome outcome = request_restart(
+          ring, *exec,
+          std::min(std::max(config_.default_request, exec->min_width),
+                   useful_wavelength_cap(exec->participants.size())));
       if (outcome.accepted()) {
         discard_prefix(*exec);
         substrate.release(*exec->plan, simulator_.now());
@@ -1372,7 +1330,6 @@ bool CollectiveRuntime::reconcile_fault(
         exec->substrate = &ring;
         adopt_plan(*exec, std::move(outcome.plan));
         ++report_.faults.migrations;
-        note_recovery(*exec);
         for (const JobId id : exec->jobs) {
           records_[id].substrate = ring.kind();
           trace_job(sim::TraceKind::kJobMigrate, id, exec->plan->band());
@@ -1382,21 +1339,9 @@ bool CollectiveRuntime::reconcile_fault(
     }
   }
   // Keep the healthy prefix of the grant when the floor allows.
-  if (healthy >= exec->min_width) {
-    RenegotiationOutcome outcome = substrate.renegotiate(
-        exec->plan.get(),
-        RenegotiationRequest::shrink(exec->next_step, healthy));
-    if (outcome.accepted()) {
-      adopt_plan(*exec, std::move(outcome.plan));
-      for (const JobId id : exec->jobs) {
-        ++records_[id].resizes;
-        trace_job(sim::TraceKind::kJobResize, id, exec->plan->band());
-      }
-      ++report_.resizes;
-      obs::inc(ins_.resizes);
-      note_recovery(*exec);
-      return false;
-    }
+  if (healthy >= exec->min_width &&
+      resize(*exec, RenegotiationRequest::shrink(exec->next_step, healthy))) {
+    return false;
   }
   // Otherwise surrender the grant and wait for repair or free capacity.
   // Hosts checkpoint at BSP boundaries, so a dead host costs a remap at
@@ -1430,9 +1375,9 @@ void CollectiveRuntime::run_step(const std::shared_ptr<Execution>& exec) {
     simulator_.schedule_at(*timing.end, [this, exec] { on_step_end(exec); });
   } else {
     // Injecting this step's flows moved the fabric's next network event.
-    arm_wake(static_cast<std::size_t>(
-        std::find(fabrics_.begin(), fabrics_.end(), exec->substrate) -
-        fabrics_.begin()));
+    std::size_t fabric = 0;
+    while (fabrics_[fabric].get() != exec->substrate) ++fabric;
+    arm_wake(fabric);
   }
   pump_metrics();
 }
@@ -1554,42 +1499,19 @@ void CollectiveRuntime::finish_execution(
   slice.busy_time += exec->busy_time;
   slice.quiet_time += exec->quiet_time;
   last_completion_ = std::max(last_completion_, simulator_.now());
-  running_jobs_ -= static_cast<std::uint32_t>(exec->jobs.size());
   obs::inc(ins_.jobs_completed,
            static_cast<std::uint64_t>(exec->jobs.size()));
-  exec->substrate->release(*exec->plan, simulator_.now());
-  running_execs_.erase(
-      std::find(running_execs_.begin(), running_execs_.end(), exec));
-  try_admit();
-  pump_metrics();
+  stop_running(exec);
 }
 
 RuntimeReport CollectiveRuntime::run() {
   WRHT_REQUIRE(!started_, "CollectiveRuntime: run() called twice");
-  started_ = true;
-  for (const JobRecord& record : records_) {
-    if (record.state != JobState::kSubmitted) continue;  // rejected
-    const JobId id = record.id;
-    simulator_.schedule_at(record.spec.arrival, [this, id] { on_arrival(id); });
-  }
-  return drive();
+  return drive(nullptr);
 }
 
 RuntimeReport CollectiveRuntime::serve(JobSource& source) {
   WRHT_REQUIRE(!started_, "CollectiveRuntime: serve() after run()");
-  started_ = true;
-  // Jobs submitted before serve() still run (the CLI submits warm-up jobs
-  // this way); the stream chains in alongside them.
-  for (const JobRecord& record : records_) {
-    if (record.state != JobState::kSubmitted) continue;  // rejected
-    const JobId id = record.id;
-    simulator_.schedule_at(record.spec.arrival, [this, id] { on_arrival(id); });
-  }
-  source_ = &source;
-  pump_source(util::Seconds(0.0));
-  RuntimeReport report = drive();
-  source_ = nullptr;
-  return report;
+  return drive(&source);
 }
 
 void CollectiveRuntime::pump_source(util::Seconds floor) {
@@ -1617,7 +1539,17 @@ void CollectiveRuntime::pump_source(util::Seconds floor) {
   }
 }
 
-RuntimeReport CollectiveRuntime::drive() {
+RuntimeReport CollectiveRuntime::drive(JobSource* source) {
+  started_ = true;
+  // Jobs submit()ted beforehand run too (the CLI submits warm-up jobs
+  // before serve() this way); a stream chains in alongside them.
+  for (const JobRecord& record : records_) {
+    if (record.state != JobState::kSubmitted) continue;  // rejected
+    const JobId id = record.id;
+    simulator_.schedule_at(record.spec.arrival, [this, id] { on_arrival(id); });
+  }
+  source_ = source;
+  pump_source(util::Seconds(0.0));
   if (config_.metrics) {
     // Run-start bookend: every counter track opens at t=0 with the idle
     // state, so the Chrome trace's series span the whole run.
@@ -1644,11 +1576,11 @@ RuntimeReport CollectiveRuntime::drive() {
   // horizon into a fresh network and must reproduce every incremental step
   // time (aborts on disagreement); the per-link peaks tell the congestion
   // story the slowdown numbers summarize.
-  for (ExecutionSubstrate* fabric : fabrics_) {
+  for (const auto& fabric : fabrics_) {
     report_.replay_checked_steps += fabric->self_check();
-  }
-  if (electrical_) {
-    report_.electrical_link_peak = electrical_->link_peak_utilization();
+    if (fabric->kind() == SubstrateKind::kElectrical) {
+      report_.electrical_link_peak = fabric->link_peak_utilization();
+    }
   }
   if (report_.routing.decisions > 0) {
     // Every audited execution has completed by now — the drained-clock

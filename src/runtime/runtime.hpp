@@ -1,40 +1,39 @@
 // The multi-tenant collective runtime: many all-reduce jobs, one shared
-// simulation clock, and (since the substrate refactor) a choice of
-// execution fabrics.
+// simulation clock, and a list of execution fabrics.
 //
-// The seed library runs a single Wrht schedule per experiment; this runtime
-// is the serving layer above it.  Tenants submit jobs (participant subset +
-// payload + arrival time).  On arrival a job enters the admission queue;
-// the fairness policy decides who runs next.  Execution itself is delegated
-// to a polymorphic ExecutionSubstrate (runtime/substrate.hpp): the
-// substrate owns schedule construction, resource grant/release, per-step
-// timing, and renegotiation, while the runtime keeps admission, fairness,
-// batching, the shared clock, and oracle validation.
+// Tenants submit jobs (participant subset + payload + arrival time).  On
+// arrival a job enters the admission queue; the fairness policy decides who
+// runs next.  Execution itself is delegated to polymorphic
+// ExecutionSubstrates (runtime/substrate.hpp): a substrate owns schedule
+// construction, resource grant/release, per-step timing, and
+// renegotiation, while the runtime keeps admission, fairness, batching, the
+// shared clock, and oracle validation.  The runtime holds its fabrics as a
+// list — the primary first — and finds one by position or by kind(), never
+// by name.
 //
-// The primary substrate is the paper's optical WDM ring: the arbiter
-// carves a disjoint wavelength band per admitted job, each job's Wrht
-// schedule is built against its private band width and progressed step by
-// step as events on ONE sim::Simulator, with the shared SpectrumMap
-// re-checking every (span, wavelength, direction) reservation.  Under a
-// hybrid placement policy the runtime also serves the ELECTRICAL fallback
-// fabric (src/elec's flow simulator): when the spectrum saturates, queued
-// arrivals are placed onto host links of an electrical cluster instead of
-// waiting.  Placement is one pass over the fabrics in the policy's
-// preference order, each placing until it declines — kElectricalOverflow
-// asks the ring first and spills whatever it declined, kCostModelChoice
-// asks the fallback first and places there only the jobs the cost models
-// predict finish sooner there — and JobSpec::pin lets a tenant force (or
-// forbid) the fallback outright.  The fallback fabric itself is
-// configurable: an exclusive star (every execution times its steps on a
-// private quiet network) or an oversubscribed two-level tree whose shared
-// ToR uplinks make concurrent executions contend — there one
-// SharedFabricTimer times every in-flight electrical step together, the
-// runtime keeps one wake event per fabric on the sim clock that advances
-// the real flow network from one of its events to the next and ends the
-// steps that drained there, and a whole-horizon flow replay re-proves
-// every step time at the end of the run.  Both timing models run on the
-// same clock and land in one report, with per-substrate breakdowns and
-// per-job contention slowdowns.
+// The primary fabric is the paper's optical WDM ring: the arbiter carves a
+// disjoint wavelength band per admitted job, each job's Wrht schedule is
+// built against its private band width and progressed step by step as
+// events on ONE sim::Simulator, with the shared SpectrumMap re-checking
+// every (span, wavelength, direction) reservation.  Under a hybrid
+// placement policy the list also holds the ELECTRICAL fallback fabric
+// (src/elec's flow simulator): when the spectrum saturates, queued arrivals
+// are placed onto host links of an electrical cluster instead of waiting.
+// Placement is one pass over the fabrics in the policy's preference order,
+// each placing until it declines — kElectricalOverflow asks the ring first
+// and spills whatever it declined, kCostModelChoice asks the fallback first
+// and places there only the jobs the cost models predict finish sooner
+// there — and JobSpec::pin lets a tenant force (or forbid) the fallback
+// outright.  The fallback is either an exclusive star (every execution
+// times its steps on a private quiet network) or an oversubscribed
+// two-level tree whose shared ToR uplinks make concurrent executions
+// contend — there one SharedFabricTimer times every in-flight electrical
+// step together, the runtime keeps one wake event per fabric on the sim
+// clock that advances the real flow network from one of its events to the
+// next and ends the steps that drained there, and a whole-horizon flow
+// replay re-proves every step time at the end of the run.  Both timing
+// models land in one report, with per-substrate breakdowns and per-job
+// contention slowdowns.
 //
 // Small same-group jobs are fused by the Batcher into a single schedule
 // (one set of per-step overheads for the whole batch), optionally after a
@@ -45,12 +44,14 @@
 // Step-boundary renegotiation: the runtime may PREEMPT an execution at a
 // step boundary (suspend it, surrender its whole grant to a higher-priority
 // arrival under FairnessPolicy::kPriorityPreempt, resume it later on
-// whatever grant it regains) or, on band substrates (grants_hosts() is
-// false), RESIZE it (grow into freed neighboring spectrum, or shrink toward the
-// job's floor when queued tenants starve).  Both paths rebuild
-// the execution's remaining schedule through the substrate and every
-// rebuilt remainder is re-proven with the oracle — composed with the
-// functional steps already executed — before it touches the fabric.
+// whatever grant it regains), RESIZE it on a band fabric (grow into freed
+// neighboring spectrum, or shrink toward the job's floor when queued
+// tenants starve), or reconcile it with a fault (evict dead participants,
+// restart among the survivors, or migrate to the ring).  Each transition
+// has one body — start_running, stop_running, resize and
+// restart_among_survivors — and adopt_plan is the one adopt site: it
+// re-proves every rebuilt remainder with the oracle, composed with the
+// functional steps already executed, before it touches the fabric.
 #pragma once
 
 #include <cstdint>
@@ -379,9 +380,8 @@ class CollectiveRuntime {
     /// priorities instead of flattening them to 0.
     std::int32_t priority = std::numeric_limits<std::int32_t>::min();
     /// Narrowest band the execution accepts (max over fused jobs' minima).
+    /// The widest it can exploit follows from the participant count.
     std::uint32_t min_width = 1;
-    /// Widest band the execution can exploit (growth ceiling).
-    std::uint32_t useful_cap = 1;
     std::vector<topo::NodeId> participants;
     util::Bytes batch_payload;
     std::vector<coll::Step> executed;
@@ -408,9 +408,8 @@ class CollectiveRuntime {
     /// disrupted) — the recovery-time (MTTR) anchor, cleared when the
     /// execution runs again.
     util::Seconds fault_since{0.0};
-    bool suspended = false;
-    /// When the execution last suspended (valid while `suspended`) — the
-    /// clock priority aging runs against.
+    /// When the execution last suspended (valid while it is in suspended_)
+    /// — the clock priority aging runs against.
     util::Seconds suspended_since{0.0};
     /// When the in-flight step started, and the accumulated actual/quiet
     /// durations of finished steps (the per-job contention slowdown).
@@ -427,9 +426,10 @@ class CollectiveRuntime {
   /// next spec in turn.  `floor` is the previous arrival time, enforcing
   /// the source's nondecreasing-arrival contract.
   void pump_source(util::Seconds floor);
-  /// Shared tail of run()/serve(): bookend the metrics, drain the clock,
+  /// The body of run() (`source` null) and serve(): schedule the submitted
+  /// arrivals, chain in the stream, bookend the metrics, drain the clock,
   /// run the end-of-run audits, and seal the report.
-  RuntimeReport drive();
+  RuntimeReport drive(JobSource* source);
   void on_arrival(JobId id);
   void release_fuse_hold(JobId id);
   /// The placement pass over placement_order_, then resumes and (under
@@ -449,11 +449,18 @@ class CollectiveRuntime {
   bool place_one(ExecutionSubstrate& fabric);
   /// Shared placement tail: pop the queue entry at `queue_index` (plus its
   /// fusable peers when the substrate batches), build the plan with `grant`
-  /// units on `substrate`, prove it, and dispatch its first step.  `verdict`
-  /// is the router's prediction that sent the lead here, if it ran.
+  /// units on `substrate`, prove it, and start it running.  `verdict` is
+  /// the router's prediction that sent the lead here, if it ran.
   void place_execution(ExecutionSubstrate& substrate, std::size_t queue_index,
                        std::uint32_t grant,
                        const std::optional<RoutePrediction>& verdict);
+  /// The one start of a placed or resumed execution: count its jobs as
+  /// running, list it, and dispatch its next step.
+  void start_running(const std::shared_ptr<Execution>& exec);
+  /// The one stop of a suspended, killed or finished execution: uncount
+  /// its jobs, release its grant (a no-op when already surrendered), unlist
+  /// it, and re-run admission on what it freed.
+  void stop_running(const std::shared_ptr<Execution>& exec);
   /// Dispatch exec's next step: a closed-form end schedules its boundary
   /// event; otherwise the fabric's wake delivers it.
   void run_step(const std::shared_ptr<Execution>& exec);
@@ -486,9 +493,9 @@ class CollectiveRuntime {
   /// re-run of admission cannot hand it to anyone else.
   void suspend_execution(const std::shared_ptr<Execution>& exec,
                          bool fault = false);
-  /// suspend_execution minus the release — for paths that already
-  /// surrendered the grant (a refused in-place restart attempt).
-  void suspend_released(const std::shared_ptr<Execution>& exec, bool fault);
+  /// Resume the most urgent suspended execution that can run now: evict
+  /// participants that died while it waited, or restart among the
+  /// survivors when its remainder cannot absorb them.
   bool try_resume_one();
 
   /// Pull the next fault from the stream and schedule its injection event
@@ -507,9 +514,16 @@ class CollectiveRuntime {
   /// elsewhere).
   [[nodiscard]] bool reconcile_fault(const std::shared_ptr<Execution>& exec);
   /// Throw away exec's executed prefix before a fresh plan: bill its step
-  /// time as wasted and restart the step count.  The caller sets the new
-  /// participant set first (live_participants reads `evicted`).
+  /// time as wasted and restart the step count.
   void discard_prefix(Execution& exec);
+  /// The one survivor restart: shrink exec to its live participants,
+  /// discard the prefix, and mark it fresh_restart until a plan is adopted.
+  void restart_among_survivors(Execution& exec);
+  /// Ask `fabric` for a brand-new plan among exec's participants of at most
+  /// `desired` units, with the demand snapshot refreshed first.
+  [[nodiscard]] RenegotiationOutcome request_restart(
+      ExecutionSubstrate& fabric, const Execution& exec,
+      std::uint32_t desired);
   /// Faults left fewer than 2 live participants: mark every carried job
   /// JobState::kFailed, release the grant, and drop the execution.
   void kill_execution(const std::shared_ptr<Execution>& exec);
@@ -524,11 +538,10 @@ class CollectiveRuntime {
   /// among.
   [[nodiscard]] std::vector<topo::NodeId> live_participants(
       const Execution& exec) const;
-  /// Ask lower-priority executions to surrender their grants at the next
-  /// step boundary, on every substrate: a fabric's waiters
-  /// (see waits_for) preempt only that fabric's executions.  Suspending
-  /// across fabrics would free nothing the waiter can use.
-  void request_preemptions();
+  /// Ask lower-priority executions of `substrate` to surrender their grants
+  /// at the next step boundary: a fabric's waiters (see waits_for) preempt
+  /// only that fabric's executions.  Suspending across fabrics would free
+  /// nothing the waiter can use.
   void request_preemptions(ExecutionSubstrate& substrate);
   /// Who waits for a fabric's capacity: the most urgent queued entry that
   /// waits_for it (aged priority, oldest among equals) and the most urgent
@@ -541,8 +554,8 @@ class CollectiveRuntime {
     std::int32_t suspended_priority = std::numeric_limits<std::int32_t>::min();
   };
   [[nodiscard]] WaitLine wait_line(const ExecutionSubstrate& fabric) const;
-  /// `exec`'s effective priority right now: raw while running, aged by the
-  /// suspension wait while suspended.
+  /// Suspended `exec`'s effective priority right now: its priority aged by
+  /// the suspension wait (running executions keep their raw priority).
   [[nodiscard]] std::int32_t effective_priority(const Execution& exec) const;
   /// Refresh `substrate`'s advisory pending-demand snapshot (floor grants
   /// of the queued jobs waiting for it + its suspended executions, minus
@@ -572,13 +585,19 @@ class CollectiveRuntime {
   void audit_route_decision(const Execution& exec, std::uint32_t grant,
                             std::uint32_t optical_request, SubstratePin pin,
                             const std::optional<RoutePrediction>& verdict);
-  void try_grow(const std::shared_ptr<Execution>& exec);
   void try_shrink(const std::shared_ptr<Execution>& exec);
+  /// The one resize adoption (grow, shrink, fault shrink): renegotiate
+  /// `request` in place and, when accepted, adopt the rebuilt remainder and
+  /// count the resize per job and in the report.
+  bool resize(Execution& exec, const RenegotiationRequest& request);
 
-  /// Fold the executed prefix of exec's current plan into exec->executed,
-  /// install `next` as the new plan, update the job records, and re-prove
-  /// the composite with the oracle.
-  void adopt_plan(Execution& exec, std::unique_ptr<SubstrateExecution> next);
+  /// The one adopt site of every rebuilt or fresh plan: count a survivor
+  /// restart (clearing fresh_restart) or the eviction of `dead`, fold the
+  /// executed prefix of exec's current plan into exec->executed, install
+  /// `next`, re-prove the composite with the oracle, close any open
+  /// recovery window, and update the job records.
+  void adopt_plan(Execution& exec, std::unique_ptr<SubstrateExecution> next,
+                  const std::vector<topo::NodeId>& dead = {});
   void verify_composite_or_die(const Execution& exec);
   void trace_job(sim::TraceKind kind, JobId id, const WavelengthBand& band);
   [[nodiscard]] SubstrateBreakdown& breakdown(SubstrateKind kind);
@@ -623,10 +642,9 @@ class CollectiveRuntime {
   RuntimeConfig config_;
   topo::RingTopology ring_;
   sim::Simulator simulator_;
-  std::unique_ptr<ExecutionSubstrate> optical_;
-  std::unique_ptr<ExecutionSubstrate> electrical_;
-  /// Every fabric served, the primary (the optical ring) first.
-  std::vector<ExecutionSubstrate*> fabrics_;
+  /// Every fabric served, the primary (the optical ring) first.  Found by
+  /// position or by kind(), never by name.
+  std::vector<std::unique_ptr<ExecutionSubstrate>> fabrics_;
   /// The same fabrics in the placement policy's preference order.
   std::vector<ExecutionSubstrate*> placement_order_;
   /// One wake event per fabric, parallel to fabrics_ (empty until the

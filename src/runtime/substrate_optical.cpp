@@ -7,7 +7,7 @@
 // and schedules the release events on the shared clock.  Renegotiation — one
 // typed renegotiate() entry point covering resume, grow, shrink, fault
 // eviction, and restart — rebuilds the not-yet-run remainder through
-// core::rebuild_wrht_remainder_evicting and transacts the band on the
+// core::rebuild_wrht_remainder and transacts the band on the
 // arbiter, with rollback when a rebuild does not pay off.  The substrate
 // owns its fault state: down ring positions (transceiver and node faults)
 // and degraded wavelengths, both refcounted.  A degraded wavelength leaves
@@ -50,7 +50,6 @@ class OpticalExecution final : public SubstrateExecution {
   /// False once the band went back to the arbiter (suspension) or moved to
   /// a successor plan (resize) — the double-release guard.
   bool holds_band = false;
-  std::vector<topo::NodeId> participants;
   util::Bytes payload;
   std::vector<std::vector<optical::TimedTransfer>> timed_steps;
   /// When this band is expected back: refreshed after every timed step by
@@ -282,9 +281,7 @@ class OpticalSubstrate final : public ExecutionSubstrate {
     const std::optional<WavelengthBand> band = acquire_band(grant);
     WRHT_CHECK(band.has_value(), "OpticalSubstrate: arbiter refused a "
                                      << grant << "-band on resume");
-    return {make_plan(std::move(*rebuilt), *band,
-                      without(current.participants, request.nodes),
-                      current.payload)};
+    return {make_plan(std::move(*rebuilt), *band, current.payload)};
   }
 
   [[nodiscard]] RenegotiationOutcome grow(OpticalExecution& current,
@@ -304,8 +301,7 @@ class OpticalSubstrate final : public ExecutionSubstrate {
     }
     current.holds_band = false;  // the grown band moves to the new plan
     forget(current);
-    return {make_plan(std::move(*rebuilt), grown, current.participants,
-                      current.payload)};
+    return {make_plan(std::move(*rebuilt), grown, current.payload)};
   }
 
   [[nodiscard]] RenegotiationOutcome shrink(
@@ -320,14 +316,13 @@ class OpticalSubstrate final : public ExecutionSubstrate {
     forget(current);
     // A fault shrink cuts a degraded tail; it leaves service now.
     if (wavelengths_down_.pending()) take_down_wavelengths();
-    return {make_plan(std::move(*rebuilt), kept, current.participants,
-                      current.payload)};
+    return {make_plan(std::move(*rebuilt), kept, current.payload)};
   }
 
   /// Survivor rebuild on the SAME band: the remainder is rebuilt with the
   /// failed nodes stripped from its delivery set.  Refused when a failed
-  /// node still carries live state (rebuild_wrht_remainder_evicting's
-  /// contract) — the caller then restarts among the survivors.
+  /// node still carries live state (rebuild_wrht_remainder's contract) —
+  /// the caller then restarts among the survivors.
   [[nodiscard]] RenegotiationOutcome evict(
       OpticalExecution& current, const RenegotiationRequest& request) {
     std::optional<core::WrhtBuild> rebuilt = rebuild_remainder(
@@ -336,9 +331,7 @@ class OpticalSubstrate final : public ExecutionSubstrate {
     const WavelengthBand band = current.band_;
     current.holds_band = false;  // the band moves unchanged to the new plan
     forget(current);
-    return {make_plan(std::move(*rebuilt), band,
-                      without(current.participants, request.nodes),
-                      current.payload)};
+    return {make_plan(std::move(*rebuilt), band, current.payload)};
   }
 
   /// Brand-new plan among request.nodes on a fresh band — the from-scratch
@@ -360,8 +353,7 @@ class OpticalSubstrate final : public ExecutionSubstrate {
                "OpticalSubstrate: schedule overflowed its band ("
                    << build.annotated.wavelengths_required << " > "
                    << band->width << ")");
-    return {make_plan(std::move(build), *band, request.nodes,
-                      request.payload)};
+    return {make_plan(std::move(build), *band, request.payload)};
   }
 
   /// Quarantine every degraded wavelength no band holds: a width-1
@@ -371,19 +363,6 @@ class OpticalSubstrate final : public ExecutionSubstrate {
       return arbiter_.allocate_at(static_cast<std::uint32_t>(w), 1)
           .has_value();
     });
-  }
-
-  [[nodiscard]] static std::vector<topo::NodeId> without(
-      const std::vector<topo::NodeId>& all,
-      const std::vector<topo::NodeId>& removed) {
-    std::vector<topo::NodeId> kept;
-    kept.reserve(all.size());
-    for (const topo::NodeId node : all) {
-      if (std::find(removed.begin(), removed.end(), node) == removed.end()) {
-        kept.push_back(node);
-      }
-    }
-    return kept;
   }
 
   /// Snapshot of the spectrum the planner scores placements/forecasts
@@ -427,19 +406,16 @@ class OpticalSubstrate final : public ExecutionSubstrate {
     core::WrhtParams wrht;
     wrht.num_wavelengths = width;
     wrht.fit_policy = fit_policy_;
-    return core::rebuild_wrht_remainder_evicting(
-        exec.build, steps_done, exec.participants, evicted, ring_.num_nodes(),
-        wrht);
+    return core::rebuild_wrht_remainder(exec.build, steps_done, evicted,
+                                        ring_.num_nodes(), wrht);
   }
 
   [[nodiscard]] std::unique_ptr<SubstrateExecution> make_plan(
-      core::WrhtBuild build, const WavelengthBand& band,
-      const std::vector<topo::NodeId>& participants, util::Bytes payload) {
+      core::WrhtBuild build, const WavelengthBand& band, util::Bytes payload) {
     auto plan = std::make_unique<OpticalExecution>();
     plan->build = std::move(build);
     plan->band_ = band;
     plan->holds_band = true;
-    plan->participants = participants;
     plan->payload = payload;
     const std::size_t num_steps = plan->build.annotated.schedule.num_steps();
     plan->timed_steps.reserve(num_steps);

@@ -176,6 +176,7 @@ WrhtBuild build_wrht_among(const std::vector<topo::NodeId>& participants,
   build.annotated =
       AnnotatedSchedule{coll::Schedule("wrht", ring_size, 1), {}, 0, {}};
   build.group_size_m = m;
+  build.partial_holders = participants;
 
   std::vector<topo::NodeId> active = participants;
 
@@ -237,15 +238,6 @@ WrhtBuild build_wrht_among(const std::vector<topo::NodeId>& participants,
 
 std::optional<WrhtBuild> rebuild_wrht_remainder(
     const WrhtBuild& build, std::size_t steps_done,
-    const std::vector<topo::NodeId>& participants, std::uint32_t ring_size,
-    const WrhtParams& params) {
-  return rebuild_wrht_remainder_evicting(build, steps_done, participants, {},
-                                         ring_size, params);
-}
-
-std::optional<WrhtBuild> rebuild_wrht_remainder_evicting(
-    const WrhtBuild& build, std::size_t steps_done,
-    const std::vector<topo::NodeId>& participants,
     const std::vector<topo::NodeId>& evicted, std::uint32_t ring_size,
     const WrhtParams& params) {
   const std::size_t total_steps = build.annotated.schedule.num_steps();
@@ -287,11 +279,14 @@ std::optional<WrhtBuild> rebuild_wrht_remainder_evicting(
 
   if (steps_done < reduce_steps) {
     // Survivors holding partial sums: the reps of the last completed level
-    // (the whole participant set when no level completed yet).  The fresh
-    // sub-all-reduce among them is sized for the NEW budget, so it may use
-    // fewer (wider band) or more (narrower band) levels than the original.
-    std::vector<topo::NodeId> active =
-        completed_levels == 0 ? participants : std::vector<topo::NodeId>{};
+    // (the build's own partial holders when no level completed yet — for a
+    // remainder those are its sub-all-reduce members, not the original
+    // participants).  The fresh sub-all-reduce among them is sized for the
+    // NEW budget, so it may use fewer (wider band) or more (narrower band)
+    // levels than the original.
+    std::vector<topo::NodeId> active = completed_levels == 0
+                                           ? build.partial_holders
+                                           : std::vector<topo::NodeId>{};
     if (completed_levels != 0) {
       for (const Group& group :
            build.reduce_levels[completed_levels - 1].groups) {

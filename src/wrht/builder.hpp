@@ -50,6 +50,11 @@ struct WrhtBuild {
   ///   steps = reduce_levels + (merged ? 1 : 0) + broadcast_levels
   /// holds for every build, original or renegotiated.
   std::vector<WrhtLevel> broadcast_levels;
+  /// Nodes holding partial sums entering step 0: the participants of a
+  /// fresh build, the sub-all-reduce members of a remainder rebuilt in the
+  /// reduce stage (empty for a broadcast-only remainder, which has no
+  /// reduce step to cut before).
+  std::vector<topo::NodeId> partial_holders;
   std::uint32_t group_size_m = 0;
   /// Representatives alive entering the final reduce step (paper's m*).
   std::uint32_t final_rep_count_mstar = 0;
@@ -105,51 +110,46 @@ struct WrhtBuild {
     const WrhtParams& params);
 
 /// Step-boundary renegotiation seam: rebuild the not-yet-executed remainder
-/// of `build` against a (possibly different) wavelength budget.
+/// of `build` against a (possibly different) wavelength budget, dropping the
+/// FAILED nodes in `evicted` (empty for preempt/resume and grow/shrink) from
+/// its delivery set.
 ///
 /// `steps_done` schedule steps of `build` have completed (0 <= steps_done <
 /// num_steps), so the collective's logical state is known exactly: in the
 /// reduce stage the surviving representatives hold their subtree partial
-/// sums; in the broadcast stage some mirrors are still owed.  The returned
-/// build finishes the all-reduce from that state — a fresh sub-all-reduce
-/// among the survivors (sized for params.num_wavelengths, so a wider band
-/// yields fewer levels and a narrower one more) followed by the mirrors of
-/// the already-executed tree levels, recolored for the new budget.
-/// Executing the first steps_done steps of `build` and then all steps of the
-/// returned build is a complete all-reduce among `participants` (the
-/// original participant set `build` was constructed for).
+/// sums (build.partial_holders before the first step); in the broadcast
+/// stage some mirrors are still owed.  The returned build finishes the
+/// all-reduce from that state — a fresh sub-all-reduce among the holders
+/// (sized for params.num_wavelengths, so a wider band yields fewer levels
+/// and a narrower one more) followed by the mirrors of the already-executed
+/// tree levels, recolored for the new budget.  Executing the first
+/// steps_done steps of `build` and then all steps of the returned build
+/// delivers the sum over ALL of build's contributors to every one of them
+/// EXCEPT the evicted nodes, whose final state is unspecified — exactly what
+/// the contributors/recipients all-reduce oracle checks.
 ///
-/// Composes: the result is itself a structurally valid WrhtBuild, so a
-/// resized or resumed execution can be renegotiated again at a later
-/// boundary.  Returns nullopt when an inherited mirror level cannot be
-/// recolored within params.num_wavelengths (the caller must keep a band at
-/// least as wide as that level needs, or wait for one).
-[[nodiscard]] std::optional<WrhtBuild> rebuild_wrht_remainder(
-    const WrhtBuild& build, std::size_t steps_done,
-    const std::vector<topo::NodeId>& participants, std::uint32_t ring_size,
-    const WrhtParams& params);
-
-/// Fault variant of rebuild_wrht_remainder: the nodes in `evicted` have
-/// FAILED and must be dropped from the remainder's delivery set.  Succeeds
-/// only when every evicted node's contribution is already merged and no
-/// survivor depends on it for delivery:
+/// Eviction succeeds only when every evicted node's contribution is already
+/// merged and no survivor depends on it for delivery:
 ///
 ///  * an evicted node still holding a live subtree partial (it is among the
-///    surviving representatives at this boundary) loses those contributions
-///    with it — refused, the caller must restart among the survivors;
+///    holders at this boundary) loses those contributions with it —
+///    refused, the caller must restart among the survivors;
 ///  * an evicted node that is the representative of an owed mirror group
 ///    with surviving members would orphan their delivery — refused likewise.
 ///
 /// Otherwise evicted nodes are stripped from the owed mirror levels (groups
 /// whose membership dies entirely are dropped, levels left with no transfers
-/// are skipped).  Executing the first steps_done steps of `build` and then
-/// the returned build delivers the sum over ALL original participants to
-/// every participant EXCEPT the evicted ones, whose final state is
-/// unspecified — exactly what the contributors/recipients all-reduce oracle
-/// checks.  With `evicted` empty this is rebuild_wrht_remainder.
-[[nodiscard]] std::optional<WrhtBuild> rebuild_wrht_remainder_evicting(
+/// are skipped).
+///
+/// Composes: the result is itself a structurally valid WrhtBuild (its
+/// partial_holders name the sub-all-reduce members), so a resized, resumed
+/// or evicted execution can be renegotiated again at a later boundary, cut 0
+/// included.  Returns nullopt when an eviction is refused or an inherited
+/// mirror level cannot be recolored within params.num_wavelengths (the
+/// caller must keep a band at least as wide as that level needs, or wait
+/// for one).
+[[nodiscard]] std::optional<WrhtBuild> rebuild_wrht_remainder(
     const WrhtBuild& build, std::size_t steps_done,
-    const std::vector<topo::NodeId>& participants,
     const std::vector<topo::NodeId>& evicted, std::uint32_t ring_size,
     const WrhtParams& params);
 

@@ -582,6 +582,12 @@ TEST(RuntimeStress, RegressionSeeds) {
   //  * 17454148547877200717 (chaos, FIFO, optical-only): a fault on an
   //    execution placed over already-dead nodes opened a recovery window
   //    without counting a disruption (15 recoveries, 14 disruptions).
+  //  * 9715490654356164225, 9830067809575188193, 8259420799827600143,
+  //    4147413544101951890 and 2148698493663744462 (chaos): one boundary
+  //    adopted a fault remainder and then suspended it, and the resume
+  //    rebuilt that remainder at its cut 0 among the original participants
+  //    instead of its sub-all-reduce members ("survivor all-reduce
+  //    mismatch").
   struct Regression {
     std::uint64_t seed;
     bool chaos;
@@ -592,6 +598,11 @@ TEST(RuntimeStress, RegressionSeeds) {
       {1513358432138577085ull, true},
       {9287422613789347101ull, true},
       {17454148547877200717ull, true},
+      {9715490654356164225ull, true},
+      {9830067809575188193ull, true},
+      {8259420799827600143ull, true},
+      {4147413544101951890ull, true},
+      {2148698493663744462ull, true},
   };
   for (const Regression& r : kSeeds) {
     run_stress_seed(r.seed, 200,
