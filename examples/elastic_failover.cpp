@@ -28,17 +28,17 @@ namespace {
 
 using namespace wrht;
 
-/// The whole trace flattened to comparable tuples (time, kind, a, b,
-/// detail) — two runs are t-identical iff these match exactly.
+/// The whole trace flattened to comparable tuples (time, kind, a, b, c) —
+/// two runs are t-identical iff these match exactly.
 std::vector<std::tuple<util::Seconds, sim::TraceKind, std::int64_t,
-                       std::int64_t, std::string>>
+                       std::int64_t, std::int64_t>>
 flatten(const sim::Trace& trace) {
   std::vector<std::tuple<util::Seconds, sim::TraceKind, std::int64_t,
-                         std::int64_t, std::string>>
+                         std::int64_t, std::int64_t>>
       out;
   out.reserve(trace.events().size());
   for (const sim::TraceEvent& e : trace.events()) {
-    out.emplace_back(e.time, e.kind, e.a, e.b, e.detail);
+    out.emplace_back(e.time, e.kind, e.a, e.b, e.c);
   }
   return out;
 }
@@ -116,14 +116,15 @@ int main(int argc, char** argv) {
         break;
       case sim::TraceKind::kJobResize:
         timeline.add_row({util::to_string(e.time), "rebuilt remainder",
-                          "band [" + std::to_string(e.b) + ", +" + e.detail +
-                              ")"});
+                          "band [" + std::to_string(e.b) + ", +" +
+                              std::to_string(e.c) + ")"});
         break;
       case sim::TraceKind::kJobAdmit:
       case sim::TraceKind::kJobResume:
       case sim::TraceKind::kJobComplete:
         timeline.add_row({util::to_string(e.time),
-                          sim::trace_kind_name(e.kind), e.detail});
+                          sim::trace_kind_name(e.kind),
+                          "width " + std::to_string(e.c)});
         break;
       default:
         break;

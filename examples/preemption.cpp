@@ -64,10 +64,15 @@ int main() {
 
   std::printf("\ntimeline:\n");
   for (const sim::TraceEvent& e : rt.trace().events()) {
-    std::printf("  t=%-10s %-12s job=%lld band_base=%lld %s\n",
-                util::to_string(e.time).c_str(), sim::trace_kind_name(e.kind),
-                static_cast<long long>(e.a), static_cast<long long>(e.b),
-                e.detail.c_str());
+    std::printf("  t=%-10s %-12s job=%lld ", util::to_string(e.time).c_str(),
+                sim::trace_kind_name(e.kind), static_cast<long long>(e.a));
+    // Band events carry (base, width); on step events b is the step index.
+    if (e.c >= 0) {
+      std::printf("band [%lld, +%lld)\n", static_cast<long long>(e.b),
+                  static_cast<long long>(e.c));
+    } else {
+      std::printf("b=%lld\n", static_cast<long long>(e.b));
+    }
   }
 
   // The acceptance story: the urgent job was admitted at the instant the

@@ -334,9 +334,12 @@ std::string json_quote(std::string_view s) {
 std::string json_number(double v) {
   if (!std::isfinite(v)) return "0";
   char buf[40];
-  // Up to 15 significant digits keeps microsecond trace timestamps exact
-  // over any horizon this simulator reaches while staying human-readable.
+  // 15 significant digits read well and already round-trip most values;
+  // the rest take 17, so a parsed number is always bit-equal to `v`.
   std::snprintf(buf, sizeof buf, "%.15g", v);
+  if (std::strtod(buf, nullptr) != v) {
+    std::snprintf(buf, sizeof buf, "%.17g", v);
+  }
   return buf;
 }
 

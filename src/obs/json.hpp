@@ -57,8 +57,8 @@ struct JsonParseResult {
 /// `s` escaped and quoted — a complete JSON string token.
 [[nodiscard]] std::string json_quote(std::string_view s);
 
-/// A JSON number token for `v`.  Non-finite values (which JSON cannot
-/// represent) render as 0.
+/// A JSON number token for `v` that parses back bit-equal.  Non-finite
+/// values (which JSON cannot represent) render as 0.
 [[nodiscard]] std::string json_number(double v);
 
 }  // namespace wrht::obs

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "obs/json.hpp"
+#include "runtime/faults.hpp"
 #include "util/logging.hpp"
 
 namespace wrht::obs {
@@ -127,18 +128,10 @@ class TraceWriter {
   double max_ts_ = 0.0;
 };
 
-/// Split a kRouteDecision detail ("optical=12.5 us electrical=980 ns")
-/// into the two predictions as display strings.
-std::pair<std::string, std::string> split_route_detail(
-    const std::string& detail) {
-  const std::string optical_key = "optical=";
-  const std::string electrical_key = " electrical=";
-  const std::size_t split = detail.find(electrical_key);
-  if (detail.rfind(optical_key, 0) != 0 || split == std::string::npos) {
-    return {detail, detail};
-  }
-  return {detail.substr(optical_key.size(), split - optical_key.size()),
-          detail.substr(split + electrical_key.size())};
+/// Args of a band-claiming event: the band's base and width.
+std::string band_args(const sim::TraceEvent& event) {
+  return "{\"band_base\": " + std::to_string(event.b) +
+         ", \"width\": " + std::to_string(event.c) + "}";
 }
 
 }  // namespace
@@ -164,9 +157,7 @@ std::string chrome_trace_json(const sim::Trace& trace,
     const int pid = writer.job_pid(job);
     switch (event.kind) {
       case sim::TraceKind::kJobAdmit:
-        writer.begin(pid, job, ts, writer.job_label(job),
-                     "{\"band_base\": " + std::to_string(event.b) +
-                         ", \"grant\": " + json_quote(event.detail) + "}");
+        writer.begin(pid, job, ts, writer.job_label(job), band_args(event));
         break;
       case sim::TraceKind::kJobComplete:
         writer.end(pid, job, ts);
@@ -178,9 +169,7 @@ std::string chrome_trace_json(const sim::Trace& trace,
         writer.end(pid, job, ts);
         break;
       case sim::TraceKind::kJobResize:
-        writer.instant(pid, job, ts, "resize",
-                       "{\"band_base\": " + std::to_string(event.b) +
-                           ", \"grant\": " + json_quote(event.detail) + "}");
+        writer.instant(pid, job, ts, "resize", band_args(event));
         break;
       case sim::TraceKind::kJobFused:
         writer.instant(pid, job, ts, "fused",
@@ -193,28 +182,22 @@ std::string chrome_trace_json(const sim::Trace& trace,
       case sim::TraceKind::kStepEnd:
         writer.end(pid, job, ts);
         break;
-      case sim::TraceKind::kStepRetimed:
-        writer.instant(pid, job, ts, "step retimed",
-                       "{\"step\": " + std::to_string(event.b) +
-                           ", \"new_end\": " + json_quote(event.detail) +
-                           "}");
-        break;
       case sim::TraceKind::kRouteDecision: {
-        const auto [optical, electrical] = split_route_detail(event.detail);
+        const runtime::JobRecord& record =
+            records.at(static_cast<std::size_t>(job));
         writer.instant(
             pid, job, ts, "route decision",
             "{\"chose\": " +
                 json_quote(runtime::substrate_kind_name(
                     static_cast<runtime::SubstrateKind>(event.b))) +
-                ", \"predicted_optical\": " + json_quote(optical) +
-                ", \"predicted_electrical\": " + json_quote(electrical) +
-                "}");
+                ", \"predicted_optical\": " +
+                json_number(record.predicted_optical.value()) +
+                ", \"predicted_electrical\": " +
+                json_number(record.predicted_electrical.value()) + "}");
         break;
       }
       case sim::TraceKind::kJobMigrate:
-        writer.instant(pid, job, ts, "migrate",
-                       "{\"band_base\": " + std::to_string(event.b) +
-                           ", \"grant\": " + json_quote(event.detail) + "}");
+        writer.instant(pid, job, ts, "migrate", band_args(event));
         break;
       case sim::TraceKind::kJobKilled:
         // Terminal: close the job's open span (admit or suspension).
@@ -224,17 +207,23 @@ std::string chrome_trace_json(const sim::Trace& trace,
       case sim::TraceKind::kJobPlaceElectrical:
         // The placement verdict is already encoded in the job's pid.
         break;
+      case sim::TraceKind::kNodeFail:
+      case sim::TraceKind::kWavelengthDegrade:
+      case sim::TraceKind::kFaultRepair:
+        any_sim_event = true;
+        writer.instant(kSimPid, job, ts, sim::trace_kind_name(event.kind),
+                       "{\"domain\": " +
+                           json_quote(runtime::fault_domain_name(
+                               static_cast<runtime::FaultDomain>(event.b))) +
+                           "}");
+        break;
       default:
         // Substrate-level events (transfers, tunes, flows, custom): instant
         // events on the generic sim track keyed by their subject id.
         any_sim_event = true;
         writer.instant(kSimPid, event.a >= 0 ? event.a : 0, ts,
                        sim::trace_kind_name(event.kind),
-                       event.detail.empty()
-                           ? "{\"b\": " + std::to_string(event.b) + "}"
-                           : "{\"b\": " + std::to_string(event.b) +
-                                 ", \"detail\": " + json_quote(event.detail) +
-                                 "}");
+                       "{\"b\": " + std::to_string(event.b) + "}");
         break;
     }
   }

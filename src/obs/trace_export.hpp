@@ -8,9 +8,9 @@
 //     duration span from admission to completion; preempt/resume windows
 //     nest as "suspended" spans inside it, schedule steps nest as
 //     sequential "step N" spans on the execution's lead job, and resizes /
-//     fusions / route decisions render as instant events with
-//     their details as args (route decisions carry BOTH predicted
-//     completion times).
+//     fusions / route decisions render as instant events with numeric args
+//     (band events carry band_base and width; route decisions carry BOTH
+//     predicted completion times in seconds, read from the job records).
 //   * pid 0 "metrics" — one counter track per sampled gauge series
 //     (queue depth, spectrum occupancy, uplink utilization, ...).
 //

@@ -136,6 +136,10 @@ struct JobRecord {
   /// substrate it chose, frozen at the instant the decision bound
   /// (admitted).  Compared against `completed` at run end.
   util::Seconds predicted_completion{0.0};
+  /// Both fabrics' predictions behind that decision (absolute, zero
+  /// unless audited), exported on the job's kRouteDecision event.
+  util::Seconds predicted_optical{0.0};
+  util::Seconds predicted_electrical{0.0};
   /// |completed - predicted_completion| relative to the predicted span
   /// (predicted_completion - admitted).  Filled at completion for audited
   /// decisions; includes whatever the router could not see coming (later

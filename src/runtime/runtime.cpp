@@ -263,13 +263,12 @@ const JobRecord& CollectiveRuntime::record(JobId id) const {
 void CollectiveRuntime::trace_job(sim::TraceKind kind, JobId id,
                                   const WavelengthBand& band) {
   // Band identity is its BASE for every job event (a band is named by where
-  // it sits in the spectrum); the width travels in the detail so preempt /
+  // it sits in the spectrum) and its width rides in `c`, so preempt /
   // resume / resize sequences in one trace are interpretable side by side.
   // Electrically-placed jobs hold no band and record the invalid {0, 0}.
-  if (!trace_.enabled()) return;
   trace_.record(simulator_.now(), kind, id,
                 static_cast<std::int64_t>(band.base),
-                "width=" + std::to_string(band.width));
+                static_cast<std::int64_t>(band.width));
 }
 
 void CollectiveRuntime::on_arrival(JobId id) {
@@ -661,6 +660,11 @@ void CollectiveRuntime::adopt_plan(Execution& exec,
   }
   exec.plan = std::move(next);
   exec.next_step = 0;
+  WRHT_CHECK(exec.substrate->grants_hosts() ||
+                 exec.plan->grant() >= exec.min_width,
+             "CollectiveRuntime: job " << exec.jobs.front() << " adopted a "
+                 << exec.plan->grant() << "-wide band below its floor "
+                 << exec.min_width);
   verify_composite_or_die(exec);
   note_recovery(exec);
   const std::size_t ahead = exec.plan->num_steps();
@@ -729,7 +733,7 @@ void CollectiveRuntime::place_execution(
                   ? sim::TraceKind::kJobPlaceOptical
                   : sim::TraceKind::kJobPlaceElectrical,
               id, band);
-    if (id != exec->jobs.front() && trace_.enabled()) {
+    if (id != exec->jobs.front()) {
       trace_.record(now, sim::TraceKind::kJobFused, id,
                     static_cast<std::int64_t>(exec->jobs.front()));
     }
@@ -798,14 +802,12 @@ void CollectiveRuntime::audit_route_decision(
   ++(placed_electrical ? report_.routing.to_electrical
                        : report_.routing.to_optical);
   for (const JobId id : exec.jobs) {
-    records_[id].predicted_completion = chosen;
-    if (trace_.enabled()) {
-      trace_.record(now, sim::TraceKind::kRouteDecision, id,
-                    static_cast<std::int64_t>(exec.substrate->kind()),
-                    "optical=" + util::to_string(prediction.optical) +
-                        " electrical=" +
-                        util::to_string(prediction.electrical));
-    }
+    JobRecord& record = records_[id];
+    record.predicted_completion = chosen;
+    record.predicted_optical = prediction.optical;
+    record.predicted_electrical = prediction.electrical;
+    trace_.record(now, sim::TraceKind::kRouteDecision, id,
+                  static_cast<std::int64_t>(exec.substrate->kind()));
   }
 }
 
@@ -910,11 +912,8 @@ bool CollectiveRuntime::try_resume_one() {
     }
     // The pre-suspension width is the sizing hint; the substrate may settle
     // for less (never below the floor) or need more for inherited mirrors.
-    // Survivors can be too few for the floor's cap; the cap then wins (here
-    // and at the other restarts: std::clamp requires floor <= cap).
     const std::uint32_t desired =
-        std::min(std::max(exec->plan->band().width, exec->min_width),
-                 useful_wavelength_cap(exec->participants.size()));
+        clamped_width(*exec, exec->plan->band().width);
     RenegotiationOutcome outcome;
     if (!exec->fresh_restart) {
       publish_demand(*exec->substrate, exec.get());
@@ -1076,14 +1075,11 @@ void CollectiveRuntime::on_fault(const FaultSpec& fault) {
       ++report_.faults.wavelength_faults;
       break;
   }
-  if (trace_.enabled()) {
-    trace_.record(now,
-                  fault.domain == FaultDomain::kWavelength
-                      ? sim::TraceKind::kWavelengthDegrade
-                      : sim::TraceKind::kNodeFail,
-                  fault.subject, static_cast<std::int64_t>(fault.domain),
-                  fault_domain_name(fault.domain));
-  }
+  trace_.record(now,
+                fault.domain == FaultDomain::kWavelength
+                    ? sim::TraceKind::kWavelengthDegrade
+                    : sim::TraceKind::kNodeFail,
+                fault.subject, static_cast<std::int64_t>(fault.domain));
   // Every fabric books the fault against its own units (free down units
   // leave service at once, held ones when their holders release).
   std::vector<const ExecutionSubstrate*> touched;
@@ -1155,11 +1151,8 @@ void CollectiveRuntime::on_fault_repair(const FaultSpec& fault) {
   ++report_.faults.repairs;
   obs::inc(ins_.fault_repairs);
   for (const auto& fabric : fabrics_) fabric->apply_fault(fault, true);
-  if (trace_.enabled()) {
-    trace_.record(simulator_.now(), sim::TraceKind::kFaultRepair,
-                  fault.subject, static_cast<std::int64_t>(fault.domain),
-                  fault_domain_name(fault.domain));
-  }
+  trace_.record(simulator_.now(), sim::TraceKind::kFaultRepair,
+                fault.subject, static_cast<std::int64_t>(fault.domain));
   // Restored capacity is free capacity: suspended work may resume and
   // queued work may admit at this very instant.
   try_admit();
@@ -1226,8 +1219,18 @@ void CollectiveRuntime::discard_prefix(Execution& exec) {
 
 void CollectiveRuntime::restart_among_survivors(Execution& exec) {
   exec.participants = live_participants(exec);
+  // The one place a participant set shrinks: survivors too few to use the
+  // floor lower it to their useful cap, so no grant ever undercuts it.
+  exec.min_width = std::min(exec.min_width,
+                            useful_wavelength_cap(exec.participants.size()));
   discard_prefix(exec);
   exec.fresh_restart = true;
+}
+
+std::uint32_t CollectiveRuntime::clamped_width(const Execution& exec,
+                                               std::uint32_t hint) {
+  return std::clamp(hint, exec.min_width,
+                    useful_wavelength_cap(exec.participants.size()));
 }
 
 RenegotiationOutcome CollectiveRuntime::request_restart(
@@ -1276,10 +1279,8 @@ bool CollectiveRuntime::reconcile_fault(
     // the survivors on a fresh grant, clamped to their useful cap.
     restart_among_survivors(*exec);
     substrate.release(*exec->plan, simulator_.now());
-    RenegotiationOutcome restart = request_restart(
-        substrate, *exec,
-        std::min(std::max(grant, exec->min_width),
-                 useful_wavelength_cap(exec->participants.size())));
+    RenegotiationOutcome restart =
+        request_restart(substrate, *exec, clamped_width(*exec, grant));
     if (!restart.accepted()) {
       suspend_execution(exec, /*fault=*/true);
       return true;
@@ -1312,9 +1313,7 @@ bool CollectiveRuntime::reconcile_fault(
     }
     if (migratable) {
       RenegotiationOutcome outcome = request_restart(
-          ring, *exec,
-          std::min(std::max(config_.default_request, exec->min_width),
-                   useful_wavelength_cap(exec->participants.size())));
+          ring, *exec, clamped_width(*exec, config_.default_request));
       if (outcome.accepted()) {
         discard_prefix(*exec);
         substrate.release(*exec->plan, simulator_.now());
@@ -1358,11 +1357,8 @@ void CollectiveRuntime::run_step(const std::shared_ptr<Execution>& exec) {
     finish_execution(exec);
     return;
   }
-  if (trace_.enabled()) {
-    trace_.record(simulator_.now(), sim::TraceKind::kStepBegin,
-                  exec->jobs.front(),
-                  static_cast<std::int64_t>(exec->next_step));
-  }
+  trace_.record(simulator_.now(), sim::TraceKind::kStepBegin,
+                exec->jobs.front(), static_cast<std::int64_t>(exec->next_step));
   const StepTiming timing = exec->substrate->time_step(
       *exec->plan, exec->next_step, simulator_.now());
   ++report_.total_steps;
@@ -1388,11 +1384,8 @@ void CollectiveRuntime::on_step_end(const std::shared_ptr<Execution>& exec) {
   // quiet prediction, so busy_time / quiet_time is the contention slowdown.
   exec->busy_time += simulator_.now() - exec->step_started;
   report_.step_time_total += simulator_.now() - exec->step_started;
-  if (trace_.enabled()) {
-    trace_.record(simulator_.now(), sim::TraceKind::kStepEnd,
-                  exec->jobs.front(),
-                  static_cast<std::int64_t>(exec->next_step));
-  }
+  trace_.record(simulator_.now(), sim::TraceKind::kStepEnd,
+                exec->jobs.front(), static_cast<std::int64_t>(exec->next_step));
   ++exec->next_step;
   if (exec->next_step >= exec->plan->num_steps()) {
     finish_execution(exec);

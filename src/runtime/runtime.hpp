@@ -516,9 +516,15 @@ class CollectiveRuntime {
   /// Throw away exec's executed prefix before a fresh plan: bill its step
   /// time as wasted and restart the step count.
   void discard_prefix(Execution& exec);
-  /// The one survivor restart: shrink exec to its live participants,
-  /// discard the prefix, and mark it fresh_restart until a plan is adopted.
+  /// The one survivor restart: shrink exec to its live participants (and
+  /// its floor to their useful cap), discard the prefix, and mark it
+  /// fresh_restart until a plan is adopted.
   void restart_among_survivors(Execution& exec);
+  /// `hint` clamped to [min_width, useful cap of exec's participants]: the
+  /// width every resume and restart asks for (restart_among_survivors
+  /// keeps the bounds ordered).
+  [[nodiscard]] static std::uint32_t clamped_width(const Execution& exec,
+                                                   std::uint32_t hint);
   /// Ask `fabric` for a brand-new plan among exec's participants of at most
   /// `desired` units, with the demand snapshot refreshed first.
   [[nodiscard]] RenegotiationOutcome request_restart(

@@ -1,7 +1,5 @@
 #include "sim/trace.hpp"
 
-#include <utility>
-
 namespace wrht::sim {
 
 const char* trace_kind_name(TraceKind kind) {
@@ -63,9 +61,9 @@ static_assert(kTraceKindCount == 23,
               "kCustom last, and add the name case above");
 
 void Trace::record(util::Seconds time, TraceKind kind, std::int64_t a,
-                   std::int64_t b, std::string detail) {
+                   std::int64_t b, std::int64_t c) {
   if (!enabled_) return;
-  events_.push_back(TraceEvent{time, kind, a, b, std::move(detail)});
+  events_.push_back(TraceEvent{time, kind, a, b, c});
 }
 
 std::string Trace::to_string() const {
@@ -76,7 +74,7 @@ std::string Trace::to_string() const {
     out += trace_kind_name(e.kind);
     if (e.a >= 0) out += " a=" + std::to_string(e.a);
     if (e.b >= 0) out += " b=" + std::to_string(e.b);
-    if (!e.detail.empty()) out += " (" + e.detail + ")";
+    if (e.c >= 0) out += " c=" + std::to_string(e.c);
     out += '\n';
   }
   return out;

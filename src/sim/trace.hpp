@@ -1,7 +1,7 @@
-// Optional event tracing.  A network model records (time, kind, subject)
-// triples; tests assert on them and the schedule explorer example prints
-// them.  Tracing is off unless a sink is installed, and recording into a
-// disabled trace is a no-op with no allocation.
+// Optional event tracing.  A network model records (time, kind, a, b, c)
+// events of plain numbers; tests assert on them and the schedule explorer
+// example prints them.  Tracing is off unless a sink is installed, and
+// recording into a disabled trace is a no-op with no allocation.
 #pragma once
 
 #include <cstddef>
@@ -32,9 +32,9 @@ enum class TraceKind : std::uint8_t {
   kJobPlaceElectrical,
   /// A cost-model routing verdict, recorded when the decision binds (the
   /// job is placed).  `a` is the job, `b` the chosen substrate
-  /// (SubstrateKind as int); the detail carries BOTH predicted completion
-  /// times, so routing errors are auditable post-hoc against the job's
-  /// actual completion.
+  /// (SubstrateKind as int).  BOTH predicted completion times live on the
+  /// job's record (JobRecord::predicted_optical / predicted_electrical), so
+  /// routing errors are auditable post-hoc against its actual completion.
   kRouteDecision,
   /// Never recorded: shared-fabric step ends come from the real flow
   /// network and never move (RuntimeReport::step_retimes is always 0).
@@ -45,8 +45,7 @@ enum class TraceKind : std::uint8_t {
   /// fused-batch timeline misattributes the whole payload to the lead.
   kJobFused,
   /// A fault took hardware out of service.  `a` is the failed subject
-  /// (node/host id, or ToR id), `b` the FaultDomain as int; the detail
-  /// names the domain.
+  /// (node/host id, or ToR id), `b` the FaultDomain as int.
   kNodeFail,
   /// A wavelength degraded out of service.  `a` is the wavelength index.
   kWavelengthDegrade,
@@ -54,8 +53,8 @@ enum class TraceKind : std::uint8_t {
   /// the injection event.
   kFaultRepair,
   /// A ToR fault migrated a job across substrates mid-run.  `a` is the
-  /// job, `b` the landing band base (or -1 for a host landing); the detail
-  /// carries "width=N" like every other band-claiming event.
+  /// job, `b` the landing band base and `c` its width, like every other
+  /// band-claiming event.
   kJobMigrate,
   /// Faults shrank a job's participant set below the minimum; the job is
   /// dead (JobState::kFailed).  `a` is the job.
@@ -78,7 +77,9 @@ struct TraceEvent {
   // Meaning depends on kind: step index, transfer id, node id...
   std::int64_t a = -1;
   std::int64_t b = -1;
-  std::string detail;
+  // Band width on the runtime's band events (admit, place, preempt, resume,
+  // resize, migrate, complete, killed; `b` is the band base), -1 otherwise.
+  std::int64_t c = -1;
 };
 
 class Trace {
@@ -88,14 +89,15 @@ class Trace {
   [[nodiscard]] bool enabled() const { return enabled_; }
 
   void record(util::Seconds time, TraceKind kind, std::int64_t a = -1,
-              std::int64_t b = -1, std::string detail = {});
+              std::int64_t b = -1, std::int64_t c = -1);
 
   [[nodiscard]] const std::vector<TraceEvent>& events() const {
     return events_;
   }
   void clear() { events_.clear(); }
 
-  /// One line per event, "t=12.5us transfer_begin a=3 b=7 (detail)".
+  /// One line per event, "t=12.5us job_admit a=3 b=0 c=4"; a, b and c are
+  /// printed when non-negative.
   [[nodiscard]] std::string to_string() const;
 
  private:

@@ -169,7 +169,7 @@ TEST(ChromeTrace, TruncatedTraceClosesOpenSpansAtTheLastTimestamp) {
   // the span at the latest timestamp so the document still loads.
   sim::Trace trace;
   trace.enable();
-  trace.record(Seconds(1e-6), sim::TraceKind::kJobAdmit, 0, 4, "4 lambda");
+  trace.record(Seconds(1e-6), sim::TraceKind::kJobAdmit, 0, 4, 4);
   trace.record(Seconds(3e-6), sim::TraceKind::kStepBegin, 0, 0);
   runtime::JobRecord record;
   record.id = 0;
@@ -196,23 +196,35 @@ TEST(ChromeTrace, TruncatedTraceClosesOpenSpansAtTheLastTimestamp) {
 TEST(ChromeTrace, FusionAndRouteDecisionRenderAsInstants) {
   sim::Trace trace;
   trace.enable();
+  trace.record(Seconds(1e-6), sim::TraceKind::kJobAdmit, 0, 2, 4);
   trace.record(Seconds(2e-6), sim::TraceKind::kJobFused, 1, 0);
   trace.record(Seconds(5e-6), sim::TraceKind::kRouteDecision, 2,
-               static_cast<std::int64_t>(runtime::SubstrateKind::kElectrical),
-               "optical=12.5 us electrical=980 ns");
+               static_cast<std::int64_t>(runtime::SubstrateKind::kElectrical));
   std::vector<runtime::JobRecord> records(3);
   for (std::size_t i = 0; i < records.size(); ++i) {
     records[i].id = static_cast<runtime::JobId>(i);
     records[i].state = runtime::JobState::kDone;
   }
+  // Neither prediction survives 15 significant digits, so only an exact
+  // number reads back bit-equal.
+  records[2].predicted_optical = Seconds(1e-5 / 3.0);
+  records[2].predicted_electrical = Seconds(0.1 + 0.2);
   const JsonParseResult parsed =
       json_parse(chrome_trace_json(trace, records, nullptr));
   ASSERT_TRUE(parsed.ok) << parsed.error;
+  bool admit_seen = false;
   bool fused_seen = false;
   bool route_seen = false;
   for (const JsonValue& event : trace_events(parsed.value).array) {
     const JsonValue* name = event.find("name");
     if (!name) continue;
+    if (event.find("ph")->string == "B" && name->string == "job 0") {
+      admit_seen = true;
+      const JsonValue* args = event.find("args");
+      ASSERT_EQ(args->find("width")->kind, JsonValue::Kind::kNumber);
+      EXPECT_EQ(args->find("band_base")->number, 2.0);
+      EXPECT_EQ(args->find("width")->number, 4.0);
+    }
     if (name->string == "fused") {
       fused_seen = true;
       EXPECT_EQ(event.find("args")->find("into_lead_job")->number, 0.0);
@@ -221,12 +233,37 @@ TEST(ChromeTrace, FusionAndRouteDecisionRenderAsInstants) {
       route_seen = true;
       const JsonValue* args = event.find("args");
       EXPECT_EQ(args->find("chose")->string, "electrical");
-      EXPECT_EQ(args->find("predicted_optical")->string, "12.5 us");
-      EXPECT_EQ(args->find("predicted_electrical")->string, "980 ns");
+      const JsonValue* optical = args->find("predicted_optical");
+      const JsonValue* electrical = args->find("predicted_electrical");
+      ASSERT_EQ(optical->kind, JsonValue::Kind::kNumber);
+      ASSERT_EQ(electrical->kind, JsonValue::Kind::kNumber);
+      EXPECT_EQ(optical->number, records[2].predicted_optical.value());
+      EXPECT_EQ(electrical->number, records[2].predicted_electrical.value());
     }
   }
+  EXPECT_TRUE(admit_seen);
   EXPECT_TRUE(fused_seen);
   EXPECT_TRUE(route_seen);
+}
+
+TEST(ChromeTrace, FaultEventsNameTheirDomain) {
+  sim::Trace trace;
+  trace.enable();
+  trace.record(Seconds(1e-6), sim::TraceKind::kNodeFail, 7,
+               static_cast<std::int64_t>(runtime::FaultDomain::kTor));
+  trace.record(Seconds(2e-6), sim::TraceKind::kFaultRepair, 7,
+               static_cast<std::int64_t>(runtime::FaultDomain::kTor));
+  const JsonParseResult parsed =
+      json_parse(chrome_trace_json(trace, {}, nullptr));
+  ASSERT_TRUE(parsed.ok) << parsed.error;
+  int faults = 0;
+  for (const JsonValue& event : trace_events(parsed.value).array) {
+    if (event.find("ph")->string != "i") continue;
+    ++faults;
+    EXPECT_EQ(event.find("tid")->number, 7.0);
+    EXPECT_EQ(event.find("args")->find("domain")->string, "tor");
+  }
+  EXPECT_EQ(faults, 2);
 }
 
 TEST(ChromeTrace, EmptyInputsStillProduceALoadableDocument) {

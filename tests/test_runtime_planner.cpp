@@ -188,14 +188,6 @@ RuntimeConfig planner_config(std::uint32_t wavelengths = kWavelengths) {
 using BandLog = std::vector<std::pair<JobId, std::pair<std::uint32_t,
                                                        std::uint32_t>>>;
 
-std::uint32_t event_width(const sim::TraceEvent& event) {
-  const std::string prefix = "width=";
-  const std::size_t at = event.detail.find(prefix);
-  EXPECT_NE(at, std::string::npos);
-  return static_cast<std::uint32_t>(
-      std::stoul(event.detail.substr(at + prefix.size())));
-}
-
 BandLog band_log(const CollectiveRuntime& rt) {
   BandLog log;
   for (const sim::TraceEvent& event : rt.trace().events()) {
@@ -206,7 +198,7 @@ BandLog band_log(const CollectiveRuntime& rt) {
     }
     log.emplace_back(static_cast<JobId>(event.a),
                      std::make_pair(static_cast<std::uint32_t>(event.b),
-                                    event_width(event)));
+                                    static_cast<std::uint32_t>(event.c)));
   }
   return log;
 }
@@ -288,7 +280,7 @@ std::uint32_t count_overlaps(const CollectiveRuntime& rt) {
       case sim::TraceKind::kJobResume:
       case sim::TraceKind::kJobResize:
         running[job] = {static_cast<std::uint32_t>(event.b),
-                        event_width(event)};
+                        static_cast<std::uint32_t>(event.c)};
         break;
       case sim::TraceKind::kJobPreempt:
       case sim::TraceKind::kJobComplete:
@@ -372,7 +364,7 @@ DecisionAudit audit_decisions(const CollectiveRuntime& rt) {
                        event.kind == sim::TraceKind::kJobResume;
     if (fresh) {
       const auto base = static_cast<std::uint32_t>(event.b);
-      const std::uint32_t width = event_width(event);
+      const std::uint32_t width = static_cast<std::uint32_t>(event.c);
       const auto free = free_intervals();
 
       std::uint32_t chosen = 0;        // width of the interval carved
@@ -410,7 +402,7 @@ DecisionAudit audit_decisions(const CollectiveRuntime& rt) {
       case sim::TraceKind::kJobResume:
       case sim::TraceKind::kJobResize:
         running[job] = {static_cast<std::uint32_t>(event.b),
-                        event_width(event)};
+                        static_cast<std::uint32_t>(event.c)};
         break;
       case sim::TraceKind::kJobPreempt:
       case sim::TraceKind::kJobComplete:

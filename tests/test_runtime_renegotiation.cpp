@@ -312,10 +312,10 @@ TEST(Resize, GrowRecordsResizeTraceAndRecord) {
     if (e.kind == sim::TraceKind::kJobResize &&
         e.a == static_cast<std::int64_t>(id)) {
       saw_resize = true;
-      // Band identity (base) in b, width in the detail — same convention
-      // as admit/complete.
+      // Band identity (base) in b, width in c — same convention as
+      // admit/complete.
       EXPECT_EQ(e.b, static_cast<std::int64_t>(r.band.base));
-      EXPECT_EQ(e.detail, "width=" + std::to_string(r.band.width));
+      EXPECT_EQ(e.c, static_cast<std::int64_t>(r.band.width));
     }
   }
   EXPECT_TRUE(saw_resize);

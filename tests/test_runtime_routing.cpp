@@ -207,10 +207,16 @@ TEST(RoutingAudit, EveryDecisionIsTracedWithBothPredictions) {
   for (const sim::TraceEvent& event : rt.trace().events()) {
     if (event.kind != sim::TraceKind::kRouteDecision) continue;
     ++traced;
-    EXPECT_NE(event.detail.find("optical="), std::string::npos);
-    EXPECT_NE(event.detail.find("electrical="), std::string::npos);
+    const JobRecord& record = rt.record(static_cast<JobId>(event.a));
+    EXPECT_GT(record.predicted_optical.value(), 0.0);
+    EXPECT_GT(record.predicted_electrical.value(), 0.0);
+    EXPECT_EQ(event.c, -1);
     const auto kind = static_cast<SubstrateKind>(event.b);
-    EXPECT_EQ(kind, rt.record(static_cast<JobId>(event.a)).substrate);
+    EXPECT_EQ(kind, record.substrate);
+    // The chosen fabric's prediction is the one the audit scores.
+    EXPECT_EQ(record.predicted_completion,
+              kind == SubstrateKind::kElectrical ? record.predicted_electrical
+                                                 : record.predicted_optical);
   }
   EXPECT_EQ(traced, report.completed);
   EXPECT_EQ(report.routing.decisions, report.completed);

@@ -266,10 +266,10 @@ TEST(RuntimeTrace, RecordsJobLifecycle) {
     if (e.kind == sim::TraceKind::kJobAdmit ||
         e.kind == sim::TraceKind::kJobComplete) {
       // Band identity is recorded the same way on every job event: the
-      // band BASE in b, the width in the detail.
+      // band BASE in b, the width in c.
       const JobRecord& r = rt.record(static_cast<JobId>(e.a));
       EXPECT_EQ(e.b, static_cast<std::int64_t>(r.band.base));
-      EXPECT_EQ(e.detail, "width=" + std::to_string(r.band.width));
+      EXPECT_EQ(e.c, static_cast<std::int64_t>(r.band.width));
     }
   }
   EXPECT_EQ(admits, 1u);

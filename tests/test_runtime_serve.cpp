@@ -16,13 +16,20 @@
 // claim, not approximate agreement.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <numeric>
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "report_digest.hpp"
 #include "runtime/faults.hpp"
 #include "runtime/runtime.hpp"
 #include "workload/generator.hpp"
+#include "wrht/builder.hpp"
+#include "wrht/executor.hpp"
+#include "wrht/time_model.hpp"
 
 namespace wrht::runtime {
 namespace {
@@ -251,6 +258,103 @@ TEST(RuntimeServe, GoldenDigestFaultRecoveryAndHostPreemption) {
   EXPECT_GT(report.faults.killed_jobs, 0u);
   EXPECT_EQ(report_digest(report), 0xe93c32ca6e20be2cULL)
       << report.to_string();
+}
+
+/// A source that yields one spec.
+class OneJob : public JobSource {
+ public:
+  explicit OneJob(JobSpec spec) : spec_(std::move(spec)) {}
+  std::optional<JobSpec> next() override { return std::exchange(spec_, {}); }
+
+ private:
+  std::optional<JobSpec> spec_;
+};
+
+double relative_gap(double a, double b) { return std::abs(a - b) / b; }
+
+TEST(RuntimeServe, TimingLadderFromFormulaToServe) {
+  // One job over every node of an idle ring: serve() must take exactly the
+  // time of the schedule the builder makes at the granted width, run on the
+  // DES and in closed form.  The full band and the paper's formula are
+  // matched wherever the runtime and the builder do what they assume; the
+  // points where they do not are named, and must stay misses.
+  struct Point {
+    std::uint32_t n;
+    std::uint32_t w;
+  };
+  // The grant cap ceil(n^2/8) = 32 is below the 46 wavelengths the
+  // one-step all-to-all merge needs, so serve() runs a two-step schedule
+  // where the full band runs one.
+  constexpr Point kCappedMerge[] = {{16, 64}};
+  // The routing probe rejects a merge the formula's ceil(k^2/8) gate allows.
+  constexpr Point kProbeRejectsMerge[] = {{128, 8}};
+  const auto named = [](const auto& list, std::uint32_t n, std::uint32_t w) {
+    for (const Point& p : list) {
+      if (p.n == n && p.w == w) return true;
+    }
+    return false;
+  };
+  for (const std::uint32_t n : {16u, 64u, 128u}) {
+    for (const std::uint32_t w : {1u, 4u, 8u, 64u}) {
+      for (const util::Bytes payload :
+           {util::kilobytes(256), util::megabytes(4), util::megabytes(16)}) {
+        SCOPED_TRACE("n=" + std::to_string(n) + " w=" + std::to_string(w) +
+                     " payload=" + util::to_string(payload));
+        RuntimeConfig config;
+        config.ring_size = n;
+        config.optical.wdm.num_wavelengths = w;
+        config.default_request = w;
+        config.placement = HybridPlacementPolicy::kOpticalOnly;
+        config.batcher.enabled = false;
+        JobSpec spec;
+        spec.participants.resize(n);
+        std::iota(spec.participants.begin(), spec.participants.end(), 0u);
+        spec.payload = payload;
+        CollectiveRuntime rt(config);
+        OneJob source(spec);
+        const double served = rt.serve(source).makespan.value();
+        ASSERT_EQ(rt.record(0).state, JobState::kDone);
+        const std::uint32_t granted = rt.record(0).band.width;
+
+        core::WrhtParams params;
+        params.num_wavelengths = granted;
+        params.fit_policy = config.fit_policy;
+        const core::WrhtBuild build =
+            core::build_wrht_among(spec.participants, n, params);
+        EXPECT_LE(relative_gap(served, core::run_on_optical(build.annotated,
+                                                            config.optical,
+                                                            payload)
+                                           .total.value()),
+                  1e-12);
+        EXPECT_LE(relative_gap(served, core::analytic_schedule_time(
+                                           build.annotated, payload,
+                                           config.optical)
+                                           .value()),
+                  1e-12);
+
+        params.num_wavelengths = w;
+        const double full_band =
+            core::run_on_optical(
+                core::build_wrht_among(spec.participants, n, params)
+                    .annotated,
+                config.optical, payload)
+                .total.value();
+        if (named(kCappedMerge, n, w)) {
+          EXPECT_GT(relative_gap(served, full_band), 1e-12);
+        } else {
+          EXPECT_LE(relative_gap(served, full_band), 1e-12);
+        }
+        const double formula =
+            core::wrht_time_formula(n, payload, config.optical, params)
+                .value();
+        if (named(kProbeRejectsMerge, n, w)) {
+          EXPECT_GT(relative_gap(full_band, formula), 1e-3);
+        } else {
+          EXPECT_LE(relative_gap(full_band, formula), 1e-3);
+        }
+      }
+    }
+  }
 }
 
 TEST(RuntimeServe, PreSubmittedJobsServeAheadOfTheSource) {

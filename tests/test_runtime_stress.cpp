@@ -165,14 +165,6 @@ struct BandInterval {
   std::uint32_t width = 0;
 };
 
-std::uint32_t parse_width(const std::string& detail) {
-  const std::string prefix = "width=";
-  const std::size_t at = detail.find(prefix);
-  EXPECT_NE(at, std::string::npos) << "band event without width: " << detail;
-  return static_cast<std::uint32_t>(
-      std::stoul(detail.substr(at + prefix.size())));
-}
-
 /// Sweep the trace in order, re-checking the spectrum contract after every
 /// event: bands of running optical jobs stay pairwise disjoint, lifecycles
 /// are admit -> (preempt -> resume)* -> complete, and no job is preempted
@@ -198,8 +190,9 @@ void audit_trace(const CollectiveRuntime& rt, const sim::Trace& trace) {
     const auto job = static_cast<JobId>(event.a);
     const auto peer = lead_of.find(job);
     const auto claim = [&] {
+      ASSERT_GE(event.c, 0) << "band event without width";
       const BandInterval band{static_cast<std::uint32_t>(event.b),
-                              parse_width(event.detail)};
+                              static_cast<std::uint32_t>(event.c)};
       if (peer == lead_of.end()) {
         running_optical[job] = band;
         return;
@@ -588,6 +581,11 @@ TEST(RuntimeStress, RegressionSeeds) {
   //    rebuilt that remainder at its cut 0 among the original participants
   //    instead of its sub-all-reduce members ("survivor all-reduce
   //    mismatch").
+  //  * 8709371129873691708 (FIFO, overflow), 6503384058600513039 (FIFO,
+  //    optical-only) and 1698748163617152878 (priority, cost-model), all
+  //    chaos: two survivors of a min_wavelengths = 2 job restarted on one
+  //    wavelength, below the floor (the adopt-site check fired).  Lowering
+  //    the floor to the survivors' cap also moved all three reports.
   struct Regression {
     std::uint64_t seed;
     bool chaos;
@@ -603,6 +601,9 @@ TEST(RuntimeStress, RegressionSeeds) {
       {8259420799827600143ull, true},
       {4147413544101951890ull, true},
       {2148698493663744462ull, true},
+      {8709371129873691708ull, true},
+      {6503384058600513039ull, true},
+      {1698748163617152878ull, true},
   };
   for (const Regression& r : kSeeds) {
     run_stress_seed(r.seed, 200,

@@ -2,13 +2,41 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdlib>
+#include <new>
 #include <set>
 #include <string>
+
+namespace {
+std::size_t g_allocations = 0;
+}  // namespace
+
+// Counting replacements for the global allocator: the recording test below
+// snapshots g_allocations around a burst of records.
+void* operator new(std::size_t size) {
+  ++g_allocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) {
+  ++g_allocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace wrht::sim {
 namespace {
 
 using wrht::util::Seconds;
+
+// Events are plain numbers: a 10^6-job trace holds tens of millions of
+// them, so the size is part of the contract.
+static_assert(sizeof(TraceEvent) <= 40, "TraceEvent grew past 40 bytes");
 
 TEST(Trace, DisabledByDefaultRecordsNothing) {
   Trace trace;
@@ -21,11 +49,35 @@ TEST(Trace, EnabledRecordsEvents) {
   Trace trace;
   trace.enable();
   trace.record(Seconds(1.0), TraceKind::kStepBegin, 0);
-  trace.record(Seconds(2.0), TraceKind::kTransferBegin, 3, 7, "chunk 2");
+  trace.record(Seconds(2.0), TraceKind::kTransferBegin, 3, 7, 2);
   ASSERT_EQ(trace.events().size(), 2u);
+  EXPECT_EQ(trace.events()[0].c, -1);
   EXPECT_EQ(trace.events()[1].a, 3);
   EXPECT_EQ(trace.events()[1].b, 7);
-  EXPECT_EQ(trace.events()[1].detail, "chunk 2");
+  EXPECT_EQ(trace.events()[1].c, 2);
+}
+
+TEST(Trace, RecordingAllocatesOnlyForVectorGrowth) {
+  // What the runtime records per placed job under cost-model routing: a
+  // route decision (job, chosen substrate) and a band event (job, base,
+  // width).  Only the event vector's doublings may allocate.
+  Trace trace;
+  trace.enable();
+  constexpr std::size_t kJobs = 1000;
+  const std::size_t before = g_allocations;
+  for (std::size_t job = 0; job < kJobs; ++job) {
+    const auto id = static_cast<std::int64_t>(job);
+    trace.record(Seconds(1e-6 * static_cast<double>(job)),
+                 TraceKind::kRouteDecision, id, 1);
+    trace.record(Seconds(1e-6 * static_cast<double>(job)),
+                 TraceKind::kJobAdmit, id, 8, 4);
+  }
+  const std::size_t allocations = g_allocations - before;
+  ASSERT_EQ(trace.events().size(), 2 * kJobs);
+  EXPECT_LE(allocations,
+            static_cast<std::size_t>(std::bit_width(2 * kJobs)) + 1);
+  EXPECT_EQ(trace.events()[0].c, -1);
+  EXPECT_EQ(trace.events()[1].c, 4);
 }
 
 TEST(Trace, DisableStopsRecording) {
@@ -50,10 +102,15 @@ TEST(Trace, ToStringFormatsEvents) {
   trace.enable();
   trace.record(Seconds(12.5e-6), TraceKind::kTransferBegin, 3, 7);
   trace.record(Seconds(1.0), TraceKind::kStepEnd, 0);
+  trace.record(Seconds(2.0), TraceKind::kJobAdmit, 5, 0, 4);
   const std::string text = trace.to_string();
   EXPECT_NE(text.find("transfer_begin"), std::string::npos);
   EXPECT_NE(text.find("a=3"), std::string::npos);
   EXPECT_NE(text.find("b=7"), std::string::npos);
+  EXPECT_NE(text.find("job_admit a=5 b=0 c=4"), std::string::npos);
+  // c is printed only where it was recorded.
+  EXPECT_EQ(text.find("c=-1"), std::string::npos);
+  EXPECT_EQ(text.find("b=7 c="), std::string::npos);
   EXPECT_NE(text.find("step_end"), std::string::npos);
   EXPECT_NE(text.find("12.5 us"), std::string::npos);
 }
