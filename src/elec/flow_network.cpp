@@ -250,6 +250,17 @@ double FlowNetwork::current_rate(FlowId flow) const {
   return f.state == FlowState::kActive ? f.rate : 0.0;
 }
 
+util::Seconds FlowNetwork::completion_at_current_rate(FlowId flow) {
+  WRHT_REQUIRE(flow >= base_,
+               "FlowNetwork: querying retired flow " << flow);
+  const Flow& f = flow_ref(flow);
+  if (f.state == FlowState::kDone) return f.completion;
+  recompute_rates();
+  return f.state == FlowState::kActive && f.rate > 0.0
+             ? now_ + util::Seconds(f.remaining / f.rate)
+             : util::Seconds(std::numeric_limits<double>::infinity());
+}
+
 double FlowNetwork::link_peak_utilization(LinkId link) const {
   return links_[link].peak_utilization;
 }
@@ -266,6 +277,8 @@ FlowNetwork FlowNetwork::clone_live(std::vector<FlowId>& id_map) const {
   copy.links_ = links_;
   copy.touched_ = touched_;
   copy.now_ = now_;
+  // The copy has the original's active set, and so its solved rates.
+  copy.rates_stale_ = rates_stale_;
   id_map.assign(flows_.size(), kNoFlow);
   for (const FlowId f : live_) {
     id_map[f - base_] = static_cast<FlowId>(copy.flows_.size());

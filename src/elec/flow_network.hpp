@@ -80,6 +80,13 @@ class FlowNetwork {
   /// Current max-min rate of an active flow (0 while waiting/finished).
   [[nodiscard]] double current_rate(FlowId flow) const;
 
+  /// When `flow` would complete if today's max-min rates held: its
+  /// completion time once done, else now() + remaining bytes / current
+  /// rate (solving the rates first if the active set changed); infinite
+  /// while the flow waits to activate.  One solve, no forward run — the
+  /// shared fabric's routing price.
+  [[nodiscard]] util::Seconds completion_at_current_rate(FlowId flow);
+
   /// Highest instantaneous utilization (allocated rate / capacity) a link
   /// has seen since construction/reset, in [0, 1].  Sampled at every rate
   /// recomputation — exact for the fluid model, whose rates only change at
@@ -92,9 +99,9 @@ class FlowNetwork {
   [[nodiscard]] double link_utilization(LinkId link) const;
 
   /// A copy of this network holding only the flows still in flight.  The
-  /// copy is the cheap substrate for what-if forward runs (run the copy to
-  /// completion, read predicted completion times) on long-lived networks
-  /// whose completed-flow history keeps growing.  Fills `id_map` with one
+  /// copy is the cheap substrate for what-if probes (inject into the copy,
+  /// read its rates or run it forward) on long-lived networks whose
+  /// completed-flow history keeps growing.  Fills `id_map` with one
   /// entry per UNRETIRED flow, indexed by (flow - id_floor()): its id in
   /// the copy, or kNoFlow if done.
   [[nodiscard]] FlowNetwork clone_live(std::vector<FlowId>& id_map) const;

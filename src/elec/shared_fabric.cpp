@@ -16,7 +16,6 @@ SharedFabricTimer::SharedFabricTimer(const ElectricalCluster& cluster,
 void SharedFabricTimer::attach_metrics(obs::MetricsRegistry& registry) {
   steps_timed_ = registry.counter("fabric.steps_timed");
   network_solves_ = registry.counter("fabric.solves.network");
-  forecast_solves_ = registry.counter("fabric.solves.forecast");
   probe_solves_ = registry.counter("fabric.solves.probe");
   audit_solves_ = registry.counter("fabric.solves.audit");
   uplink_utilization_ = registry.sampled_gauge("electrical.uplink_utilization");
@@ -81,7 +80,6 @@ void SharedFabricTimer::finalize_step(SessionId session_id) {
   }
   session.inflight.clear();
   session.has_step = false;
-  forecast_valid_ = false;
 }
 
 bool SharedFabricTimer::begin_step(SessionId session_id,
@@ -129,7 +127,6 @@ bool SharedFabricTimer::begin_step(SessionId session_id,
     ops_.push_back(LoggedOp{now, static_cast<std::ptrdiff_t>(steps_.size())});
     steps_.push_back(std::move(logged));
   }
-  forecast_valid_ = false;
   obs::inc(steps_timed_);
   publish_utilization();
   retire_drained();
@@ -150,11 +147,10 @@ std::optional<SharedFabricTimer::SessionId> SharedFabricTimer::wake(
                                              << "s before the fabric clock "
                                              << network_.now().value() << "s");
   // Landing exactly on the network's next event splits no drain, so the
-  // replay reproduces it without a log entry and the forecast stays exact;
-  // any later instant is an advance the replay must split at too.
-  if (now > network_.now() && network_.next_event() != now) {
-    forecast_valid_ = false;
-    if (audit_) ops_.push_back(LoggedOp{now, -1});
+  // replay reproduces it without a log entry; any later instant is an
+  // advance the replay must split at too.
+  if (audit_ && now > network_.now() && network_.next_event() != now) {
+    ops_.push_back(LoggedOp{now, -1});
   }
   advance(now);
   if (drained_.empty()) return std::nullopt;
@@ -165,44 +161,15 @@ std::optional<SharedFabricTimer::SessionId> SharedFabricTimer::wake(
   return id;
 }
 
-const std::vector<util::Seconds>& SharedFabricTimer::inflight_predicted_ends()
-    const {
-  if (forecast_valid_) return forecast_;
-  // Forward-run a live-flows-only copy to completion: each in-flight step
-  // ends when the last of its flows drains.  The copy shares the real
-  // network's arithmetic and the real network advances only on its own
-  // events between injections, so the forecast is the fluid model's
-  // answer, not an estimate.
-  std::vector<FlowId> id_map;
-  FlowNetwork forward = network_.clone_live(id_map);
-  forward.run();
-  obs::inc(forecast_solves_, forward.solves());
-  const FlowId floor = network_.id_floor();
-  forecast_.clear();
-  for (const SessionId id : open_sessions_) {
-    const Session& session = sessions_[id];
-    if (!session.has_step) continue;
-    util::Seconds end = session.step_start;
-    for (const FlowId flow : session.inflight) {
-      // A flow that already drained on the real network keeps its recorded
-      // completion; only still-live flows take the forward run's.
-      const FlowId mapped = id_map[flow - floor];
-      end = std::max(end, mapped == kNoFlow
-                              ? network_.completion_time(flow)
-                              : forward.completion_time(mapped));
-    }
-    forecast_.push_back(end);
-  }
-  forecast_valid_ = true;
-  return forecast_;
-}
-
 std::optional<util::Seconds> SharedFabricTimer::predict_step_completion(
     const coll::Schedule& schedule, std::size_t step, util::Bytes payload,
     util::Seconds now) const {
   if (step >= schedule.num_steps()) return std::nullopt;
   if (schedule.num_nodes() > cluster_->num_hosts()) return std::nullopt;
   if (now < network_.now()) return std::nullopt;
+  const std::vector<coll::Transfer>& transfers =
+      schedule.steps()[step].transfers;
+  if (transfers.empty()) return now;  // flow-less step completes instantly
 
   // The clone carries exactly the flows still in flight; advancing IT to
   // `now` instead of the real network keeps the probe side-effect free.
@@ -210,17 +177,21 @@ std::optional<util::Seconds> SharedFabricTimer::predict_step_completion(
   FlowNetwork probe = network_.clone_live(id_map);
   probe.run_until(now);
   std::vector<FlowId> injected;
-  for (const coll::Transfer& t : schedule.steps()[step].transfers) {
+  util::Seconds last_activation{0.0};
+  for (const coll::Transfer& t : transfers) {
     injected.push_back(probe.add_flow(cluster_->route(t.src, t.dst),
                                       schedule.chunk_bytes(payload, t.chunk)));
+    last_activation =
+        std::max(last_activation, cluster_->route_latency(t.src, t.dst));
   }
-  if (injected.empty()) return now;  // flow-less step completes instantly
-  probe.run();
-  obs::inc(probe_solves_, probe.solves());
+  // Run on only until every injected flow is active, then price each at
+  // the max-min rate it holds there: one solve, no simulated future.
+  probe.run_until(now + last_activation);
   util::Seconds end = now;
   for (const FlowId flow : injected) {
-    end = std::max(end, probe.completion_time(flow));
+    end = std::max(end, probe.completion_at_current_rate(flow));
   }
+  obs::inc(probe_solves_, probe.solves());
   return end;
 }
 

@@ -24,9 +24,9 @@
 //    Arrivals and departures change the sharing; the next wake simply lands
 //    wherever the real network's next event now is, so no step end is ever
 //    predicted and corrected.
-//  * inflight_predicted_ends() is the drain forecast the congestion-aware
-//    router asks for: a forward run of a live-flows clone, done only when
-//    asked and cached until the next injection or delivery.
+//  * predict_step_completion() is the congestion-aware router's price: one
+//    max-min solve of a live-flows clone with the candidate step injected,
+//    taken from the fabric's current state rather than a simulated future.
 //
 // Correctness is anchored by a whole-horizon replay oracle: the timer logs
 // every advance point and every injected flow, and verify_replay() re-runs
@@ -68,11 +68,11 @@ class SharedFabricTimer {
                              bool replay_audit = true);
 
   /// Register the timer's metrics with `registry`: the steps-timed counter,
-  /// the max-min solve counters "fabric.solves.{network,forecast,probe,
-  /// audit}" (the real network, the drain forecast, the router probe and
-  /// the replay audit), and the "electrical.uplink_utilization" sampled
-  /// gauge (utilization of the currently-hottest fabric link, refreshed on
-  /// every injection/close).  The registry must outlive the timer.
+  /// the max-min solve counters "fabric.solves.{network,probe,audit}" (the
+  /// real network, the router probe and the replay audit), and the
+  /// "electrical.uplink_utilization" sampled gauge (utilization of the
+  /// currently-hottest fabric link, refreshed on every injection/close).
+  /// The registry must outlive the timer.
   void attach_metrics(obs::MetricsRegistry& registry);
 
   /// Register a tenant execution.  Sessions are cheap; one per execution.
@@ -110,28 +110,18 @@ class SharedFabricTimer {
   void close_session(SessionId session, util::Seconds now);
 
   /// Congestion-aware what-if probe: the completion time `schedule` step
-  /// `step` WOULD have if its flows joined the shared fabric at `now`, next
-  /// to everything currently in flight.  Computed on a live-flows clone of
-  /// the shared network, so the answer is the fluid model's own arithmetic
-  /// against the real residual uplink bandwidth — a pure probe that injects
-  /// nothing and logs nothing.  Same rejection cases as begin_step's
-  /// schedule checks (out-of-range step, too many hosts, a clock before the
-  /// fabric's).
+  /// `step` would have if its flows joined the shared fabric at `now` and
+  /// kept the max-min rates they get once active.  A live-flows clone of
+  /// the shared network is advanced to `now`, takes the step's flows, and
+  /// runs on only until the last of them activates (one route latency);
+  /// each flow is then priced at its remaining bytes over its current rate.
+  /// The price reads today's contention and forecasts no drain or arrival.
+  /// A pure probe that injects nothing and logs nothing.  Same rejection
+  /// cases as begin_step's schedule checks (out-of-range step, too many
+  /// hosts, a clock before the fabric's).
   [[nodiscard]] std::optional<util::Seconds> predict_step_completion(
       const coll::Schedule& schedule, std::size_t step, util::Bytes payload,
       util::Seconds now) const;
-
-  /// Forecast completion times of every in-flight step (drained but not
-  /// yet delivered included), one entry per open session running one, in
-  /// ascending session id.  These are the instants the fabric's current
-  /// contention is forecast to DRAIN at — the congestion-aware router
-  /// decays its clone-probe stretch by them, so a fabric full of
-  /// nearly-done tenants stops repelling arrivals it could actually serve.
-  /// A forward run of a live-flows clone, made on demand and cached until
-  /// the next injection, delivery or close; with no arrival in between, the
-  /// real network drains each step at exactly its forecast instant.
-  [[nodiscard]] const std::vector<util::Seconds>& inflight_predicted_ends()
-      const;
 
   [[nodiscard]] std::size_t active_sessions() const;
 
@@ -184,7 +174,7 @@ class SharedFabricTimer {
     std::size_t current_step = 0;  // index into steps_ (valid iff audited)
     bool has_step = false;
     /// Start/ordinal of the in-flight step, kept on the session itself so
-    /// the forecast never needs the (optional) replay log.
+    /// finalizing never needs the (optional) replay log.
     util::Seconds step_start{0.0};
     std::uint64_t step_number = 0;
   };
@@ -212,8 +202,8 @@ class SharedFabricTimer {
   FlowNetwork network_;
   bool audit_;
   std::vector<Session> sessions_;
-  /// Ids of open sessions, ascending — the working set the forecast and the
-  /// retirement floor walk instead of every session ever opened.
+  /// Ids of open sessions, ascending — the working set the retirement floor
+  /// walks instead of every session ever opened.
   std::vector<SessionId> open_sessions_;
   /// Sessions whose step drained but was not yet delivered by wake().
   std::vector<SessionId> drained_;
@@ -221,15 +211,10 @@ class SharedFabricTimer {
   std::vector<SessionId> completed_;
   std::vector<LoggedStep> steps_;
   std::vector<LoggedOp> ops_;
-  /// inflight_predicted_ends() cache, valid until an injection, delivery
-  /// or close changes what is in flight.
-  mutable std::vector<util::Seconds> forecast_;
-  mutable bool forecast_valid_ = false;
   std::uint64_t network_solves_counted_ = 0;
   /// Metric handles; nullptr (zero-overhead emission) without a registry.
   obs::Counter* steps_timed_ = nullptr;
   obs::Counter* network_solves_ = nullptr;
-  obs::Counter* forecast_solves_ = nullptr;
   obs::Counter* probe_solves_ = nullptr;
   obs::Counter* audit_solves_ = nullptr;
   obs::Gauge* uplink_utilization_ = nullptr;

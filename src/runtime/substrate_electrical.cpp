@@ -356,9 +356,10 @@ class ElectricalSubstrate final : public ExecutionSubstrate {
       std::uint32_t grant, util::Seconds now) const override {
     // Fold the live fabric state into the quiet alpha-beta prediction.  On
     // the exclusive star there is nothing to fold (host exclusivity makes
-    // quiet timing exact); on the shared tree, probe the first step's flows
-    // against the residual uplink bandwidth the in-flight tenants leave
-    // behind and stretch the whole run by the observed contention ratio.
+    // quiet timing exact); on the shared tree, price the first step's flows
+    // at the max-min share the in-flight tenants leave them now and stretch
+    // the whole run by that contention ratio.  The price forecasts neither
+    // drains nor arrivals; the routing report scores what that misses.
     const util::Seconds quiet = predict_makespan(participants, payload, grant);
     if (!shared_) return now + quiet;
     const coll::Schedule physical = remap_onto_hosts(
@@ -372,31 +373,8 @@ class ElectricalSubstrate final : public ExecutionSubstrate {
     if (!quiet_step || !busy_end || quiet_step->value() <= 0.0) {
       return now + quiet;
     }
-    const double probe_ratio =
+    const double ratio =
         std::max(1.0, (*busy_end - now).value() / quiet_step->value());
-    // Drain forecast: the probe's stretch assumes today's contenders stay
-    // for the candidate's WHOLE run, but an in-flight step predicted to end
-    // at e contends only for the overlap min(e - now, quiet)/quiet of it.
-    // Decay the stretch by the mean overlap fraction across the in-flight
-    // steps — a fabric full of nearly-done tenants stops repelling arrivals
-    // it could serve, which was the second routing-error residual the
-    // report quantified.  New arrivals during the run remain unmodeled;
-    // the routing report keeps scoring that residual per decision.
-    double ratio = probe_ratio;
-    if (probe_ratio > 1.0) {
-      const std::vector<util::Seconds>& ends =
-          shared_->inflight_predicted_ends();
-      if (!ends.empty() && quiet.value() > 0.0) {
-        double overlap_sum = 0.0;
-        for (const util::Seconds end : ends) {
-          overlap_sum +=
-              std::clamp((end - now).value() / quiet.value(), 0.0, 1.0);
-        }
-        const double overlap =
-            overlap_sum / static_cast<double>(ends.size());
-        ratio = 1.0 + (probe_ratio - 1.0) * overlap;
-      }
-    }
     return now + util::Seconds(quiet.value() * ratio);
   }
 

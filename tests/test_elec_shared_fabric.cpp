@@ -3,10 +3,11 @@
 // by the real network as it advances event by event.  Covers the
 // contention mechanics (a tenant joining an oversubscribed uplink slows the
 // tenants already on it), a seeded differential check of every delivered
-// step end against the timer's own drain forecast, the quiet-fabric
-// degenerate cases (disjoint ToR-contained tenants never contend), the
-// whole-horizon replay oracle, rejected inputs, and the FlowNetwork seams
-// it is built on (run_until, next_event, clone_live, the skipped re-solve).
+// step end against a forward run of a mirrored network, the router's
+// one-solve probe price, the quiet-fabric degenerate cases (disjoint
+// ToR-contained tenants never contend), the whole-horizon replay oracle,
+// rejected inputs, and the FlowNetwork seams it is built on (run_until,
+// next_event, clone_live, the skipped re-solve).
 #include "elec/shared_fabric.hpp"
 
 #include <gtest/gtest.h>
@@ -20,6 +21,7 @@
 
 #include "coll/algorithms.hpp"
 #include "elec/schedule_runner.hpp"
+#include "obs/metrics.hpp"
 #include "util/random.hpp"
 
 namespace wrht::elec {
@@ -66,6 +68,68 @@ std::map<SharedFabricTimer::SessionId, Seconds> drain(
   return ends;
 }
 
+/// The test's own copy of the timer's shared network: driven through the
+/// same advances and injections, it holds the same flows with the same
+/// arithmetic, and a forward run of its live-flows clone forecasts when
+/// each in-flight step drains — the reference the delivered ends must meet.
+class MirrorNetwork {
+ public:
+  explicit MirrorNetwork(const ElectricalCluster& cluster)
+      : cluster_(cluster), network_(cluster.make_network()) {}
+
+  /// Mirror SharedFabricTimer::begin_step.
+  void begin_step(SharedFabricTimer::SessionId session,
+                  const coll::Schedule& schedule, std::size_t step,
+                  Bytes payload, Seconds now) {
+    network_.run_until(now);
+    InFlight& in_flight = steps_[session];
+    in_flight.start = now;
+    in_flight.flows.clear();
+    for (const coll::Transfer& t : schedule.steps()[step].transfers) {
+      in_flight.flows.push_back(network_.add_flow(
+          cluster_.route(t.src, t.dst), schedule.chunk_bytes(payload, t.chunk)));
+    }
+  }
+
+  /// Mirror a wake (or close) that advanced the shared network to `now`.
+  void advance(Seconds now) { network_.run_until(now); }
+
+  /// The session's step was delivered.
+  void end_step(SharedFabricTimer::SessionId session) {
+    steps_.erase(session);
+  }
+
+  /// Forecast end of every in-flight step: a forward run of a live-flows
+  /// clone; a flow that already drained keeps its recorded completion.
+  [[nodiscard]] std::map<SharedFabricTimer::SessionId, Seconds> forecast()
+      const {
+    std::vector<FlowId> id_map;
+    FlowNetwork forward = network_.clone_live(id_map);
+    forward.run();
+    std::map<SharedFabricTimer::SessionId, Seconds> ends;
+    for (const auto& [session, in_flight] : steps_) {
+      Seconds end = in_flight.start;
+      for (const FlowId flow : in_flight.flows) {
+        const FlowId mapped = id_map[flow - network_.id_floor()];
+        end = std::max(end, mapped == kNoFlow
+                                ? network_.completion_time(flow)
+                                : forward.completion_time(mapped));
+      }
+      ends[session] = end;
+    }
+    return ends;
+  }
+
+ private:
+  struct InFlight {
+    Seconds start{0.0};
+    std::vector<FlowId> flows;
+  };
+  const ElectricalCluster& cluster_;
+  FlowNetwork network_;
+  std::map<SharedFabricTimer::SessionId, InFlight> steps_;
+};
+
 TEST(SharedFabric, SoloSessionMatchesQuietTimer) {
   // One tenant alone on the shared fabric is the quiet network: every step
   // must end exactly as the per-execution StepFlowTimer's quiet model says.
@@ -100,11 +164,12 @@ TEST(SharedFabric, JoiningTenantSlowsTheTenantInFlight) {
   // Tenant A sends cross-ToR alone; halfway through, tenant B starts a
   // cross-ToR flow over the SAME oversubscribed uplink.  A's step must end
   // later than it would have alone — at the instant the real network
-  // drains it, which the forecast taken after B joined names exactly — and
-  // the final timing must replay exactly.
+  // drains it, which a forward run of the mirrored network taken after B
+  // joined names exactly — and the final timing must replay exactly.
   const ElectricalCluster cluster = two_tor_cluster(4.0);
   // Uplink carries 4 hosts / 4.0 oversubscription = 1 GB/s.
   SharedFabricTimer shared(cluster);
+  MirrorNetwork mirror(cluster);
   const auto a = shared.open_session();
   const auto b = shared.open_session();
 
@@ -113,8 +178,9 @@ TEST(SharedFabric, JoiningTenantSlowsTheTenantInFlight) {
   const Bytes payload(1'000'000'000);  // 1 GB: ~1 s alone on the uplink
 
   ASSERT_TRUE(shared.begin_step(a, cross_a, 0, payload, Seconds(0.0)));
-  ASSERT_EQ(shared.inflight_predicted_ends().size(), 1u);
-  const Seconds a_alone = shared.inflight_predicted_ends()[0];
+  mirror.begin_step(a, cross_a, 0, payload, Seconds(0.0));
+  ASSERT_EQ(mirror.forecast().size(), 1u);
+  const Seconds a_alone = mirror.forecast().at(a);
   EXPECT_NEAR(a_alone.value(), 1.0 + 100e-6, 1e-3);
 
   // Nothing is predicted at injection: the next wake is the network's next
@@ -123,22 +189,25 @@ TEST(SharedFabric, JoiningTenantSlowsTheTenantInFlight) {
   ASSERT_TRUE(first_wake);
   EXPECT_LT(*first_wake, Seconds(1e-3));
   EXPECT_FALSE(shared.wake(*first_wake));
+  mirror.advance(*first_wake);
 
   ASSERT_TRUE(shared.begin_step(b, cross_b, 0, payload, Seconds(0.5)));
-  const std::vector<Seconds> forecast = shared.inflight_predicted_ends();
-  ASSERT_EQ(forecast.size(), 2u);  // ascending session id: a, then b
+  mirror.begin_step(b, cross_b, 0, payload, Seconds(0.5));
+  const std::map<SharedFabricTimer::SessionId, Seconds> forecast =
+      mirror.forecast();
+  ASSERT_EQ(forecast.size(), 2u);
   // A had ~0.5 GB left when B joined; the two flows then split the 1 GB/s
   // uplink, so A's remainder takes ~1 s instead of ~0.5 s.
-  EXPECT_NEAR(forecast[0].value(), 1.5 + 100e-6, 1e-3);
-  EXPECT_GT(forecast[0], a_alone);
+  EXPECT_NEAR(forecast.at(a).value(), 1.5 + 100e-6, 1e-3);
+  EXPECT_GT(forecast.at(a), a_alone);
   // B carries its full 1 GB at the half rate until A drains (~1 s), then
   // the remaining ~0.5 GB at full rate: ~1.5 s of transfer.
-  EXPECT_NEAR(forecast[1].value(), 0.5 + 1.5 + 100e-6, 1e-2);
+  EXPECT_NEAR(forecast.at(b).value(), 0.5 + 1.5 + 100e-6, 1e-2);
 
   const std::map<SharedFabricTimer::SessionId, Seconds> ends = drain(shared);
   ASSERT_EQ(ends.size(), 2u);
-  EXPECT_EQ(ends.at(a), forecast[0]);
-  EXPECT_EQ(ends.at(b), forecast[1]);
+  EXPECT_EQ(ends.at(a), forecast.at(a));
+  EXPECT_EQ(ends.at(b), forecast.at(b));
 
   shared.close_session(a, ends.at(a));
   shared.close_session(b, ends.at(b));
@@ -155,9 +224,10 @@ TEST(SharedFabric, DeliveredStepEndsMatchTheDrainForecast) {
   // random instants with random host sets and payloads, run every step of
   // a ring all-reduce, and leave (speeding up whoever still shares their
   // uplinks).  Every step end the real network delivers must equal the
-  // drain forecast taken after the last injection before it drained.
-  // Tolerance: 0 — between injections the real network advances only on
-  // its own events, exactly the forward run's arithmetic.
+  // drain forecast — a forward run of the mirrored network — taken after
+  // the last injection before it drained.  Tolerance: 0 — between
+  // injections the real network advances only on its own events, exactly
+  // the forward run's arithmetic.
   constexpr double kTolerance = 0.0;
   double worst_error = 0.0;
   std::uint64_t steps_checked = 0;
@@ -167,6 +237,7 @@ TEST(SharedFabric, DeliveredStepEndsMatchTheDrainForecast) {
     const ElectricalCluster cluster =
         *ElectricalCluster::two_level_tree(32, 8, 4.0, test_params());
     SharedFabricTimer shared(cluster);
+    MirrorNetwork mirror(cluster);
 
     struct Tenant {
       Seconds arrival{0.0};
@@ -211,17 +282,19 @@ TEST(SharedFabric, DeliveredStepEndsMatchTheDrainForecast) {
     const auto inject = [&](Tenant& tenant, Seconds now) {
       ASSERT_TRUE(shared.begin_step(tenant.session, tenant.schedule,
                                     tenant.step, tenant.payload, now));
+      mirror.begin_step(tenant.session, tenant.schedule, tenant.step,
+                        tenant.payload, now);
       in_flight.insert(tenant.session);
-      const std::vector<Seconds>& forecast = shared.inflight_predicted_ends();
+      const std::map<SharedFabricTimer::SessionId, Seconds> forecast =
+          mirror.forecast();
       ASSERT_EQ(forecast.size(), in_flight.size());
-      std::size_t i = 0;
-      for (const SharedFabricTimer::SessionId id : in_flight) {
+      for (const auto& [id, end] : forecast) {
         const auto known = expected.find(id);
         if (known != expected.end() && id != tenant.session &&
-            forecast[i] > known->second) {
+            end > known->second) {
           ++slowed_by_joins;
         }
-        expected[id] = forecast[i++];
+        expected[id] = end;
       }
     };
 
@@ -239,6 +312,7 @@ TEST(SharedFabric, DeliveredStepEndsMatchTheDrainForecast) {
         continue;
       }
       ASSERT_TRUE(wake);
+      mirror.advance(*wake);
       while (const std::optional<SharedFabricTimer::SessionId> session =
                  shared.wake(*wake)) {
         const double error =
@@ -249,6 +323,7 @@ TEST(SharedFabric, DeliveredStepEndsMatchTheDrainForecast) {
         ++steps_checked;
         in_flight.erase(*session);
         expected.erase(*session);
+        mirror.end_step(*session);
         Tenant& tenant = tenants[owner.at(*session)];
         if (++tenant.step < tenant.schedule.num_steps()) {
           inject(tenant, *wake);
@@ -268,6 +343,48 @@ TEST(SharedFabric, DeliveredStepEndsMatchTheDrainForecast) {
   EXPECT_GE(steps_checked, 300u);
   // The mixes really contended: joins pushed in-flight steps later.
   EXPECT_GT(slowed_by_joins, 0u);
+}
+
+TEST(SharedFabric, ProbePricesTheCurrentMaxMinShare) {
+  // A background tenant's 0.5 GB cross-ToR flow is alone on the 1 GB/s
+  // uplink when, at t = 0.2 s, the router prices a 1 GB cross-ToR
+  // candidate over the same uplink.  Once active the candidate gets half
+  // the uplink; the background flow drains mid-step (~0.8 s), which the
+  // price ignores: it is the activation instant plus the candidate's bytes
+  // at the half share.  A forward run would answer ~1.5 s instead.
+  const ElectricalCluster cluster = two_tor_cluster(4.0);
+  SharedFabricTimer shared(cluster);
+  obs::MetricsRegistry registry;
+  shared.attach_metrics(registry);
+  const auto count = [&registry](const char* name) {
+    const obs::Counter* counter = registry.find_counter(name);
+    return counter ? counter->value() : 0u;
+  };
+  const auto background = shared.open_session();
+  ASSERT_TRUE(shared.begin_step(background, pair_schedule({{0, 4}}), 0,
+                                Bytes(500'000'000), Seconds(0.0)));
+  const std::optional<Seconds> wake_before = shared.next_wake();
+  const std::uint64_t solves_before = count("fabric.solves.network");
+
+  const Seconds now(0.2);
+  const std::optional<Seconds> price = shared.predict_step_completion(
+      pair_schedule({{1, 5}}), 0, Bytes(1'000'000'000), now);
+  ASSERT_TRUE(price);
+  const double half_uplink = 1e9 / 2.0;  // bytes per second
+  const Seconds activation = now + cluster.route_latency(1, 5);
+  EXPECT_EQ(price->value(), (activation + Seconds(1e9 / half_uplink)).value());
+  // One solve at the background flow's activation on the way to `now`,
+  // one once the candidate is active: no forward run.
+  EXPECT_EQ(count("fabric.solves.probe"), 2u);
+
+  // The real network is untouched: same next event, no new solve.
+  EXPECT_EQ(shared.next_wake(), wake_before);
+  EXPECT_EQ(count("fabric.solves.network"), solves_before);
+  const std::map<SharedFabricTimer::SessionId, Seconds> ends = drain(shared);
+  ASSERT_EQ(ends.size(), 1u);
+  EXPECT_NEAR(ends.at(background).value(), 0.5 + 100e-6, 1e-6);
+  shared.close_session(background, ends.at(background));
+  EXPECT_EQ(shared.verify_replay(), 0u);
 }
 
 TEST(SharedFabric, DisjointTorContainedTenantsDoNotContend) {

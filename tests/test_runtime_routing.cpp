@@ -118,15 +118,13 @@ TEST(CongestionAwareRouting, SaturatedUplinksRepelOverspill) {
   EXPECT_LT(aware.routing.mean_error, quiet.routing.mean_error);
 }
 
-TEST(CongestionAwareRouting, DrainForecastCutsErrorOnADrainingFabric) {
+TEST(CongestionAwareRouting, PriceTracksADrainingFabric) {
   // Two waves of ToR-straddling pairs.  The first saturates the uplinks at
-  // t=0; the second lands while those flows are still in flight but
-  // predicted to drain within the arrivals' own spans.  The clone probe
-  // alone would stretch the second wave's electrical predictions as if the
-  // contention it sees were permanent; the drain forecast decays the
-  // stretch by the in-flight steps' predicted ends, so the aware model's
-  // promises track the actual (draining) fabric where the quiet model's
-  // contention-blind ones overshoot.
+  // t=0; the second lands while those flows are still in flight but close
+  // to draining.  The electrical price reads the max-min share the
+  // arrivals get from the fabric as it is at that instant, so the aware
+  // model's promises track the actual (draining) fabric better than the
+  // quiet model's contention-blind ones.
   auto wave = [](CollectiveRuntime& rt, std::uint32_t first,
                  std::uint32_t count, util::Seconds arrival) {
     for (std::uint32_t j = first; j < first + count; ++j) {
@@ -164,7 +162,7 @@ TEST(CongestionAwareRouting, DrainForecastCutsErrorOnADrainingFabric) {
   // The draining fabric must not repel the whole second wave — nearly-done
   // tenants free the uplinks within the arrivals' spans.
   EXPECT_GT(aware.routing.to_electrical, 0u);
-  // And the decayed promises are kept better than the blind ones.
+  // And the priced promises are kept better than the blind ones.
   EXPECT_LT(aware.routing.mean_error, quiet.routing.mean_error);
 }
 

@@ -482,8 +482,7 @@ TEST(SharedFabricRuntime, OversubscribedUplinksContendOnTheRealNetwork) {
   EXPECT_EQ(count("fabric.steps_timed"), report.electrical.steps);
   EXPECT_GT(count("fabric.solves.network"), 0u);
   EXPECT_GT(count("fabric.solves.audit"), 0u);
-  // Overflow placement never asks the router, so nothing forecasts.
-  EXPECT_EQ(count("fabric.solves.forecast"), 0u);
+  // Overflow placement never asks the router, so nothing probes.
   EXPECT_EQ(count("fabric.solves.probe"), 0u);
 
   // Some fabric link — an uplink — hit full utilization.
