@@ -113,10 +113,10 @@ bool SharedFabricTimer::begin_step(SessionId session_id,
   session.step_start = now;
   session.step_number = static_cast<std::uint64_t>(step);
   for (const coll::Transfer& t : schedule.steps()[step].transfers) {
-    const std::vector<LinkId>& route = cluster_->route(t.src, t.dst);
     const util::Bytes bytes = schedule.chunk_bytes(payload, t.chunk);
-    session.inflight.push_back(network_.add_flow(route, bytes, session_id));
-    if (audit_) logged.flows.push_back(LoggedFlow{route, bytes});
+    session.inflight.push_back(
+        network_.add_flow(cluster_->route(t.src, t.dst), bytes, session_id));
+    if (audit_) logged.flows.push_back(LoggedFlow{t.src, t.dst, bytes});
   }
   session.flows_left = session.inflight.size();
   session.has_step = true;
@@ -243,7 +243,7 @@ std::uint64_t SharedFabricTimer::verify_replay() const {
     const LoggedStep& logged = steps_[static_cast<std::size_t>(op.step)];
     for (const LoggedFlow& flow : logged.flows) {
       replay_ids[static_cast<std::size_t>(op.step)].push_back(
-          replay.add_flow(flow.route, flow.bytes));
+          replay.add_flow(cluster_->route(flow.src, flow.dst), flow.bytes));
     }
   }
   replay.run();  // drains nothing on a fully-closed log

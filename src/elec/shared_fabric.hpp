@@ -142,8 +142,10 @@ class SharedFabricTimer {
   [[nodiscard]] std::uint64_t verify_replay() const;
 
  private:
+  /// A route is a function of its host pair, so the log keeps the pair.
   struct LoggedFlow {
-    std::vector<LinkId> route;
+    coll::NodeId src = 0;
+    coll::NodeId dst = 0;
     util::Bytes bytes;
   };
   struct LoggedStep {

@@ -1,54 +1,23 @@
 #include "elec/topology.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/check.hpp"
 #include "util/math.hpp"
 
 namespace wrht::elec {
-namespace {
-
-void add_duplex(topo::Graph& graph, std::vector<LinkSpec>& specs,
-                topo::VertexId a, topo::VertexId b, const LinkSpec& spec) {
-  graph.add_bidirectional_edge(a, b, /*weight=*/1.0);
-  specs.push_back(spec);  // forward edge
-  specs.push_back(spec);  // backward edge
-}
-
-}  // namespace
 
 ElectricalCluster ElectricalCluster::star(std::uint32_t num_hosts,
                                           const ElectricalParams& params) {
   WRHT_REQUIRE(num_hosts >= 2, "ElectricalCluster::star needs >= 2 hosts, got "
                                    << num_hosts);
   ElectricalCluster cluster;
+  cluster.num_hosts_ = num_hosts;
   cluster.host_params_ = params;
-  const topo::VertexId sw = cluster.graph_.add_vertex("switch");
-  const LinkSpec spec{params.link_bandwidth, params.link_latency};
-  for (std::uint32_t h = 0; h < num_hosts; ++h) {
-    const topo::VertexId v =
-        cluster.graph_.add_vertex("host" + std::to_string(h));
-    cluster.hosts_.push_back(v);
-    add_duplex(cluster.graph_, cluster.link_specs_, v, sw, spec);
-  }
-  return cluster;
-}
-
-ElectricalCluster ElectricalCluster::ring(std::uint32_t num_hosts,
-                                          const ElectricalParams& params) {
-  WRHT_REQUIRE(num_hosts >= 2, "ElectricalCluster::ring needs >= 2 hosts, got "
-                                   << num_hosts);
-  ElectricalCluster cluster;
-  cluster.host_params_ = params;
-  const LinkSpec spec{params.link_bandwidth, params.link_latency};
-  for (std::uint32_t h = 0; h < num_hosts; ++h) {
-    cluster.hosts_.push_back(
-        cluster.graph_.add_vertex("host" + std::to_string(h)));
-  }
-  for (std::uint32_t h = 0; h < num_hosts; ++h) {
-    add_duplex(cluster.graph_, cluster.link_specs_, cluster.hosts_[h],
-               cluster.hosts_[(h + 1) % num_hosts], spec);
-  }
+  cluster.link_specs_.assign(
+      2 * std::size_t{num_hosts},
+      LinkSpec{params.link_bandwidth, params.link_latency});
   return cluster;
 }
 
@@ -60,49 +29,38 @@ std::optional<ElectricalCluster> ElectricalCluster::two_level_tree(
     return std::nullopt;
   }
   ElectricalCluster cluster;
-  cluster.host_params_ = params;
-  const topo::VertexId core = cluster.graph_.add_vertex("core");
-  const LinkSpec host_spec{params.link_bandwidth, params.link_latency};
-  const std::uint32_t num_tors = static_cast<std::uint32_t>(
+  cluster.num_hosts_ = num_hosts;
+  cluster.num_tors_ = static_cast<std::uint32_t>(
       util::ceil_div(num_hosts, hosts_per_tor));
-  std::vector<topo::VertexId> tors;
-  for (std::uint32_t t = 0; t < num_tors; ++t) {
-    const topo::VertexId tor =
-        cluster.graph_.add_vertex("tor" + std::to_string(t));
-    tors.push_back(tor);
+  cluster.hosts_per_tor_ = hosts_per_tor;
+  cluster.host_params_ = params;
+  for (std::uint32_t t = 0; t < cluster.num_tors_; ++t) {
     // Uplink sized for the ToR's hosts, divided by the oversubscription.
     const std::uint32_t tor_hosts =
         std::min(hosts_per_tor, num_hosts - t * hosts_per_tor);
     const LinkSpec uplink{
         params.link_bandwidth * (tor_hosts / oversubscription),
         params.link_latency};
-    add_duplex(cluster.graph_, cluster.link_specs_, tor, core, uplink);
+    cluster.link_specs_.insert(cluster.link_specs_.end(), 2, uplink);
   }
-  for (std::uint32_t h = 0; h < num_hosts; ++h) {
-    const topo::VertexId v =
-        cluster.graph_.add_vertex("host" + std::to_string(h));
-    cluster.hosts_.push_back(v);
-    add_duplex(cluster.graph_, cluster.link_specs_, v, tors[h / hosts_per_tor],
-               host_spec);
-  }
+  cluster.link_specs_.insert(
+      cluster.link_specs_.end(), 2 * std::size_t{num_hosts},
+      LinkSpec{params.link_bandwidth, params.link_latency});
   return cluster;
 }
 
-const std::vector<LinkId>& ElectricalCluster::route(
-    std::uint32_t host_a, std::uint32_t host_b) const {
-  WRHT_REQUIRE(host_a < num_hosts() && host_b < num_hosts() &&
-                   host_a != host_b,
+std::vector<LinkId> ElectricalCluster::route(std::uint32_t host_a,
+                                             std::uint32_t host_b) const {
+  WRHT_REQUIRE(host_a < num_hosts_ && host_b < num_hosts_ && host_a != host_b,
                "ElectricalCluster::route: bad hosts " << host_a << ","
                                                       << host_b);
-  const auto key = std::make_pair(host_a, host_b);
-  const auto it = route_cache_.find(key);
-  if (it != route_cache_.end()) return it->second;
-
-  const auto path = graph_.shortest_path(hosts_[host_a], hosts_[host_b]);
-  WRHT_CHECK(path.has_value(),
-             "ElectricalCluster::route: hosts " << host_a << "," << host_b
-                                                << " unreachable");
-  return route_cache_.emplace(key, *path).first->second;
+  const LinkId up_a = 2 * (num_tors_ + host_a);
+  const LinkId down_b = 2 * (num_tors_ + host_b) + 1;
+  if (num_tors_ == 0) return {up_a, down_b};
+  const LinkId tor_a = host_a / hosts_per_tor_;
+  const LinkId tor_b = host_b / hosts_per_tor_;
+  if (tor_a == tor_b) return {up_a, down_b};
+  return {up_a, 2 * tor_a, 2 * tor_b + 1, down_b};
 }
 
 FlowNetwork ElectricalCluster::make_network() const {

@@ -1,17 +1,23 @@
 // Electrical cluster topologies for the flow simulator.
 //
-// A cluster couples a routing graph with per-edge link specs; edge ids in
-// the graph are link ids in any FlowNetwork the cluster instantiates, so a
-// route computed on the graph can be handed straight to add_flow.
+// Two shapes, both trees: a star (every host on one switch) and a two-level
+// tree (hosts -> ToR switches -> one core switch).  A tree has exactly one
+// route per host pair, so routes are computed from the link-id layout:
+//
+//   * every duplex link is an "up" link (towards the core) at an even id,
+//     with its "down" link at the next id;
+//   * ToR t's uplink pair is at 2t;
+//   * host h's access pair is at 2 * num_tors + 2h (num_tors is 0 on a star).
+//
+// Link ids are the link ids of every FlowNetwork the cluster instantiates,
+// so a route can be handed straight to add_flow.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <vector>
 
 #include "elec/flow_network.hpp"
-#include "topo/graph.hpp"
 #include "util/units.hpp"
 
 namespace wrht::elec {
@@ -27,10 +33,6 @@ class ElectricalCluster {
   static ElectricalCluster star(std::uint32_t num_hosts,
                                 const ElectricalParams& params);
 
-  /// Hosts wired host i <-> host i+1 (mod n) directly (electrical ring).
-  static ElectricalCluster ring(std::uint32_t num_hosts,
-                                const ElectricalParams& params);
-
   /// Two-level tree: hosts -> ToR switches -> one core switch, with the
   /// ToR uplink carrying `oversubscription` x less bandwidth per host.
   /// Rejects a bad shape — fewer than 2 hosts, zero hosts per ToR, or a
@@ -41,17 +43,16 @@ class ElectricalCluster {
       std::uint32_t num_hosts, std::uint32_t hosts_per_tor,
       double oversubscription, const ElectricalParams& params);
 
-  [[nodiscard]] std::uint32_t num_hosts() const {
-    return static_cast<std::uint32_t>(hosts_.size());
-  }
-  [[nodiscard]] const topo::Graph& graph() const { return graph_; }
+  [[nodiscard]] std::uint32_t num_hosts() const { return num_hosts_; }
+  /// Directed links: two per duplex link.
+  [[nodiscard]] std::size_t num_links() const { return link_specs_.size(); }
 
-  /// Link ids along the route from host a to host b (a != b).
-  /// Routes are cached; the cluster must outlive callers using them.
-  [[nodiscard]] const std::vector<LinkId>& route(std::uint32_t host_a,
-                                                 std::uint32_t host_b) const;
+  /// Link ids along the route from host a to host b (a != b): up from a,
+  /// across the core if a and b sit under different ToRs, down to b.
+  [[nodiscard]] std::vector<LinkId> route(std::uint32_t host_a,
+                                          std::uint32_t host_b) const;
 
-  /// A FlowNetwork whose link ids equal this cluster's graph edge ids.
+  /// A FlowNetwork with this cluster's links, in link-id order.
   [[nodiscard]] FlowNetwork make_network() const;
 
   /// Per-hop latency of the route between two hosts.
@@ -65,13 +66,11 @@ class ElectricalCluster {
   }
 
  private:
-  topo::Graph graph_;
-  std::vector<topo::VertexId> hosts_;
+  std::uint32_t num_hosts_ = 0;
+  std::uint32_t num_tors_ = 0;       // 0 on a star
+  std::uint32_t hosts_per_tor_ = 0;  // unused on a star
   ElectricalParams host_params_;
-  std::vector<LinkSpec> link_specs_;  // indexed by edge id
-  mutable std::map<std::pair<std::uint32_t, std::uint32_t>,
-                   std::vector<LinkId>>
-      route_cache_;
+  std::vector<LinkSpec> link_specs_;  // indexed by link id
 };
 
 }  // namespace wrht::elec

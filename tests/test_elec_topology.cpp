@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <vector>
 
 namespace wrht::elec {
 namespace {
@@ -14,26 +15,43 @@ ElectricalParams test_params() {
   return p;
 }
 
-TEST(Star, ShapeAndRoutes) {
+// Checks every ordered host pair against the documented link-id layout:
+// each duplex link is an up link at an even id with its down link next to
+// it; ToR t's pair is at 2t, host h's at 2 * num_tors + 2h.  Every link of
+// test_params() has a 25 us latency.
+void expect_link_layout(const ElectricalCluster& cluster,
+                        std::uint32_t num_tors, std::uint32_t hosts_per_tor) {
+  const std::uint32_t n = cluster.num_hosts();
+  EXPECT_EQ(cluster.num_links(), 2u * (num_tors + n));
+  EXPECT_EQ(cluster.make_network().num_links(), cluster.num_links());
+  for (std::uint32_t a = 0; a < n; ++a) {
+    for (std::uint32_t b = 0; b < n; ++b) {
+      if (a == b) continue;
+      std::vector<LinkId> expected{2 * num_tors + 2 * a};
+      if (num_tors > 0 && a / hosts_per_tor != b / hosts_per_tor) {
+        expected.push_back(2 * (a / hosts_per_tor));
+        expected.push_back(2 * (b / hosts_per_tor) + 1);
+      }
+      expected.push_back(2 * num_tors + 2 * b + 1);
+      EXPECT_EQ(cluster.route(a, b), expected) << a << "->" << b;
+      EXPECT_DOUBLE_EQ(cluster.route_latency(a, b).value(),
+                       25e-6 * static_cast<double>(expected.size()));
+    }
+  }
+}
+
+TEST(Star, EveryPairFollowsTheLinkLayout) {
   const ElectricalCluster cluster = ElectricalCluster::star(8, test_params());
   EXPECT_EQ(cluster.num_hosts(), 8u);
-  // 8 duplex host links = 16 directed edges, plus the switch vertex.
-  EXPECT_EQ(cluster.graph().num_edges(), 16u);
-  EXPECT_EQ(cluster.graph().num_vertices(), 9u);
-  const auto& route = cluster.route(0, 5);
-  EXPECT_EQ(route.size(), 2u);  // host->switch->host
+  // 8 duplex host links = 16 directed links.
+  EXPECT_EQ(cluster.num_links(), 16u);
+  EXPECT_EQ(cluster.route(0, 5), (std::vector<LinkId>{0, 11}));
+  expect_link_layout(cluster, 0, 0);
 }
 
 TEST(Star, RouteLatencyIsTwoHops) {
   const ElectricalCluster cluster = ElectricalCluster::star(4, test_params());
   EXPECT_NEAR(cluster.route_latency(0, 3).value(), 50e-6, 1e-12);
-}
-
-TEST(Star, RoutesAreCachedAndStable) {
-  const ElectricalCluster cluster = ElectricalCluster::star(4, test_params());
-  const auto* first = &cluster.route(1, 2);
-  const auto* second = &cluster.route(1, 2);
-  EXPECT_EQ(first, second);
 }
 
 TEST(Star, FlowBetweenHostsSeesFullBandwidth) {
@@ -45,16 +63,6 @@ TEST(Star, FlowBetweenHostsSeesFullBandwidth) {
   EXPECT_NEAR(network.completion_time(flow).value(), 1.0 + 50e-6, 1e-6);
 }
 
-TEST(Ring, ShapeAndRoutes) {
-  const ElectricalCluster cluster = ElectricalCluster::ring(8, test_params());
-  EXPECT_EQ(cluster.num_hosts(), 8u);
-  EXPECT_EQ(cluster.graph().num_edges(), 16u);  // 8 duplex spans
-  EXPECT_EQ(cluster.route(0, 1).size(), 1u);
-  EXPECT_EQ(cluster.route(0, 4).size(), 4u);
-  // Shortest path goes the short way around.
-  EXPECT_EQ(cluster.route(0, 7).size(), 1u);
-}
-
 TEST(TwoLevelTree, HostsRouteThroughTorAndCore) {
   const ElectricalCluster cluster =
       *ElectricalCluster::two_level_tree(8, 4, 1.0, test_params());
@@ -63,6 +71,22 @@ TEST(TwoLevelTree, HostsRouteThroughTorAndCore) {
   EXPECT_EQ(cluster.route(0, 1).size(), 2u);
   // Cross-ToR pair: host->tor->core->tor->host (4 links).
   EXPECT_EQ(cluster.route(0, 5).size(), 4u);
+}
+
+TEST(TwoLevelTree, EveryPairFollowsTheLinkLayout) {
+  // 10 hosts, 4 per ToR: ToRs of 4, 4 and 2 hosts.
+  const ElectricalCluster ragged =
+      *ElectricalCluster::two_level_tree(10, 4, 2.0, test_params());
+  EXPECT_EQ(ragged.num_links(), 26u);
+  EXPECT_EQ(ragged.route(0, 9), (std::vector<LinkId>{6, 0, 5, 25}));
+  EXPECT_EQ(ragged.route(9, 8), (std::vector<LinkId>{24, 23}));
+  expect_link_layout(ragged, 3, 4);
+
+  // More hosts per ToR than hosts: one ToR, and no route reaches the core.
+  const ElectricalCluster one_tor =
+      *ElectricalCluster::two_level_tree(5, 8, 1.0, test_params());
+  EXPECT_EQ(one_tor.route(4, 0), (std::vector<LinkId>{10, 3}));
+  expect_link_layout(one_tor, 1, 8);
 }
 
 TEST(TwoLevelTree, OversubscriptionCongestsUplink) {
@@ -115,10 +139,10 @@ TEST(TwoLevelTree, RejectsBadShapes) {
   EXPECT_TRUE(ElectricalCluster::two_level_tree(8, 16, 8.0, test_params()));
 }
 
-TEST(Cluster, MakeNetworkLinkCountMatchesEdges) {
+TEST(Cluster, MakeNetworkLinkCountMatchesLinks) {
   const ElectricalCluster cluster = ElectricalCluster::star(6, test_params());
   const FlowNetwork network = cluster.make_network();
-  EXPECT_EQ(network.num_links(), cluster.graph().num_edges());
+  EXPECT_EQ(network.num_links(), cluster.num_links());
 }
 
 }  // namespace

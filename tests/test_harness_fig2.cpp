@@ -7,7 +7,9 @@
 
 #include <sstream>
 
+#include "dnn/catalog.hpp"
 #include "harness/report.hpp"
+#include "workload/trace_io.hpp"
 
 namespace wrht::harness {
 namespace {
@@ -58,6 +60,35 @@ TEST(Fig2, ORingDegradesWithScaleWrhtFlat) {
   const double wrht_large =
       allreduce_time(Algo::kWrht, 64, payload, config).value();
   EXPECT_LT(wrht_large / wrht_small, 3.0);
+}
+
+TEST(Fig2, ElectricalBaselinesArePinned) {
+  // Fig. 2's E-Ring and RD on AlexNet at the paper's scales, bit for bit:
+  // the electrical cluster's routes and the flow solver feed these numbers.
+  const ExperimentConfig config = paper_config();
+  const Bytes payload = dnn::alexnet().gradient_bytes(config.dtype);
+  struct Pin {
+    Algo algo;
+    std::uint32_t nodes;
+    const char* seconds;
+  };
+  const Pin pins[] = {
+      {Algo::kERing, 128, "0.4083049999999992"},
+      {Algo::kERing, 256, "0.4226627040000035"},
+      {Algo::kERing, 512, "0.449041454399993"},
+      {Algo::kERing, 1024, "0.5006316479999908"},
+      {Algo::kRD, 128, "1.3958700000000002"},
+      {Algo::kRD, 256, "1.5952800000000003"},
+      {Algo::kRD, 512, "1.7946900000000003"},
+      {Algo::kRD, 1024, "1.9941000000000004"},
+  };
+  for (const Pin& pin : pins) {
+    EXPECT_EQ(workload::format_double_exact(
+                  allreduce_time(pin.algo, pin.nodes, payload, config)
+                      .value()),
+              pin.seconds)
+        << algo_name(pin.algo) << " at N=" << pin.nodes;
+  }
 }
 
 TEST(Fig2, PanelHasAllRows) {
