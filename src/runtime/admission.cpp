@@ -32,6 +32,14 @@ void JobQueue::push(QueueEntry entry) {
   entries_.insert(pos, std::move(entry));
 }
 
+std::size_t JobQueue::lower_bound(std::uint64_t seq) const {
+  const auto first = entries_.begin() + static_cast<std::ptrdiff_t>(head_);
+  const auto pos = std::lower_bound(
+      first, entries_.end(), seq,
+      [](const QueueEntry& e, std::uint64_t s) { return e.seq < s; });
+  return static_cast<std::size_t>(pos - first);
+}
+
 QueueEntry JobQueue::take(std::size_t index) {
   WRHT_REQUIRE(index < size(), "JobQueue: take(" << index << ") out of range");
   if (index == 0) {
@@ -53,14 +61,14 @@ QueueEntry JobQueue::take(std::size_t index) {
   return entry;
 }
 
-bool JobQueue::release_hold(JobId id) {
+std::optional<std::uint64_t> JobQueue::release_hold(JobId id) {
   for (std::size_t i = head_; i < entries_.size(); ++i) {
     if (entries_[i].id == id) {
       entries_[i].held = false;
-      return true;
+      return entries_[i].seq;
     }
   }
-  return false;
+  return std::nullopt;
 }
 
 namespace {

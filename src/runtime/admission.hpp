@@ -66,6 +66,12 @@ struct QueueEntry {
   /// invisible to every admission policy (it neither admits nor blocks the
   /// line) but still fusable as a peer when another lead is admitted.
   bool held = false;
+  /// Placement memo of the host fabric's scan: the index in `participants`
+  /// of a host the last failed probe found busy (the first participant
+  /// before any probe).  A busy participant proves the entry unplaceable,
+  /// so while this one stays busy a rescan checks one host, not the set.
+  /// A hint only, never queue state, hence mutable.
+  mutable std::uint32_t blocker = 0;
 };
 
 /// True when the optical admission policies may consider `entry` at all.
@@ -86,15 +92,20 @@ class JobQueue {
     return entries_[head_ + i];
   }
 
+  /// Logical index of the first entry with seq >= `seq` (size() when
+  /// none): a binary search, since the queue is in seq order.
+  [[nodiscard]] std::size_t lower_bound(std::uint64_t seq) const;
+
   /// Remove and return the entry at logical `index`.  A take(0) — the
   /// FIFO/backlog-drain hot path — is O(1): the head offset advances past
   /// the slot and the dead prefix is erased in amortized batches.
   /// Mid-queue takes fall back to the positional erase.
   QueueEntry take(std::size_t index);
 
-  /// Clear the fuse-window hold on job `id`.  Returns false when the job no
-  /// longer sits in the queue (it was admitted or fused meanwhile).
-  bool release_hold(JobId id);
+  /// Clear the fuse-window hold on job `id` and return its seq; nullopt
+  /// when the job no longer sits in the queue (it was admitted or fused
+  /// meanwhile).
+  std::optional<std::uint64_t> release_hold(JobId id);
 
  private:
   /// Queued entries live at entries_[head_ ..); slots below head_ were

@@ -302,16 +302,20 @@ void CollectiveRuntime::on_arrival(JobId id) {
 }
 
 void CollectiveRuntime::release_fuse_hold(JobId id) {
-  // A false return means the job already left the queue — fused into an
-  // earlier batch or admitted — and there is nothing to release.
-  if (queue_.release_hold(id)) try_admit();
+  // No seq means the job already left the queue — fused into an earlier
+  // batch or admitted — and there is nothing to release.
+  const std::optional<std::uint64_t> seq = queue_.release_hold(id);
+  if (!seq) return;
+  // The entry turns eligible, possibly below the host scan's mark.
+  host_mark_.seq = std::min(host_mark_.seq, *seq);
+  try_admit();
 }
 
 CollectiveRuntime::WaitLine CollectiveRuntime::wait_line(
     const ExecutionSubstrate& fabric) const {
   // The queue is in seq order and suspended_ in suspension order, so a
   // strict > keeps the oldest of equals on both sides.
-  WaitLine line;
+  WaitLine line = suspended_line(fabric);
   const util::Seconds now = simulator_.now();
   for (std::size_t i = 0; i < queue_.size(); ++i) {
     const QueueEntry& entry = queue_.at(i);
@@ -323,6 +327,12 @@ CollectiveRuntime::WaitLine CollectiveRuntime::wait_line(
       line.queued_priority = aged;
     }
   }
+  return line;
+}
+
+CollectiveRuntime::WaitLine CollectiveRuntime::suspended_line(
+    const ExecutionSubstrate& fabric) const {
+  WaitLine line;
   for (const auto& exec : suspended_) {
     if (exec->substrate != &fabric) continue;
     const std::int32_t effective = effective_priority(*exec);
@@ -435,14 +445,18 @@ bool CollectiveRuntime::place_one(ExecutionSubstrate& fabric) {
   // steady trickle of small low-priority jobs starves a preempted victim
   // forever (admission-side priority inversion).  Another fabric's
   // suspended work waits for other capacity and holds nothing up here.
+  // Without a floor (FIFO) no aged priority is computed at all.
+  constexpr std::int32_t kNoFloor = std::numeric_limits<std::int32_t>::min();
   const bool by_priority = config_.policy == FairnessPolicy::kPriorityPreempt;
-  const std::int32_t floor = by_priority
-                                 ? wait_line(fabric).suspended_priority
-                                 : std::numeric_limits<std::int32_t>::min();
+  const std::int32_t floor =
+      by_priority ? suspended_line(fabric).suspended_priority : kNoFloor;
   const util::Seconds now = simulator_.now();
   const auto aged = [this, now](const QueueEntry& entry) {
     return aged_priority(entry.priority, entry.arrival, now,
                          config_.aging_half_life);
+  };
+  const auto below_floor = [&](const QueueEntry& entry) {
+    return floor != kNoFloor && floor > aged(entry);
   };
 
   if (!fabric.grants_hosts()) {
@@ -450,7 +464,7 @@ bool CollectiveRuntime::place_one(ExecutionSubstrate& fabric) {
     const std::optional<AdmissionDecision> decision = next_admission(
         queue_, config_.policy, fabric.largest_free_grant(),
         fabric.free_grant_total(), now, config_.aging_half_life);
-    if (!decision || floor > aged(queue_.at(decision->queue_index))) {
+    if (!decision || below_floor(queue_.at(decision->queue_index))) {
       return false;
     }
     place_execution(fabric, decision->queue_index, decision->grant,
@@ -461,31 +475,54 @@ bool CollectiveRuntime::place_one(ExecutionSubstrate& fabric) {
   // A fabric of positioned hosts: the first candidate whose hosts are free,
   // in the fairness policy's preference — arrival order, which is the
   // queue's own (seq) order, re-ranked by aged priority under
-  // kPriorityPreempt (a stable sort keeps arrival among equals).
-  std::vector<std::size_t> order(queue_.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  if (by_priority) {
-    std::stable_sort(order.begin(), order.end(),
-                     [this, &aged](std::size_t a, std::size_t b) {
-                       return aged(queue_.at(a)) > aged(queue_.at(b));
-                     });
-  }
-  for (const std::size_t index : order) {
+  // kPriorityPreempt (a stable sort keeps arrival among equals).  Entries
+  // below the mark and entries whose blocker memo host is still busy
+  // certainly fail the probe, so dropping them changes no pick.
+  enum class Try : std::uint8_t { kPlaced, kBlocked, kDeclined };
+  const auto try_place = [&](std::size_t index) {
     const QueueEntry& job = queue_.at(index);
-    if (job.held || job.pin == SubstratePin::kOpticalOnly) continue;
-    if (floor > aged(job) || !probe_placement(fabric, job.participants)) {
-      continue;
-    }
+    if (below_floor(job)) return Try::kDeclined;
+    if (!probe_placement(fabric, job)) return Try::kBlocked;
     std::optional<RoutePrediction> verdict;
     if (config_.placement == HybridPlacementPolicy::kCostModelChoice &&
         job.pin == SubstratePin::kAny) {
       // A pinned job skips the comparison: the tenant already decided.
       verdict = predict_route(job.participants, job.payload,
                               job.requested_wavelengths);
-      if (verdict->electrical >= verdict->optical) continue;
+      if (verdict->electrical >= verdict->optical) return Try::kDeclined;
     }
     place_execution(fabric, index, /*grant=*/1, verdict);
-    return true;
+    return Try::kPlaced;
+  };
+  if (host_mark_.epoch != fabric.free_epoch()) {
+    host_mark_ = {fabric.free_epoch(), 0};
+  }
+  // The mark advances over the walk's leading run of proven-blocked (or
+  // ineligible) entries; a floor or route decline, which may not hold
+  // later in the epoch, and any entry left untried end the run.
+  bool blocked_run = true;
+  host_ranked_.clear();
+  for (std::size_t i = queue_.lower_bound(host_mark_.seq);
+       i < queue_.size(); ++i) {
+    const QueueEntry& job = queue_.at(i);
+    bool blocked = job.held || job.pin == SubstratePin::kOpticalOnly ||
+                   fabric.host_busy(job.participants[job.blocker]);
+    if (!blocked && by_priority) {
+      host_ranked_.emplace_back(aged(job), i);
+    } else if (!blocked) {
+      const Try outcome = try_place(i);
+      if (outcome == Try::kPlaced) return true;
+      blocked = outcome == Try::kBlocked;
+    }
+    blocked_run = blocked_run && blocked;
+    if (blocked_run) host_mark_.seq = job.seq + 1;
+  }
+  std::stable_sort(host_ranked_.begin(), host_ranked_.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.first > b.first;
+                   });
+  for (const auto& [priority, index] : host_ranked_) {
+    if (try_place(index) == Try::kPlaced) return true;
   }
   return false;
 }
@@ -519,7 +556,7 @@ void CollectiveRuntime::request_preemptions(ExecutionSubstrate& substrate) {
   // retried on the next try_admit.
   if (queued != nullptr && host_units) {
     // A queued waiter claims ITS OWN hosts at first placement.
-    if (probe_placement(substrate, queued->participants)) {
+    if (probe_placement(substrate, *queued)) {
       return;  // placeable right now; the placement path will take it
     }
     // Host sets are snapshotted once — hosts() copies, and the scan below
@@ -548,7 +585,7 @@ void CollectiveRuntime::request_preemptions(ExecutionSubstrate& substrate) {
                    h.hosts.end();
           });
       if (holder == holders.end()) {
-        if (!probe_placement(substrate, {host})) return;  // down: hopeless
+        if (substrate.host_busy(host)) return;  // down: hopeless
         continue;
       }
       if (holder->exec->priority >= target) return;  // outranked: hopeless
@@ -1436,11 +1473,17 @@ void CollectiveRuntime::arm_wake(std::size_t fabric) {
   wake.armed = true;
 }
 
-bool CollectiveRuntime::probe_placement(
-    const ExecutionSubstrate& fabric,
-    const std::vector<topo::NodeId>& participants) {
+bool CollectiveRuntime::probe_placement(const ExecutionSubstrate& fabric,
+                                        const QueueEntry& job) {
   obs::inc(ins_.placement_probes);
-  return fabric.can_place(participants, 1);
+  if (fabric.can_place(job.participants, 1)) return true;
+  const auto busy = std::find_if(
+      job.participants.begin(), job.participants.end(),
+      [&fabric](topo::NodeId host) { return fabric.host_busy(host); });
+  WRHT_CHECK(busy != job.participants.end(),
+             "probe_placement: a refused host set with no busy host");
+  job.blocker = static_cast<std::uint32_t>(busy - job.participants.begin());
+  return false;
 }
 
 void CollectiveRuntime::finish_execution(

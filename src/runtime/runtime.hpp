@@ -60,6 +60,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -445,7 +446,12 @@ class CollectiveRuntime {
       std::uint32_t optical_grant) const;
   /// Place one queued job on `fabric` (the fairness policy's pick on a band
   /// fabric, the first placeable candidate on a host fabric), behind the
-  /// priority guard; false when the fabric declines.
+  /// priority guard; false when the fabric declines.  On a host fabric the
+  /// scan pays per change, not per queued job: it starts at host_mark_ and
+  /// passes every entry whose blocker memo host is still busy, both certain
+  /// failures, and probes only the rest.  FIFO tries the survivors in seq
+  /// order as it walks; kPriorityPreempt stable-sorts them by aged
+  /// priority first.  Either way it places the entry the full scan would.
   bool place_one(ExecutionSubstrate& fabric);
   /// Shared placement tail: pop the queue entry at `queue_index` (plus its
   /// fusable peers when the substrate batches), build the plan with `grant`
@@ -474,10 +480,11 @@ class CollectiveRuntime {
   /// event already armed for that instant.  Deferred while its own wake is
   /// running, which re-arms once at the end.
   void arm_wake(std::size_t fabric);
-  /// can_place, counted as runtime.placement_probes.
-  [[nodiscard]] bool probe_placement(
-      const ExecutionSubstrate& fabric,
-      const std::vector<topo::NodeId>& participants);
+  /// The full can_place probe of `job` on host fabric `fabric`, counted as
+  /// runtime.placement_probes (a blocker memo hit is not a probe).  A
+  /// failure records a busy participant as the job's blocker memo.
+  [[nodiscard]] bool probe_placement(const ExecutionSubstrate& fabric,
+                                     const QueueEntry& job);
   void finish_execution(const std::shared_ptr<Execution>& exec);
 
   /// The step-boundary renegotiation point: called between two steps of
@@ -560,6 +567,10 @@ class CollectiveRuntime {
     std::int32_t suspended_priority = std::numeric_limits<std::int32_t>::min();
   };
   [[nodiscard]] WaitLine wait_line(const ExecutionSubstrate& fabric) const;
+  /// wait_line's suspended half alone (queued fields left empty): all the
+  /// placement guard's priority floor needs.
+  [[nodiscard]] WaitLine suspended_line(
+      const ExecutionSubstrate& fabric) const;
   /// Suspended `exec`'s effective priority right now: its priority aged by
   /// the suspension wait (running executions keep their raw priority).
   [[nodiscard]] std::int32_t effective_priority(const Execution& exec) const;
@@ -664,6 +675,21 @@ class CollectiveRuntime {
     bool running = false;
   };
   std::vector<FabricWake> wakes_;
+  /// The host fabric's blocked-prefix mark (the runtime serves at most one
+  /// host-granting fabric, the electrical fallback): every eligible queued
+  /// entry with seq below `seq` failed a probe, or had a busy blocker memo
+  /// host, while that fabric's free_epoch() read `epoch`.  Hosts only turn
+  /// busy within an epoch, so those entries still cannot be placed and the
+  /// scan starts at `seq`.  A new epoch resets the mark to 0; a released
+  /// fuse hold lowers it to the entry's seq; arrivals land above it.
+  struct HostScanMark {
+    std::uint64_t epoch = 0;
+    std::uint64_t seq = 0;
+  };
+  HostScanMark host_mark_;
+  /// kPriorityPreempt's host-scan candidates as (aged priority, queue
+  /// index): scratch reused across place_one calls.
+  std::vector<std::pair<std::int32_t, std::size_t>> host_ranked_;
   JobQueue queue_;
   std::vector<JobRecord> records_;
   std::vector<JobId> completion_order_;

@@ -207,6 +207,19 @@ class ExecutionSubstrate {
       const std::vector<topo::NodeId>& participants,
       std::uint32_t min_grant) const = 0;
 
+  /// The placement-memo seam of a host-granting fabric (grants_hosts()).
+  /// host_busy: `host` is claimed by an execution or out of service, so no
+  /// participant set containing it can be placed now — a one-host witness
+  /// of can_place() == false.  free_epoch: how many times hosts have gone
+  /// back to free (a release(), or an apply_fault() repair returning a
+  /// host to service).  Those are the only ways a busy host frees, so
+  /// while the epoch reads the same, a set that could not be placed still
+  /// cannot.  A band fabric has no hosts: false and 0.
+  [[nodiscard]] virtual bool host_busy(topo::NodeId /*host*/) const {
+    return false;
+  }
+  [[nodiscard]] virtual std::uint64_t free_epoch() const { return 0; }
+
   /// Claim `grant` units and build the execution plan for an all-reduce of
   /// `payload` among `participants`: a kRestart with no prior plan.  The
   /// caller must have established feasibility (optical: the arbiter

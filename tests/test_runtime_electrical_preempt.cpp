@@ -11,6 +11,13 @@
 // (the runtime aborts if it fails, so completion is the verdict) and the
 // shared fabric's whole-horizon flow replay (replay_checked_steps must
 // cover every electrical step, remapped resumes included).
+//
+// Host placement scan: a queued job blocked by a busy host is placed at
+// the very instant the host frees — by a completion or by a node repair —
+// and a job whose fuse-window hold ends after a failed scan is placed at
+// the instant of the release, in arrival (FIFO) or priority order.  The
+// scan skips entries it has proven blocked, so these pin that it never
+// skips one that just became placeable.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -274,6 +281,108 @@ TEST(ElectricalPreemption, StarFabricPreemptsWithoutReplayMachinery) {
   EXPECT_EQ(report.replay_checked_steps, 0u);
   EXPECT_EQ(report.step_retimes, 0u);
   EXPECT_TRUE(rt.record(victim).oracle_ok);
+}
+
+/// A pinned electrical job over `hosts`, arriving at `arrival_ms`.
+JobSpec host_job(std::vector<topo::NodeId> hosts, util::Bytes payload,
+                 double arrival_ms, std::int32_t priority) {
+  JobSpec spec;
+  spec.participants = std::move(hosts);
+  spec.payload = payload;
+  spec.arrival = util::milliseconds(arrival_ms);
+  spec.pin = SubstratePin::kElectricalOnly;
+  spec.priority = priority;
+  return spec;
+}
+
+constexpr FairnessPolicy kScanPolicies[] = {FairnessPolicy::kFifo,
+                                            FairnessPolicy::kPriorityPreempt};
+
+TEST(HostPlacementScan, BlockedJobsPlaceAtTheCompletionThatFreesTheirHost) {
+  for (const FairnessPolicy policy : kScanPolicies) {
+    SCOPED_TRACE(fairness_policy_name(policy));
+    RuntimeConfig config = shared_preempt_config();
+    config.policy = policy;
+    CollectiveRuntime rt(config);
+    // The holder outranks both waiters, so nobody preempts it.
+    const JobId holder =
+        rt.submit(host_job({0, 1, 2, 3}, util::megabytes(8), 0.0, 9));
+    const JobId early =
+        rt.submit(host_job({3, 4}, util::megabytes(1), 1.0, 1));
+    const JobId urgent =
+        rt.submit(host_job({3, 5}, util::megabytes(1), 2.0, 5));
+    // Free hosts behind the blocked entries: placed on arrival.
+    const JobId elsewhere =
+        rt.submit(host_job({8, 9}, util::megabytes(1), 3.0, 0));
+
+    const RuntimeReport report = rt.run();
+    ASSERT_EQ(report.completed, 4u);
+    ASSERT_GT(rt.record(holder).completed, util::milliseconds(3.0));
+    EXPECT_EQ(rt.record(elsewhere).admitted,
+              rt.record(elsewhere).spec.arrival);
+    const bool fifo = policy == FairnessPolicy::kFifo;
+    const JobId first = fifo ? early : urgent;
+    const JobId second = fifo ? urgent : early;
+    EXPECT_EQ(rt.record(first).admitted, rt.record(holder).completed);
+    EXPECT_EQ(rt.record(second).admitted, rt.record(first).completed);
+  }
+}
+
+TEST(HostPlacementScan, BlockedJobsPlaceAtTheRepairThatFreesTheirHost) {
+  for (const FairnessPolicy policy : kScanPolicies) {
+    SCOPED_TRACE(fairness_policy_name(policy));
+    const FaultSpec fault{FaultDomain::kNode, 3, util::milliseconds(0.5),
+                          util::milliseconds(4.0)};
+    ScriptedFaultSource faults({fault});
+    RuntimeConfig config = shared_preempt_config();
+    config.policy = policy;
+    config.faults = &faults;
+    CollectiveRuntime rt(config);
+    const JobId early =
+        rt.submit(host_job({3, 4}, util::megabytes(1), 1.0, 1));
+    const JobId urgent =
+        rt.submit(host_job({3, 5}, util::megabytes(1), 2.0, 5));
+    const JobId elsewhere =
+        rt.submit(host_job({8, 9}, util::megabytes(1), 3.0, 0));
+
+    const RuntimeReport report = rt.run();
+    ASSERT_EQ(report.completed, 3u);
+    ASSERT_EQ(report.faults.repairs, 1u);
+    EXPECT_EQ(rt.record(elsewhere).admitted,
+              rt.record(elsewhere).spec.arrival);
+    const bool fifo = policy == FairnessPolicy::kFifo;
+    const JobId first = fifo ? early : urgent;
+    const JobId second = fifo ? urgent : early;
+    EXPECT_EQ(rt.record(first).admitted, fault.at + fault.repair_after);
+    EXPECT_EQ(rt.record(second).admitted, rt.record(first).completed);
+  }
+}
+
+TEST(HostPlacementScan, HeldJobPlacesAtItsReleaseAfterAFailedScan) {
+  for (const FairnessPolicy policy : kScanPolicies) {
+    SCOPED_TRACE(fairness_policy_name(policy));
+    RuntimeConfig config = shared_preempt_config();
+    config.policy = policy;
+    config.batcher.enabled = true;
+    config.batcher.fuse_window = util::milliseconds(5.0);
+    CollectiveRuntime rt(config);
+    // Over the fuse threshold, so never held: the holder, and a waiter on
+    // its host whose arrival scan fails after the small job went by held.
+    const JobId holder =
+        rt.submit(host_job({0, 1, 2, 3}, util::megabytes(32), 0.0, 9));
+    const JobId small =
+        rt.submit(host_job({8, 9}, util::kilobytes(64), 1.0, 0));
+    const JobId blocked =
+        rt.submit(host_job({3, 10}, util::megabytes(1), 2.0, 5));
+
+    const RuntimeReport report = rt.run();
+    ASSERT_EQ(report.completed, 3u);
+    ASSERT_GT(rt.record(holder).completed, util::milliseconds(6.0));
+    // The hold ends at arrival + window with hosts 8 and 9 free all along.
+    EXPECT_EQ(rt.record(small).admitted,
+              rt.record(small).spec.arrival + config.batcher.fuse_window);
+    EXPECT_EQ(rt.record(blocked).admitted, rt.record(holder).completed);
+  }
 }
 
 }  // namespace

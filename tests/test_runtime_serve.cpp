@@ -11,6 +11,8 @@
 //      report's FNV-1a digest equals a pinned constant.  Any change to
 //      the event loop, admission queue, spectrum arbiter or substrates that
 //      moves a single report field (doubles printed exactly) breaks it.
+//   3. The host placement scan's work counter stays far below what a
+//      probe of every queued entry on every placement attempt costs.
 //
 // Doubles are compared with EXPECT_EQ on purpose: bit-identity is the
 // claim, not approximate agreement.
@@ -23,6 +25,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "report_digest.hpp"
 #include "runtime/faults.hpp"
 #include "runtime/runtime.hpp"
@@ -363,6 +366,52 @@ TEST(RuntimeServe, TimingLadderFromFormulaToServe) {
         }
       }
     }
+  }
+}
+
+TEST(RuntimeServe, HostPlacementScanPaysPerChange) {
+  // Work-counter guard of the host-fabric placement scan, on the perfbench
+  // overflow configuration (64 nodes and 64 wavelengths, Poisson arrivals
+  // at 5e4 jobs/s spilling onto the shared 4:1 two-level fabric) cut to
+  // 1,000 jobs at seed 1.  A scan that probes every queued entry on every
+  // placement attempt made 670,019 can_place probes here under FIFO and
+  // 618,997 under kPriorityPreempt; the scan that skips entries proven
+  // blocked makes 3,178 and 3,611.  The bound is under 1/10 of the first
+  // pair, so a return to the per-queued-entry scan fails this test.
+  constexpr std::uint64_t kMaxProbes = 20000;
+  for (const FairnessPolicy policy :
+       {FairnessPolicy::kFifo, FairnessPolicy::kPriorityPreempt}) {
+    SCOPED_TRACE(fairness_policy_name(policy));
+    workload::WorkloadConfig w;
+    w.seed = 1;
+    w.num_jobs = 1000;
+    w.ring_size = 64;
+    w.arrivals = workload::ArrivalProcess::kPoisson;
+    w.mean_rate = 5e4;
+    w.max_participants = 16;
+    w.payload_median = util::kilobytes(256);
+    w.max_payload = util::megabytes(16);
+    w.deadline_fraction = 0.5;
+    RuntimeConfig config;
+    config.ring_size = 64;
+    config.optical.wdm.num_wavelengths = 64;
+    config.batcher.enabled = false;
+    config.policy = policy;
+    config.placement = HybridPlacementPolicy::kElectricalOverflow;
+    config.electrical.fabric = ElectricalFabric::kTwoLevelShared;
+    config.electrical.hosts_per_tor = 8;
+    config.electrical.oversubscription = 4.0;
+    obs::MetricsRegistry registry;
+    config.metrics = &registry;
+
+    const RuntimeReport report = run_streamed(w, config);
+    ASSERT_EQ(report.completed, 1000u);
+    ASSERT_GT(report.electrical.jobs, 0u);
+    const obs::Counter* probes =
+        registry.find_counter("runtime.placement_probes");
+    ASSERT_NE(probes, nullptr);
+    EXPECT_GT(probes->value(), 0u);
+    EXPECT_LE(probes->value(), kMaxProbes);
   }
 }
 
