@@ -26,18 +26,37 @@ LinkId FlowNetwork::add_link(LinkSpec spec) {
   return static_cast<LinkId>(links_.size() - 1);
 }
 
-FlowId FlowNetwork::add_flow(std::vector<LinkId> route, util::Bytes bytes,
-                             std::uint32_t tag) {
+util::Seconds FlowNetwork::route_latency(
+    const std::vector<LinkId>& route) const {
   util::Seconds latency{0.0};
   for (const LinkId link : route) {
     WRHT_REQUIRE(link < links_.size(),
                  "FlowNetwork: route uses unknown link " << link);
     latency += links_[link].spec.latency;
   }
+  return latency;
+}
+
+FlowId FlowNetwork::add_flow(std::vector<LinkId> route, util::Bytes bytes,
+                             std::uint32_t tag) {
+  const util::Seconds activation = now_ + route_latency(route);
+  return add_flow_at(std::move(route), bytes, activation, tag);
+}
+
+FlowId FlowNetwork::add_flow_at(std::vector<LinkId> route, util::Bytes bytes,
+                                util::Seconds activation, std::uint32_t tag) {
+  for (const LinkId link : route) {
+    WRHT_REQUIRE(link < links_.size(),
+                 "FlowNetwork: route uses unknown link " << link);
+  }
+  WRHT_REQUIRE(activation >= now_,
+               "FlowNetwork: flow activates at " << activation.value()
+                                                 << "s, before the clock "
+                                                 << now_.value() << "s");
   Flow flow;
   flow.route = std::move(route);
   flow.remaining = bytes.as_double();
-  flow.activation = now_ + latency;
+  flow.activation = activation;
   flow.tag = tag;
   flows_.push_back(std::move(flow));
   const FlowId id = base_ + static_cast<FlowId>(flows_.size() - 1);

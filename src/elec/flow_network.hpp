@@ -37,11 +37,23 @@ class FlowNetwork {
  public:
   LinkId add_link(LinkSpec spec);
   [[nodiscard]] std::size_t num_links() const { return links_.size(); }
+  /// The latencies of `route`'s links, summed in route order.
+  [[nodiscard]] util::Seconds route_latency(
+      const std::vector<LinkId>& route) const;
 
-  /// Place a flow of `bytes` over `route` starting at the current time.
-  /// `tag` is the caller's opaque label, reported when the flow completes.
+  /// Place a flow of `bytes` over `route` starting at the current time: it
+  /// activates after route_latency(route).  `tag` is the caller's opaque
+  /// label, reported when the flow completes.
   FlowId add_flow(std::vector<LinkId> route, util::Bytes bytes,
                   std::uint32_t tag = 0);
+
+  /// Place a flow that activates at `activation` (>= now()).  A flow waits
+  /// outside every solve until it activates, so running a network to an
+  /// instant t and only then adding a flow that activates at t reproduces,
+  /// bit for bit, the run in which the same flow was added earlier with the
+  /// latency that lands it on t.  The shared-fabric probe builds on this.
+  FlowId add_flow_at(std::vector<LinkId> route, util::Bytes bytes,
+                     util::Seconds activation, std::uint32_t tag = 0);
 
   /// Advance the fluid simulation until every flow has completed.
   /// Returns the simulated time reached.

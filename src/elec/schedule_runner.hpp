@@ -6,6 +6,7 @@
 // same model the optical side uses).
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -39,6 +40,9 @@ class StepFlowTimer {
   /// schedules can surface the error on their own terms.
   [[nodiscard]] std::optional<util::Seconds> time_step(
       const coll::Schedule& schedule, std::size_t step, util::Bytes payload);
+
+  /// Max-min solves performed since construction (a work counter).
+  [[nodiscard]] std::uint64_t solves() const { return network_.solves(); }
 
  private:
   const ElectricalCluster* cluster_;

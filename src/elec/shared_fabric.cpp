@@ -1,6 +1,7 @@
 #include "elec/shared_fabric.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "obs/metrics.hpp"
 #include "util/check.hpp"
@@ -49,6 +50,7 @@ std::size_t SharedFabricTimer::active_sessions() const {
 }
 
 void SharedFabricTimer::advance(util::Seconds to) {
+  ++version_;
   completed_.clear();
   network_.run_until(to, &completed_);
   for (const SessionId id : completed_) {
@@ -118,6 +120,7 @@ bool SharedFabricTimer::begin_step(SessionId session_id,
         network_.add_flow(cluster_->route(t.src, t.dst), bytes, session_id));
     if (audit_) logged.flows.push_back(LoggedFlow{t.src, t.dst, bytes});
   }
+  ++version_;
   session.flows_left = session.inflight.size();
   session.has_step = true;
   // A flow-less step (e.g. a barrier round another group participates in)
@@ -171,28 +174,67 @@ std::optional<util::Seconds> SharedFabricTimer::predict_step_completion(
       schedule.steps()[step].transfers;
   if (transfers.empty()) return now;  // flow-less step completes instantly
 
-  // The clone carries exactly the flows still in flight; advancing IT to
-  // `now` instead of the real network keeps the probe side-effect free.
-  std::vector<FlowId> id_map;
-  FlowNetwork probe = network_.clone_live(id_map);
-  probe.run_until(now);
-  std::vector<FlowId> injected;
-  util::Seconds last_activation{0.0};
+  struct Candidate {
+    std::vector<LinkId> route;
+    util::Seconds latency{0.0};
+  };
+  std::vector<Candidate> candidates;
+  candidates.reserve(transfers.size());
+  util::Seconds first_latency{std::numeric_limits<double>::infinity()};
+  util::Seconds last_latency{0.0};
   for (const coll::Transfer& t : transfers) {
-    injected.push_back(probe.add_flow(cluster_->route(t.src, t.dst),
-                                      schedule.chunk_bytes(payload, t.chunk)));
-    last_activation =
-        std::max(last_activation, cluster_->route_latency(t.src, t.dst));
+    Candidate& c = candidates.emplace_back();
+    c.route = cluster_->route(t.src, t.dst);
+    c.latency = network_.route_latency(c.route);
+    first_latency = std::min(first_latency, c.latency);
+    last_latency = std::max(last_latency, c.latency);
   }
-  // Run on only until every injected flow is active, then price each at
-  // the max-min rate it holds there: one solve, no simulated future.
-  probe.run_until(now + last_activation);
+  // Until the first injected flow activates the clone runs as if it held
+  // none, so that stretch is the shared prefix.  Each flow then joins at
+  // the instant add_flow would have given it at `now`; the clone runs on
+  // until every one is active and prices each at the max-min rate it holds
+  // there: no simulated future.
+  FlowNetwork probe = probe_prefix(now, now + first_latency);
+  std::vector<FlowId> injected;
+  injected.reserve(candidates.size());
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    const coll::Transfer& t = transfers[i];
+    injected.push_back(probe.add_flow_at(
+        std::move(candidates[i].route), schedule.chunk_bytes(payload, t.chunk),
+        now + candidates[i].latency));
+  }
+  probe.run_until(now + last_latency);
   util::Seconds end = now;
   for (const FlowId flow : injected) {
     end = std::max(end, probe.completion_at_current_rate(flow));
   }
   obs::inc(probe_solves_, probe.solves());
   return end;
+}
+
+FlowNetwork SharedFabricTimer::probe_prefix(util::Seconds now,
+                                            util::Seconds first) const {
+  if (!probe_prefixes_) probe_prefixes_ = std::make_unique<ProbePrefixes>();
+  ProbePrefixes& cache = *probe_prefixes_;
+  if (cache.version != version_ || cache.now != now) {
+    cache.version = version_;
+    cache.now = now;
+    cache.by_first.clear();
+  }
+  const auto cached =
+      std::find_if(cache.by_first.begin(), cache.by_first.end(),
+                   [first](const auto& entry) { return entry.first == first; });
+  if (cached != cache.by_first.end()) {
+    return cached->second.clone_live(cache.id_map);
+  }
+  // The clone carries exactly the flows still in flight; advancing IT
+  // instead of the real network keeps the probe side-effect free.
+  FlowNetwork prefix = network_.clone_live(cache.id_map);
+  prefix.run_until(now);
+  prefix.run_until(first);
+  obs::inc(probe_solves_, prefix.solves());
+  return cache.by_first.emplace_back(first, std::move(prefix))
+      .second.clone_live(cache.id_map);
 }
 
 void SharedFabricTimer::close_session(SessionId session_id,
@@ -224,6 +266,7 @@ void SharedFabricTimer::retire_drained() {
     }
   }
   network_.retire_done_below(floor);
+  ++version_;
 }
 
 std::vector<double> SharedFabricTimer::link_peak_utilization() const {

@@ -27,6 +27,14 @@
 //  * predict_step_completion() is the congestion-aware router's price: one
 //    max-min solve of a live-flows clone with the candidate step injected,
 //    taken from the fabric's current state rather than a simulated future.
+//    The part of that probe no candidate changes is paid once per instant:
+//    a candidate's flows wait outside every solve until the first of them
+//    activates, so the live flows run to that activation are a prefix all
+//    candidates priced at the same instant with the same first route
+//    latency share.  The timer caches those prefixes until its network
+//    next changes (at most one per distinct route latency); each probe
+//    copies one, injects its flows with their original activation instants
+//    and runs on from there, bit for bit the run an uncached probe makes.
 //
 // Correctness is anchored by a whole-horizon replay oracle: the timer logs
 // every advance point and every injected flow, and verify_replay() re-runs
@@ -39,7 +47,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "coll/schedule.hpp"
@@ -69,7 +79,8 @@ class SharedFabricTimer {
 
   /// Register the timer's metrics with `registry`: the steps-timed counter,
   /// the max-min solve counters "fabric.solves.{network,probe,audit}" (the
-  /// real network, the router probe and the replay audit), and the
+  /// real network, the router probe — a cached prefix counted once, when
+  /// built — and the replay audit), and the
   /// "electrical.uplink_utilization" sampled gauge (utilization of the
   /// currently-hottest fabric link, refreshed on every injection/close).
   /// The registry must outlive the timer.
@@ -116,9 +127,11 @@ class SharedFabricTimer {
   /// runs on only until the last of them activates (one route latency);
   /// each flow is then priced at its remaining bytes over its current rate.
   /// The price reads today's contention and forecasts no drain or arrival.
-  /// A pure probe that injects nothing and logs nothing.  Same rejection
-  /// cases as begin_step's schedule checks (out-of-range step, too many
-  /// hosts, a clock before the fabric's).
+  /// The clone's run up to the step's first activation comes from the
+  /// per-instant prefix cache (see the file comment).  Logs nothing and
+  /// leaves the shared network untouched.  Same rejection cases as
+  /// begin_step's schedule checks (out-of-range step, too many hosts, a
+  /// clock before the fabric's).
   [[nodiscard]] std::optional<util::Seconds> predict_step_completion(
       const coll::Schedule& schedule, std::size_t step, util::Bytes payload,
       util::Seconds now) const;
@@ -181,6 +194,17 @@ class SharedFabricTimer {
     std::uint64_t step_number = 0;
   };
 
+  /// Probe prefixes for one (version_, instant): the live flows run to the
+  /// instant and then to a first activation, one network per distinct
+  /// first activation — at most one per distinct route latency of the
+  /// cluster (two on a two-level tree, one on a star).
+  struct ProbePrefixes {
+    std::uint64_t version = 0;
+    util::Seconds now{0.0};
+    std::vector<std::pair<util::Seconds, FlowNetwork>> by_first;
+    std::vector<FlowId> id_map;  // clone_live scratch
+  };
+
   /// Advance the shared network to `to` and move every session whose last
   /// flow completed on the way onto drained_.
   void advance(util::Seconds to);
@@ -190,6 +214,11 @@ class SharedFabricTimer {
   void finalize_step(SessionId session_id);
   /// Take `session_id` off drained_ if it is there.
   void undrain(SessionId session_id);
+
+  /// A copy of the live flows of the shared network run to `now` and then
+  /// to `first`, taken from the prefix cache (built on a miss).
+  [[nodiscard]] FlowNetwork probe_prefix(util::Seconds now,
+                                         util::Seconds first) const;
 
   /// Refresh the uplink-utilization gauge (no-op without a registry).
   void publish_utilization();
@@ -214,6 +243,11 @@ class SharedFabricTimer {
   std::vector<LoggedStep> steps_;
   std::vector<LoggedOp> ops_;
   std::uint64_t network_solves_counted_ = 0;
+  /// Bumped on every change to network_ (advance, injection, retirement);
+  /// a cached probe prefix is valid only at the version it was built at.
+  std::uint64_t version_ = 0;
+  /// predict_step_completion's prefix cache, allocated on the first probe.
+  mutable std::unique_ptr<ProbePrefixes> probe_prefixes_;
   /// Metric handles; nullptr (zero-overhead emission) without a registry.
   obs::Counter* steps_timed_ = nullptr;
   obs::Counter* network_solves_ = nullptr;

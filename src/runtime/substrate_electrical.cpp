@@ -58,14 +58,17 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "coll/algorithms.hpp"
 #include "coll/cost_model.hpp"
 #include "elec/alphabeta.hpp"
 #include "elec/schedule_runner.hpp"
 #include "elec/shared_fabric.hpp"
+#include "obs/metrics.hpp"
 #include "runtime/down_units.hpp"
 #include "util/check.hpp"
 
@@ -142,6 +145,10 @@ class ElectricalExecution final : public SubstrateExecution {
   /// possibly remapped after a resume).
   std::vector<topo::NodeId> hosts_;
   bool holds_hosts = false;
+  /// compact_ is the whole best_compact_schedule for (participant count,
+  /// payload), not a resumed tail: a kRestart plan.  Its physical step 0 is
+  /// then the step predict_completion(hosts_, payload) times quietly.
+  bool whole = false;
   /// kTwoLevelShared: the execution's session on the shared fabric timer.
   elec::SharedFabricTimer::SessionId session = 0;
   bool has_session = false;
@@ -224,8 +231,14 @@ class ElectricalSubstrate final : public ExecutionSubstrate {
     // the shared fabric it is the contention-free baseline the slowdown is
     // measured against.  Timed on the PHYSICAL schedule: after a remapped
     // resume the quiet baseline belongs to the routes actually flown.
-    const std::optional<util::Seconds> quiet =
-        timer_.time_step(exec.physical_, step, exec.payload);
+    // A routed job's first step was usually timed already, by the price
+    // that sent it here.
+    std::optional<util::Seconds> quiet;
+    if (step == 0 && exec.whole) {
+      const PriceMemo::Entry* priced = find_price(exec.hosts_, exec.payload);
+      if (priced) quiet = priced->quiet_first_step;
+    }
+    if (!quiet) quiet = time_quiet(exec.physical_, step, exec.payload);
     WRHT_CHECK(quiet.has_value(),
                "ElectricalSubstrate: un-timeable step " << step
                                                         << " — arbitration "
@@ -325,7 +338,9 @@ class ElectricalSubstrate final : public ExecutionSubstrate {
   }
 
   void attach_metrics(obs::MetricsRegistry& registry) override {
-    if (shared_) shared_->attach_metrics(registry);
+    if (!shared_) return;
+    shared_->attach_metrics(registry);
+    quiet_solves_ = registry.counter("fabric.solves.quiet");
   }
 
   [[nodiscard]] std::uint64_t self_check() const override {
@@ -345,50 +360,103 @@ class ElectricalSubstrate final : public ExecutionSubstrate {
     // The alpha-beta analytic cost of the schedule this substrate would
     // run.  On the patterns schedule_for picks (ring steps, pairwise
     // exchanges) the flow simulation and the analytic model agree exactly,
-    // so this is a faithful prediction, not a bound.  Admission re-asks
-    // this for every queued candidate on every event, and the answer
-    // depends only on (rank count, payload) for a fixed cluster — memoized
-    // so the O(k^2)-transfer schedule is not rebuilt each time.
-    const auto k = static_cast<std::uint32_t>(participants.size());
-    const std::pair<std::uint32_t, std::uint64_t> key{k, payload.count()};
-    const auto cached = prediction_cache_.find(key);
-    if (cached != prediction_cache_.end()) return cached->second;
-    const util::Seconds predicted =
-        coll::alpha_beta_cost(best_compact_schedule(k, payload), payload,
-                              elec::alpha_beta_for(cluster_))
-            .total;
-    prediction_cache_.emplace(key, predicted);
-    return predicted;
+    // so this is a faithful prediction, not a bound.
+    return price_memo(participants, payload).makespan;
   }
 
   [[nodiscard]] util::Seconds predict_completion(
       const std::vector<topo::NodeId>& participants, util::Bytes payload,
-      std::uint32_t grant, util::Seconds now) const override {
+      std::uint32_t, util::Seconds now) const override {
     // Fold the live fabric state into the quiet alpha-beta prediction.  On
     // the exclusive star there is nothing to fold (host exclusivity makes
     // quiet timing exact); on the shared tree, price the first step's flows
     // at the max-min share the in-flight tenants leave them now and stretch
     // the whole run by that contention ratio.  The price forecasts neither
     // drains nor arrivals; the routing report scores what that misses.
-    const util::Seconds quiet = predict_makespan(participants, payload, grant);
+    PriceMemo::Entry& memo = price_memo(participants, payload);
+    const util::Seconds quiet = memo.makespan;
     if (!shared_) return now + quiet;
     const coll::Schedule physical = remap_onto_hosts(
         best_compact_schedule(static_cast<std::uint32_t>(participants.size()),
                               payload),
         participants, cluster_.num_hosts());
-    const std::optional<util::Seconds> quiet_step =
-        timer_.time_step(physical, 0, payload);
+    if (!memo.quiet_first_step) {
+      // An un-timeable step reads as 0: no usable baseline, like any
+      // zero-length one.
+      memo.quiet_first_step =
+          time_quiet(physical, 0, payload).value_or(util::Seconds(0.0));
+    }
+    const util::Seconds quiet_step = *memo.quiet_first_step;
     const std::optional<util::Seconds> busy_end =
         shared_->predict_step_completion(physical, 0, payload, now);
-    if (!quiet_step || !busy_end || quiet_step->value() <= 0.0) {
-      return now + quiet;
-    }
+    if (!busy_end || quiet_step.value() <= 0.0) return now + quiet;
     const double ratio =
-        std::max(1.0, (*busy_end - now).value() / quiet_step->value());
+        std::max(1.0, (*busy_end - now).value() / quiet_step.value());
     return now + util::Seconds(quiet.value() * ratio);
   }
 
  private:
+  /// The routing price's answers that depend only on (participants,
+  /// payload) for a fixed cluster.  Admission and the router re-ask them
+  /// for every queued candidate on every placement scan, and payloads are
+  /// drawn from a continuous distribution, so nearly every job is a new
+  /// key: the map is cleared when it reaches kMaxEntries, which bounds it
+  /// on a serve of any length while a scan's working set still hits.
+  struct PriceMemo {
+    static constexpr std::size_t kMaxEntries = 512;
+    struct Entry {
+      /// predict_makespan's answer.
+      util::Seconds makespan{0.0};
+      /// Quiet-network duration of the physical first step the shared
+      /// fabric prices (0 when un-timeable); computed on its first use.
+      std::optional<util::Seconds> quiet_first_step;
+    };
+    std::map<std::pair<std::vector<topo::NodeId>, std::uint64_t>, Entry>
+        entries;
+  };
+
+  /// The memo entry for (participants, payload), or nullptr.
+  [[nodiscard]] const PriceMemo::Entry* find_price(
+      const std::vector<topo::NodeId>& participants,
+      util::Bytes payload) const {
+    if (!memo_) return nullptr;
+    const auto cached = memo_->entries.find({participants, payload.count()});
+    return cached != memo_->entries.end() ? &cached->second : nullptr;
+  }
+
+  /// The memo entry for (participants, payload), created on a miss.
+  [[nodiscard]] PriceMemo::Entry& price_memo(
+      const std::vector<topo::NodeId>& participants,
+      util::Bytes payload) const {
+    if (!memo_) memo_ = std::make_unique<PriceMemo>();
+    std::pair<std::vector<topo::NodeId>, std::uint64_t> key{participants,
+                                                            payload.count()};
+    const auto cached = memo_->entries.find(key);
+    if (cached != memo_->entries.end()) return cached->second;
+    if (memo_->entries.size() >= PriceMemo::kMaxEntries) {
+      memo_->entries.clear();
+    }
+    PriceMemo::Entry entry;
+    entry.makespan =
+        coll::alpha_beta_cost(
+            best_compact_schedule(
+                static_cast<std::uint32_t>(participants.size()), payload),
+            payload, elec::alpha_beta_for(cluster_))
+            .total;
+    return memo_->entries.emplace(std::move(key), entry).first->second;
+  }
+
+  /// timer_.time_step, counting its max-min solves as fabric.solves.quiet.
+  [[nodiscard]] std::optional<util::Seconds> time_quiet(
+      const coll::Schedule& schedule, std::size_t step,
+      util::Bytes payload) const {
+    const std::uint64_t before = timer_.solves();
+    const std::optional<util::Seconds> quiet =
+        timer_.time_step(schedule, step, payload);
+    obs::inc(quiet_solves_, timer_.solves() - before);
+    return quiet;
+  }
+
   /// Cheapest of the baseline all-reduces for k ranks under this cluster's
   /// alpha-beta parameters: chunked ring (bandwidth-optimal) vs recursive
   /// doubling (latency-optimal; only a candidate at power-of-two k, where
@@ -434,10 +502,12 @@ class ElectricalSubstrate final : public ExecutionSubstrate {
     const std::optional<std::vector<topo::NodeId>> hosts =
         pick_hosts(request.nodes);
     if (!hosts) return {};
-    return {make_plan(
+    std::unique_ptr<SubstrateExecution> plan = make_plan(
         best_compact_schedule(static_cast<std::uint32_t>(request.nodes.size()),
                               request.payload),
-        *hosts, request.nodes, request.payload)};
+        *hosts, request.nodes, request.payload);
+    static_cast<ElectricalExecution&>(*plan).whole = true;
+    return {std::move(plan)};
   }
 
   /// One free host per participant: the participants' own ring positions
@@ -508,9 +578,17 @@ class ElectricalSubstrate final : public ExecutionSubstrate {
   /// Host frees so far (see free_epoch()).
   std::uint64_t free_epoch_ = 0;
   DownUnits hosts_down_;
-  mutable std::map<std::pair<std::uint32_t, std::uint64_t>, util::Seconds>
-      prediction_cache_;
+  /// Allocated on the first price.
+  mutable std::unique_ptr<PriceMemo> memo_;
+  /// fabric.solves.quiet; nullptr without a registry (shared fabric only).
+  obs::Counter* quiet_solves_ = nullptr;
 };
+
+// glibc malloc serves requests up to 1,032 bytes from its per-thread cache;
+// one size class more measurably slows building the fabric (setup_s), so
+// new per-substrate state goes behind a lazily allocated pointer.
+static_assert(sizeof(ElectricalSubstrate) <= 1024,
+              "ElectricalSubstrate outgrew glibc's 1,032-byte tcache class");
 
 }  // namespace
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <vector>
+
 #include "elec/topology.hpp"
 #include "util/random.hpp"
 
@@ -157,6 +161,121 @@ TEST(FlowNetwork, ResetClearsFlowsKeepsLinks) {
   const FlowId flow = network.add_flow({link}, Bytes(1'000'000));
   network.run();
   EXPECT_NEAR(network.completion_time(flow).value(), 1e-3, 1e-9);
+}
+
+// The split lemma the shared-fabric probe's prefix cache stands on: a
+// flow waits outside every solve until it activates, so the network can run
+// without it up to its activation instant and take it only then, through
+// add_flow_at with the same instant, and every completion time comes out
+// bit for bit the same as when the flow was added earlier through
+// add_flow with its route latency.
+
+struct PlacedFlow {
+  std::vector<LinkId> route;
+  Bytes bytes;
+};
+
+/// Runs `background` from time 0 on two copies of `base` and adds
+/// `candidates` at `t0`: early through add_flow, late through add_flow_at
+/// after running to the first candidate's activation.  Every flow's
+/// completion must match exactly.
+void expect_split_matches(const FlowNetwork& base,
+                          const std::vector<PlacedFlow>& background,
+                          Seconds t0,
+                          const std::vector<PlacedFlow>& candidates) {
+  FlowNetwork early = base;
+  FlowNetwork late = base;
+  for (const PlacedFlow& flow : background) {
+    early.add_flow(flow.route, flow.bytes);
+    late.add_flow(flow.route, flow.bytes);
+  }
+  early.run_until(t0);
+  late.run_until(t0);
+  std::vector<FlowId> early_ids;
+  Seconds first(std::numeric_limits<double>::infinity());
+  for (const PlacedFlow& flow : candidates) {
+    early_ids.push_back(early.add_flow(flow.route, flow.bytes));
+    first = std::min(first, t0 + late.route_latency(flow.route));
+  }
+  late.run_until(first);
+  EXPECT_EQ(late.now().value(), first.value());
+  std::vector<FlowId> late_ids;
+  for (const PlacedFlow& flow : candidates) {
+    late_ids.push_back(late.add_flow_at(flow.route, flow.bytes,
+                                        t0 + late.route_latency(flow.route)));
+  }
+  early.run();
+  late.run();
+  for (FlowId id = 0; id < background.size(); ++id) {
+    EXPECT_EQ(early.completion_time(id).value(),
+              late.completion_time(id).value())
+        << "background flow " << id;
+  }
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    EXPECT_EQ(early.completion_time(early_ids[i]).value(),
+              late.completion_time(late_ids[i]).value())
+        << "candidate " << i;
+  }
+}
+
+TEST(FlowNetwork, SplitAtActivationWithACompletionOnTheSameInstant) {
+  // A background flow completes exactly when the candidate activates: the
+  // late run processes that completion inside its run to the activation,
+  // the early run in the same event as the activation.
+  FlowNetwork dry;
+  const LinkId dry_link = dry.add_link(link_1gBps_no_latency());
+  const FlowId dry_flow = dry.add_flow({dry_link}, Bytes(123'457));
+  dry.run();
+  const Seconds tie = dry.completion_time(dry_flow);
+
+  FlowNetwork base;
+  const LinkId first = base.add_link(link_1gBps_no_latency());
+  const LinkId second = base.add_link(link_1gBps_no_latency());
+  const LinkId slow = base.add_link({util::gBps(1.0), tie});
+  const std::vector<PlacedFlow> background = {
+      {{first}, Bytes(123'457)}, {{second}, Bytes(3'000'000)}};
+  const std::vector<PlacedFlow> candidate = {
+      {{slow, first, second}, Bytes(2'000'000)}};
+  {
+    // The tie is real, not a rounding near-miss.
+    FlowNetwork check = base;
+    const FlowId bg = check.add_flow(background[0].route, background[0].bytes);
+    check.add_flow(background[1].route, background[1].bytes);
+    const FlowId joins = check.add_flow(candidate[0].route, candidate[0].bytes);
+    check.run_until(tie);
+    ASSERT_TRUE(check.completed(bg));
+    EXPECT_EQ(check.completion_time(bg).value(), tie.value());
+    EXPECT_GT(check.current_rate(joins), 0.0);
+  }
+  expect_split_matches(base, background, Seconds(0.0), candidate);
+}
+
+TEST(FlowNetwork, SplitAtActivationOnAnIdleNetwork) {
+  FlowNetwork base;
+  const LinkId a = base.add_link({util::gBps(1.0), util::microseconds(25.0)});
+  const LinkId b = base.add_link({util::gBps(2.0), util::microseconds(25.0)});
+  expect_split_matches(base, {}, Seconds(0.3),
+                       {{{a, b}, Bytes(5'000'000)}, {{a}, Bytes(700'001)}});
+}
+
+TEST(FlowNetwork, SplitAtActivationWithTwoRouteLatencies) {
+  // On a 4:1 two-level tree, mid-flight: one intra-ToR candidate (two
+  // links) and one cross-ToR candidate (four links) joining background
+  // traffic that drains around and between their activations.
+  const ElectricalCluster cluster =
+      *ElectricalCluster::two_level_tree(8, 4, 4.0, ElectricalParams{});
+  std::vector<PlacedFlow> background;
+  util::Rng rng(29);
+  for (int i = 0; i < 12; ++i) {
+    const auto src = static_cast<std::uint32_t>(rng.next_below(8));
+    const auto dst = static_cast<std::uint32_t>((src + 1 + rng.next_below(7)) % 8);
+    background.push_back(
+        {cluster.route(src, dst), Bytes(1000 + rng.next_below(400'000))});
+  }
+  expect_split_matches(cluster.make_network(), background,
+                       Seconds(120e-6),
+                       {{cluster.route(4, 1), Bytes(250'000)},
+                        {cluster.route(2, 3), Bytes(90'000)}});
 }
 
 TEST(FlowNetwork, RunWithNoFlowsReturnsNow) {

@@ -16,6 +16,7 @@
 #include <cmath>
 #include <cstdio>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 
@@ -385,6 +386,159 @@ TEST(SharedFabric, ProbePricesTheCurrentMaxMinShare) {
   EXPECT_NEAR(ends.at(background).value(), 0.5 + 100e-6, 1e-6);
   shared.close_session(background, ends.at(background));
   EXPECT_EQ(shared.verify_replay(), 0u);
+}
+
+/// One operation of a scripted shared-fabric history.
+struct FabricOp {
+  enum class Kind : std::uint8_t { kBegin, kWake, kClose };
+  Kind kind = Kind::kWake;
+  SharedFabricTimer::SessionId session = 0;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;  // kBegin
+  Bytes bytes{0};
+  Seconds at{0.0};
+};
+
+constexpr std::uint32_t kHistorySessions = 4;
+
+/// Apply one operation; a wake delivers every step drained by then.  Every
+/// wake of the histories below lands between network events, which the
+/// assertion checks.
+void apply_op(SharedFabricTimer& shared, const FabricOp& op) {
+  switch (op.kind) {
+    case FabricOp::Kind::kBegin:
+      ASSERT_TRUE(shared.begin_step(op.session, pair_schedule(op.pairs), 0,
+                                    op.bytes, op.at));
+      break;
+    case FabricOp::Kind::kWake:
+      ASSERT_NE(shared.next_wake(), op.at);
+      while (shared.wake(op.at)) {
+      }
+      break;
+    case FabricOp::Kind::kClose:
+      shared.close_session(op.session, op.at);
+      break;
+  }
+}
+
+/// A fresh timer that went through `history` and has never been probed.
+std::unique_ptr<SharedFabricTimer> cold_timer(
+    const ElectricalCluster& cluster, const std::vector<FabricOp>& history,
+    obs::MetricsRegistry& registry) {
+  auto shared = std::make_unique<SharedFabricTimer>(cluster);
+  shared->attach_metrics(registry);
+  for (std::uint32_t s = 0; s < kHistorySessions; ++s) {
+    EXPECT_EQ(shared->open_session(), s);
+  }
+  for (const FabricOp& op : history) apply_op(*shared, op);
+  return shared;
+}
+
+std::uint64_t probe_solves(const obs::MetricsRegistry& registry) {
+  const obs::Counter* counter = registry.find_counter("fabric.solves.probe");
+  return counter ? counter->value() : 0u;
+}
+
+TEST(SharedFabric, BatchedProbesMatchColdProbesExactly) {
+  // The prefix cache shares the candidate-independent part of the router's
+  // probe across every candidate priced at one instant.  On a busy 4:1
+  // two-ToR fabric with off-event wakes and a delivered step in its
+  // history, and a step that drains between its clock and the probe
+  // instant, seven candidates mixing intra-ToR (50 us) and cross-ToR
+  // (100 us) first latencies are priced back to back on one timer; each
+  // price must equal, bitwise, the price a fresh timer with the identical
+  // operation history and no earlier probe gives.  Then a wake, a step
+  // start and a session close land at the same instant, and after each the
+  // batch is priced again against fresh timers: a cached prefix never
+  // outlives the network state it was built from.
+  const ElectricalCluster cluster = two_tor_cluster(4.0);
+  using Kind = FabricOp::Kind;
+  std::vector<FabricOp> history = {
+      {Kind::kBegin, 0, {{0, 4}, {1, 5}}, Bytes(60'000'000), Seconds(0.0)},
+      {Kind::kBegin, 1, {{2, 3}}, Bytes(5'000'000), Seconds(0.0)},
+      {Kind::kWake, 0, {}, Bytes(0), Seconds(0.004)},
+      {Kind::kWake, 0, {}, Bytes(0), Seconds(0.007)},
+      {Kind::kBegin, 2, {{6, 2}}, Bytes(30'000'000), Seconds(0.009)},
+      // Drains at ~13 ms, between the last wake and the probe instant.
+      {Kind::kBegin, 1, {{5, 6}}, Bytes(2'000'000), Seconds(0.011)},
+      {Kind::kWake, 0, {}, Bytes(0), Seconds(0.0125)},
+  };
+  const Seconds now(0.015);
+  struct Candidate {
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
+    Bytes bytes;
+  };
+  const std::vector<Candidate> candidates = {
+      {{{3, 7}}, Bytes(20'000'000)},
+      {{{0, 1}}, Bytes(8'000'000)},
+      {{{0, 1}, {3, 7}}, Bytes(10'000'000)},
+      {{{5, 6}}, Bytes(4'000'000)},
+      {{{7, 0}}, Bytes(12'000'000)},
+      {{{2, 6}, {4, 5}}, Bytes(6'000'000)},
+      {{{1, 2}, {3, 0}}, Bytes(9'000'000)},
+  };
+
+  obs::MetricsRegistry warm_registry;
+  auto warm = cold_timer(cluster, history, warm_registry);
+  // Prices the whole batch on the warm timer and on one fresh timer per
+  // candidate; returns the warm prices.  With `shares_work`, the network
+  // has events between its clock and `now` for the prefix to replay.
+  const auto check_batch = [&](const char* when, bool shares_work) {
+    SCOPED_TRACE(when);
+    std::vector<Seconds> prices;
+    std::uint64_t cold_solves = 0;
+    const std::uint64_t warm_before = probe_solves(warm_registry);
+    for (const Candidate& c : candidates) {
+      const std::optional<Seconds> price = warm->predict_step_completion(
+          pair_schedule(c.pairs), 0, c.bytes, now);
+      obs::MetricsRegistry cold_registry;
+      const std::optional<Seconds> cold_price =
+          cold_timer(cluster, history, cold_registry)
+              ->predict_step_completion(pair_schedule(c.pairs), 0, c.bytes,
+                                        now);
+      cold_solves += probe_solves(cold_registry);
+      EXPECT_TRUE(price && cold_price);
+      if (!price || !cold_price) continue;
+      EXPECT_EQ(price->value(), cold_price->value());
+      EXPECT_GT(*price, now);
+      prices.push_back(*price);
+    }
+    // The batch pays each shared prefix once, not once per candidate.
+    const std::uint64_t warm_solves =
+        probe_solves(warm_registry) - warm_before;
+    EXPECT_LE(warm_solves, cold_solves);
+    if (shares_work) {
+      EXPECT_LT(warm_solves, cold_solves);
+    }
+    return prices;
+  };
+
+  const std::vector<Seconds> settled = check_batch("history", true);
+  const std::vector<FabricOp> at_now = {
+      {Kind::kWake, 0, {}, Bytes(0), now},
+      {Kind::kBegin, 3, {{1, 6}, {2, 5}}, Bytes(40'000'000), now},
+      {Kind::kClose, 1, {}, Bytes(0), now},
+  };
+  std::vector<Seconds> previous = settled;
+  for (const FabricOp& op : at_now) {
+    apply_op(*warm, op);
+    history.push_back(op);
+    const std::vector<Seconds> prices = check_batch(
+        op.kind == Kind::kWake    ? "after the wake"
+        : op.kind == Kind::kBegin ? "after the step start"
+                                  : "after the close",
+        false);
+    if (op.kind == Kind::kBegin) {
+      // The new tenant crosses both uplinks, so a stale prefix would
+      // have answered differently.
+      EXPECT_NE(prices, previous);
+    }
+    previous = prices;
+  }
+  for (const auto& [session, end] : drain(*warm)) {
+    warm->close_session(session, end);
+  }
+  EXPECT_EQ(warm->active_sessions(), 0u);
+  EXPECT_EQ(warm->verify_replay(), 0u);
 }
 
 TEST(SharedFabric, DisjointTorContainedTenantsDoNotContend) {

@@ -22,8 +22,12 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <vector>
 
+#include "elec/schedule_runner.hpp"
+#include "elec/topology.hpp"
+#include "obs/metrics.hpp"
 #include "runtime/runtime.hpp"
 #include "runtime/substrate.hpp"
 
@@ -129,6 +133,71 @@ TEST(ElectricalResume, RefusesWithoutEnoughFreeHosts) {
   // The refusal touched nothing: freeing the blocker re-enables resume.
   sub->release(*blocker, clock);
   EXPECT_NE(resume(*sub, *plan, 1), nullptr);
+}
+
+TEST(ElectricalResume, ResumedTailTimesItsOwnFirstStep) {
+  // On the shared fabric the routing price memoizes the quiet first step of
+  // the schedule a placement on (hosts, payload) would run, and that
+  // placement's first real step reuses it.  A resumed tail's step 0 is a
+  // later step of the same schedule on the same hosts and payload, so it
+  // must be timed afresh: here recursive doubling over two 4-host ToRs,
+  // whose first step stays inside a ToR and whose third crosses the 4:1
+  // uplinks.
+  ElectricalFallbackConfig config;
+  config.fabric = ElectricalFabric::kTwoLevelShared;
+  config.hosts_per_tor = 4;
+  config.oversubscription = 4.0;
+  const std::unique_ptr<ExecutionSubstrate> sub =
+      make_electrical_substrate(8, config);
+  obs::MetricsRegistry registry;
+  sub->attach_metrics(registry);
+  const obs::Counter* quiet_solves =
+      registry.find_counter("fabric.solves.quiet");
+  ASSERT_NE(quiet_solves, nullptr);
+  const elec::ElectricalCluster cluster =
+      *elec::ElectricalCluster::two_level_tree(8, 4, 4.0, config.link);
+  elec::StepFlowTimer reference(cluster);
+  const std::vector<topo::NodeId> group{0, 1, 2, 3, 4, 5, 6, 7};
+  const util::Bytes payload = util::kilobytes(64);
+
+  (void)sub->predict_completion(group, payload, 1, util::Seconds(0.0));
+  std::unique_ptr<SubstrateExecution> plan = sub->place(group, payload, 1);
+  ASSERT_NE(plan, nullptr);
+  ASSERT_EQ(plan->num_steps(), 3u);  // recursive doubling on 8 ranks
+  util::Seconds clock{0.0};
+  std::vector<util::Seconds> quiet;
+  const std::uint64_t priced_solves = quiet_solves->value();
+  EXPECT_GT(priced_solves, 0u);
+  for (std::size_t s = 0; s < 2; ++s) {
+    const StepTiming t = sub->time_step(*plan, s, clock);
+    // The first step comes from the price's memo, the second is timed.
+    EXPECT_EQ(quiet_solves->value() > priced_solves, s > 0) << "step " << s;
+    quiet.push_back(t.quiet);
+    EXPECT_EQ(t.quiet, reference.time_step(plan->schedule(), s, payload));
+    // The shared fabric delivers the step's end through its wakes.
+    while (const std::optional<util::Seconds> at = sub->next_wake()) {
+      if (sub->wake(*at) == plan.get()) {
+        clock = *at;
+        break;
+      }
+    }
+  }
+  sub->release(*plan, clock);
+
+  std::unique_ptr<SubstrateExecution> resumed = resume(*sub, *plan, 2);
+  ASSERT_NE(resumed, nullptr);
+  EXPECT_EQ(resumed->hosts(), group);
+  const StepTiming tail = sub->time_step(*resumed, 0, clock);
+  EXPECT_EQ(tail.quiet, reference.time_step(resumed->schedule(), 0, payload));
+  EXPECT_GT(tail.quiet, quiet.front());
+  while (const std::optional<util::Seconds> at = sub->next_wake()) {
+    if (sub->wake(*at) == resumed.get()) {
+      clock = *at;
+      break;
+    }
+  }
+  sub->release(*resumed, clock);
+  EXPECT_EQ(sub->self_check(), 3u);
 }
 
 RuntimeConfig shared_preempt_config() {

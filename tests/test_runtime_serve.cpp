@@ -415,6 +415,52 @@ TEST(RuntimeServe, HostPlacementScanPaysPerChange) {
   }
 }
 
+TEST(RuntimeServe, RoutingProbePaysPerInstant) {
+  // Work-counter guard of the congestion-aware router's electrical price,
+  // on the overflow configuration above (1,000 jobs at seed 1, FIFO)
+  // routed by the cost model.  A probe that re-runs the live flows to the
+  // candidate's activation for every candidate, and re-times the quiet
+  // first step on every price, made 57,714 probe solves and 16,649 quiet
+  // solves here (74,363 in all); sharing each instant's prefix across the
+  // candidates and memoizing the quiet first step makes 33,393 and 6,110
+  // (39,503).  The bound is 61% of the first total, and reverting either
+  // half alone exceeds it.
+  constexpr std::uint64_t kMaxSolves = 45000;
+  workload::WorkloadConfig w;
+  w.seed = 1;
+  w.num_jobs = 1000;
+  w.ring_size = 64;
+  w.arrivals = workload::ArrivalProcess::kPoisson;
+  w.mean_rate = 5e4;
+  w.max_participants = 16;
+  w.payload_median = util::kilobytes(256);
+  w.max_payload = util::megabytes(16);
+  w.deadline_fraction = 0.5;
+  RuntimeConfig config;
+  config.ring_size = 64;
+  config.optical.wdm.num_wavelengths = 64;
+  config.batcher.enabled = false;
+  config.placement = HybridPlacementPolicy::kCostModelChoice;
+  config.routing_cost_model = RoutingCostModel::kCongestionAware;
+  config.electrical.fabric = ElectricalFabric::kTwoLevelShared;
+  config.electrical.hosts_per_tor = 8;
+  config.electrical.oversubscription = 4.0;
+  obs::MetricsRegistry registry;
+  config.metrics = &registry;
+
+  const RuntimeReport report = run_streamed(w, config);
+  ASSERT_EQ(report.completed, 1000u);
+  ASSERT_EQ(report.routing.decisions, 1000u);
+  ASSERT_GT(report.routing.to_electrical, 0u);
+  const obs::Counter* probe = registry.find_counter("fabric.solves.probe");
+  const obs::Counter* quiet = registry.find_counter("fabric.solves.quiet");
+  ASSERT_NE(probe, nullptr);
+  ASSERT_NE(quiet, nullptr);
+  EXPECT_GT(probe->value(), 0u);
+  EXPECT_GT(quiet->value(), 0u);
+  EXPECT_LE(probe->value() + quiet->value(), kMaxSolves);
+}
+
 TEST(RuntimeServe, PreSubmittedJobsServeAheadOfTheSource) {
   // serve() also honors jobs submitted before it starts: they are the
   // t<first-arrival prefix of the same deterministic timeline.
