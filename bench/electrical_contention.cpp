@@ -17,8 +17,8 @@
 //    quiet-network time) climbs with the factor, while the exclusive star
 //    would have claimed nothing happened.
 //
-// Every shared-fabric step is re-proven at end of run by the whole-horizon
-// flow-replay oracle (the runtime aborts on any disagreement, and the
+// Every shared-fabric step is timed on max-min solves the network
+// certifies as it runs (the runtime aborts on a failed certificate, and the
 // report counts the audited steps).
 //
 //   $ ./bench/electrical_contention
@@ -117,7 +117,7 @@ int main() {
       "ToR-contained tenants, full bisection: shared two-level vs star\n"
       "  star makespan %s, shared makespan %s\n"
       "  max per-job completion delta %.2e (fluid-model rounding only)\n"
-      "  worst contention slowdown %.3fx, replay-audited steps %llu\n\n",
+      "  worst contention slowdown %.3fx, certified steps %llu\n\n",
       util::to_string(star_contained.makespan).c_str(),
       util::to_string(shared_contained.report.makespan).c_str(),
       shared_contained.completion_delta, shared_contained.worst_slowdown,

@@ -12,8 +12,7 @@
 // its hosts, resumes immediately on free hosts across the fabric while the
 // urgent job still runs, and the whole interleaving is re-proven by both
 // oracles (the composite all-reduce oracle over the executed prefix plus
-// remapped remainder, and the whole-horizon flow replay of every logged
-// route).
+// remapped remainder, and the max-min certificate of every flow solve).
 //
 //   $ ./examples/electrical_preemption
 #include <cstdio>
@@ -134,8 +133,8 @@ int main() {
                   report.oracle_failures == 0;
   std::printf(
       "\nbatch preempted %u time(s) at step boundaries, resumed on free "
-      "hosts, and both\njobs completed oracle-proven (%llu flow-replay "
-      "audited steps): %s\n",
+      "hosts, and both\njobs completed oracle-proven (%llu steps on "
+      "certified flow solves): %s\n",
       victim_record.preemptions,
       static_cast<unsigned long long>(report.replay_checked_steps),
       ok ? "PASS" : "FAIL");

@@ -18,6 +18,46 @@ constexpr double kEpsilonBytes = 1e-3;
 
 }  // namespace
 
+std::optional<MaxMinViolation> certify_max_min(
+    std::span<const double> capacity, std::span<const RatedFlow> flows,
+    std::vector<double>& allocated, std::vector<double>& top_rate) {
+  if (allocated.size() < capacity.size()) allocated.resize(capacity.size());
+  if (top_rate.size() < capacity.size()) top_rate.resize(capacity.size());
+  for (const RatedFlow& flow : flows) {
+    for (const LinkId link : flow.route) {
+      allocated[link] = 0.0;
+      top_rate[link] = 0.0;
+    }
+  }
+  for (const RatedFlow& flow : flows) {
+    for (const LinkId link : flow.route) {
+      allocated[link] += flow.rate;
+      top_rate[link] = std::max(top_rate[link], flow.rate);
+    }
+  }
+  for (const RatedFlow& flow : flows) {
+    bool saturated = false;
+    bool bottleneck = false;
+    for (const LinkId link : flow.route) {
+      // Phrased so that a NaN fails it.
+      if (!(allocated[link] <= capacity[link] * (1 + kMaxMinTolerance))) {
+        return MaxMinViolation{MaxMinViolation::Kind::kOverCapacity, link};
+      }
+      if (!bottleneck &&
+          allocated[link] >= capacity[link] * (1 - kMaxMinTolerance)) {
+        saturated = true;
+        bottleneck = flow.rate >= top_rate[link] * (1 - kMaxMinTolerance);
+      }
+    }
+    if (!bottleneck) {
+      return MaxMinViolation{saturated ? MaxMinViolation::Kind::kOutpaced
+                                       : MaxMinViolation::Kind::kUnsaturated,
+                             flow.id};
+    }
+  }
+  return std::nullopt;
+}
+
 LinkId FlowNetwork::add_link(LinkSpec spec) {
   WRHT_REQUIRE(spec.capacity.bytes_per_second() > 0.0,
                "FlowNetwork: link capacity must be positive, got "
@@ -93,6 +133,7 @@ void FlowNetwork::recompute_rates() {
   }
 
   while (!unfixed_.empty()) {
+    ++rounds_;
     // The bottleneck link offers the smallest fair share.
     double min_share = std::numeric_limits<double>::infinity();
     for (const LinkId link : touched_) {
@@ -104,28 +145,28 @@ void FlowNetwork::recompute_rates() {
     WRHT_CHECK(std::isfinite(min_share),
                "FlowNetwork: active flow with empty route");
 
-    // Freeze every unfixed flow that crosses a bottleneck link.
-    still_unfixed_.clear();
-    for (const FlowId f : unfixed_) {
-      Flow& flow = flow_ref(f);
-      bool bottlenecked = false;
-      for (const LinkId link : flow.route) {
-        if (residual_[link] / crossing_[link] <= min_share * (1 + 1e-12)) {
-          bottlenecked = true;
-          break;
-        }
-      }
-      if (bottlenecked) {
-        flow.rate = min_share;
-      } else {
-        still_unfixed_.push_back(f);
-      }
-    }
+    // Freeze every unfixed flow that crosses a bottleneck link, moving it
+    // behind the flows left unfixed.  Order within a round is immaterial:
+    // the test reads residuals that only the charge loop below changes,
+    // and every frozen flow takes the same share, so each link sees the
+    // same subtractions in any order.
+    const auto frozen =
+        std::partition(unfixed_.begin(), unfixed_.end(), [&](FlowId f) {
+          const std::vector<LinkId>& route = flow_ref(f).route;
+          return std::none_of(route.begin(), route.end(), [&](LinkId link) {
+            return residual_[link] / crossing_[link] <=
+                   min_share * (1 + 1e-12);
+          });
+        });
+    WRHT_CHECK(frozen != unfixed_.end(),
+               "FlowNetwork: progressive filling stalled with "
+                   << unfixed_.size() << " unfixed flows");
     // Charge frozen flows against their links.
-    for (const FlowId f : unfixed_) {
-      const Flow& flow = flow_ref(f);
-      // simlint-allow(float-eq): 0.0 is an exact sentinel set by freeze(), not
-      // a computed value; an epsilon would misclassify tiny live rates.
+    for (auto it = frozen; it != unfixed_.end(); ++it) {
+      Flow& flow = flow_ref(*it);
+      flow.rate = min_share;
+      // simlint-allow(float-eq): a zero share is exact (a residual clamped
+      // to 0.0 below), not a computed near-miss; such flows are not charged.
       if (flow.rate == 0.0) continue;
       for (const LinkId link : flow.route) {
         residual_[link] -= flow.rate;
@@ -133,21 +174,47 @@ void FlowNetwork::recompute_rates() {
         --crossing_[link];
       }
     }
-    WRHT_CHECK(still_unfixed_.size() != unfixed_.size(),
-               "FlowNetwork: progressive filling stalled with "
-                   << unfixed_.size() << " unfixed flows");
-    unfixed_.swap(still_unfixed_);
+    unfixed_.erase(frozen, unfixed_.end());
   }
 
   // Rates only change here, so sampling here makes the per-link peak exact.
   for (const LinkId link : touched_) {
     crossing_[link] = 0;  // flows frozen at a zero share were never charged
-    allocated_[link] = 0.0;
   }
-  for (const FlowId f : live_) {
-    const Flow& flow = flow_ref(f);
-    if (flow.state != FlowState::kActive) continue;
-    for (const LinkId link : flow.route) allocated_[link] += flow.rate;
+  if (certify_) {
+    if (capacity_.size() != links_.size()) {
+      capacity_.clear();
+      for (const Link& link : links_) {
+        capacity_.push_back(link.spec.capacity.bytes_per_second());
+      }
+    }
+    // The active flows in live_ order, so allocated_ sums exactly as the
+    // uncertified pass below would.
+    rated_.clear();
+    for (const FlowId f : live_) {
+      const Flow& flow = flow_ref(f);
+      if (flow.state == FlowState::kActive) {
+        rated_.push_back(RatedFlow{flow.route, flow.rate, f});
+      }
+    }
+    const std::optional<MaxMinViolation> v =
+        certify_max_min(capacity_, rated_, allocated_, residual_);
+    static constexpr const char* kWhat[] = {
+        " carries more than its capacity", " crosses no saturated link",
+        " is below the top rate on every saturated link it crosses"};
+    WRHT_CHECK(!v, "FlowNetwork: max-min certificate failed at t="
+                       << now_.value() << "s: "
+                       << (v->kind == MaxMinViolation::Kind::kOverCapacity
+                               ? "link "
+                               : "flow ")
+                       << v->id << kWhat[static_cast<int>(v->kind)]);
+  } else {
+    for (const LinkId link : touched_) allocated_[link] = 0.0;
+    for (const FlowId f : live_) {
+      const Flow& flow = flow_ref(f);
+      if (flow.state != FlowState::kActive) continue;
+      for (const LinkId link : flow.route) allocated_[link] += flow.rate;
+    }
   }
   for (const LinkId link : touched_) {
     Link& l = links_[link];
@@ -192,6 +259,12 @@ void FlowNetwork::settle(std::vector<std::uint32_t>* completed) {
       rates_stale_ = true;
     }
     if (flow.state == FlowState::kActive && flow.remaining <= kEpsilonBytes) {
+      // A completion event lands when the flow's bytes run out; far below
+      // zero, it landed late.
+      WRHT_CHECK(!certify_ || flow.remaining >= -kEpsilonBytes,
+                 "FlowNetwork: flow " << f << " overshot its completion by "
+                                      << -flow.remaining << " bytes at t="
+                                      << now_.value() << "s");
       flow.state = FlowState::kDone;
       flow.completion = now_;
       flow.rate = 0.0;

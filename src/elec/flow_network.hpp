@@ -11,11 +11,18 @@
 //
 // Latency is modelled as an activation delay: a flow placed at time t with
 // route latency L starts consuming bandwidth at t + L.
+//
+// A network can certify its own solves (enable_certificate()): after each
+// one it checks with certify_max_min() that the rates are max-min fair, and
+// at each completion that the event did not land late, and aborts naming
+// the link or flow otherwise.  The check only reads the rates, and its
+// memory does not grow with the run.
 #pragma once
 
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "util/units.hpp"
@@ -32,6 +39,42 @@ struct LinkSpec {
   util::Bandwidth capacity = util::gbps(10.0);
   util::Seconds latency = util::microseconds(25.0);
 };
+
+/// One flow of an allocation, as the max-min certificate reads it.
+struct RatedFlow {
+  std::span<const LinkId> route;
+  double rate = 0.0;  // bytes/second
+  FlowId id = 0;      // named in a violation
+};
+
+/// Why an allocation is not max-min fair: a link over its capacity, a flow
+/// crossing no saturated link, or a flow below the top rate on every
+/// saturated link it crosses.  `id` is the link's or the flow's.
+struct MaxMinViolation {
+  enum class Kind : std::uint8_t { kOverCapacity, kUnsaturated, kOutpaced };
+  Kind kind = Kind::kOverCapacity;
+  std::uint32_t id = 0;
+};
+
+/// Relative slack of the certificate.  The solver freezes every flow whose
+/// link share lies within 1e-12 of the bottleneck share, so a bottleneck
+/// may keep up to 1e-12 of its capacity unallocated, and summing a link's
+/// rates rounds by a few ulps (elec.link_peak_max reads 1.0000000000000002
+/// on a saturated uplink).  1e-9 sits three orders of magnitude above both
+/// and far below any real misallocation, which is off by a whole share.
+inline constexpr double kMaxMinTolerance = 1e-9;
+
+/// The max-min optimality certificate: every link carries at most its
+/// capacity, and every flow crosses a saturated link on which no flow has a
+/// higher rate.  Both hold exactly for the max-min fair rates.  `capacity`
+/// is indexed by link id (bytes/second); `allocated` and `top_rate` are
+/// per-link scratch, grown to capacity.size() if smaller, that end up
+/// holding each crossed link's rate sum (in flow, then route order) and
+/// top rate.  Returns the first violation met, walking the flows in order
+/// and each flow's links in route order.
+[[nodiscard]] std::optional<MaxMinViolation> certify_max_min(
+    std::span<const double> capacity, std::span<const RatedFlow> flows,
+    std::vector<double>& allocated, std::vector<double>& top_rate);
 
 class FlowNetwork {
  public:
@@ -82,6 +125,14 @@ class FlowNetwork {
   /// the active set has not changed since the last one).  A deterministic
   /// work counter for attributing host time.
   [[nodiscard]] std::uint64_t solves() const { return solves_; }
+  /// Progressive-filling rounds summed over those solves (one round fixes
+  /// the flows of one bottleneck share).
+  [[nodiscard]] std::uint64_t rounds() const { return rounds_; }
+
+  /// Certify every later solve (see the file comment); clone_live()
+  /// copies do not.
+  void enable_certificate() { certify_ = true; }
+  [[nodiscard]] bool certifies() const { return certify_; }
 
   [[nodiscard]] util::Seconds now() const { return now_; }
   [[nodiscard]] bool completed(FlowId flow) const;
@@ -164,30 +215,40 @@ class FlowNetwork {
   }
 
   std::vector<Link> links_;
+  /// Each link's capacity in bytes/second, as the certificate reads it;
+  /// filled at the first certified solve, so building a network costs no
+  /// extra allocation.
+  std::vector<double> capacity_;
   /// Storage for flows with id >= base_ (flow `id` lives at
   /// flows_[id - base_]); ids below base_ were retired.
   std::vector<Flow> flows_;
   FlowId base_ = 0;
+  /// The active set changed since the last solve (activation, completion,
+  /// reset); recompute_rates() is a no-op while this is false.  The flags
+  /// sit in base_'s padding: ElectricalSubstrate holds two networks within
+  /// 1,024 bytes.
+  bool rates_stale_ = true;
+  bool certify_ = false;
   /// Ids of flows not yet done, ascending (appended in id order, erased in
   /// place).  Keeps the event loop linear in the number of *live* flows,
   /// not all flows ever added (the Figure-2 harness pushes millions of
   /// flows through one network).
   std::vector<FlowId> live_;
   util::Seconds now_{0.0};
-  /// The active set changed since the last solve (activation, completion,
-  /// reset); recompute_rates() is a no-op while this is false.
-  bool rates_stale_ = true;
   std::uint64_t solves_ = 0;
+  std::uint64_t rounds_ = 0;
   /// recompute_rates() scratch, reused across solves.  crossing_ and
   /// residual_ are indexed by link (crossing_ all zero between solves);
   /// touched_ lists the links some active flow crossed at the last solve,
   /// so a solve walks only those instead of every link of the fabric.
+  /// The certificate reads the active flows through rated_ and reuses
+  /// residual_ for each link's top rate.
   std::vector<double> residual_;
   std::vector<std::uint32_t> crossing_;
   std::vector<double> allocated_;
   std::vector<LinkId> touched_;
   std::vector<FlowId> unfixed_;
-  std::vector<FlowId> still_unfixed_;
+  std::vector<RatedFlow> rated_;
 };
 
 }  // namespace wrht::elec

@@ -43,6 +43,8 @@ class StepFlowTimer {
 
   /// Max-min solves performed since construction (a work counter).
   [[nodiscard]] std::uint64_t solves() const { return network_.solves(); }
+  /// Progressive-filling rounds of those solves.
+  [[nodiscard]] std::uint64_t rounds() const { return network_.rounds(); }
 
  private:
   const ElectricalCluster* cluster_;

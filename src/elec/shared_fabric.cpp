@@ -10,15 +10,16 @@ namespace wrht::elec {
 
 SharedFabricTimer::SharedFabricTimer(const ElectricalCluster& cluster,
                                      bool replay_audit)
-    : cluster_(&cluster),
-      network_(cluster.make_network()),
-      audit_(replay_audit) {}
+    : cluster_(&cluster), network_(cluster.make_network()) {
+  if (replay_audit) network_.enable_certificate();
+}
 
 void SharedFabricTimer::attach_metrics(obs::MetricsRegistry& registry) {
   steps_timed_ = registry.counter("fabric.steps_timed");
   network_solves_ = registry.counter("fabric.solves.network");
   probe_solves_ = registry.counter("fabric.solves.probe");
-  audit_solves_ = registry.counter("fabric.solves.audit");
+  certified_solves_ = registry.counter("fabric.solves.certified");
+  solver_rounds_ = registry.counter("fabric.solver.rounds");
   uplink_utilization_ = registry.sampled_gauge("electrical.uplink_utilization");
 }
 
@@ -32,9 +33,12 @@ void SharedFabricTimer::publish_utilization() {
   uplink_utilization_->set(hottest);
 }
 
-void SharedFabricTimer::count_network_solves() {
-  obs::inc(network_solves_, network_.solves() - network_solves_counted_);
-  network_solves_counted_ = network_.solves();
+void SharedFabricTimer::count_network_work(std::uint64_t solves_before,
+                                           std::uint64_t rounds_before) {
+  const std::uint64_t solves = network_.solves() - solves_before;
+  obs::inc(network_solves_, solves);
+  if (network_.certifies()) obs::inc(certified_solves_, solves);
+  obs::inc(solver_rounds_, network_.rounds() - rounds_before);
 }
 
 SharedFabricTimer::SessionId SharedFabricTimer::open_session() {
@@ -52,11 +56,13 @@ std::size_t SharedFabricTimer::active_sessions() const {
 void SharedFabricTimer::advance(util::Seconds to) {
   ++version_;
   completed_.clear();
+  const std::uint64_t solves = network_.solves();
+  const std::uint64_t rounds = network_.rounds();
   network_.run_until(to, &completed_);
+  count_network_work(solves, rounds);
   for (const SessionId id : completed_) {
     if (--sessions_[id].flows_left == 0) drained_.push_back(id);
   }
-  count_network_solves();
 }
 
 void SharedFabricTimer::undrain(SessionId session_id) {
@@ -75,11 +81,7 @@ void SharedFabricTimer::finalize_step(SessionId session_id) {
                    << session_id << " step " << session.step_number << ")");
     end = std::max(end, network_.completion_time(flow));
   }
-  if (audit_) {
-    LoggedStep& logged = steps_[session.current_step];
-    logged.end = end;
-    logged.finalized = true;
-  }
+  session.last_end = end;
   session.inflight.clear();
   session.has_step = false;
 }
@@ -97,28 +99,18 @@ bool SharedFabricTimer::begin_step(SessionId session_id,
 
   Session& session = sessions_[session_id];
   advance(now);
-  // The advance itself is logged unconditionally — the replay oracle must
-  // split its advances exactly where the live network split them, even when
-  // the request dies on the completion check below.
-  if (audit_) ops_.push_back(LoggedOp{now, -1});
   if (session.has_step) {
     if (session.flows_left > 0) return false;
     undrain(session_id);
     finalize_step(session_id);
   }
 
-  LoggedStep logged;
-  logged.session = session_id;
-  logged.step = static_cast<std::uint64_t>(step);
-  logged.start = now;
-  session.current_step = steps_.size();
   session.step_start = now;
   session.step_number = static_cast<std::uint64_t>(step);
   for (const coll::Transfer& t : schedule.steps()[step].transfers) {
     const util::Bytes bytes = schedule.chunk_bytes(payload, t.chunk);
     session.inflight.push_back(
         network_.add_flow(cluster_->route(t.src, t.dst), bytes, session_id));
-    if (audit_) logged.flows.push_back(LoggedFlow{t.src, t.dst, bytes});
   }
   ++version_;
   session.flows_left = session.inflight.size();
@@ -126,10 +118,7 @@ bool SharedFabricTimer::begin_step(SessionId session_id,
   // A flow-less step (e.g. a barrier round another group participates in)
   // drains at once; nobody else's sharing changed.
   if (session.flows_left == 0) drained_.push_back(session_id);
-  if (audit_) {
-    ops_.push_back(LoggedOp{now, static_cast<std::ptrdiff_t>(steps_.size())});
-    steps_.push_back(std::move(logged));
-  }
+  if (network_.certifies()) ++logged_steps_;
   obs::inc(steps_timed_);
   publish_utilization();
   retire_drained();
@@ -138,8 +127,10 @@ bool SharedFabricTimer::begin_step(SessionId session_id,
 
 std::optional<util::Seconds> SharedFabricTimer::next_wake() {
   if (!drained_.empty()) return network_.now();
+  const std::uint64_t solves = network_.solves();
+  const std::uint64_t rounds = network_.rounds();
   const std::optional<util::Seconds> next = network_.next_event();
-  count_network_solves();
+  count_network_work(solves, rounds);
   return next;
 }
 
@@ -149,12 +140,6 @@ std::optional<SharedFabricTimer::SessionId> SharedFabricTimer::wake(
                "SharedFabricTimer: wake at " << now.value()
                                              << "s before the fabric clock "
                                              << network_.now().value() << "s");
-  // Landing exactly on the network's next event splits no drain, so the
-  // replay reproduces it without a log entry; any later instant is an
-  // advance the replay must split at too.
-  if (audit_ && now > network_.now() && network_.next_event() != now) {
-    ops_.push_back(LoggedOp{now, -1});
-  }
   advance(now);
   if (drained_.empty()) return std::nullopt;
   const auto first = std::min_element(drained_.begin(), drained_.end());
@@ -209,6 +194,7 @@ std::optional<util::Seconds> SharedFabricTimer::predict_step_completion(
     end = std::max(end, probe.completion_at_current_rate(flow));
   }
   obs::inc(probe_solves_, probe.solves());
+  obs::inc(solver_rounds_, probe.rounds());
   return end;
 }
 
@@ -233,6 +219,7 @@ FlowNetwork SharedFabricTimer::probe_prefix(util::Seconds now,
   prefix.run_until(now);
   prefix.run_until(first);
   obs::inc(probe_solves_, prefix.solves());
+  obs::inc(solver_rounds_, prefix.rounds());
   return cache.by_first.emplace_back(first, std::move(prefix))
       .second.clone_live(cache.id_map);
 }
@@ -243,7 +230,6 @@ void SharedFabricTimer::close_session(SessionId session_id,
                "SharedFabricTimer: close of unknown session " << session_id);
   Session& session = sessions_[session_id];
   advance(std::max(now, network_.now()));
-  if (audit_) ops_.push_back(LoggedOp{network_.now(), -1});
   undrain(session_id);
   finalize_step(session_id);
   session.open = false;
@@ -277,35 +263,10 @@ std::vector<double> SharedFabricTimer::link_peak_utilization() const {
   return peaks;
 }
 
-std::uint64_t SharedFabricTimer::verify_replay() const {
-  FlowNetwork replay = cluster_->make_network();
-  std::vector<std::vector<FlowId>> replay_ids(steps_.size());
-  for (const LoggedOp& op : ops_) {
-    replay.run_until(op.time);
-    if (op.step < 0) continue;
-    const LoggedStep& logged = steps_[static_cast<std::size_t>(op.step)];
-    for (const LoggedFlow& flow : logged.flows) {
-      replay_ids[static_cast<std::size_t>(op.step)].push_back(
-          replay.add_flow(cluster_->route(flow.src, flow.dst), flow.bytes));
-    }
-  }
-  replay.run();  // drains nothing on a fully-closed log
-  obs::inc(audit_solves_, replay.solves());
-
-  std::uint64_t mismatches = 0;
-  for (std::size_t s = 0; s < steps_.size(); ++s) {
-    const LoggedStep& logged = steps_[s];
-    if (!logged.finalized) {
-      ++mismatches;
-      continue;
-    }
-    util::Seconds end = logged.start;
-    for (const FlowId flow : replay_ids[s]) {
-      end = std::max(end, replay.completion_time(flow));
-    }
-    if (end != logged.end) ++mismatches;
-  }
-  return mismatches;
+util::Seconds SharedFabricTimer::step_end(SessionId session) const {
+  WRHT_REQUIRE(session < sessions_.size(),
+               "SharedFabricTimer: step_end of unknown session " << session);
+  return sessions_[session].last_end;
 }
 
 }  // namespace wrht::elec

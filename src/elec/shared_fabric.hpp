@@ -36,13 +36,12 @@
 //    copies one, injects its flows with their original activation instants
 //    and runs on from there, bit for bit the run an uncached probe makes.
 //
-// Correctness is anchored by a whole-horizon replay oracle: the timer logs
-// every advance point and every injected flow, and verify_replay() re-runs
-// the identical operation sequence on a FRESH FlowNetwork — the per-step
-// completion times must reproduce the incremental timer's exactly (the same
-// arithmetic in the same order, so equality is bitwise, not approximate).
-// A wake that lands exactly on a network event splits no flow's drain, so
-// only off-event wakes are logged.
+// Correctness is anchored by the max-min certificate (see flow_network.hpp):
+// with `replay_audit` on, the shared network checks after every solve that
+// its rates are max-min fair — each link within capacity, each flow at the
+// top rate of a saturated link — and that no completion landed late, and
+// aborts otherwise.  Step ends are read from those certified rates, so the
+// proof covers every delivered step in O(1) memory, however long the run.
 #pragma once
 
 #include <cstddef>
@@ -68,19 +67,18 @@ class SharedFabricTimer {
  public:
   using SessionId = std::uint32_t;
 
-  /// `cluster` must outlive the timer.  `replay_audit` keeps the
-  /// whole-horizon replay log (every advance + flow injection) that
-  /// verify_replay() re-proves the incremental timing against; the log is
-  /// O(total steps), so streaming front ends serving millions of jobs may
-  /// turn it off — verify_replay() then has nothing to check and returns 0.
-  /// Timing is bit-identical either way.
+  /// `cluster` must outlive the timer.  `replay_audit` certifies every
+  /// solve of the shared network (see the file comment); the certificate
+  /// only reads the rates, so timing is bit-identical either way.
   explicit SharedFabricTimer(const ElectricalCluster& cluster,
                              bool replay_audit = true);
 
   /// Register the timer's metrics with `registry`: the steps-timed counter,
-  /// the max-min solve counters "fabric.solves.{network,probe,audit}" (the
-  /// real network, the router probe — a cached prefix counted once, when
-  /// built — and the replay audit), and the
+  /// the max-min solve counters "fabric.solves.{network,probe}" (the real
+  /// network and the router probe — a cached prefix counted once, when
+  /// built), "fabric.solves.certified" (real-network solves that passed
+  /// the certificate), "fabric.solver.rounds" (progressive-filling rounds
+  /// of those network and probe solves), and the
   /// "electrical.uplink_utilization" sampled gauge (utilization of the
   /// currently-hottest fabric link, refreshed on every injection/close).
   /// The registry must outlive the timer.
@@ -98,9 +96,7 @@ class SharedFabricTimer {
   /// out-of-range step, a schedule needing more hosts than the cluster has,
   /// a clock running backwards, or a previous step still in flight.  A
   /// rejected request injects no flows; the still-in-flight case has
-  /// already advanced the shared clock to `now` and logged that advance
-  /// (the replay oracle must split its advances exactly where the live
-  /// network did, failed requests included).
+  /// already advanced the shared clock to `now`.
   [[nodiscard]] bool begin_step(SessionId session,
                                 const coll::Schedule& schedule,
                                 std::size_t step, util::Bytes payload,
@@ -128,9 +124,9 @@ class SharedFabricTimer {
   /// each flow is then priced at its remaining bytes over its current rate.
   /// The price reads today's contention and forecasts no drain or arrival.
   /// The clone's run up to the step's first activation comes from the
-  /// per-instant prefix cache (see the file comment).  Logs nothing and
-  /// leaves the shared network untouched.  Same rejection cases as
-  /// begin_step's schedule checks (out-of-range step, too many hosts, a
+  /// per-instant prefix cache (see the file comment).  Leaves the shared
+  /// network untouched; the clones do not certify.  Same rejection cases
+  /// as begin_step's schedule checks (out-of-range step, too many hosts, a
   /// clock before the fabric's).
   [[nodiscard]] std::optional<util::Seconds> predict_step_completion(
       const coll::Schedule& schedule, std::size_t step, util::Bytes payload,
@@ -142,43 +138,16 @@ class SharedFabricTimer {
   /// shared network since construction.  Indexed by the cluster's link ids.
   [[nodiscard]] std::vector<double> link_peak_utilization() const;
 
-  /// Steps logged so far (finalized or in flight).
-  [[nodiscard]] std::uint64_t logged_steps() const {
-    return static_cast<std::uint64_t>(steps_.size());
-  }
+  /// Steps begun with the certificate on (finalized or in flight).
+  [[nodiscard]] std::uint64_t logged_steps() const { return logged_steps_; }
 
-  /// The whole-horizon oracle: replay every logged advance and flow
-  /// injection, in order, into a fresh FlowNetwork and compare each
-  /// finalized step's completion time with the incremental result.
-  /// Returns the number of steps that disagree (0 on a correct timer);
-  /// steps never finalized (session left open) also count.
-  [[nodiscard]] std::uint64_t verify_replay() const;
+  /// When `session`'s last finalized step ended: the latest completion of
+  /// its flows on the shared network, or its start for a flow-less step.
+  /// A wake() that lands on the instant next_wake() named delivers exactly
+  /// this instant.  Zero before the session's first step is finalized.
+  [[nodiscard]] util::Seconds step_end(SessionId session) const;
 
  private:
-  /// A route is a function of its host pair, so the log keeps the pair.
-  struct LoggedFlow {
-    coll::NodeId src = 0;
-    coll::NodeId dst = 0;
-    util::Bytes bytes;
-  };
-  struct LoggedStep {
-    SessionId session = 0;
-    std::uint64_t step = 0;
-    util::Seconds start{0.0};
-    /// Authoritative completion, read back from the shared network once the
-    /// step's flows have drained.
-    util::Seconds end{0.0};
-    bool finalized = false;
-    std::vector<LoggedFlow> flows;
-  };
-  /// One advance of the shared network, optionally followed by a step's
-  /// flow injections.  The replay oracle re-runs exactly this sequence, so
-  /// every advance that may split a drain — even a flow-less close_session
-  /// — is recorded.
-  struct LoggedOp {
-    util::Seconds time{0.0};
-    std::ptrdiff_t step = -1;  // index into steps_, -1 = pure advance
-  };
   struct Session {
     bool open = false;
     /// FlowNetwork ids of the current step's flows, ascending.
@@ -186,12 +155,12 @@ class SharedFabricTimer {
     /// Flows of the current step not yet completed; the step has drained
     /// when this reaches 0.
     std::size_t flows_left = 0;
-    std::size_t current_step = 0;  // index into steps_ (valid iff audited)
     bool has_step = false;
-    /// Start/ordinal of the in-flight step, kept on the session itself so
-    /// finalizing never needs the (optional) replay log.
+    /// Start/ordinal of the in-flight step.
     util::Seconds step_start{0.0};
     std::uint64_t step_number = 0;
+    /// End of the last finalized step.
+    util::Seconds last_end{0.0};
   };
 
   /// Probe prefixes for one (version_, instant): the live flows run to the
@@ -208,9 +177,9 @@ class SharedFabricTimer {
   /// Advance the shared network to `to` and move every session whose last
   /// flow completed on the way onto drained_.
   void advance(util::Seconds to);
-  /// Fold the session's in-flight step into the log: every flow must have
-  /// completed on the shared network (aborts otherwise — a step boundary
-  /// fired before its flows drained).
+  /// Finalize the session's in-flight step: every flow must have completed
+  /// on the shared network (aborts otherwise — a step boundary fired before
+  /// its flows drained); records the step's end.
   void finalize_step(SessionId session_id);
   /// Take `session_id` off drained_ if it is there.
   void undrain(SessionId session_id);
@@ -222,8 +191,11 @@ class SharedFabricTimer {
 
   /// Refresh the uplink-utilization gauge (no-op without a registry).
   void publish_utilization();
-  /// Add the real network's solves since the last call to its counter.
-  void count_network_solves();
+  /// Add the real network's solves and rounds since the given readings to
+  /// their counters; with the certificate on, every solve was certified
+  /// (a failure aborts).
+  void count_network_work(std::uint64_t solves_before,
+                          std::uint64_t rounds_before);
 
   /// Let the network retire the storage of flows below every open
   /// session's oldest in-flight flow — nobody will query them again.
@@ -231,7 +203,6 @@ class SharedFabricTimer {
 
   const ElectricalCluster* cluster_;
   FlowNetwork network_;
-  bool audit_;
   std::vector<Session> sessions_;
   /// Ids of open sessions, ascending — the working set the retirement floor
   /// walks instead of every session ever opened.
@@ -240,9 +211,7 @@ class SharedFabricTimer {
   std::vector<SessionId> drained_;
   /// advance() scratch: the owning session of each flow that completed.
   std::vector<SessionId> completed_;
-  std::vector<LoggedStep> steps_;
-  std::vector<LoggedOp> ops_;
-  std::uint64_t network_solves_counted_ = 0;
+  std::uint64_t logged_steps_ = 0;
   /// Bumped on every change to network_ (advance, injection, retirement);
   /// a cached probe prefix is valid only at the version it was built at.
   std::uint64_t version_ = 0;
@@ -252,7 +221,8 @@ class SharedFabricTimer {
   obs::Counter* steps_timed_ = nullptr;
   obs::Counter* network_solves_ = nullptr;
   obs::Counter* probe_solves_ = nullptr;
-  obs::Counter* audit_solves_ = nullptr;
+  obs::Counter* certified_solves_ = nullptr;
+  obs::Counter* solver_rounds_ = nullptr;
   obs::Gauge* uplink_utilization_ = nullptr;
 };
 

@@ -77,7 +77,7 @@ std::string RuntimeReport::to_string() const {
          std::to_string(resumes) + " resumed, " + std::to_string(resizes) +
          " resized\n";
   out += "replay audit    : " + std::to_string(replay_checked_steps) +
-         " shared-fabric steps re-proven\n";
+         " shared-fabric steps certified\n";
   out += "spectrum        : " + std::to_string(spectrum_reservations) +
          " reservations, 0 wavelength-conflict aborts\n";
   out += "peak concurrency: " + std::to_string(peak_concurrent_jobs) +
@@ -1608,10 +1608,10 @@ RuntimeReport CollectiveRuntime::drive(JobSource* source) {
   // must not be billed to the workload.
   report_.makespan = last_completion_;
 
-  // End-of-run audits: the shared electrical fabric replays its whole flow
-  // horizon into a fresh network and must reproduce every incremental step
-  // time (aborts on disagreement); the per-link peaks tell the congestion
-  // story the slowdown numbers summarize.
+  // End-of-run audits: the shared electrical fabric, which certified every
+  // max-min solve as it ran, must have finished every step it began (aborts
+  // otherwise); the per-link peaks tell the congestion story the slowdown
+  // numbers summarize.
   for (const auto& fabric : fabrics_) {
     report_.replay_checked_steps += fabric->self_check();
     if (fabric->kind() == SubstrateKind::kElectrical) {

@@ -30,8 +30,8 @@
 // contend — there one SharedFabricTimer times every in-flight electrical
 // step together, the runtime keeps one wake event per fabric on the sim
 // clock that advances the real flow network from one of its events to the
-// next and ends the steps that drained there, and a whole-horizon flow
-// replay re-proves every step time at the end of the run.  Both timing
+// next and ends the steps that drained there, and every max-min solve of
+// that network is certified fair as it runs.  Both timing
 // models land in one report, with per-substrate breakdowns and per-job
 // contention slowdowns.
 //
@@ -271,10 +271,10 @@ struct RuntimeReport {
   /// real flow network as it advances, so no step-completion event is ever
   /// re-scheduled.  Kept so report digests and consumers keep their shape.
   std::uint64_t step_retimes = 0;
-  /// Steps audited by the substrates' end-of-run self checks (the shared
-  /// electrical fabric's whole-horizon flow replay).  A disagreement aborts
-  /// the process, so a returned report documents that this many steps were
-  /// re-proven.
+  /// Steps audited by the substrates' self checks (the shared electrical
+  /// fabric's steps, timed on max-min solves each certified as it ran).  A
+  /// failed certificate aborts the process, so a returned report documents
+  /// that this many steps were proven.
   std::uint64_t replay_checked_steps = 0;
   /// Peak utilization per electrical-fabric link (fraction of capacity),
   /// indexed by the fallback cluster's link ids.  Empty without a shared

@@ -285,10 +285,10 @@ class ExecutionSubstrate {
   /// outlive the substrate.
   virtual void attach_metrics(obs::MetricsRegistry& registry) = 0;
 
-  /// End-of-run self audit.  A substrate with an independent whole-horizon
-  /// oracle (the shared electrical fabric replays every logged flow into a
-  /// fresh network) re-proves its incremental timing here and ABORTS on any
-  /// disagreement — mirroring the fatal semantics of a wavelength conflict.
+  /// End-of-run self audit.  A substrate whose timing carries a proof (the
+  /// shared electrical fabric certifies every max-min solve as it runs)
+  /// closes it here — every step begun must have ended — and ABORTS on a
+  /// failure, mirroring the fatal semantics of a wavelength conflict.
   /// Returns the number of steps audited (0 when there is nothing to
   /// check).
   [[nodiscard]] virtual std::uint64_t self_check() const { return 0; }
@@ -373,13 +373,11 @@ struct ElectricalFallbackConfig {
   /// bandwidth (1.0 = full bisection, 4.0 = classic 4:1 oversubscription).
   std::uint32_t hosts_per_tor = 8;
   double oversubscription = 1.0;
-  /// Keep the whole-horizon flow-replay log (every injected step + every
-  /// clock advance) so self_check() can re-prove the incremental timing
-  /// against a fresh network at end of run.  The log grows with the run —
-  /// O(total steps) — which is exactly what a million-job serving benchmark
-  /// cannot afford, so streaming front ends may turn it off; self_check()
-  /// then audits nothing and returns 0.  Timing is bit-identical either
-  /// way: the flag gates only the logging.
+  /// Certify every max-min solve of the shared fabric's network (each link
+  /// within capacity, each flow at the top rate of a saturated link, no
+  /// completion late; a failure aborts).  The check keeps O(1) memory
+  /// however long the run, and reads only the rates, so timing is
+  /// bit-identical either way; off, self_check() counts no audited steps.
   bool replay_audit = true;
 };
 

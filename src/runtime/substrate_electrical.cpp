@@ -20,8 +20,8 @@
 //    depends on what other tenants send while it is in flight, so
 //    time_step() gives no end: the runtime advances the real network from
 //    one of its events to the next (next_wake / wake), each wake hands back
-//    the executions whose steps drained there, and a whole-horizon flow
-//    replay into a fresh network re-proves every step time at end of run.
+//    the executions whose steps drained there, and the network certifies
+//    every max-min solve behind those step times as it runs.
 //    The quiet-network duration of each step is still computed
 //    (StepFlowTimer) as the denominator of the per-job contention
 //    slowdown.
@@ -48,9 +48,9 @@
 // the substrate refcounts its down hosts (node and ToR faults), a dead host
 // leaves service as soon as no execution holds it, and the resume simply
 // remaps around it, so electrical node faults cost a suspension, never
-// data.  The shared fabric's whole-horizon replay oracle covers remapped
-// resumes for free: it replays the logged physical routes, which are
-// exactly what the remapped remainder injected.
+// data.  The shared fabric's max-min certificate covers remapped resumes
+// for free: it checks the rates of the physical routes, which are exactly
+// what the remapped remainder injected.
 //
 // Per-step timing is produced one step at a time so electrical steps
 // interleave with optical tenants' events on the shared clock.
@@ -341,16 +341,17 @@ class ElectricalSubstrate final : public ExecutionSubstrate {
     if (!shared_) return;
     shared_->attach_metrics(registry);
     quiet_solves_ = registry.counter("fabric.solves.quiet");
+    solver_rounds_ = registry.counter("fabric.solver.rounds");
   }
 
   [[nodiscard]] std::uint64_t self_check() const override {
     if (!shared_) return 0;
-    const std::uint64_t mismatches = shared_->verify_replay();
-    // The incremental shared-fabric timing and the whole-horizon flow
-    // replay disagree: a timing bug, fatal like a wavelength conflict.
-    WRHT_CHECK(mismatches == 0,
-               "ElectricalSubstrate: flow-replay oracle disagrees on "
-                   << mismatches << " step(s)");
+    // Every solve was certified as it ran; what is left to prove is that
+    // every execution ended, closing its session and any step in flight.
+    WRHT_CHECK(shared_->active_sessions() == 0,
+               "ElectricalSubstrate: " << shared_->active_sessions()
+                                       << " shared-fabric session(s) still "
+                                          "open at end of run");
     return shared_->logged_steps();
   }
 
@@ -446,14 +447,17 @@ class ElectricalSubstrate final : public ExecutionSubstrate {
     return memo_->entries.emplace(std::move(key), entry).first->second;
   }
 
-  /// timer_.time_step, counting its max-min solves as fabric.solves.quiet.
+  /// timer_.time_step, counting its max-min solves as fabric.solves.quiet
+  /// and their rounds in fabric.solver.rounds.
   [[nodiscard]] std::optional<util::Seconds> time_quiet(
       const coll::Schedule& schedule, std::size_t step,
       util::Bytes payload) const {
     const std::uint64_t before = timer_.solves();
+    const std::uint64_t rounds_before = timer_.rounds();
     const std::optional<util::Seconds> quiet =
         timer_.time_step(schedule, step, payload);
     obs::inc(quiet_solves_, timer_.solves() - before);
+    obs::inc(solver_rounds_, timer_.rounds() - rounds_before);
     return quiet;
   }
 
@@ -580,8 +584,10 @@ class ElectricalSubstrate final : public ExecutionSubstrate {
   DownUnits hosts_down_;
   /// Allocated on the first price.
   mutable std::unique_ptr<PriceMemo> memo_;
-  /// fabric.solves.quiet; nullptr without a registry (shared fabric only).
+  /// fabric.solves.quiet and fabric.solver.rounds; nullptr without a
+  /// registry (shared fabric only).
   obs::Counter* quiet_solves_ = nullptr;
+  obs::Counter* solver_rounds_ = nullptr;
 };
 
 // glibc malloc serves requests up to 1,032 bytes from its per-thread cache;

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "elec/topology.hpp"
@@ -376,6 +378,222 @@ TEST(FlowNetwork, LinkConservationOnRandomizedTwoLevelTree) {
         *ElectricalCluster::two_level_tree(16, 4, 4.0, ElectricalParams{}),
         seed, 80);
   }
+}
+
+// ---------------------------------------------------------------------------
+// The max-min certificate: certify_max_min() must reject every hand-made
+// misallocation, and accept every allocation the solver produces.
+
+namespace certificate {
+
+/// An allocation to certify: per-link capacities, and each flow's route and
+/// rate.
+struct Allocation {
+  std::vector<double> capacity;
+  std::vector<std::vector<LinkId>> routes;
+  std::vector<double> rates;
+};
+
+std::optional<MaxMinViolation> check(const Allocation& a) {
+  std::vector<RatedFlow> flows;
+  for (std::size_t f = 0; f < a.routes.size(); ++f) {
+    flows.push_back(
+        RatedFlow{a.routes[f], a.rates[f], static_cast<FlowId>(f)});
+  }
+  std::vector<double> allocated;
+  std::vector<double> top_rate;
+  return certify_max_min(a.capacity, flows, allocated, top_rate);
+}
+
+/// A test-local copy of the solver's progressive filling over `a`'s
+/// capacities and routes, writing a.rates.  `skip_residual_charge` drops
+/// the subtraction of a frozen flow's rate from its links' residual
+/// capacity — a deliberately broken filling.
+void fill(Allocation& a, bool skip_residual_charge) {
+  std::vector<double> residual = a.capacity;
+  std::vector<std::uint32_t> crossing(a.capacity.size(), 0);
+  for (const std::vector<LinkId>& route : a.routes) {
+    for (const LinkId link : route) ++crossing[link];
+  }
+  a.rates.assign(a.routes.size(), 0.0);
+  std::vector<bool> fixed(a.routes.size(), false);
+  std::size_t left = a.routes.size();
+  while (left > 0) {
+    double min_share = std::numeric_limits<double>::infinity();
+    for (std::size_t l = 0; l < residual.size(); ++l) {
+      if (crossing[l] > 0) {
+        min_share = std::min(min_share, residual[l] / crossing[l]);
+      }
+    }
+    std::vector<std::size_t> frozen;
+    for (std::size_t f = 0; f < a.routes.size(); ++f) {
+      if (fixed[f]) continue;
+      for (const LinkId link : a.routes[f]) {
+        if (residual[link] / crossing[link] <= min_share * (1 + 1e-12)) {
+          frozen.push_back(f);
+          break;
+        }
+      }
+    }
+    for (const std::size_t f : frozen) {
+      a.rates[f] = min_share;
+      fixed[f] = true;
+      --left;
+      for (const LinkId link : a.routes[f]) {
+        if (!skip_residual_charge) residual[link] -= min_share;
+        --crossing[link];
+      }
+    }
+  }
+}
+
+}  // namespace certificate
+
+TEST(MaxMinCertificate, AcceptsTheMaxMinAllocation) {
+  // Two 1 GB/s links; f0 on A, f1 on B, f2 on both: 0.5 GB/s each, both
+  // links saturated, every flow at the top rate of each.
+  const certificate::Allocation fair{
+      {1e9, 1e9}, {{0}, {1}, {0, 1}}, {0.5e9, 0.5e9, 0.5e9}};
+  EXPECT_FALSE(certificate::check(fair));
+  // No flows: nothing to violate.
+  EXPECT_FALSE(certificate::check({{1e9}, {}, {}}));
+}
+
+TEST(MaxMinCertificate, RejectsALinkOverCapacity) {
+  const std::optional<MaxMinViolation> v =
+      certificate::check({{1e9, 1e9}, {{1}, {1}}, {0.6e9, 0.6e9}});
+  ASSERT_TRUE(v);
+  EXPECT_EQ(v->kind, MaxMinViolation::Kind::kOverCapacity);
+  EXPECT_EQ(v->id, 1u);
+}
+
+TEST(MaxMinCertificate, RejectsAFlowWithNoSaturatedLink) {
+  // f0 fills link 0; f1, alone on link 1 at 0.4 of its capacity, could
+  // go faster.
+  const std::optional<MaxMinViolation> v =
+      certificate::check({{1e9, 1e9}, {{0}, {1}}, {1e9, 0.4e9}});
+  ASSERT_TRUE(v);
+  EXPECT_EQ(v->kind, MaxMinViolation::Kind::kUnsaturated);
+  EXPECT_EQ(v->id, 1u);
+}
+
+TEST(MaxMinCertificate, RejectsAFlowBelowTheTopRateOnItsSaturatedLink) {
+  // Link 0 is full, but f0 gets 0.3 while f1 gets 0.7 on it: the fair
+  // split is 0.5 each.  f1, at the top rate, is fine; f0 is not.
+  const std::optional<MaxMinViolation> v =
+      certificate::check({{1e9, 1e9}, {{0, 1}, {0}}, {0.3e9, 0.7e9}});
+  ASSERT_TRUE(v);
+  EXPECT_EQ(v->kind, MaxMinViolation::Kind::kOutpaced);
+  EXPECT_EQ(v->id, 0u);
+}
+
+TEST(MaxMinCertificate, RejectsAFillingThatSkipsTheResidualCharge) {
+  // Link 0 (3 GB/s) carries f0 and f1; link 1 (1 GB/s) carries f1 and f2.
+  // Fair: f1 = f2 = 0.5 on the bottleneck link 1, then f0 takes link 0's
+  // remaining 2.5.  A filling that forgets to charge f1's 0.5 against
+  // link 0 hands f0 all 3 GB/s, overfilling link 0.
+  certificate::Allocation a{{3e9, 1e9}, {{0}, {0, 1}, {1}}, {}};
+  certificate::fill(a, /*skip_residual_charge=*/false);
+  EXPECT_EQ(a.rates, (std::vector<double>{2.5e9, 0.5e9, 0.5e9}));
+  EXPECT_FALSE(certificate::check(a));
+
+  certificate::fill(a, /*skip_residual_charge=*/true);
+  EXPECT_EQ(a.rates, (std::vector<double>{3e9, 0.5e9, 0.5e9}));
+  const std::optional<MaxMinViolation> v = certificate::check(a);
+  ASSERT_TRUE(v);
+  EXPECT_EQ(v->kind, MaxMinViolation::Kind::kOverCapacity);
+  EXPECT_EQ(v->id, 0u);
+}
+
+TEST(MaxMinCertificate, RejectsNonFiniteRates) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::optional<MaxMinViolation> v =
+      certificate::check({{1e9}, {{0}}, {nan}});
+  ASSERT_TRUE(v);
+  EXPECT_EQ(v->kind, MaxMinViolation::Kind::kOverCapacity);
+}
+
+TEST(MaxMinCertificate, SolverOutputPassesOnRandomNetworks) {
+  // 2,000 seeded networks, half stars and half two-level trees, each with
+  // up to 24 host-to-host flows.  Byte counts are drawn from a small set so
+  // that ties are exact, a quarter of the networks repeat one route for
+  // every flow (all flows share every link), and some flows carry zero
+  // bytes.  The network certifies its own solves; the test also certifies
+  // the rates it reads back at every event.
+  constexpr std::uint64_t kNetworks = 2000;
+  std::uint64_t solves = 0;
+  std::uint64_t checks = 0;
+  for (std::uint64_t seed = 0; seed < kNetworks; ++seed) {
+    util::Rng rng(seed + 1);
+    ElectricalParams params;
+    params.link_bandwidth = util::gBps(0.5 + rng.next_double());
+    params.link_latency = util::microseconds(
+        static_cast<double>(rng.next_below(3)) * 10.0);
+    const auto hosts = static_cast<std::uint32_t>(2 + rng.next_below(15));
+    const ElectricalCluster cluster =
+        seed % 2 == 0
+            ? ElectricalCluster::star(hosts, params)
+            : *ElectricalCluster::two_level_tree(
+                  hosts, static_cast<std::uint32_t>(1 + rng.next_below(4)),
+                  1.0 + static_cast<double>(rng.next_below(8)), params);
+    FlowNetwork network = cluster.make_network();
+    network.enable_certificate();
+    ASSERT_TRUE(network.certifies());
+    // Each link's capacity, read back as the rate of a lone flow on it.
+    std::vector<double> capacity;
+    {
+      FlowNetwork probe = cluster.make_network();
+      std::vector<FlowId> lone;
+      for (std::size_t l = 0; l < probe.num_links(); ++l) {
+        lone.push_back(probe.add_flow_at({static_cast<LinkId>(l)}, Bytes(1),
+                                         Seconds(0.0)));
+      }
+      probe.run_until(Seconds(0.0));
+      for (const FlowId f : lone) capacity.push_back(probe.current_rate(f));
+    }
+    const bool one_route = rng.next_below(4) == 0;
+    const auto src0 = static_cast<std::uint32_t>(rng.next_below(hosts));
+    const auto dst0 = (src0 + 1) % hosts;
+    std::vector<std::pair<FlowId, std::vector<LinkId>>> flows;
+    const auto num_flows = static_cast<std::uint32_t>(1 + rng.next_below(24));
+    for (std::uint32_t i = 0; i < num_flows; ++i) {
+      std::uint32_t src = src0;
+      std::uint32_t dst = dst0;
+      if (!one_route) {
+        src = static_cast<std::uint32_t>(rng.next_below(hosts));
+        dst = static_cast<std::uint32_t>(rng.next_below(hosts - 1));
+        if (dst >= src) ++dst;
+      }
+      const std::uint64_t draw = rng.next_below(5);
+      const Bytes bytes(draw == 0 ? 0 : draw * 1'000'000);
+      std::vector<LinkId> route = cluster.route(src, dst);
+      flows.emplace_back(network.add_flow(route, bytes), route);
+      if (rng.next_below(4) == 0) {
+        network.run_until(network.now() + Seconds(1e-3));
+      }
+    }
+    while (const std::optional<Seconds> at = network.next_event()) {
+      // next_event() just solved the active set: certify what it reads.
+      std::vector<RatedFlow> rated;
+      for (const auto& [id, route] : flows) {
+        if (!network.completed(id) && network.current_rate(id) > 0.0) {
+          rated.push_back(RatedFlow{route, network.current_rate(id), id});
+        }
+      }
+      std::vector<double> allocated;
+      std::vector<double> top_rate;
+      EXPECT_FALSE(certify_max_min(capacity, rated, allocated, top_rate))
+          << "seed " << seed << " t=" << network.now().value();
+      ++checks;
+      network.run_until(*at);
+    }
+    for (const auto& [id, route] : flows) {
+      EXPECT_TRUE(network.completed(id)) << "seed " << seed;
+    }
+    solves += network.solves();
+  }
+  EXPECT_GT(solves, kNetworks);
+  EXPECT_GT(checks, kNetworks);
 }
 
 }  // namespace

@@ -5,7 +5,8 @@
 // tenants already on it), a seeded differential check of every delivered
 // step end against a forward run of a mirrored network, the router's
 // one-solve probe price, the quiet-fabric degenerate cases (disjoint
-// ToR-contained tenants never contend), the whole-horizon replay oracle,
+// ToR-contained tenants never contend), a whole-horizon replay of every
+// timer history into a fresh network, the certificate's bounded memory,
 // rejected inputs, and the FlowNetwork seams it is built on (run_until,
 // next_event, clone_live, the skipped re-solve).
 #include "elec/shared_fabric.hpp"
@@ -15,8 +16,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <map>
-#include <memory>
+#include <new>
 #include <optional>
 #include <set>
 
@@ -24,6 +26,33 @@
 #include "elec/schedule_runner.hpp"
 #include "obs/metrics.hpp"
 #include "util/random.hpp"
+
+namespace {
+std::size_t g_allocations = 0;
+}  // namespace
+
+// Counting replacements for the global allocator: the bounded-memory test
+// below snapshots g_allocations around a burst of fabric steps.  The
+// deletes stay out of line, so the compiler never pairs an inlined free()
+// with a new-expression.
+void* operator new(std::size_t size) {
+  ++g_allocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) {
+  ++g_allocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace wrht::elec {
 namespace {
@@ -55,14 +84,121 @@ coll::Schedule pair_schedule(
   return schedule;
 }
 
+/// A SharedFabricTimer that records its history for a whole-horizon replay
+/// oracle: every begin_step, wake and close_session instant (each an
+/// advance of the shared network) and every injected flow.  verify_replay()
+/// re-runs that sequence into a fresh network and compares each finalized
+/// step's end with the timer's, bit for bit: the same arithmetic in the same
+/// order.  Logging on-event wakes too is harmless, since run_until at an
+/// event splits nothing.  A rejected begin_step logs nothing, so histories
+/// checked here must not contain one.
+class ReplayRecorder : public SharedFabricTimer {
+ public:
+  explicit ReplayRecorder(const ElectricalCluster& cluster)
+      : SharedFabricTimer(cluster), cluster_(&cluster) {}
+
+  [[nodiscard]] bool begin_step(SessionId session,
+                                const coll::Schedule& schedule,
+                                std::size_t step, Bytes payload, Seconds now) {
+    if (!SharedFabricTimer::begin_step(session, schedule, step, payload,
+                                       now)) {
+      return false;
+    }
+    finalize(session);  // begin_step folded in any undelivered step
+    Step logged;
+    logged.start = now;
+    for (const coll::Transfer& t : schedule.steps()[step].transfers) {
+      logged.flows.push_back({t.src, t.dst, schedule.chunk_bytes(payload,
+                                                                 t.chunk)});
+    }
+    in_flight_[session] = steps_.size();
+    ops_.push_back({now, static_cast<std::ptrdiff_t>(steps_.size())});
+    steps_.push_back(std::move(logged));
+    return true;
+  }
+
+  [[nodiscard]] std::optional<SessionId> wake(Seconds now) {
+    ops_.push_back({now, -1});
+    const std::optional<SessionId> session = SharedFabricTimer::wake(now);
+    if (session) finalize(*session);
+    return session;
+  }
+
+  void close_session(SessionId session, Seconds now) {
+    ops_.push_back({now, -1});
+    SharedFabricTimer::close_session(session, now);
+    finalize(session);
+  }
+
+  /// Replays the history; returns the steps whose end disagrees with the
+  /// timer's, counting steps never finalized.
+  [[nodiscard]] std::uint64_t verify_replay() const {
+    FlowNetwork replay = cluster_->make_network();
+    std::vector<std::vector<FlowId>> ids(steps_.size());
+    for (const Op& op : ops_) {
+      replay.run_until(op.time);
+      if (op.step < 0) continue;
+      const auto s = static_cast<std::size_t>(op.step);
+      for (const Flow& flow : steps_[s].flows) {
+        ids[s].push_back(
+            replay.add_flow(cluster_->route(flow.src, flow.dst), flow.bytes));
+      }
+    }
+    replay.run();
+    std::uint64_t mismatches = 0;
+    for (std::size_t s = 0; s < steps_.size(); ++s) {
+      if (!steps_[s].end) {
+        ++mismatches;
+        continue;
+      }
+      Seconds end = steps_[s].start;
+      for (const FlowId flow : ids[s]) {
+        end = std::max(end, replay.completion_time(flow));
+      }
+      if (end != *steps_[s].end) ++mismatches;
+    }
+    return mismatches;
+  }
+
+ private:
+  struct Flow {
+    coll::NodeId src = 0;
+    coll::NodeId dst = 0;
+    Bytes bytes{0};
+  };
+  struct Step {
+    Seconds start{0.0};
+    std::optional<Seconds> end;  // the timer's, once finalized
+    std::vector<Flow> flows;
+  };
+  /// An advance of the shared network, then optionally a step's injection.
+  struct Op {
+    Seconds time{0.0};
+    std::ptrdiff_t step = -1;
+  };
+
+  /// Record the timer's end of `session`'s step if one was in flight.
+  void finalize(SessionId session) {
+    const auto it = in_flight_.find(session);
+    if (it == in_flight_.end()) return;
+    steps_[it->second].end = step_end(session);
+    in_flight_.erase(it);
+  }
+
+  const ElectricalCluster* cluster_;
+  std::vector<Step> steps_;
+  std::vector<Op> ops_;
+  std::map<SessionId, std::size_t> in_flight_;
+};
+
 /// Advance `shared` wake by wake until nothing is in flight, returning each
 /// delivered session's step end (the wake instant that handed it back).
-std::map<SharedFabricTimer::SessionId, Seconds> drain(
-    SharedFabricTimer& shared) {
+std::map<SharedFabricTimer::SessionId, Seconds> drain(ReplayRecorder& shared) {
   std::map<SharedFabricTimer::SessionId, Seconds> ends;
   while (const std::optional<Seconds> at = shared.next_wake()) {
     while (const std::optional<SharedFabricTimer::SessionId> session =
                shared.wake(*at)) {
+      EXPECT_EQ(shared.step_end(*session), *at);
       ends[*session] = *at;
     }
   }
@@ -139,7 +275,7 @@ TEST(SharedFabric, SoloSessionMatchesQuietTimer) {
   const Bytes payload(8'000'000);
 
   StepFlowTimer quiet(cluster);
-  SharedFabricTimer shared(cluster);
+  ReplayRecorder shared(cluster);
   const SharedFabricTimer::SessionId session = shared.open_session();
   Seconds clock{0.0};
   for (std::size_t s = 0; s < schedule.num_steps(); ++s) {
@@ -169,7 +305,7 @@ TEST(SharedFabric, JoiningTenantSlowsTheTenantInFlight) {
   // joined names exactly — and the final timing must replay exactly.
   const ElectricalCluster cluster = two_tor_cluster(4.0);
   // Uplink carries 4 hosts / 4.0 oversubscription = 1 GB/s.
-  SharedFabricTimer shared(cluster);
+  ReplayRecorder shared(cluster);
   MirrorNetwork mirror(cluster);
   const auto a = shared.open_session();
   const auto b = shared.open_session();
@@ -237,7 +373,7 @@ TEST(SharedFabric, DeliveredStepEndsMatchTheDrainForecast) {
     util::Rng rng(seed);
     const ElectricalCluster cluster =
         *ElectricalCluster::two_level_tree(32, 8, 4.0, test_params());
-    SharedFabricTimer shared(cluster);
+    ReplayRecorder shared(cluster);
     MirrorNetwork mirror(cluster);
 
     struct Tenant {
@@ -354,7 +490,7 @@ TEST(SharedFabric, ProbePricesTheCurrentMaxMinShare) {
   // price ignores: it is the activation instant plus the candidate's bytes
   // at the half share.  A forward run would answer ~1.5 s instead.
   const ElectricalCluster cluster = two_tor_cluster(4.0);
-  SharedFabricTimer shared(cluster);
+  ReplayRecorder shared(cluster);
   obs::MetricsRegistry registry;
   shared.attach_metrics(registry);
   const auto count = [&registry](const char* name) {
@@ -403,7 +539,7 @@ constexpr std::uint32_t kHistorySessions = 4;
 /// Apply one operation; a wake delivers every step drained by then.  Every
 /// wake of the histories below lands between network events, which the
 /// assertion checks.
-void apply_op(SharedFabricTimer& shared, const FabricOp& op) {
+void apply_op(ReplayRecorder& shared, const FabricOp& op) {
   switch (op.kind) {
     case FabricOp::Kind::kBegin:
       ASSERT_TRUE(shared.begin_step(op.session, pair_schedule(op.pairs), 0,
@@ -421,15 +557,15 @@ void apply_op(SharedFabricTimer& shared, const FabricOp& op) {
 }
 
 /// A fresh timer that went through `history` and has never been probed.
-std::unique_ptr<SharedFabricTimer> cold_timer(
-    const ElectricalCluster& cluster, const std::vector<FabricOp>& history,
-    obs::MetricsRegistry& registry) {
-  auto shared = std::make_unique<SharedFabricTimer>(cluster);
-  shared->attach_metrics(registry);
+ReplayRecorder cold_timer(const ElectricalCluster& cluster,
+                          const std::vector<FabricOp>& history,
+                          obs::MetricsRegistry& registry) {
+  ReplayRecorder shared(cluster);
+  shared.attach_metrics(registry);
   for (std::uint32_t s = 0; s < kHistorySessions; ++s) {
-    EXPECT_EQ(shared->open_session(), s);
+    EXPECT_EQ(shared.open_session(), s);
   }
-  for (const FabricOp& op : history) apply_op(*shared, op);
+  for (const FabricOp& op : history) apply_op(shared, op);
   return shared;
 }
 
@@ -488,12 +624,12 @@ TEST(SharedFabric, BatchedProbesMatchColdProbesExactly) {
     std::uint64_t cold_solves = 0;
     const std::uint64_t warm_before = probe_solves(warm_registry);
     for (const Candidate& c : candidates) {
-      const std::optional<Seconds> price = warm->predict_step_completion(
+      const std::optional<Seconds> price = warm.predict_step_completion(
           pair_schedule(c.pairs), 0, c.bytes, now);
       obs::MetricsRegistry cold_registry;
       const std::optional<Seconds> cold_price =
           cold_timer(cluster, history, cold_registry)
-              ->predict_step_completion(pair_schedule(c.pairs), 0, c.bytes,
+              .predict_step_completion(pair_schedule(c.pairs), 0, c.bytes,
                                         now);
       cold_solves += probe_solves(cold_registry);
       EXPECT_TRUE(price && cold_price);
@@ -520,7 +656,7 @@ TEST(SharedFabric, BatchedProbesMatchColdProbesExactly) {
   };
   std::vector<Seconds> previous = settled;
   for (const FabricOp& op : at_now) {
-    apply_op(*warm, op);
+    apply_op(warm, op);
     history.push_back(op);
     const std::vector<Seconds> prices = check_batch(
         op.kind == Kind::kWake    ? "after the wake"
@@ -534,11 +670,11 @@ TEST(SharedFabric, BatchedProbesMatchColdProbesExactly) {
     }
     previous = prices;
   }
-  for (const auto& [session, end] : drain(*warm)) {
-    warm->close_session(session, end);
+  for (const auto& [session, end] : drain(warm)) {
+    warm.close_session(session, end);
   }
-  EXPECT_EQ(warm->active_sessions(), 0u);
-  EXPECT_EQ(warm->verify_replay(), 0u);
+  EXPECT_EQ(warm.active_sessions(), 0u);
+  EXPECT_EQ(warm.verify_replay(), 0u);
 }
 
 TEST(SharedFabric, DisjointTorContainedTenantsDoNotContend) {
@@ -546,7 +682,7 @@ TEST(SharedFabric, DisjointTorContainedTenantsDoNotContend) {
   // as if alone no matter the oversubscription, and the replay agrees.
   const ElectricalCluster cluster = two_tor_cluster(8.0);
   StepFlowTimer quiet(cluster);
-  SharedFabricTimer shared(cluster);
+  ReplayRecorder shared(cluster);
   const auto a = shared.open_session();
   const auto b = shared.open_session();
   const coll::Schedule in_tor0 = pair_schedule({{0, 1}, {2, 3}});
@@ -570,7 +706,7 @@ TEST(SharedFabric, DisjointTorContainedTenantsDoNotContend) {
 
 TEST(SharedFabric, FlowLessStepCompletesInstantly) {
   const ElectricalCluster cluster = two_tor_cluster(1.0);
-  SharedFabricTimer shared(cluster);
+  ReplayRecorder shared(cluster);
   const auto session = shared.open_session();
   coll::Schedule idle("idle", 8, 1);
   idle.add_step();  // no transfers
@@ -583,10 +719,10 @@ TEST(SharedFabric, FlowLessStepCompletesInstantly) {
 }
 
 TEST(SharedFabric, OffEventWakesStillReplayExactly) {
-  // A wake between network events splits the flows' drains; the timer logs
-  // that advance so the replay splits there too.
+  // A wake between network events splits the flows' drains; the recorder
+  // logs that advance so the replay splits there too.
   const ElectricalCluster cluster = two_tor_cluster(4.0);
-  SharedFabricTimer shared(cluster);
+  ReplayRecorder shared(cluster);
   const auto a = shared.open_session();
   ASSERT_TRUE(shared.begin_step(a, pair_schedule({{0, 4}, {1, 5}}), 0,
                                 Bytes(100'000'000), Seconds(0.0)));
@@ -599,9 +735,51 @@ TEST(SharedFabric, OffEventWakesStillReplayExactly) {
   EXPECT_EQ(shared.verify_replay(), 0u);
 }
 
+/// operator new calls made by `cycles` rounds of a fixed two-tenant mix on a
+/// 4:1 two-ToR fabric (both tenants begin a step at the same instant, then
+/// every wake is taken until both drained), after 1,000 warm-up rounds.
+std::size_t cycle_allocations(bool replay_audit, std::size_t cycles) {
+  const ElectricalCluster cluster = two_tor_cluster(4.0);
+  SharedFabricTimer shared(cluster, replay_audit);
+  const auto a = shared.open_session();
+  const auto b = shared.open_session();
+  const coll::Schedule cross_a = pair_schedule({{0, 4}});
+  const coll::Schedule cross_b = pair_schedule({{1, 5}, {2, 3}});
+  const Bytes payload(4'000'000);
+  Seconds clock{0.0};
+  const auto run = [&](std::size_t rounds) {
+    for (std::size_t r = 0; r < rounds; ++r) {
+      EXPECT_TRUE(shared.begin_step(a, cross_a, 0, payload, clock));
+      EXPECT_TRUE(shared.begin_step(b, cross_b, 0, payload, clock));
+      while (const std::optional<Seconds> at = shared.next_wake()) {
+        while (shared.wake(*at)) clock = *at;
+      }
+    }
+  };
+  run(1000);
+  const std::size_t before = g_allocations;
+  run(cycles);
+  const std::size_t allocations = g_allocations - before;
+  EXPECT_EQ(shared.logged_steps(), replay_audit ? 2 * (1000 + cycles) : 0u);
+  return allocations;
+}
+
+TEST(SharedFabric, AuditedTimerKeepsNoPerStepLog) {
+  // The certificate proves each solve as it runs and keeps nothing per
+  // step, so an audited timer allocates no more than an unaudited one over
+  // the same 10,000 steady-state cycles: its memory does not grow with the
+  // run.
+  constexpr std::size_t kCycles = 10'000;
+  const std::size_t audited = cycle_allocations(true, kCycles);
+  const std::size_t plain = cycle_allocations(false, kCycles);
+  std::printf("[allocations] %zu cycles: audited %zu, audit off %zu\n",
+              kCycles, audited, plain);
+  EXPECT_LE(audited, plain);
+}
+
 TEST(SharedFabric, RejectsBadRequests) {
   const ElectricalCluster cluster = two_tor_cluster(2.0);
-  SharedFabricTimer shared(cluster);
+  ReplayRecorder shared(cluster);
   const auto session = shared.open_session();
   const coll::Schedule schedule = coll::ring_allreduce(8);
   const Bytes payload(1'000'000);

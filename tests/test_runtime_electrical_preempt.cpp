@@ -9,8 +9,8 @@
 // victim's original ToR (the remainder lands on the other ToR), and both
 // oracles over the remapped composite — the functional all-reduce oracle
 // (the runtime aborts if it fails, so completion is the verdict) and the
-// shared fabric's whole-horizon flow replay (replay_checked_steps must
-// cover every electrical step, remapped resumes included).
+// shared fabric's per-solve max-min certificate (replay_checked_steps
+// must cover every electrical step, remapped resumes included).
 //
 // Host placement scan: a queued job blocked by a busy host is placed at
 // the very instant the host frees — by a completion or by a node repair —
@@ -243,8 +243,8 @@ TEST(ElectricalPreemption, PinnedVictimSuspendsAndResumesUnderPriority) {
   // The urgent job did not wait for the victim to finish.
   EXPECT_LT(rt.record(vip).completed, rt.record(victim).completed);
   // Every electrical step — the victim's pre-preemption prefix, its
-  // remapped remainder, and the vip's run — was re-proven by the
-  // whole-horizon flow replay.
+  // remapped remainder, and the vip's run — was timed on certified
+  // max-min solves.
   EXPECT_EQ(report.replay_checked_steps, report.electrical.steps);
 }
 

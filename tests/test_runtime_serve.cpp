@@ -159,7 +159,7 @@ TEST(RuntimeServe, GoldenDigestOpticalFifo) {
 TEST(RuntimeServe, GoldenDigestHybridElectricalOverflow) {
   // Overflow load spills onto the shared two-level electrical fabric, so
   // this run exercises the event-driven step ends, batched session
-  // retirement, AND the whole-horizon replay audit.
+  // retirement, AND the per-solve max-min certificate.
   RuntimeConfig config = base_config();
   config.placement = HybridPlacementPolicy::kElectricalOverflow;
   config.electrical.fabric = ElectricalFabric::kTwoLevelShared;
@@ -167,7 +167,7 @@ TEST(RuntimeServe, GoldenDigestHybridElectricalOverflow) {
   const RuntimeReport report =
       run_streamed(small_workload(600, 4000.0), config);
   EXPECT_GT(report.electrical.jobs, 0u);
-  // The audit actually ran: the shared fabric re-proved its steps.
+  // The audit actually ran: the shared fabric certified its steps.
   EXPECT_GT(report.replay_checked_steps, 0u);
   EXPECT_EQ(report_digest(report), 0x0d8ba5916cdfb6d5ULL)
       << report.to_string();

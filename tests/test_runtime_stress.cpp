@@ -8,8 +8,8 @@
 //  * every submitted job terminates (kDone or kRejected) and the report's
 //    counters reconcile (per-substrate breakdowns sum to the totals);
 //  * every completion was proven by the functional all-reduce oracle, and
-//    on the shared fabric every step time was re-proven by the
-//    whole-horizon flow replay (the runtime aborts on either failing, so a
+//    on the shared fabric every step was timed on max-min solves certified
+//    as they ran (the runtime aborts on either failing, so a
 //    returned report is itself the verdict — the counts assert they ran);
 //  * a time-ordered sweep of the trace re-checks the spectrum contract
 //    after EVERY event: the wavelength bands of concurrently-running

@@ -436,7 +436,7 @@ TEST(SharedFabricRuntime, TorContainedJobsMatchTheExclusiveStar) {
   }
   EXPECT_NEAR(shared_report.makespan.value(), star_report.makespan.value(),
               1e-9 * star_report.makespan.value());
-  // Every shared-fabric step was re-proven by the whole-horizon replay.
+  // Every shared-fabric step was timed on certified max-min solves.
   EXPECT_EQ(shared_report.replay_checked_steps,
             shared_report.electrical.steps);
   EXPECT_EQ(star_report.replay_checked_steps, 0u);  // star has no oracle
@@ -481,7 +481,9 @@ TEST(SharedFabricRuntime, OversubscribedUplinksContendOnTheRealNetwork) {
   };
   EXPECT_EQ(count("fabric.steps_timed"), report.electrical.steps);
   EXPECT_GT(count("fabric.solves.network"), 0u);
-  EXPECT_GT(count("fabric.solves.audit"), 0u);
+  // Every real-network solve passed the max-min certificate.
+  EXPECT_EQ(count("fabric.solves.certified"), count("fabric.solves.network"));
+  EXPECT_GT(count("fabric.solver.rounds"), count("fabric.solves.network"));
   // Overflow placement never asks the router, so nothing probes.
   EXPECT_EQ(count("fabric.solves.probe"), 0u);
 
