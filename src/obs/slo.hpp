@@ -25,7 +25,7 @@ struct SloStats {
   util::Seconds p999_turnaround{0.0};
   /// Slowdown = turnaround / (completion - admission): how much longer the
   /// job took end-to-end than its own service span.  1.0 = admitted the
-  /// instant it arrived; queueing and fuse-window holds push it up.
+  /// instant it arrived; queueing for capacity pushes it up.
   double p50_slowdown = 0.0;
   double p99_slowdown = 0.0;
   double p999_slowdown = 0.0;

@@ -10,12 +10,6 @@
 // Policies:
 //  * kFifo          — strict arrival order; the head blocks the line until
 //                     its minimum demand fits (no starvation, HOL blocking).
-//  * kSmallestFirst — smallest payload that fits runs first (SJF; best mean
-//                     turnaround, can starve elephants under heavy load).
-//  * kWeightedFair  — spectrum is split between the queued jobs in
-//                     proportion to their weights, so heavy and light
-//                     tenants are admitted side by side with proportional
-//                     bands instead of one tenant draining the whole pool.
 //  * kPriorityPreempt — highest JobSpec::priority runs first (ties on
 //                     arrival).  Like FIFO the winner blocks the line, but
 //                     the runtime backs the policy with step-boundary
@@ -23,8 +17,10 @@
 //                     suspends running lower-priority executions instead of
 //                     waiting for them to finish.
 //
-// Every tie breaks on submission order, which makes admission — and with
-// the deterministic event queue, the entire multi-tenant run — reproducible.
+// Either way the line's head is granted its request, capped by the widest
+// free run, or nothing when that run is below its minimum.  Every tie
+// breaks on submission order, which makes admission — and with the
+// deterministic event queue, the entire multi-tenant run — reproducible.
 #pragma once
 
 #include <cstdint>
@@ -38,8 +34,6 @@ namespace wrht::runtime {
 
 enum class FairnessPolicy : std::uint8_t {
   kFifo,
-  kSmallestFirst,
-  kWeightedFair,
   kPriorityPreempt,
 };
 
@@ -51,7 +45,6 @@ struct QueueEntry {
   std::uint64_t seq = 0;  // submission order, the universal tie-break
   std::uint32_t min_wavelengths = 1;
   std::uint32_t requested_wavelengths = 1;  // normalized (never 0)
-  double weight = 1.0;
   util::Bytes payload;
   std::vector<topo::NodeId> participants;
   std::int32_t priority = 0;
@@ -59,13 +52,9 @@ struct QueueEntry {
   util::Seconds arrival{0.0};
   /// Substrate the tenant pinned the job to.  These policies arbitrate the
   /// OPTICAL spectrum, so an electrically-pinned entry is invisible to them
-  /// (it neither admits nor blocks the line) the same way a held one is;
-  /// the runtime's electrical placement path serves it instead.
+  /// (it neither admits nor blocks the line); the runtime's electrical
+  /// placement path serves it instead.
   SubstratePin pin = SubstratePin::kAny;
-  /// Inside its fuse-window admission delay (BatcherConfig::fuse_window):
-  /// invisible to every admission policy (it neither admits nor blocks the
-  /// line) but still fusable as a peer when another lead is admitted.
-  bool held = false;
   /// Placement memo of the host fabric's scan: the index in `participants`
   /// of a host the last failed probe found busy (the first participant
   /// before any probe).  A busy participant proves the entry unplaceable,
@@ -76,7 +65,7 @@ struct QueueEntry {
 
 /// True when the optical admission policies may consider `entry` at all.
 [[nodiscard]] inline bool optically_eligible(const QueueEntry& entry) {
-  return !entry.held && entry.pin != SubstratePin::kElectricalOnly;
+  return entry.pin != SubstratePin::kElectricalOnly;
 }
 
 class JobQueue {
@@ -102,11 +91,6 @@ class JobQueue {
   /// Mid-queue takes fall back to the positional erase.
   QueueEntry take(std::size_t index);
 
-  /// Clear the fuse-window hold on job `id` and return its seq; nullopt
-  /// when the job no longer sits in the queue (it was admitted or fused
-  /// meanwhile).
-  std::optional<std::uint64_t> release_hold(JobId id);
-
  private:
   /// Queued entries live at entries_[head_ ..); slots below head_ were
   /// taken from the front and await the amortized prefix erase.
@@ -131,23 +115,15 @@ struct AdmissionDecision {
                                          util::Seconds now,
                                          util::Seconds half_life);
 
-/// Ask `policy` for the next job to admit given the current spectrum state.
-/// Returns nullopt when nothing in the queue should start now.  `now` and
-/// `aging_half_life` feed priority aging (kPriorityPreempt only; the
-/// defaults keep aging off).
+/// Ask `policy` for the next job to admit given the widest free run.
+/// Returns nullopt when nothing in the queue should start now.  Under
+/// kPriorityPreempt the line's head is the highest EFFECTIVE priority at
+/// `now` (aged by `aging_half_life`, <= 0 for none), oldest among equals —
+/// the entry the runtime's wait line for the optical ring picks too, so the
+/// job that triggers preemptions is always the job admission will take.
 [[nodiscard]] std::optional<AdmissionDecision> next_admission(
     const JobQueue& queue, FairnessPolicy policy,
-    std::uint32_t largest_free_block, std::uint32_t free_total,
-    util::Seconds now = util::Seconds(0.0),
-    util::Seconds aging_half_life = util::Seconds(0.0));
-
-/// Index of the entry kPriorityPreempt would admit next: highest EFFECTIVE
-/// (aged) priority, oldest among equals; nullopt on an empty (or all-held)
-/// queue.  The runtime's wait line for the optical ring picks the same
-/// entry, so the job that triggers preemptions is always the job admission
-/// will actually pick — and a held job triggers none.
-[[nodiscard]] std::optional<std::size_t> priority_head(
-    const JobQueue& queue, util::Seconds now = util::Seconds(0.0),
-    util::Seconds aging_half_life = util::Seconds(0.0));
+    std::uint32_t largest_free_block, util::Seconds now,
+    util::Seconds aging_half_life);
 
 }  // namespace wrht::runtime

@@ -13,6 +13,9 @@
 // The batcher only fuses jobs whose payload is at or below a threshold
 // (large jobs are bandwidth-bound; fusing them just delays everyone) and
 // caps the batch size so one group cannot monopolize an admission slot.
+// Fusion happens at admission, among jobs queued at that instant: peers
+// that arrive while their lead waits for spectrum ride its batch, and an
+// arrival on an idle ring is admitted at once, alone.
 #pragma once
 
 #include <cstdint>
@@ -31,17 +34,10 @@ struct BatcherConfig {
   std::uint32_t max_jobs_per_batch = 8;
   /// Upper bound on the CONCATENATED payload of a batch.  Per-job and
   /// per-count caps alone let max_jobs_per_batch jobs each at
-  /// max_fuse_payload fuse into a batch many times the "small job" size —
-  /// one that also jumps a smallest-first queue at the lead job's payload.
-  /// The admission policies see only the lead's payload, so this budget is
-  /// what keeps a fused execution honestly small.
+  /// max_fuse_payload fuse into a batch many times the "small job" size.
+  /// Admission sees only the lead's payload, so this budget is what keeps a
+  /// fused execution honestly small.
   util::Bytes max_batch_payload = util::megabytes(1);
-  /// Time-windowed batching: hold each fusable arrival out of admission for
-  /// this long, so a burst landing on an IDLE ring still fuses instead of
-  /// its first job being admitted alone (contended arrivals fuse anyway
-  /// while queued).  A held job stays fusable as a peer the whole time; the
-  /// window bounds the latency the delay can add.  Zero = off (default).
-  util::Seconds fuse_window{0.0};
 };
 
 /// Queue indices of the jobs to fuse with the admitted job at `lead_index`:

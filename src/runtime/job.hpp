@@ -45,11 +45,9 @@ struct JobSpec {
   std::uint32_t requested_wavelengths = 0;
   /// Smallest grant the job accepts; below this it waits in the queue.
   std::uint32_t min_wavelengths = 1;
-  /// Share under the weighted-fair policy (ignored by FIFO / smallest-first).
-  double weight = 1.0;
   /// Urgency under the priority-preempt policy (higher runs first; a queued
   /// job may suspend running lower-priority executions at their next step
-  /// boundary).  Ignored by the other policies.
+  /// boundary).  Ignored by FIFO.
   std::int32_t priority = 0;
   /// Substrate the job must (or must not) run on.
   SubstratePin pin = SubstratePin::kAny;

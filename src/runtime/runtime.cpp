@@ -54,16 +54,6 @@ const char* hybrid_placement_policy_name(HybridPlacementPolicy policy) {
   return "?";
 }
 
-const char* routing_cost_model_name(RoutingCostModel model) {
-  switch (model) {
-    case RoutingCostModel::kQuietAlphaBeta:
-      return "quiet-alpha-beta";
-    case RoutingCostModel::kCongestionAware:
-      return "congestion-aware";
-  }
-  return "?";
-}
-
 std::string RuntimeReport::to_string() const {
   std::string out;
   out += "jobs            : " + std::to_string(submitted) + " submitted, " +
@@ -274,41 +264,12 @@ void CollectiveRuntime::trace_job(sim::TraceKind kind, JobId id,
 void CollectiveRuntime::on_arrival(JobId id) {
   JobRecord& record = records_[id];
   record.state = JobState::kQueued;
-  QueueEntry entry{id, next_seq_++, record.spec.min_wavelengths,
-                   record.effective_request, record.spec.weight,
-                   record.spec.payload, record.spec.participants,
-                   record.spec.priority, record.spec.arrival,
-                   record.spec.pin};
-  // Time-windowed batching: hold a fusable arrival out of admission for the
-  // fuse window, so a burst landing on an idle ring still fuses instead of
-  // its first job sprinting ahead alone.  Held entries stay visible to the
-  // batcher (an admitted lead can still fuse them early) but not to the
-  // admission policies.  Only jobs that could actually fuse are held —
-  // with fusion structurally impossible (batch cap of 1, or a payload over
-  // the fuse threshold) the window would be pure added latency.
-  const util::Seconds window = config_.batcher.fuse_window;
-  if (config_.batcher.enabled && window > util::Seconds(0.0) &&
-      config_.batcher.max_jobs_per_batch > 1 &&
-      record.spec.payload <= config_.batcher.max_fuse_payload) {
-    entry.held = true;
-    queue_.push(std::move(entry));
-    simulator_.schedule_at(simulator_.now() + window,
-                           [this, id] { release_fuse_hold(id); });
-  } else {
-    queue_.push(std::move(entry));
-  }
+  queue_.push(QueueEntry{id, next_seq_++, record.spec.min_wavelengths,
+                         record.effective_request, record.spec.payload,
+                         record.spec.participants, record.spec.priority,
+                         record.spec.arrival, record.spec.pin});
   try_admit();
   pump_metrics();
-}
-
-void CollectiveRuntime::release_fuse_hold(JobId id) {
-  // No seq means the job already left the queue — fused into an earlier
-  // batch or admitted — and there is nothing to release.
-  const std::optional<std::uint64_t> seq = queue_.release_hold(id);
-  if (!seq) return;
-  // The entry turns eligible, possibly below the host scan's mark.
-  host_mark_.seq = std::min(host_mark_.seq, *seq);
-  try_admit();
 }
 
 CollectiveRuntime::WaitLine CollectiveRuntime::wait_line(
@@ -381,7 +342,6 @@ void CollectiveRuntime::publish_demand(ExecutionSubstrate& substrate,
 
 bool CollectiveRuntime::waits_for(const QueueEntry& entry,
                                   const ExecutionSubstrate& substrate) const {
-  if (entry.held) return false;
   return entry.pin == SubstratePin::kElectricalOnly
              ? substrate.kind() == SubstrateKind::kElectrical
              : &substrate == fabrics_.front().get();
@@ -420,21 +380,17 @@ void CollectiveRuntime::try_admit() {
 CollectiveRuntime::RoutePrediction CollectiveRuntime::predict_route(
     const std::vector<topo::NodeId>& participants, util::Bytes payload,
     std::uint32_t optical_grant) const {
-  // Under kCongestionAware both sides answer for their CURRENT state — the
-  // electrical estimate stretches with the live residual uplink bandwidth,
-  // the optical one with the predicted wait for a free band — so a
-  // saturated fabric stops attracting spill and a backed-up ring stops
-  // holding jobs.  Under kQuietAlphaBeta the comparison is of quiet run
-  // times only (the ablation baseline).
+  // Both sides answer for their CURRENT state — the electrical estimate
+  // stretches with the live residual uplink bandwidth, the optical one with
+  // the predicted wait for a free band — so a saturated fabric stops
+  // attracting spill and a backed-up ring stops holding jobs.
   const util::Seconds now = simulator_.now();
   RoutePrediction out;
   for (const auto& fabric : fabrics_) {
     const std::uint32_t grant = fabric->grants_hosts() ? 1 : optical_grant;
     (fabric->kind() == SubstrateKind::kOptical ? out.optical
                                                : out.electrical) =
-        config_.routing_cost_model == RoutingCostModel::kCongestionAware
-            ? fabric->predict_completion(participants, payload, grant, now)
-            : now + fabric->predict_makespan(participants, payload, grant);
+        fabric->predict_completion(participants, payload, grant, now);
   }
   return out;
 }
@@ -461,9 +417,9 @@ bool CollectiveRuntime::place_one(ExecutionSubstrate& fabric) {
 
   if (!fabric.grants_hosts()) {
     // A band fabric: the fairness policy picks the candidate and its grant.
-    const std::optional<AdmissionDecision> decision = next_admission(
-        queue_, config_.policy, fabric.largest_free_grant(),
-        fabric.free_grant_total(), now, config_.aging_half_life);
+    const std::optional<AdmissionDecision> decision =
+        next_admission(queue_, config_.policy, fabric.largest_free_grant(),
+                       now, config_.aging_half_life);
     if (!decision || below_floor(queue_.at(decision->queue_index))) {
       return false;
     }
@@ -505,7 +461,7 @@ bool CollectiveRuntime::place_one(ExecutionSubstrate& fabric) {
   for (std::size_t i = queue_.lower_bound(host_mark_.seq);
        i < queue_.size(); ++i) {
     const QueueEntry& job = queue_.at(i);
-    bool blocked = job.held || job.pin == SubstratePin::kOpticalOnly ||
+    bool blocked = job.pin == SubstratePin::kOpticalOnly ||
                    fabric.host_busy(job.participants[job.blocker]);
     if (!blocked && by_priority) {
       host_ranked_.emplace_back(aged(job), i);
@@ -878,12 +834,11 @@ bool CollectiveRuntime::renegotiate(const std::shared_ptr<Execution>& exec) {
     }
   }
   if (!resizable) return false;
-  // Held (fuse-window) entries are not admissible yet, so they neither
-  // justify a shrink nor block a grow.  Suspended executions of this fabric
-  // are waiting on its capacity too: growing past them would hand a runner
-  // the very grant a preempted (possibly more urgent) job needs to resume —
-  // priority inversion by resize.  (Another fabric's waiters are neither
-  // helped nor hurt by this resize.)  A grow stops at the useful cap.
+  // Suspended executions of this fabric are waiting on its capacity too:
+  // growing past them would hand a runner the very grant a preempted
+  // (possibly more urgent) job needs to resume — priority inversion by
+  // resize.  (Another fabric's waiters are neither helped nor hurt by this
+  // resize.)  A grow stops at the useful cap.
   const std::uint32_t cap = useful_wavelength_cap(exec->participants.size());
   if (line.queued != nullptr || line.suspended != nullptr) {
     try_shrink(exec);
@@ -1007,18 +962,17 @@ void CollectiveRuntime::try_shrink(const std::shared_ptr<Execution>& exec) {
   if (width <= exec->min_width) return;
 
   // A cut "helps" when the surrendered range would actually unblock
-  // someone: the job the ACTIVE POLICY would admit next (under FIFO /
-  // priority a fitting tail entry behind a blocked head admits nothing), or
-  // a suspended execution waiting to resume.  Smaller keeps free more, so
-  // helps is monotone — the GENTLEST helping cut is the right target:
-  // surrendering more than the waiter needs just costs the running job
-  // extra levels for nothing.
-  const auto helps = [this, &exec, width](std::uint32_t target) {
+  // someone: the job the ACTIVE POLICY would admit next, ranked on the
+  // same aged priorities placement uses (a fitting tail entry behind a
+  // blocked head admits nothing), or a suspended execution waiting to
+  // resume.  Smaller keeps free more, so helps is monotone — the GENTLEST
+  // helping cut is the right target: surrendering more than the waiter
+  // needs just costs the running job extra levels for nothing.
+  const auto helps = [this, &exec](std::uint32_t target) {
     const std::uint32_t would =
         exec->substrate->free_grant_if_kept(*exec->plan, target);
-    if (next_admission(queue_, config_.policy, would,
-                       exec->substrate->free_grant_total() +
-                           (width - target))) {
+    if (next_admission(queue_, config_.policy, would, simulator_.now(),
+                       config_.aging_half_life)) {
       return true;
     }
     for (const auto& suspended : suspended_) {
@@ -1602,9 +1556,8 @@ RuntimeReport CollectiveRuntime::drive(JobSource* source) {
              "CollectiveRuntime: clock drained with "
                  << queue_.size() << " queued / " << running_jobs_
                  << " running / " << suspended_.size() << " suspended jobs");
-  // The makespan is the last COMPLETION, not the drained clock: a
-  // fuse-window hold-release timer for a job that was fused early can
-  // outlive the final completion as a no-op event, and phantom idle time
+  // The makespan is the last COMPLETION, not the drained clock: a fault or
+  // its repair can land after the final completion, and phantom idle time
   // must not be billed to the workload.
   report_.makespan = last_completion_;
 

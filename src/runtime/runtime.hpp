@@ -35,11 +35,10 @@
 // models land in one report, with per-substrate breakdowns and per-job
 // contention slowdowns.
 //
-// Small same-group jobs are fused by the Batcher into a single schedule
-// (one set of per-step overheads for the whole batch), optionally after a
-// fuse_window admission delay so bursts arriving on an idle ring still
-// fuse, and every execution's schedule is proven correct with the coll::
-// oracle before it touches its fabric.
+// Small same-group jobs queued together are fused by the Batcher into a
+// single schedule (one set of per-step overheads for the whole batch), and
+// every execution's schedule is proven correct with the coll:: oracle
+// before it touches its fabric.
 //
 // Step-boundary renegotiation: the runtime may PREEMPT an execution at a
 // step boundary (suspend it, surrender its whole grant to a higher-priority
@@ -85,8 +84,8 @@ enum class HybridPlacementPolicy : std::uint8_t {
   /// onto the electrical fallback as soon as its hosts are free.
   kElectricalOverflow,
   /// Route each arrival to whichever fabric the cost models predict
-  /// FINISHES it sooner.  What "predict" means is picked by
-  /// RuntimeConfig::routing_cost_model; routing is work-conserving, not
+  /// FINISHES it sooner under the fabrics' current state (see
+  /// RoutingCostModel::kCongestionAware); routing is work-conserving, not
   /// sticky — an electrical-predicted job whose hosts are busy still runs
   /// on free optical spectrum rather than idle-waiting for the fallback.
   kCostModelChoice,
@@ -95,13 +94,11 @@ enum class HybridPlacementPolicy : std::uint8_t {
 [[nodiscard]] const char* hybrid_placement_policy_name(
     HybridPlacementPolicy policy);
 
-/// Cost signal kCostModelChoice compares when routing an arrival.
+/// Cost signal kCostModelChoice compares when routing an arrival.  One
+/// value is left: the enum and RuntimeConfig::routing_cost_model stay only
+/// because perfbench/perfbench.cpp names both, and go with the next change
+/// to the benchmark.
 enum class RoutingCostModel : std::uint8_t {
-  /// Quiet-network RUN times only: WRHT formula time vs. the alpha-beta
-  /// cost of the schedule the electrical fabric would pick, both as if the
-  /// job ran alone.  Blind to saturation on either side — kept as the
-  /// ablation baseline the congestion-aware model is measured against.
-  kQuietAlphaBeta,
   /// Predicted COMPLETION times under the fabrics' current state: the
   /// electrical side folds the live residual uplink bandwidth of the
   /// shared fabric into its estimate (a saturated fabric stops attracting
@@ -111,8 +108,6 @@ enum class RoutingCostModel : std::uint8_t {
   /// job's actual completion in the report.
   kCongestionAware,
 };
-
-[[nodiscard]] const char* routing_cost_model_name(RoutingCostModel model);
 
 struct RuntimeConfig {
   /// Nodes on the shared ring.
@@ -145,7 +140,7 @@ struct RuntimeConfig {
   util::Seconds aging_half_life{0.0};
   /// Hybrid placement across substrates.
   HybridPlacementPolicy placement = HybridPlacementPolicy::kOpticalOnly;
-  /// What kCostModelChoice compares (ignored by the other placements).
+  /// What kCostModelChoice compares; its one value (see RoutingCostModel).
   RoutingCostModel routing_cost_model = RoutingCostModel::kCongestionAware;
   /// Electrical fallback fabric (used when placement != kOpticalOnly).
   ElectricalFallbackConfig electrical{};
@@ -432,7 +427,6 @@ class CollectiveRuntime {
   /// run the end-of-run audits, and seal the report.
   RuntimeReport drive(JobSource* source);
   void on_arrival(JobId id);
-  void release_fuse_hold(JobId id);
   /// The placement pass over placement_order_, then resumes and (under
   /// kPriorityPreempt) preemption requests.
   void try_admit();
@@ -584,8 +578,7 @@ class CollectiveRuntime {
   /// and resumes.  Electrically pinned entries wait for the electrical
   /// fabric; every other entry waits for the optical ring (a kAny job has
   /// the optical line working for it, and host claims it could get by
-  /// preemption are claims the optical path never needed).  Held entries
-  /// wait for nothing yet.
+  /// preemption are claims the optical path never needed).
   [[nodiscard]] bool waits_for(const QueueEntry& entry,
                                const ExecutionSubstrate& substrate) const;
   /// Smallest grant, in `substrate`'s units, that lets waiting work over
@@ -680,8 +673,8 @@ class CollectiveRuntime {
   /// entry with seq below `seq` failed a probe, or had a busy blocker memo
   /// host, while that fabric's free_epoch() read `epoch`.  Hosts only turn
   /// busy within an epoch, so those entries still cannot be placed and the
-  /// scan starts at `seq`.  A new epoch resets the mark to 0; a released
-  /// fuse hold lowers it to the entry's seq; arrivals land above it.
+  /// scan starts at `seq`.  A new epoch resets the mark to 0; arrivals land
+  /// above it.
   struct HostScanMark {
     std::uint64_t epoch = 0;
     std::uint64_t seq = 0;
@@ -701,8 +694,8 @@ class CollectiveRuntime {
   std::uint64_t next_seq_ = 0;
   std::uint32_t running_jobs_ = 0;
   /// Completion time of the last job so far — the report's makespan.  The
-  /// drained clock can sit later (a stale fuse-window hold-release event is
-  /// a legal no-op after the last completion).
+  /// drained clock can sit later (a fault or its repair may land after the
+  /// last completion).
   util::Seconds last_completion_{0.0};
   /// Running sum of per-decision routing errors; becomes the report's mean
   /// at run end.

@@ -293,18 +293,14 @@ class ExecutionSubstrate {
   /// check).
   [[nodiscard]] virtual std::uint64_t self_check() const { return 0; }
 
-  /// Predicted completion time of a fresh `grant`-unit execution — the
-  /// hybrid cost-model placement signal (WRHT formula time vs. alpha-beta).
-  [[nodiscard]] virtual util::Seconds predict_makespan(
-      const std::vector<topo::NodeId>& participants, util::Bytes payload,
-      std::uint32_t grant) const = 0;
-
-  /// Congestion-aware routing signal: the predicted ABSOLUTE completion
-  /// time of a fresh execution submitted at `now`, folding in what the
-  /// substrate knows about its current state — the live residual bandwidth
-  /// of shared fabric links (electrical), or the expected wait for a free
-  /// spectrum band (optical).  On an idle substrate this equals
-  /// now + predict_makespan.
+  /// The cost-model routing signal: the predicted ABSOLUTE completion time
+  /// of a fresh `grant`-unit execution submitted at `now`.  It starts from
+  /// the quiet run time (the WRHT formula on the ring, the alpha-beta cost
+  /// of the schedule the electrical fabric would pick) and folds in what
+  /// the substrate knows about its current state — the live residual
+  /// bandwidth of shared fabric links (electrical), or the expected wait
+  /// for a free spectrum band (optical).  On an idle substrate it is now
+  /// plus that quiet run time.
   [[nodiscard]] virtual util::Seconds predict_completion(
       const std::vector<topo::NodeId>& participants, util::Bytes payload,
       std::uint32_t grant, util::Seconds now) const = 0;

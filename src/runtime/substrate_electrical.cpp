@@ -355,25 +355,19 @@ class ElectricalSubstrate final : public ExecutionSubstrate {
     return shared_->logged_steps();
   }
 
-  [[nodiscard]] util::Seconds predict_makespan(
-      const std::vector<topo::NodeId>& participants, util::Bytes payload,
-      std::uint32_t) const override {
-    // The alpha-beta analytic cost of the schedule this substrate would
-    // run.  On the patterns schedule_for picks (ring steps, pairwise
-    // exchanges) the flow simulation and the analytic model agree exactly,
-    // so this is a faithful prediction, not a bound.
-    return price_memo(participants, payload).makespan;
-  }
-
   [[nodiscard]] util::Seconds predict_completion(
       const std::vector<topo::NodeId>& participants, util::Bytes payload,
       std::uint32_t, util::Seconds now) const override {
-    // Fold the live fabric state into the quiet alpha-beta prediction.  On
-    // the exclusive star there is nothing to fold (host exclusivity makes
-    // quiet timing exact); on the shared tree, price the first step's flows
-    // at the max-min share the in-flight tenants leave them now and stretch
-    // the whole run by that contention ratio.  The price forecasts neither
-    // drains nor arrivals; the routing report scores what that misses.
+    // The quiet price is the alpha-beta analytic cost of the schedule this
+    // substrate would run.  On the patterns schedule_for picks (ring steps,
+    // pairwise exchanges) the flow simulation and the analytic model agree
+    // exactly, so it is a faithful prediction, not a bound.  Fold the live
+    // fabric state into it.  On the exclusive star there is nothing to fold
+    // (host exclusivity makes quiet timing exact); on the shared tree,
+    // price the first step's flows at the max-min share the in-flight
+    // tenants leave them now and stretch the whole run by that contention
+    // ratio.  The price forecasts neither drains nor arrivals; the routing
+    // report scores what that misses.
     PriceMemo::Entry& memo = price_memo(participants, payload);
     const util::Seconds quiet = memo.makespan;
     if (!shared_) return now + quiet;
@@ -406,7 +400,8 @@ class ElectricalSubstrate final : public ExecutionSubstrate {
   struct PriceMemo {
     static constexpr std::size_t kMaxEntries = 512;
     struct Entry {
-      /// predict_makespan's answer.
+      /// The quiet alpha-beta run time of the schedule this substrate
+      /// would pick.
       util::Seconds makespan{0.0};
       /// Quiet-network duration of the physical first step the shared
       /// fabric prices (0 when un-timeable); computed on its first use.

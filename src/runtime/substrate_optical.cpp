@@ -177,17 +177,6 @@ class OpticalSubstrate final : public ExecutionSubstrate {
     if (wavelengths_down_.pending()) take_down_wavelengths();
   }
 
-  [[nodiscard]] util::Seconds predict_makespan(
-      const std::vector<topo::NodeId>& participants, util::Bytes payload,
-      std::uint32_t grant) const override {
-    core::WrhtParams wrht;
-    wrht.num_wavelengths = std::max(grant, 1u);
-    wrht.fit_policy = fit_policy_;
-    return core::wrht_time_formula(
-        static_cast<std::uint32_t>(participants.size()), payload, params_,
-        wrht);
-  }
-
   [[nodiscard]] util::Seconds predict_completion(
       const std::vector<topo::NodeId>& participants, util::Bytes payload,
       std::uint32_t grant, util::Seconds now) const override {
@@ -196,7 +185,7 @@ class OpticalSubstrate final : public ExecutionSubstrate {
     // the width exists when outstanding bands release at their predicted
     // ends — so a fragmented pool whose free TOTAL covers the request does
     // not read as "available now".
-    const util::Seconds run = predict_makespan(participants, payload, grant);
+    const util::Seconds run = quiet_run(participants, payload, grant);
     return SpectrumPlanner::earliest_fit(std::max(grant, 1u),
                                          planner_context(now)) +
            run;
@@ -263,6 +252,19 @@ class OpticalSubstrate final : public ExecutionSubstrate {
   }
 
  private:
+  /// The WRHT formula time of a fresh `grant`-band execution on a quiet
+  /// ring: predict_completion's run time.
+  [[nodiscard]] util::Seconds quiet_run(
+      const std::vector<topo::NodeId>& participants, util::Bytes payload,
+      std::uint32_t grant) const {
+    core::WrhtParams wrht;
+    wrht.num_wavelengths = std::max(grant, 1u);
+    wrht.fit_policy = fit_policy_;
+    return core::wrht_time_formula(
+        static_cast<std::uint32_t>(participants.size()), payload, params_,
+        wrht);
+  }
+
   [[nodiscard]] RenegotiationOutcome resume(
       const OpticalExecution& current, const RenegotiationRequest& request) {
     const std::uint32_t budget = arbiter_.largest_free_block();

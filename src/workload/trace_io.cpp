@@ -44,8 +44,8 @@ namespace {
 
 const std::vector<std::string>& csv_columns() {
   static const std::vector<std::string> kColumns = {
-      "arrival",  "participants", "payload", "requested", "min",
-      "weight",   "priority",     "pin",     "deadline",  "name"};
+      "arrival",  "participants", "payload",  "requested", "min",
+      "priority", "pin",          "deadline", "name"};
   return kColumns;
 }
 
@@ -131,7 +131,6 @@ runtime::JobSpec spec_from_json(const std::string& line,
   if (const obs::JsonValue* f = v.find("min")) {
     spec.min_wavelengths = static_cast<std::uint32_t>(f->number);
   }
-  if (const obs::JsonValue* f = v.find("weight")) spec.weight = f->number;
   if (const obs::JsonValue* f = v.find("priority")) {
     spec.priority = static_cast<std::int32_t>(f->number);
   }
@@ -171,15 +170,14 @@ runtime::JobSpec spec_from_csv(const std::string& line,
       static_cast<std::uint32_t>(std::strtoul(cells[3].c_str(), nullptr, 10));
   spec.min_wavelengths =
       static_cast<std::uint32_t>(std::strtoul(cells[4].c_str(), nullptr, 10));
-  spec.weight = std::strtod(cells[5].c_str(), nullptr);
   spec.priority =
-      static_cast<std::int32_t>(std::strtol(cells[6].c_str(), nullptr, 10));
-  const std::optional<runtime::SubstratePin> pin = parse_pin(cells[7]);
+      static_cast<std::int32_t>(std::strtol(cells[5].c_str(), nullptr, 10));
+  const std::optional<runtime::SubstratePin> pin = parse_pin(cells[6]);
   WRHT_REQUIRE(pin, "TraceReader: line " << line_number << " names unknown "
-                                         << "pin '" << cells[7] << "'");
+                                         << "pin '" << cells[6] << "'");
   spec.pin = *pin;
-  spec.deadline = util::Seconds(std::strtod(cells[8].c_str(), nullptr));
-  spec.name = cells[9];
+  spec.deadline = util::Seconds(std::strtod(cells[7].c_str(), nullptr));
+  spec.name = cells[8];
   return spec;
 }
 
@@ -206,7 +204,6 @@ void TraceWriter::write(const runtime::JobSpec& spec) {
                     std::to_string(spec.payload.count()),
                     std::to_string(spec.requested_wavelengths),
                     std::to_string(spec.min_wavelengths),
-                    format_double_exact(spec.weight),
                     std::to_string(spec.priority),
                     runtime::substrate_pin_name(spec.pin),
                     format_double_exact(spec.deadline.value()), spec.name});
@@ -228,10 +225,6 @@ void TraceWriter::write(const runtime::JobSpec& spec) {
   }
   if (spec.min_wavelengths != 1) {
     line += ",\"min\":" + std::to_string(spec.min_wavelengths);
-  }
-  // simlint-allow(float-eq): omission keys on the exact default bits
-  if (spec.weight != 1.0) {
-    line += ",\"weight\":" + format_double_exact(spec.weight);
   }
   if (spec.priority != 0) {
     line += ",\"priority\":" + std::to_string(spec.priority);

@@ -9,9 +9,10 @@
 //           obs::json parser (the round-trip tests prove it), and numeric
 //           fields are printed with shortest-round-trip precision, so a
 //           replayed trace reproduces the recorded RuntimeReport bit for
-//           bit.
+//           bit.  Keys the reader does not know are ignored.
 //   kCsv    one RFC-4180 row per job (header row first) via util::CsvWriter;
-//           participants are a space-separated list inside one cell.
+//           participants are a space-separated list inside one cell.  The
+//           header must match the column list exactly.
 //
 // TraceReader is a runtime::JobSource: serve() pulls specs straight off the
 // stream, one line at a time — the trace is never materialized.  Defaulted

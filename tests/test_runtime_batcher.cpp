@@ -9,7 +9,7 @@ namespace {
 
 QueueEntry job(JobId id, std::uint64_t seq, std::vector<topo::NodeId> group,
                util::Bytes payload) {
-  return QueueEntry{id, seq, 1, 4, 1.0, payload, std::move(group)};
+  return QueueEntry{id, seq, 1, 4, payload, std::move(group)};
 }
 
 constexpr util::Bytes kSmall = util::kilobytes(64);
@@ -179,136 +179,44 @@ TEST(Batcher, LowPriorityRiderStaysPreemptibleAtRuntime) {
   EXPECT_LT(rt.record(urgent_id).completed, rt.record(rider_id).completed);
 }
 
-TEST(FuseWindow, IdleRingBurstFusesWithinTheWindow) {
-  // Without a window the first arrival on an idle ring is admitted alone
-  // and the burst behind it runs as separate executions; with a window the
-  // whole burst fuses into one schedule.
-  auto run_burst = [](util::Seconds window) {
-    RuntimeConfig config;
-    config.ring_size = 16;
-    config.optical.wdm.num_wavelengths = 8;
-    config.batcher.fuse_window = window;
-    CollectiveRuntime rt(config);
-    for (std::uint32_t i = 0; i < 5; ++i) {
-      JobSpec spec;
-      for (std::uint32_t n = 0; n < 6; ++n) spec.participants.push_back(n);
-      spec.payload = util::kilobytes(48);
-      spec.arrival = util::microseconds(static_cast<double>(i));
-      rt.submit(spec);
-    }
-    return std::pair<RuntimeReport, std::uint32_t>(rt.run(),
-                                                   rt.record(0).batch_size);
-  };
-
-  const auto [unwindowed, solo_batch] = run_burst(util::Seconds(0.0));
-  EXPECT_EQ(solo_batch, 1u);  // the first job sprinted ahead alone
-  EXPECT_GT(unwindowed.executions, 1u);
-
-  const auto [windowed, fused_batch] = run_burst(util::microseconds(50.0));
-  EXPECT_EQ(fused_batch, 5u);  // everyone landed inside the window
-  EXPECT_EQ(windowed.executions, 1u);
-  EXPECT_EQ(windowed.batches, 1u);
-  EXPECT_EQ(windowed.completed, 5u);
-  // One schedule's per-step overheads instead of five schedules' worth.
-  EXPECT_LT(windowed.makespan, unwindowed.makespan);
-}
-
-TEST(FuseWindow, HeldJobsStillFuseIntoAContendedLeadEarly) {
-  // A held arrival is invisible to admission but NOT to the batcher: when a
-  // blocker completes and a queued (window-expired) lead is admitted, peers
-  // still inside their window join its batch instead of waiting their
-  // windows out.
-  RuntimeConfig config;
-  config.ring_size = 16;
-  config.optical.wdm.num_wavelengths = 8;
-  config.batcher.fuse_window = util::milliseconds(50.0);
-  CollectiveRuntime rt(config);
-
-  JobSpec blocker;
-  for (std::uint32_t i = 0; i < 8; ++i) blocker.participants.push_back(i);
-  blocker.payload = util::megabytes(160);  // above the fuse cap: never held
-  blocker.min_wavelengths = 8;
-  rt.submit(blocker);
-
-  // Arrives at 1 us, window expires at ~50 ms — before the blocker's
-  // completion, so by then it is an ordinary queued lead.
-  JobSpec lead;
-  for (std::uint32_t n = 0; n < 6; ++n) lead.participants.push_back(n);
-  lead.payload = util::kilobytes(48);
-  lead.arrival = util::microseconds(1.0);
-  rt.submit(lead);
-
-  // Arrives just before the blocker completes; its own window stretches far
-  // past that, yet it must ride the lead's admission.
-  JobSpec late = lead;
-  late.arrival = util::milliseconds(58.0);
-  const JobId late_id = rt.submit(late);
-
-  const RuntimeReport report = rt.run();
-  EXPECT_EQ(report.completed, 3u);
-  EXPECT_EQ(report.batches, 1u);
-  EXPECT_EQ(rt.record(late_id).batch_size, 2u);
-}
-
-TEST(FuseWindow, StaleHoldReleaseDoesNotInflateMakespan) {
-  // A peer fused into an earlier batch leaves its hold-release timer
-  // behind as a no-op event that can fire AFTER the last completion; the
-  // reported makespan must be the last completion, not the drained clock.
-  RuntimeConfig config;
-  config.ring_size = 16;
-  config.optical.wdm.num_wavelengths = 8;
-  config.batcher.fuse_window = util::milliseconds(50.0);
-  CollectiveRuntime rt(config);
-  JobSpec lead;
-  for (std::uint32_t n = 0; n < 6; ++n) lead.participants.push_back(n);
-  lead.payload = util::kilobytes(48);
-  const JobId lead_id = rt.submit(lead);
-  JobSpec peer = lead;  // arrives just inside the lead's window: fuses at
-  peer.arrival = util::milliseconds(49.0);  // 50 ms, own window runs to 99 ms
-  rt.submit(peer);
-
-  const RuntimeReport report = rt.run();
-  EXPECT_EQ(report.completed, 2u);
-  EXPECT_EQ(report.batches, 1u);
-  EXPECT_EQ(report.makespan, rt.record(lead_id).completed);
-  EXPECT_LT(report.makespan, util::milliseconds(99.0));
-}
-
-TEST(FuseWindow, OffByDefault) {
-  EXPECT_EQ(BatcherConfig{}.fuse_window, util::Seconds(0.0));
-}
-
 TEST(Batcher, FusionEmitsAJobFusedTraceEventPerRider) {
   // Every non-lead job fused into a batch records a kJobFused event at the
   // batch's admission: `a` is the rider, `b` the lead it rode into.  The
-  // Chrome trace exporter renders these as "fused" instants.
+  // Chrome trace exporter renders these as "fused" instants.  A blocker
+  // above the fuse threshold fills the ring, so the three small jobs queue
+  // behind it and fuse when it completes.
   RuntimeConfig config;
   config.ring_size = 16;
   config.optical.wdm.num_wavelengths = 8;
-  config.batcher.fuse_window = util::microseconds(50.0);
   CollectiveRuntime rt(config);
   rt.trace().enable();
+  JobSpec blocker;
+  for (std::uint32_t n = 0; n < 8; ++n) blocker.participants.push_back(n);
+  blocker.payload = util::megabytes(16);
+  blocker.min_wavelengths = 8;
+  rt.submit(blocker);
   for (std::uint32_t i = 0; i < 3; ++i) {
     JobSpec spec;
     for (std::uint32_t n = 0; n < 6; ++n) spec.participants.push_back(n);
     spec.payload = util::kilobytes(48);
-    spec.arrival = util::microseconds(static_cast<double>(i));
+    spec.arrival = util::microseconds(static_cast<double>(i + 1));
     rt.submit(spec);
   }
   const RuntimeReport report = rt.run();
-  ASSERT_EQ(report.completed, 3u);
+  ASSERT_EQ(report.completed, 4u);
   ASSERT_EQ(report.batches, 1u);
+  ASSERT_EQ(rt.record(1).admitted, rt.record(0).completed);
 
   std::vector<JobId> fused_riders;
   for (const sim::TraceEvent& e : rt.trace().events()) {
     if (e.kind != sim::TraceKind::kJobFused) continue;
     fused_riders.push_back(static_cast<JobId>(e.a));
     // Every rider fused into the same lead, at the lead's admission time.
-    EXPECT_EQ(e.b, 0);
-    EXPECT_EQ(e.time, rt.record(0).admitted);
+    EXPECT_EQ(e.b, 1);
+    EXPECT_EQ(e.time, rt.record(1).admitted);
   }
-  // Two riders (jobs 1 and 2) joined lead 0; the lead itself emits none.
-  EXPECT_EQ(fused_riders, (std::vector<JobId>{1, 2}));
+  // Two riders (jobs 2 and 3) joined lead 1; the lead itself emits none.
+  EXPECT_EQ(fused_riders, (std::vector<JobId>{2, 3}));
 }
 
 }  // namespace

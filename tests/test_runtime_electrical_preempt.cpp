@@ -14,10 +14,9 @@
 //
 // Host placement scan: a queued job blocked by a busy host is placed at
 // the very instant the host frees — by a completion or by a node repair —
-// and a job whose fuse-window hold ends after a failed scan is placed at
-// the instant of the release, in arrival (FIFO) or priority order.  The
-// scan skips entries it has proven blocked, so these pin that it never
-// skips one that just became placeable.
+// in arrival (FIFO) or priority order.  The scan skips entries it has
+// proven blocked, so these pin that it never skips one that just became
+// placeable.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -424,33 +423,6 @@ TEST(HostPlacementScan, BlockedJobsPlaceAtTheRepairThatFreesTheirHost) {
     const JobId second = fifo ? urgent : early;
     EXPECT_EQ(rt.record(first).admitted, fault.at + fault.repair_after);
     EXPECT_EQ(rt.record(second).admitted, rt.record(first).completed);
-  }
-}
-
-TEST(HostPlacementScan, HeldJobPlacesAtItsReleaseAfterAFailedScan) {
-  for (const FairnessPolicy policy : kScanPolicies) {
-    SCOPED_TRACE(fairness_policy_name(policy));
-    RuntimeConfig config = shared_preempt_config();
-    config.policy = policy;
-    config.batcher.enabled = true;
-    config.batcher.fuse_window = util::milliseconds(5.0);
-    CollectiveRuntime rt(config);
-    // Over the fuse threshold, so never held: the holder, and a waiter on
-    // its host whose arrival scan fails after the small job went by held.
-    const JobId holder =
-        rt.submit(host_job({0, 1, 2, 3}, util::megabytes(32), 0.0, 9));
-    const JobId small =
-        rt.submit(host_job({8, 9}, util::kilobytes(64), 1.0, 0));
-    const JobId blocked =
-        rt.submit(host_job({3, 10}, util::megabytes(1), 2.0, 5));
-
-    const RuntimeReport report = rt.run();
-    ASSERT_EQ(report.completed, 3u);
-    ASSERT_GT(rt.record(holder).completed, util::milliseconds(6.0));
-    // The hold ends at arrival + window with hosts 8 and 9 free all along.
-    EXPECT_EQ(rt.record(small).admitted,
-              rt.record(small).spec.arrival + config.batcher.fuse_window);
-    EXPECT_EQ(rt.record(blocked).admitted, rt.record(holder).completed);
   }
 }
 

@@ -390,6 +390,45 @@ TEST(Resize, ShrinkReachesTheFloorWhenWaiterNeedsMoreThanHalf) {
   EXPECT_GE(rt.record(waiter).band.width, 10u);
 }
 
+TEST(Resize, ShrinkRanksWaitersByAgedPriority) {
+  // A +9 holder runs on the whole spectrum.  A stale p=0 waiter with a
+  // two-wavelength floor arrives at once; a fresh +2 waiter needing the
+  // full ring arrives just before the holder's first step boundary
+  // (15.35 ms).  By then aging lifts the stale waiter three classes, above
+  // the fresh one, so it heads the line, and a shrink to 6 admits it.
+  // Ranked by raw priority the fresh waiter would head the line instead,
+  // no cut could admit it, and the stale waiter would wait for the
+  // holder's completion.
+  RuntimeConfig config;
+  config.ring_size = 16;
+  config.optical.wdm.num_wavelengths = 8;
+  config.policy = FairnessPolicy::kPriorityPreempt;
+  config.batcher.enabled = false;
+  config.elastic_resize = true;
+  config.aging_half_life = util::milliseconds(4.0);
+  CollectiveRuntime rt(config);
+  JobSpec hog = span_job(0, 8, util::megabytes(64));
+  hog.priority = 9;
+  hog.min_wavelengths = 2;
+  hog.requested_wavelengths = 8;
+  const JobId holder = rt.submit(hog);
+  JobSpec stale = span_job(8, 4, util::megabytes(1), util::microseconds(1.0));
+  stale.min_wavelengths = 2;
+  stale.requested_wavelengths = 2;
+  const JobId waiter = rt.submit(stale);
+  JobSpec fresh = span_job(8, 8, util::megabytes(1), util::milliseconds(14.0));
+  fresh.priority = 2;
+  fresh.min_wavelengths = 8;
+  fresh.requested_wavelengths = 8;
+  rt.submit(fresh);
+
+  const RuntimeReport report = rt.run();
+  ASSERT_EQ(report.completed, 3u);
+  EXPECT_EQ(rt.record(holder).resizes, 1u);
+  EXPECT_EQ(rt.record(holder).band.width, 6u);
+  EXPECT_LT(rt.record(waiter).admitted, rt.record(holder).completed);
+}
+
 TEST(Renegotiation, RandomMixStaysDeterministicAndCorrect) {
   // Priority-preempt + elastic resize together on a contended mix: the run
   // must drain (no stuck suspensions), pass every composite oracle check,

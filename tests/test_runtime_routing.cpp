@@ -1,15 +1,16 @@
 // Congestion-aware cost-model routing (RoutingCostModel::kCongestionAware)
 // and its per-decision audit trail.
 //
-// The quiet alpha-beta comparison is kept as an ablation baseline; on idle
-// fabrics the two models must agree decision-for-decision (no congestion
-// to fold in, no backlog to wait out).  Under saturation they diverge in
-// exactly two ways, each pinned by a test here: a hot shared electrical
-// fabric repels borderline spill (uplink residuals), and a backed-up
-// optical ring stops holding predicted-faster-optical jobs hostage
-// (spectrum queue-wait).  Every bound decision is traced (kRouteDecision,
-// carrying both predicted completions) and scored against the job's actual
-// completion in RuntimeReport::routing.
+// The quiet alpha-beta comparison it replaced was deleted after commit
+// 24d4e70; its outcomes on these scenarios, measured there, are kept as
+// constants.  On idle fabrics the two models agreed decision-for-decision
+// (no congestion to fold in, no backlog to wait out).  Under saturation
+// they diverge in exactly two ways, each pinned by a test here: a hot
+// shared electrical fabric repels borderline spill (uplink residuals), and
+// a backed-up optical ring stops holding predicted-faster-optical jobs
+// hostage (spectrum queue-wait).  Every bound decision is traced
+// (kRouteDecision, carrying both predicted completions) and scored against
+// the job's actual completion in RuntimeReport::routing.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -31,49 +32,40 @@ JobSpec span_job(std::uint32_t first, std::uint32_t count,
   return spec;
 }
 
-RuntimeConfig cost_choice_config(RoutingCostModel model) {
+RuntimeConfig cost_choice_config() {
   RuntimeConfig config;
   config.ring_size = 32;
   config.optical.wdm.num_wavelengths = 16;
   config.batcher.enabled = false;
   config.placement = HybridPlacementPolicy::kCostModelChoice;
-  config.routing_cost_model = model;
   return config;
 }
 
 TEST(CongestionAwareRouting, MatchesQuietModelOnIdleFabrics) {
   // Spectrum free, star fallback idle: predict_completion degenerates to
-  // now + predict_makespan on both sides, so the two models must place
-  // every job identically (the PR-3 scenario: tiny latency-bound job goes
-  // electrical, huge bandwidth-bound job stays optical).
-  auto run_model = [](RoutingCostModel model) {
-    CollectiveRuntime rt(cost_choice_config(model));
-    JobSpec tiny = span_job(0, 8, util::kilobytes(64));
-    tiny.min_wavelengths = 2;
-    rt.submit(tiny);
-    JobSpec huge = span_job(16, 8, util::megabytes(256));
-    huge.min_wavelengths = 2;
-    huge.requested_wavelengths = 8;
-    rt.submit(huge);
-    const RuntimeReport report = rt.run();
-    EXPECT_EQ(report.completed, 2u);
-    return std::vector<SubstrateKind>{rt.record(0).substrate,
-                                      rt.record(1).substrate};
-  };
-  const auto quiet = run_model(RoutingCostModel::kQuietAlphaBeta);
-  const auto aware = run_model(RoutingCostModel::kCongestionAware);
-  EXPECT_EQ(quiet, aware);
-  EXPECT_EQ(quiet[0], SubstrateKind::kElectrical);
-  EXPECT_EQ(quiet[1], SubstrateKind::kOptical);
+  // now + the quiet run time on both sides, so the model places every job
+  // as the quiet model did at 24d4e70 (tiny latency-bound job electrical,
+  // huge bandwidth-bound job optical).
+  CollectiveRuntime rt(cost_choice_config());
+  JobSpec tiny = span_job(0, 8, util::kilobytes(64));
+  tiny.min_wavelengths = 2;
+  rt.submit(tiny);
+  JobSpec huge = span_job(16, 8, util::megabytes(256));
+  huge.min_wavelengths = 2;
+  huge.requested_wavelengths = 8;
+  rt.submit(huge);
+  const RuntimeReport report = rt.run();
+  EXPECT_EQ(report.completed, 2u);
+  EXPECT_EQ(rt.record(0).substrate, SubstrateKind::kElectrical);
+  EXPECT_EQ(rt.record(1).substrate, SubstrateKind::kOptical);
 }
 
-RuntimeConfig saturated_shared_config(RoutingCostModel model) {
+RuntimeConfig saturated_shared_config() {
   RuntimeConfig config;
   config.ring_size = 32;
   config.optical.wdm.num_wavelengths = 8;
   config.batcher.enabled = false;
   config.placement = HybridPlacementPolicy::kCostModelChoice;
-  config.routing_cost_model = model;
   config.electrical.fabric = ElectricalFabric::kTwoLevelShared;
   config.electrical.hosts_per_tor = 16;
   config.electrical.oversubscription = 8.0;
@@ -94,28 +86,26 @@ void submit_straddling_burst(CollectiveRuntime& rt) {
 }
 
 TEST(CongestionAwareRouting, SaturatedUplinksRepelOverspill) {
-  auto run_model = [](RoutingCostModel model) {
-    CollectiveRuntime rt(saturated_shared_config(model));
-    submit_straddling_burst(rt);
-    const RuntimeReport report = rt.run();
-    EXPECT_EQ(report.completed, 16u);
-    return report;
-  };
-  const RuntimeReport quiet = run_model(RoutingCostModel::kQuietAlphaBeta);
-  const RuntimeReport aware = run_model(RoutingCostModel::kCongestionAware);
+  // The quiet model on this burst at 24d4e70: blind to its own spill, it
+  // dumped all 16 jobs onto the electrical fabric.
+  constexpr std::uint32_t kQuietToElectricalAt24d4e70 = 16;
+  constexpr util::Seconds kQuietMakespanAt24d4e70{0.012922666666666664};
+  constexpr double kQuietSlowdownAt24d4e70 = 7.2581862745098036;
+  constexpr double kQuietMeanErrorAt24d4e70 = 6.4781313131313114;
+  CollectiveRuntime rt(saturated_shared_config());
+  submit_straddling_burst(rt);
+  const RuntimeReport aware = rt.run();
+  EXPECT_EQ(aware.completed, 16u);
 
-  // The quiet model, blind to its own spill, dumps the whole burst onto
-  // the electrical fabric; the congestion-aware model stops once the
-  // stretched prediction loses the comparison, and the split run finishes
-  // sooner with less contention.
-  EXPECT_EQ(quiet.routing.to_electrical, 16u);
+  // The congestion-aware model stops once the stretched prediction loses
+  // the comparison, and the split run finishes sooner with less
+  // contention.
   EXPECT_GT(aware.routing.to_optical, 0u);
-  EXPECT_LT(aware.routing.to_electrical, quiet.routing.to_electrical);
-  EXPECT_LT(aware.makespan, quiet.makespan);
-  EXPECT_LT(aware.electrical.contention_slowdown(),
-            quiet.electrical.contention_slowdown());
+  EXPECT_LT(aware.routing.to_electrical, kQuietToElectricalAt24d4e70);
+  EXPECT_LT(aware.makespan, kQuietMakespanAt24d4e70);
+  EXPECT_LT(aware.electrical.contention_slowdown(), kQuietSlowdownAt24d4e70);
   // And its promises were better kept.
-  EXPECT_LT(aware.routing.mean_error, quiet.routing.mean_error);
+  EXPECT_LT(aware.routing.mean_error, kQuietMeanErrorAt24d4e70);
 }
 
 TEST(CongestionAwareRouting, PriceTracksADrainingFabric) {
@@ -124,7 +114,7 @@ TEST(CongestionAwareRouting, PriceTracksADrainingFabric) {
   // to draining.  The electrical price reads the max-min share the
   // arrivals get from the fabric as it is at that instant, so the aware
   // model's promises track the actual (draining) fabric better than the
-  // quiet model's contention-blind ones.
+  // quiet model's contention-blind ones did at 24d4e70.
   auto wave = [](CollectiveRuntime& rt, std::uint32_t first,
                  std::uint32_t count, util::Seconds arrival) {
     for (std::uint32_t j = first; j < first + count; ++j) {
@@ -137,66 +127,54 @@ TEST(CongestionAwareRouting, PriceTracksADrainingFabric) {
     }
   };
 
-  // Self-calibrate: time the first wave alone, then land the second wave
-  // at 80% of that makespan — busy uplinks, predictably nearly drained.
-  util::Seconds drain{0.0};
-  {
-    CollectiveRuntime alone(
-        saturated_shared_config(RoutingCostModel::kQuietAlphaBeta));
-    wave(alone, 0, 8, util::Seconds(0.0));
-    drain = alone.run().makespan;
-  }
-  const util::Seconds second_wave = util::Seconds(drain.value() * 0.8);
+  // The second wave lands at 80% of the first wave's makespan alone under
+  // the quiet model, as measured at 24d4e70 — busy uplinks, predictably
+  // nearly drained.
+  constexpr util::Seconds kQuietFirstWaveMakespanAt24d4e70{0.0129};
+  constexpr double kQuietMeanErrorAt24d4e70 = 3.7323076923076921;
+  const util::Seconds second_wave =
+      util::Seconds(kQuietFirstWaveMakespanAt24d4e70.value() * 0.8);
 
-  auto run_model = [&](RoutingCostModel model) {
-    CollectiveRuntime rt(saturated_shared_config(model));
-    wave(rt, 0, 8, util::Seconds(0.0));
-    wave(rt, 8, 8, second_wave);
-    const RuntimeReport report = rt.run();
-    EXPECT_EQ(report.completed, 16u);
-    return report;
-  };
-  const RuntimeReport quiet = run_model(RoutingCostModel::kQuietAlphaBeta);
-  const RuntimeReport aware = run_model(RoutingCostModel::kCongestionAware);
+  CollectiveRuntime rt(saturated_shared_config());
+  wave(rt, 0, 8, util::Seconds(0.0));
+  wave(rt, 8, 8, second_wave);
+  const RuntimeReport aware = rt.run();
+  EXPECT_EQ(aware.completed, 16u);
 
   // The draining fabric must not repel the whole second wave — nearly-done
   // tenants free the uplinks within the arrivals' spans.
   EXPECT_GT(aware.routing.to_electrical, 0u);
   // And the priced promises are kept better than the blind ones.
-  EXPECT_LT(aware.routing.mean_error, quiet.routing.mean_error);
+  EXPECT_LT(aware.routing.mean_error, kQuietMeanErrorAt24d4e70);
 }
 
 TEST(CongestionAwareRouting, SpectrumBacklogRoutesAroundTheRing) {
   // A hog pins the whole spectrum for tens of milliseconds.  The straddler
   // that arrives next is quietly predicted faster on the optical ring — so
-  // the quiet model leaves it queued behind the hog — but the queue-wait
-  // fold makes the idle electrical fabric win, and it finishes long before
-  // the hog releases anything.
-  auto run_model = [](RoutingCostModel model) {
-    RuntimeConfig config = cost_choice_config(model);
-    config.optical.wdm.num_wavelengths = 8;
-    CollectiveRuntime rt(config);
-    JobSpec hog = span_job(0, 16, util::megabytes(128));
-    hog.requested_wavelengths = 8;
-    hog.min_wavelengths = 8;
-    rt.submit(hog);
-    JobSpec pair = span_job(20, 2, util::megabytes(8),
-                            util::milliseconds(1.0));
-    pair.requested_wavelengths = 1;
-    rt.submit(pair);
-    rt.run();
-    return rt.record(1);
-  };
-  const JobRecord quiet = run_model(RoutingCostModel::kQuietAlphaBeta);
-  const JobRecord aware = run_model(RoutingCostModel::kCongestionAware);
-  EXPECT_EQ(quiet.substrate, SubstrateKind::kOptical);
+  // the quiet model left it queued behind the hog at 24d4e70, completing
+  // it optically at the time below — but the queue-wait fold makes the
+  // idle electrical fabric win, and it finishes long before the hog
+  // releases anything.
+  constexpr util::Seconds kQuietOpticalCompletionAt24d4e70{
+      0.060450424999999995};
+  RuntimeConfig config = cost_choice_config();
+  config.optical.wdm.num_wavelengths = 8;
+  CollectiveRuntime rt(config);
+  JobSpec hog = span_job(0, 16, util::megabytes(128));
+  hog.requested_wavelengths = 8;
+  hog.min_wavelengths = 8;
+  rt.submit(hog);
+  JobSpec pair = span_job(20, 2, util::megabytes(8), util::milliseconds(1.0));
+  pair.requested_wavelengths = 1;
+  rt.submit(pair);
+  rt.run();
+  const JobRecord& aware = rt.record(1);
   EXPECT_EQ(aware.substrate, SubstrateKind::kElectrical);
-  EXPECT_LT(aware.completed, quiet.completed);
+  EXPECT_LT(aware.completed, kQuietOpticalCompletionAt24d4e70);
 }
 
 TEST(RoutingAudit, EveryDecisionIsTracedWithBothPredictions) {
-  CollectiveRuntime rt(saturated_shared_config(
-      RoutingCostModel::kCongestionAware));
+  CollectiveRuntime rt(saturated_shared_config());
   rt.trace().enable();
   submit_straddling_burst(rt);
   const RuntimeReport report = rt.run();
@@ -239,7 +217,7 @@ TEST(RoutingAudit, LonePredictionIsNearExactOnAnIdleStar) {
   // prediction must land on the actual completion (the alpha-beta model
   // and the flow simulation agree exactly on the patterns the fallback
   // picks).
-  CollectiveRuntime rt(cost_choice_config(RoutingCostModel::kCongestionAware));
+  CollectiveRuntime rt(cost_choice_config());
   JobSpec tiny = span_job(0, 4, util::kilobytes(256));
   rt.submit(tiny);
   const RuntimeReport report = rt.run();

@@ -215,8 +215,7 @@ std::vector<JobId> completion_under(FairnessPolicy policy,
 
 TEST(RuntimeFairness, CompletionOrderIsDeterministicPerPolicy) {
   for (const FairnessPolicy policy :
-       {FairnessPolicy::kFifo, FairnessPolicy::kSmallestFirst,
-        FairnessPolicy::kWeightedFair}) {
+       {FairnessPolicy::kFifo, FairnessPolicy::kPriorityPreempt}) {
     const std::vector<JobId> once = completion_under(policy, 99);
     const std::vector<JobId> again = completion_under(policy, 99);
     EXPECT_EQ(once, again) << fairness_policy_name(policy);
@@ -224,32 +223,27 @@ TEST(RuntimeFairness, CompletionOrderIsDeterministicPerPolicy) {
   }
 }
 
-TEST(RuntimeFairness, SmallestFirstOvertakesElephant) {
+TEST(RuntimeFairness, FifoKeepsSubmissionOrderBehindABlocker) {
   // A blocker holds the whole spectrum while an elephant and then a mouse
   // arrive, so both are queued when it frees.  FIFO honors submission
-  // order; smallest-first lets the mouse through first.
-  for (const bool sjf : {false, true}) {
-    RuntimeConfig config = small_ring_config(8);
-    config.policy =
-        sjf ? FairnessPolicy::kSmallestFirst : FairnessPolicy::kFifo;
-    config.batcher.enabled = false;
-    CollectiveRuntime rt(config);
-    JobSpec blocker = group_job(0, 8, util::megabytes(1));
-    blocker.min_wavelengths = 8;
-    JobSpec elephant = group_job(0, 8, util::megabytes(64));
-    elephant.min_wavelengths = 8;
-    elephant.arrival = util::microseconds(1.0);
-    JobSpec mouse = group_job(0, 8, util::kilobytes(16));
-    mouse.min_wavelengths = 8;
-    mouse.arrival = util::microseconds(2.0);
-    rt.submit(blocker);
-    rt.submit(elephant);
-    rt.submit(mouse);
-    rt.run();
-    const std::vector<JobId> expected =
-        sjf ? std::vector<JobId>{0, 2, 1} : std::vector<JobId>{0, 1, 2};
-    EXPECT_EQ(rt.completion_order(), expected) << (sjf ? "sjf" : "fifo");
-  }
+  // order: the mouse does not overtake the elephant.
+  RuntimeConfig config = small_ring_config(8);
+  config.policy = FairnessPolicy::kFifo;
+  config.batcher.enabled = false;
+  CollectiveRuntime rt(config);
+  JobSpec blocker = group_job(0, 8, util::megabytes(1));
+  blocker.min_wavelengths = 8;
+  JobSpec elephant = group_job(0, 8, util::megabytes(64));
+  elephant.min_wavelengths = 8;
+  elephant.arrival = util::microseconds(1.0);
+  JobSpec mouse = group_job(0, 8, util::kilobytes(16));
+  mouse.min_wavelengths = 8;
+  mouse.arrival = util::microseconds(2.0);
+  rt.submit(blocker);
+  rt.submit(elephant);
+  rt.submit(mouse);
+  rt.run();
+  EXPECT_EQ(rt.completion_order(), (std::vector<JobId>{0, 1, 2}));
 }
 
 TEST(RuntimeTrace, RecordsJobLifecycle) {

@@ -1,8 +1,8 @@
 // Randomized runtime stress harness: a seeded generator drives hundreds of
-// jobs through the full feature space of the multi-tenant runtime — both
-// fairness extremes, priority preemption, elastic resize, batching with
-// fuse windows, hybrid placement, substrate pinning, and both electrical
-// fabrics (exclusive star and the shared oversubscribed two-level tree) —
+// jobs through the full feature space of the multi-tenant runtime — FIFO
+// and priority preemption, elastic resize, batching, hybrid placement,
+// substrate pinning, and both electrical fabrics (exclusive star and the
+// shared oversubscribed two-level tree) —
 // and then audits GLOBAL invariants over the whole run:
 //
 //  * every submitted job terminates (kDone or kRejected) and the report's
@@ -86,13 +86,15 @@ RuntimeConfig config_for_seed(util::Rng& rng) {
   RuntimeConfig config;
   config.ring_size = kRingSize;
   config.optical.wdm.num_wavelengths = 16;
-  config.policy = static_cast<FairnessPolicy>(rng.next_below(4));
+  // A four-way draw, so every later draw stays where it was when the
+  // harness still drew four policies: 0-1 are FIFO, 2-3 priority-preempt.
+  config.policy = rng.next_below(4) < 2 ? FairnessPolicy::kFifo
+                                        : FairnessPolicy::kPriorityPreempt;
   config.placement = static_cast<HybridPlacementPolicy>(rng.next_below(3));
   config.elastic_resize = rng.next_below(2) == 1;
   config.batcher.enabled = rng.next_below(4) != 0;
-  if (config.batcher.enabled && rng.next_below(2) == 1) {
-    config.batcher.fuse_window = util::microseconds(200.0);
-  }
+  // The retired fuse-window draw, still consumed for the same reason.
+  if (config.batcher.enabled) (void)rng.next_below(2);
   if (config.placement != HybridPlacementPolicy::kOpticalOnly &&
       rng.next_below(2) == 1) {
     config.electrical.fabric = ElectricalFabric::kTwoLevelShared;
@@ -132,7 +134,7 @@ JobSpec job_for_seed(util::Rng& rng) {
       rng.next_below(3) == 0
           ? 0u
           : spec.min_wavelengths + static_cast<std::uint32_t>(rng.next_below(6));
-  spec.weight = 0.5 + rng.next_double() * 3.5;
+  (void)rng.next_double();  // the retired weight draw, kept likewise
   spec.priority = static_cast<std::int32_t>(rng.next_below(6)) - 2;
   const std::uint64_t pin_dice = rng.next_below(20);
   if (pin_dice < 3) {
@@ -469,8 +471,7 @@ void run_stress_seed(std::uint64_t seed, std::uint32_t num_jobs,
       " fabric=" + electrical_fabric_name(config.electrical.fabric) +
       " oversub=" + std::to_string(config.electrical.oversubscription) +
       " resize=" + (config.elastic_resize ? "1" : "0") +
-      " batcher=" + (config.batcher.enabled ? "1" : "0") +
-      " fuse_window=" + util::to_string(config.batcher.fuse_window);
+      " batcher=" + (config.batcher.enabled ? "1" : "0");
   SCOPED_TRACE(label);
   // Printed and flushed BEFORE the run: a WRHT_CHECK abort or a crash
   // loses buffered output, and this line is what names the failing seed.
@@ -524,9 +525,9 @@ TEST_P(RuntimeStress, InvariantsHoldOnRandomizedMix) {
 
 // Fixed seeds, fixed job counts: every CI failure names its seed and
 // replays deterministically.  The set was picked to cover the whole config
-// lattice: all four fairness policies, all three placements (0 and 7 land
-// on cost-model-choice), both electrical fabrics (0 and 3 run the shared
-// two-level tree), elastic resize, and fuse-window batching.
+// lattice: both fairness policies, all three placements (0 and 7 land on
+// cost-model-choice), both electrical fabrics (0 and 3 run the shared
+// two-level tree), elastic resize, and batching.
 INSTANTIATE_TEST_SUITE_P(FixedSeeds, RuntimeStress,
                          ::testing::Values(0ull, 0xC0FFEEull, 1ull, 2ull,
                                            3ull, 7ull, 42ull, 20260730ull));
@@ -566,9 +567,10 @@ TEST(RuntimeStress, ExtraSeedsFromEnvironment) {
 TEST(RuntimeStress, RegressionSeeds) {
   // Seeds a wider sweep once failed, replayed with the chaos axis each one
   // failed under (whatever WRHT_STRESS_CHAOS says):
-  //  * 8652082552387635513 (chaos, weighted-fair, optical-only) and
-  //    2576766534230484809 (priority, overflow): the band sweep counted a
-  //    fused peer as a second holder of its lead's band.
+  //  * 8652082552387635513 (chaos, optical-only; weighted-fair when found,
+  //    priority since that policy was deleted) and 2576766534230484809
+  //    (priority, overflow): the band sweep counted a fused peer as a
+  //    second holder of its lead's band.
   //  * 1513358432138577085 and 9287422613789347101 (chaos): a survivor
   //    eviction rebuilt a remainder with no steps left, and the runtime
   //    dispatched its step 0 anyway.
@@ -613,25 +615,33 @@ TEST(RuntimeStress, RegressionSeeds) {
 }
 
 TEST(RuntimeStress, FusedBatchSharesItsLeadsBand) {
-  // Two identical small jobs fuse into one optical execution (the fuse
-  // window holds the first until the second arrives): the peer is traced
-  // on the lead's band, and the band sweep must accept that.
+  // Two identical small jobs queue behind a ring-filling blocker and fuse
+  // into one optical execution when it completes: the peer is traced on
+  // the lead's band, and the band sweep must accept that.
   RuntimeConfig config;
   config.ring_size = kRingSize;
   config.optical.wdm.num_wavelengths = 16;
   config.placement = HybridPlacementPolicy::kOpticalOnly;
-  config.batcher.fuse_window = util::microseconds(200.0);
   CollectiveRuntime rt(config);
   rt.trace().enable();
+  JobSpec blocker;
+  for (topo::NodeId node = 8; node < 20; ++node) {
+    blocker.participants.push_back(node);
+  }
+  blocker.payload = util::megabytes(16);  // above the fuse threshold
+  blocker.min_wavelengths = 16;
+  rt.submit(blocker);
   for (int i = 0; i < 2; ++i) {
     JobSpec spec;
     spec.participants = {0, 1, 2, 3};
     spec.payload = util::kilobytes(64);
+    spec.arrival = util::microseconds(1.0 + i);
     rt.submit(spec);
   }
   const RuntimeReport report = rt.run();
   ASSERT_EQ(report.batches, 1u);
-  ASSERT_EQ(report.executions, 1u);
+  ASSERT_EQ(report.executions, 2u);
+  ASSERT_EQ(rt.record(1).batch_size, 2u);
   audit_trace(rt, rt.trace());
 }
 

@@ -54,7 +54,6 @@ void expect_specs_equal(const runtime::JobSpec& a, const runtime::JobSpec& b) {
   EXPECT_EQ(a.payload.count(), b.payload.count());
   EXPECT_EQ(a.requested_wavelengths, b.requested_wavelengths);
   EXPECT_EQ(a.min_wavelengths, b.min_wavelengths);
-  EXPECT_EQ(a.weight, b.weight);
   EXPECT_EQ(a.priority, b.priority);
   EXPECT_EQ(a.pin, b.pin);
   EXPECT_EQ(a.deadline.value(), b.deadline.value());
@@ -99,10 +98,9 @@ TEST(TraceIo, RoundTripPreservesHandWrittenEdgeCases) {
   tricky.payload = util::Bytes(1);
   tricky.requested_wavelengths = 8;
   tricky.min_wavelengths = 4;
-  tricky.weight = 1.0 / 3.0;
   tricky.priority = -3;
   tricky.pin = runtime::SubstratePin::kElectricalOnly;
-  tricky.deadline = util::Seconds(1e-3);
+  tricky.deadline = util::Seconds(1.0 / 3.0);
   tricky.name = "a,b \"quoted\" name";
   specs.push_back(tricky);
   runtime::JobSpec plain;
@@ -129,6 +127,34 @@ TEST(TraceIo, JsonlOmitsDefaultedFields) {
 TEST(TraceIo, CsvHeaderMismatchDies) {
   std::istringstream in("not,the,header\n1,2,3\n");
   EXPECT_DEATH(TraceReader(in, TraceFormat::kCsv), "header mismatch");
+}
+
+// The header before the weight column was dropped names ten columns; the
+// header check refuses it and names what it got.
+TEST(TraceIo, CsvWithTheOldTenColumnHeaderDies) {
+  std::istringstream in(
+      "arrival,participants,payload,requested,min,weight,priority,pin,"
+      "deadline,name\n"
+      "0.5,1 2,64,0,1,1,0,any,0,\n");
+  EXPECT_DEATH(TraceReader(in, TraceFormat::kCsv),
+               "header mismatch, got 'arrival,participants,payload,requested,"
+               "min,weight,priority,pin,deadline,name'");
+}
+
+// JSONL ignores keys it does not know, so a line recorded with a weight
+// still loads.
+TEST(TraceIo, JsonlLineWithAWeightStillLoads) {
+  std::istringstream in(
+      "{\"arrival\":0.5,\"participants\":[1,2],\"payload\":64,"
+      "\"weight\":2.5,\"priority\":3}\n");
+  TraceReader reader(in, TraceFormat::kJsonl);
+  const std::optional<runtime::JobSpec> spec = reader.next();
+  ASSERT_TRUE(spec.has_value());
+  EXPECT_EQ(spec->arrival.value(), 0.5);
+  EXPECT_EQ(spec->participants, (std::vector<topo::NodeId>{1, 2}));
+  EXPECT_EQ(spec->payload.count(), 64u);
+  EXPECT_EQ(spec->priority, 3);
+  EXPECT_FALSE(reader.next().has_value());
 }
 
 TEST(TraceIo, MalformedJsonlLineDies) {
@@ -182,6 +208,57 @@ TEST(TraceIo, ReplayedTraceReproducesRuntimeReport) {
               replayed.slo.p99_turnaround.value());
     EXPECT_EQ(expected.slo.max_wait.value(), replayed.slo.max_wait.value());
     EXPECT_EQ(expected.slo.deadline_hits, replayed.slo.deadline_hits);
+  }
+}
+
+// Record a generated workload to CSV, replay it through serve() under
+// priority preemption, resize and batching, and every job's record matches
+// the direct serve's: the nine-column schema carries every field the
+// runtime reads.
+TEST(TraceIo, RecordedCsvTraceReplaysEveryJobRecord) {
+  WorkloadConfig wconfig;
+  wconfig.seed = 7;
+  wconfig.num_jobs = 300;
+  wconfig.ring_size = 32;
+  wconfig.mean_rate = 4000.0;
+  wconfig.payload_median = util::kilobytes(128);
+  wconfig.max_payload = util::megabytes(4);
+  wconfig.max_participants = 12;
+  wconfig.deadline_fraction = 0.5;
+
+  runtime::RuntimeConfig rconfig;
+  rconfig.ring_size = 32;
+  rconfig.optical.wdm.num_wavelengths = 32;
+  rconfig.policy = runtime::FairnessPolicy::kPriorityPreempt;
+  rconfig.elastic_resize = true;
+  rconfig.default_request = 4;
+
+  WorkloadGenerator direct(wconfig);
+  runtime::CollectiveRuntime direct_rt(rconfig);
+  direct_rt.serve(direct);
+
+  WorkloadGenerator gen(wconfig);
+  std::ostringstream out;
+  EXPECT_EQ(record_trace(gen, out, TraceFormat::kCsv), 300u);
+  std::istringstream in(out.str());
+  TraceReader reader(in, TraceFormat::kCsv);
+  runtime::CollectiveRuntime replay_rt(rconfig);
+  replay_rt.serve(reader);
+  EXPECT_EQ(reader.read(), 300u);
+
+  ASSERT_EQ(direct_rt.num_jobs(), replay_rt.num_jobs());
+  for (runtime::JobId id = 0; id < direct_rt.num_jobs(); ++id) {
+    const runtime::JobRecord& a = direct_rt.record(id);
+    const runtime::JobRecord& b = replay_rt.record(id);
+    SCOPED_TRACE(id);
+    expect_specs_equal(a.spec, b.spec);
+    EXPECT_EQ(a.state, b.state);
+    EXPECT_EQ(a.admitted.value(), b.admitted.value());
+    EXPECT_EQ(a.completed.value(), b.completed.value());
+    EXPECT_EQ(a.band, b.band);
+    EXPECT_EQ(a.batch_size, b.batch_size);
+    EXPECT_EQ(a.preemptions, b.preemptions);
+    EXPECT_EQ(a.resizes, b.resizes);
   }
 }
 
