@@ -167,12 +167,9 @@ int main() {
   std::printf("\nsaturated mix: %zu seeds x 60 jobs, cost-model routing\n\n",
               seeds);
   std::printf("%-12s %s\n", "routing", "mean |predicted-actual| error");
-  std::printf("%-12s %s (at 24d4e70)\n", "quiet",
-              util::to_string(util::Seconds(kQuietMeanErrorAt24d4e70))
-                  .c_str());
-  std::printf("%-12s %s\n", "aware",
-              util::to_string(
-                  util::Seconds(aware.mean_error_sum / seeds)).c_str());
+  std::printf("%-12s %.4f (at 24d4e70)\n", "quiet",
+              kQuietMeanErrorAt24d4e70);
+  std::printf("%-12s %.4f\n", "aware", aware.mean_error_sum / seeds);
 
   const bool placements_proven =
       planner.oracle_failures == 0 && aware.oracle_failures == 0;
@@ -194,8 +191,8 @@ int main() {
   json.metric("planner_speedup", speedup);
   json.metric("planner_mean_turnaround_s",
               planner.mean_turnaround().value());
-  json.metric("aware_mean_routing_error_s", aware.mean_error_sum / seeds);
-  json.metric("quiet_mean_routing_error_s", kQuietMeanErrorAt24d4e70);
+  json.metric("aware_mean_routing_error", aware.mean_error_sum / seeds);
+  json.metric("quiet_mean_routing_error", kQuietMeanErrorAt24d4e70);
   json.write();
   return ok ? 0 : 1;
 }

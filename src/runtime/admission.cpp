@@ -72,60 +72,25 @@ std::int32_t aged_priority(std::int32_t priority, util::Seconds waiting_since,
       std::min<std::int64_t>(aged, std::numeric_limits<std::int32_t>::max()));
 }
 
-namespace {
-
-/// FIFO's line head: the oldest eligible entry (an electrically-pinned one
-/// is not asking for spectrum at all, so it neither admits nor blocks the
-/// line).  Entries are stored in seq order (JobQueue::push), so the first
-/// eligible entry IS the min-seq one: O(prefix of pinned entries).
-std::optional<std::size_t> fifo_head(const JobQueue& queue) {
-  for (std::size_t i = 0; i < queue.size(); ++i) {
-    if (optically_eligible(queue.at(i))) return i;
-  }
-  return std::nullopt;
-}
-
-/// kPriorityPreempt's line head: highest EFFECTIVE (aged) priority, oldest
-/// among equals; nullopt when no entry is eligible.
-std::optional<std::size_t> priority_head(const JobQueue& queue,
-                                         util::Seconds now,
-                                         util::Seconds aging_half_life) {
-  std::optional<std::size_t> head;
-  std::int32_t head_priority = 0;
-  for (std::size_t i = 0; i < queue.size(); ++i) {
-    const QueueEntry& job = queue.at(i);
-    if (!optically_eligible(job)) continue;
-    const std::int32_t effective =
-        aged_priority(job.priority, job.arrival, now, aging_half_life);
-    if (!head || effective > head_priority ||
-        (effective == head_priority && job.seq < queue.at(*head).seq)) {
-      head = i;
-      head_priority = effective;
+QueuedHead queued_head(const JobQueue& queue, FairnessPolicy policy,
+                       Line line, util::Seconds now,
+                       util::Seconds aging_half_life, obs::Counter* reads) {
+  // The queue is in seq order, so a strict > keeps the earliest of equals:
+  // the first waiter in the fairness order (see ahead).
+  QueuedHead head;
+  std::size_t read = 0;
+  while (read < queue.size()) {
+    const QueueEntry& entry = queue.at(read++);
+    if (!in_line(entry, line)) continue;
+    const std::int32_t aged =
+        aged_priority(entry.priority, entry.arrival, now, aging_half_life);
+    if (head.entry == nullptr || aged > head.priority) {
+      head = {&entry, read - 1, aged};
     }
+    if (policy == FairnessPolicy::kFifo) break;
   }
+  obs::inc(reads, read);
   return head;
-}
-
-}  // namespace
-
-std::optional<AdmissionDecision> next_admission(
-    const JobQueue& queue, FairnessPolicy policy,
-    std::uint32_t largest_free_block, util::Seconds now,
-    util::Seconds aging_half_life) {
-  if (queue.empty() || largest_free_block == 0) return std::nullopt;
-  // The head owns the line under both policies: a younger or less urgent
-  // job never slips past it into a band the runtime is freeing (or, under
-  // kPriorityPreempt, preempting) for it.
-  const std::optional<std::size_t> head =
-      policy == FairnessPolicy::kPriorityPreempt
-          ? priority_head(queue, now, aging_half_life)
-          : fifo_head(queue);
-  if (!head) return std::nullopt;
-  const QueueEntry& job = queue.at(*head);
-  const std::uint32_t grant =
-      std::min(job.requested_wavelengths, largest_free_block);
-  if (grant < job.min_wavelengths) return std::nullopt;
-  return AdmissionDecision{*head, grant};
 }
 
 }  // namespace wrht::runtime

@@ -1,32 +1,32 @@
-// Admission control: which queued job runs next, and with how many
-// wavelengths.
+// Admission control: the fairness policy, defined once as an order over a
+// fabric's line of waiters, and the band its head is granted.
 //
-// The queue holds jobs that have arrived but hold no spectrum.  Whenever
-// spectrum frees up (a job completes) or the queue grows (a job arrives),
-// the runtime asks the policy for the next admission; it keeps asking until
-// the policy declines, so several jobs can be admitted at the same instant
-// and execute concurrently on disjoint bands.
-//
-// Policies:
-//  * kFifo          — strict arrival order; the head blocks the line until
-//                     its minimum demand fits (no starvation, HOL blocking).
-//  * kPriorityPreempt — highest JobSpec::priority runs first (ties on
-//                     arrival).  Like FIFO the winner blocks the line, but
-//                     the runtime backs the policy with step-boundary
-//                     preemption: when the winner's minimum does not fit, it
-//                     suspends running lower-priority executions instead of
-//                     waiting for them to finish.
-//
-// Either way the line's head is granted its request, capped by the widest
-// free run, or nothing when that run is below its minimum.  Every tie
-// breaks on submission order, which makes admission — and with the
-// deterministic event queue, the entire multi-tenant run — reproducible.
+// The queue holds jobs that have arrived but hold no capacity.  The optical
+// ring's line holds every queued entry not pinned to the electrical fabric,
+// the host fabric's line the electrically pinned ones.  The policy orders a
+// line:
+//  * kFifo          — by submission order (seq); the head blocks the line
+//                     until its minimum fits (no starvation, HOL blocking).
+//  * kPriorityPreempt — by aged priority, highest first, then seq.  The
+//                     head blocks the line too, but the runtime backs it
+//                     with step-boundary preemption of lower-priority
+//                     executions instead of waiting for them to finish.
+// Suspended executions wait by effective (aged) priority, then suspension
+// order, under both policies.  Every line question — who is admitted next,
+// who drives preemptions, whose urgency guards a placement, a resume or a
+// shrink — is read from queued_head and the runtime's suspended_head.  Ties
+// break on submission or suspension order, which makes admission — and
+// with the deterministic event queue, the entire multi-tenant run —
+// reproducible.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "runtime/job.hpp"
 #include "util/units.hpp"
 
@@ -50,10 +50,8 @@ struct QueueEntry {
   std::int32_t priority = 0;
   /// When the job arrived — the clock priority aging runs against.
   util::Seconds arrival{0.0};
-  /// Substrate the tenant pinned the job to.  These policies arbitrate the
-  /// OPTICAL spectrum, so an electrically-pinned entry is invisible to them
-  /// (it neither admits nor blocks the line); the runtime's electrical
-  /// placement path serves it instead.
+  /// Substrate the tenant pinned the job to; it picks the entry's line (see
+  /// Line).
   SubstratePin pin = SubstratePin::kAny;
   /// Placement memo of the host fabric's scan: the index in `participants`
   /// of a host the last failed probe found busy (the first participant
@@ -62,11 +60,6 @@ struct QueueEntry {
   /// A hint only, never queue state, hence mutable.
   mutable std::uint32_t blocker = 0;
 };
-
-/// True when the optical admission policies may consider `entry` at all.
-[[nodiscard]] inline bool optically_eligible(const QueueEntry& entry) {
-  return entry.pin != SubstratePin::kElectricalOnly;
-}
 
 class JobQueue {
  public:
@@ -98,13 +91,6 @@ class JobQueue {
   std::size_t head_ = 0;
 };
 
-struct AdmissionDecision {
-  std::size_t queue_index = 0;
-  /// Band width to grant: min <= grant <= requested, and the arbiter is
-  /// guaranteed to have a contiguous free run of this width.
-  std::uint32_t grant = 0;
-};
-
 /// A waiting job's effective priority under priority aging: the raw
 /// priority plus one class per `half_life` of sim-clock wait since
 /// `waiting_since`, capped at +64 classes (still strictly monotone in wait
@@ -115,15 +101,55 @@ struct AdmissionDecision {
                                          util::Seconds now,
                                          util::Seconds half_life);
 
-/// Ask `policy` for the next job to admit given the widest free run.
-/// Returns nullopt when nothing in the queue should start now.  Under
-/// kPriorityPreempt the line's head is the highest EFFECTIVE priority at
-/// `now` (aged by `aging_half_life`, <= 0 for none), oldest among equals —
-/// the entry the runtime's wait line for the optical ring picks too, so the
-/// job that triggers preemptions is always the job admission will take.
-[[nodiscard]] std::optional<AdmissionDecision> next_admission(
-    const JobQueue& queue, FairnessPolicy policy,
-    std::uint32_t largest_free_block, util::Seconds now,
-    util::Seconds aging_half_life);
+/// Which fabric's waiters a line holds: the optical ring's (every entry not
+/// pinned to the electrical fabric — a kAny job has the ring's line working
+/// for it) or the host fabric's (the electrically pinned entries).
+enum class Line : std::uint8_t { kRing, kHost };
+
+[[nodiscard]] inline bool in_line(const QueueEntry& entry, Line line) {
+  return (entry.pin == SubstratePin::kElectricalOnly) == (line == Line::kHost);
+}
+
+/// A waiter's key in the fairness order: its priority and its position —
+/// seq (or queue index, which ascends with it) for a queued entry,
+/// suspension order for a suspended execution.
+struct LineKey {
+  std::int32_t priority = 0;
+  std::uint64_t position = 0;
+};
+
+/// The fairness order: higher priority first, earlier position among equals.
+[[nodiscard]] inline bool ahead(const LineKey& a, const LineKey& b) {
+  return a.priority != b.priority ? a.priority > b.priority
+                                  : a.position < b.position;
+}
+
+/// A queued line's head and its aged priority; null at the lowest priority
+/// when the line is empty.
+struct QueuedHead {
+  const QueueEntry* entry = nullptr;
+  std::size_t index = 0;
+  std::int32_t priority = std::numeric_limits<std::int32_t>::min();
+};
+
+/// The first waiter of `line` in `policy`'s order at `now` (priorities aged
+/// by `aging_half_life`, <= 0 for none).  Under kFifo the order is the
+/// queue's own, so the walk stops at the first waiter.  `reads`, when set,
+/// counts the entries read.
+[[nodiscard]] QueuedHead queued_head(const JobQueue& queue,
+                                     FairnessPolicy policy, Line line,
+                                     util::Seconds now,
+                                     util::Seconds aging_half_life,
+                                     obs::Counter* reads = nullptr);
+
+/// The band grant rule: `entry`'s request capped by the widest free run, or
+/// nullopt when that is below its minimum.
+[[nodiscard]] inline std::optional<std::uint32_t> band_grant(
+    const QueueEntry& entry, std::uint32_t largest_free_block) {
+  const std::uint32_t grant =
+      std::min(entry.requested_wavelengths, largest_free_block);
+  if (grant < entry.min_wavelengths) return std::nullopt;
+  return grant;
+}
 
 }  // namespace wrht::runtime

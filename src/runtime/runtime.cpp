@@ -1,9 +1,9 @@
 #include "runtime/runtime.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
-#include <numeric>
 
 #include "coll/oracle.hpp"
 #include "util/check.hpp"
@@ -66,7 +66,7 @@ std::string RuntimeReport::to_string() const {
   out += "renegotiations  : " + std::to_string(preemptions) + " preempted, " +
          std::to_string(resumes) + " resumed, " + std::to_string(resizes) +
          " resized\n";
-  out += "replay audit    : " + std::to_string(replay_checked_steps) +
+  out += "max-min audit   : " + std::to_string(replay_checked_steps) +
          " shared-fabric steps certified\n";
   out += "spectrum        : " + std::to_string(spectrum_reservations) +
          " reservations, 0 wavelength-conflict aborts\n";
@@ -140,6 +140,7 @@ void CollectiveRuntime::init_instruments() {
   ins_.resumes = reg->counter("runtime.resumes");
   ins_.resizes = reg->counter("runtime.resizes");
   ins_.placement_probes = reg->counter("runtime.placement_probes");
+  ins_.wait_line_reads = reg->counter("runtime.wait_line_reads");
   ins_.queue_depth = reg->sampled_gauge("runtime.queue_depth");
   ins_.running_jobs = reg->sampled_gauge("runtime.running_jobs");
   ins_.suspended_jobs = reg->sampled_gauge("runtime.suspended_jobs");
@@ -274,35 +275,26 @@ void CollectiveRuntime::on_arrival(JobId id) {
 
 CollectiveRuntime::WaitLine CollectiveRuntime::wait_line(
     const ExecutionSubstrate& fabric) const {
-  // The queue is in seq order and suspended_ in suspension order, so a
-  // strict > keeps the oldest of equals on both sides.
-  WaitLine line = suspended_line(fabric);
-  const util::Seconds now = simulator_.now();
-  for (std::size_t i = 0; i < queue_.size(); ++i) {
-    const QueueEntry& entry = queue_.at(i);
-    if (!waits_for(entry, fabric)) continue;
-    const std::int32_t aged = aged_priority(entry.priority, entry.arrival,
-                                            now, config_.aging_half_life);
-    if (line.queued == nullptr || aged > line.queued_priority) {
-      line.queued = &entry;
-      line.queued_priority = aged;
-    }
-  }
-  return line;
+  return {queued_head(queue_, config_.policy, line_of(fabric),
+                      simulator_.now(), config_.aging_half_life,
+                      ins_.wait_line_reads),
+          suspended_head(fabric)};
 }
 
-CollectiveRuntime::WaitLine CollectiveRuntime::suspended_line(
+CollectiveRuntime::SuspendedHead CollectiveRuntime::suspended_head(
     const ExecutionSubstrate& fabric) const {
-  WaitLine line;
+  // suspended_ is in suspension order, so a strict > keeps the earliest of
+  // equals: the first in the suspended order (see ahead).
+  SuspendedHead head;
   for (const auto& exec : suspended_) {
     if (exec->substrate != &fabric) continue;
-    const std::int32_t effective = effective_priority(*exec);
-    if (line.suspended == nullptr || effective > line.suspended_priority) {
-      line.suspended = exec.get();
-      line.suspended_priority = effective;
+    const std::int32_t priority = effective_priority(*exec);
+    if (head.exec == nullptr || priority > head.priority) {
+      head = {exec.get(), priority};
     }
   }
-  return line;
+  obs::inc(ins_.wait_line_reads, suspended_.size());
+  return head;
 }
 
 std::int32_t CollectiveRuntime::effective_priority(
@@ -327,7 +319,7 @@ void CollectiveRuntime::publish_demand(ExecutionSubstrate& substrate,
   const std::size_t scan = std::min(queue_.size(), kDemandWindow);
   for (std::size_t i = 0; i < scan; ++i) {
     const QueueEntry& entry = queue_.at(i);
-    if (waits_for(entry, substrate)) {
+    if (in_line(entry, line_of(substrate))) {
       widths.push_back(floor_grant(substrate, entry.participants.size(),
                                    entry.min_wavelengths));
     }
@@ -340,11 +332,9 @@ void CollectiveRuntime::publish_demand(ExecutionSubstrate& substrate,
   substrate.note_pending_demand(widths);
 }
 
-bool CollectiveRuntime::waits_for(const QueueEntry& entry,
-                                  const ExecutionSubstrate& substrate) const {
-  return entry.pin == SubstratePin::kElectricalOnly
-             ? substrate.kind() == SubstrateKind::kElectrical
-             : &substrate == fabrics_.front().get();
+Line CollectiveRuntime::line_of(const ExecutionSubstrate& fabric) {
+  return fabric.kind() == SubstrateKind::kElectrical ? Line::kHost
+                                                     : Line::kRing;
 }
 
 std::uint32_t CollectiveRuntime::floor_grant(
@@ -401,43 +391,40 @@ bool CollectiveRuntime::place_one(ExecutionSubstrate& fabric) {
   // steady trickle of small low-priority jobs starves a preempted victim
   // forever (admission-side priority inversion).  Another fabric's
   // suspended work waits for other capacity and holds nothing up here.
-  // Without a floor (FIFO) no aged priority is computed at all.
+  // Without a floor (FIFO) the host scan computes no aged priority.
   constexpr std::int32_t kNoFloor = std::numeric_limits<std::int32_t>::min();
   const bool by_priority = config_.policy == FairnessPolicy::kPriorityPreempt;
   const std::int32_t floor =
-      by_priority ? suspended_line(fabric).suspended_priority : kNoFloor;
+      by_priority ? suspended_head(fabric).priority : kNoFloor;
   const util::Seconds now = simulator_.now();
-  const auto aged = [this, now](const QueueEntry& entry) {
-    return aged_priority(entry.priority, entry.arrival, now,
-                         config_.aging_half_life);
-  };
-  const auto below_floor = [&](const QueueEntry& entry) {
-    return floor != kNoFloor && floor > aged(entry);
+  const auto below_floor = [&](std::int32_t priority) {
+    return floor != kNoFloor && floor > priority;
   };
 
   if (!fabric.grants_hosts()) {
-    // A band fabric: the fairness policy picks the candidate and its grant.
-    const std::optional<AdmissionDecision> decision =
-        next_admission(queue_, config_.policy, fabric.largest_free_grant(),
-                       now, config_.aging_half_life);
-    if (!decision || below_floor(queue_.at(decision->queue_index))) {
-      return false;
-    }
-    place_execution(fabric, decision->queue_index, decision->grant,
-                    std::nullopt);
+    // A band fabric: the line's head, granted by the band grant rule.
+    const std::uint32_t largest_free = fabric.largest_free_grant();
+    if (largest_free == 0) return false;
+    const QueuedHead head =
+        queued_head(queue_, config_.policy, line_of(fabric), now,
+                    config_.aging_half_life, ins_.wait_line_reads);
+    if (head.entry == nullptr || below_floor(head.priority)) return false;
+    const std::optional<std::uint32_t> grant =
+        band_grant(*head.entry, largest_free);
+    if (!grant) return false;
+    place_execution(fabric, head.index, *grant, std::nullopt);
     return true;
   }
 
   // A fabric of positioned hosts: the first candidate whose hosts are free,
-  // in the fairness policy's preference — arrival order, which is the
-  // queue's own (seq) order, re-ranked by aged priority under
-  // kPriorityPreempt (a stable sort keeps arrival among equals).  Entries
+  // in the fairness order — the queue's own (seq) order under FIFO, ranked
+  // by aged priority and then queue index under kPriorityPreempt.  Entries
   // below the mark and entries whose blocker memo host is still busy
-  // certainly fail the probe, so dropping them changes no pick.
+  // certainly fail the probe, and entries below the floor are declined, so
+  // dropping them changes no pick.
   enum class Try : std::uint8_t { kPlaced, kBlocked, kDeclined };
   const auto try_place = [&](std::size_t index) {
     const QueueEntry& job = queue_.at(index);
-    if (below_floor(job)) return Try::kDeclined;
     if (!probe_placement(fabric, job)) return Try::kBlocked;
     std::optional<RoutePrediction> verdict;
     if (config_.placement == HybridPlacementPolicy::kCostModelChoice &&
@@ -464,7 +451,9 @@ bool CollectiveRuntime::place_one(ExecutionSubstrate& fabric) {
     bool blocked = job.pin == SubstratePin::kOpticalOnly ||
                    fabric.host_busy(job.participants[job.blocker]);
     if (!blocked && by_priority) {
-      host_ranked_.emplace_back(aged(job), i);
+      const std::int32_t priority = aged_priority(
+          job.priority, job.arrival, now, config_.aging_half_life);
+      if (!below_floor(priority)) host_ranked_.push_back({priority, i});
     } else if (!blocked) {
       const Try outcome = try_place(i);
       if (outcome == Try::kPlaced) return true;
@@ -473,12 +462,9 @@ bool CollectiveRuntime::place_one(ExecutionSubstrate& fabric) {
     blocked_run = blocked_run && blocked;
     if (blocked_run) host_mark_.seq = job.seq + 1;
   }
-  std::stable_sort(host_ranked_.begin(), host_ranked_.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.first > b.first;
-                   });
-  for (const auto& [priority, index] : host_ranked_) {
-    if (try_place(index) == Try::kPlaced) return true;
+  std::sort(host_ranked_.begin(), host_ranked_.end(), ahead);
+  for (const LineKey& key : host_ranked_) {
+    if (try_place(key.position) == Try::kPlaced) return true;
   }
   return false;
 }
@@ -487,23 +473,21 @@ void CollectiveRuntime::request_preemptions(ExecutionSubstrate& substrate) {
   // Positioned units (hosts) are fungible at resume, so a suspended waiter
   // can use free units anywhere; positionless bands need a contiguous run.
   const bool host_units = substrate.grants_hosts();
-  // The most urgent waiter: the top aged queued entry this fabric may serve
-  // (for the optical ring, the same pick as the priority policy's, so
-  // preemptions always benefit the job admission will actually take) or a
-  // suspended execution of this fabric, whichever outranks the other (the
+  // The most urgent waiter: the fabric's queued head (the job admission
+  // takes next) or its suspended head, whichever outranks the other (the
   // queued entry on a tie).
   const WaitLine line = wait_line(substrate);
-  const QueueEntry* queued = line.queued;
-  std::int32_t target = line.queued_priority;
+  const QueueEntry* queued = line.queued.entry;
+  std::int32_t target = line.queued.priority;
   std::uint32_t need =
       queued != nullptr ? floor_grant(substrate, queued->participants.size(),
                                       queued->min_wavelengths)
                         : 0;
-  if (line.suspended != nullptr && line.suspended_priority > target) {
-    target = line.suspended_priority;
+  if (line.suspended.exec != nullptr && line.suspended.priority > target) {
+    target = line.suspended.priority;
     queued = nullptr;
-    need = floor_grant(substrate, line.suspended->participants.size(),
-                       line.suspended->min_width);
+    need = floor_grant(substrate, line.suspended.exec->participants.size(),
+                       line.suspended.exec->min_width);
   }
   if (need == 0) return;
 
@@ -822,8 +806,8 @@ bool CollectiveRuntime::renegotiate(const std::shared_ptr<Execution>& exec) {
     // queued arrival or a suspended execution trying to resume — may have
     // been satisfied meanwhile by a completion elsewhere.  Only a waiter
     // this fabric could actually serve justifies the suspension (see
-    // waits_for).
-    if (std::max(line.queued_priority, line.suspended_priority) >
+    // line_of).
+    if (std::max(line.queued.priority, line.suspended.priority) >
         exec->priority) {
       // suspend_execution re-runs admission, which may legally resume THIS
       // execution at the same instant on a different band (run_step already
@@ -840,8 +824,8 @@ bool CollectiveRuntime::renegotiate(const std::shared_ptr<Execution>& exec) {
   // resize.  (Another fabric's waiters are neither helped nor hurt by this
   // resize.)  A grow stops at the useful cap.
   const std::uint32_t cap = useful_wavelength_cap(exec->participants.size());
-  if (line.queued != nullptr || line.suspended != nullptr) {
-    try_shrink(exec);
+  if (line.queued.entry != nullptr || line.suspended.exec != nullptr) {
+    try_shrink(exec, line.queued.entry);
   } else if (exec->plan->grant() < cap) {
     resize(*exec, RenegotiationRequest::grow(exec->next_step, cap));
   }
@@ -868,23 +852,33 @@ void CollectiveRuntime::suspend_execution(
 
 bool CollectiveRuntime::try_resume_one() {
   if (suspended_.empty()) return false;
-  // Highest EFFECTIVE (aged) priority first, FIFO among equals.
-  std::vector<std::size_t> order(suspended_.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [this](std::size_t a, std::size_t b) {
-                     return effective_priority(*suspended_[a]) >
-                            effective_priority(*suspended_[b]);
-                   });
-  for (const std::size_t idx : order) {
+  // In the suspended order: highest EFFECTIVE (aged) priority first, then
+  // suspension order.
+  std::vector<LineKey> order;
+  order.reserve(suspended_.size());
+  for (std::size_t i = 0; i < suspended_.size(); ++i) {
+    order.push_back({effective_priority(*suspended_[i]), i});
+  }
+  std::sort(order.begin(), order.end(), ahead);
+  // Each line's queued head priority, read on first use: nothing in this
+  // loop touches the queue.
+  std::array<std::optional<std::int32_t>, 2> queued_priority;
+  for (const LineKey& key : order) {
+    const std::size_t idx = key.position;
     const std::shared_ptr<Execution> exec = suspended_[idx];
     // Never hand capacity back to a victim while the queue still holds a
     // strictly more urgent job waiting for the SAME fabric — that is the
     // resource being fought over.
-    if (config_.policy == FairnessPolicy::kPriorityPreempt &&
-        wait_line(*exec->substrate).queued_priority >
-            effective_priority(*exec)) {
-      continue;
+    if (config_.policy == FairnessPolicy::kPriorityPreempt) {
+      const Line line = line_of(*exec->substrate);
+      std::optional<std::int32_t>& queued =
+          queued_priority[static_cast<std::size_t>(line)];
+      if (!queued) {
+        queued = queued_head(queue_, config_.policy, line, simulator_.now(),
+                             config_.aging_half_life, ins_.wait_line_reads)
+                     .priority;
+      }
+      if (*queued > key.priority) continue;
     }
     // Fault reconciliation first: participants that died while this
     // execution waited must be dropped before (or instead of) resuming.
@@ -957,24 +951,22 @@ void CollectiveRuntime::stop_running(const std::shared_ptr<Execution>& exec) {
   pump_metrics();
 }
 
-void CollectiveRuntime::try_shrink(const std::shared_ptr<Execution>& exec) {
+void CollectiveRuntime::try_shrink(const std::shared_ptr<Execution>& exec,
+                                   const QueueEntry* queued) {
   const std::uint32_t width = exec->plan->grant();
   if (width <= exec->min_width) return;
 
   // A cut "helps" when the surrendered range would actually unblock
-  // someone: the job the ACTIVE POLICY would admit next, ranked on the
-  // same aged priorities placement uses (a fitting tail entry behind a
-  // blocked head admits nothing), or a suspended execution waiting to
-  // resume.  Smaller keeps free more, so helps is monotone — the GENTLEST
-  // helping cut is the right target: surrendering more than the waiter
-  // needs just costs the running job extra levels for nothing.
-  const auto helps = [this, &exec](std::uint32_t target) {
+  // someone: the line's queued head, which admission takes next (a fitting
+  // tail entry behind a blocked head admits nothing), or a suspended
+  // execution waiting to resume.  Smaller keeps free more, so helps is
+  // monotone — the GENTLEST helping cut is the right target: surrendering
+  // more than the waiter needs just costs the running job extra levels for
+  // nothing.
+  const auto helps = [this, &exec, queued](std::uint32_t target) {
     const std::uint32_t would =
         exec->substrate->free_grant_if_kept(*exec->plan, target);
-    if (next_admission(queue_, config_.policy, would, simulator_.now(),
-                       config_.aging_half_life)) {
-      return true;
-    }
+    if (queued != nullptr && band_grant(*queued, would)) return true;
     for (const auto& suspended : suspended_) {
       if (suspended->substrate != exec->substrate) continue;
       if (suspended->min_width <= would) return true;

@@ -35,6 +35,10 @@
 // models land in one report, with per-substrate breakdowns and per-job
 // contention slowdowns.
 //
+// Who is first in line for a fabric has one answer, the fairness order of
+// runtime/admission.hpp, read through queued_head and suspended_head by
+// admission, the host scan, the guards, preemption and shrink.
+//
 // Small same-group jobs queued together are fused by the Batcher into a
 // single schedule (one set of per-step overheads for the whole batch), and
 // every execution's schedule is proven correct with the coll:: oracle
@@ -77,8 +81,7 @@ namespace wrht::runtime {
 
 /// Which fabrics admission may place jobs on.
 enum class HybridPlacementPolicy : std::uint8_t {
-  /// Optical ring only; saturated-spectrum arrivals queue (pre-refactor
-  /// behavior, the default).
+  /// Optical ring only; saturated-spectrum arrivals queue (the default).
   kOpticalOnly,
   /// Optical first; whatever the optical admission loop declines spills
   /// onto the electrical fallback as soon as its hosts are free.
@@ -438,14 +441,15 @@ class CollectiveRuntime {
   [[nodiscard]] RoutePrediction predict_route(
       const std::vector<topo::NodeId>& participants, util::Bytes payload,
       std::uint32_t optical_grant) const;
-  /// Place one queued job on `fabric` (the fairness policy's pick on a band
-  /// fabric, the first placeable candidate on a host fabric), behind the
-  /// priority guard; false when the fabric declines.  On a host fabric the
+  /// Place one queued job on `fabric` (the line's head under the band grant
+  /// rule on a band fabric, the first placeable candidate in the fairness
+  /// order on a host fabric), behind the priority guard of the fabric's
+  /// suspended head; false when the fabric declines.  On a host fabric the
   /// scan pays per change, not per queued job: it starts at host_mark_ and
   /// passes every entry whose blocker memo host is still busy, both certain
   /// failures, and probes only the rest.  FIFO tries the survivors in seq
-  /// order as it walks; kPriorityPreempt stable-sorts them by aged
-  /// priority first.  Either way it places the entry the full scan would.
+  /// order as it walks; kPriorityPreempt sorts them into the fairness order
+  /// first.  Either way it places the entry the full scan would.
   bool place_one(ExecutionSubstrate& fabric);
   /// Shared placement tail: pop the queue entry at `queue_index` (plus its
   /// fusable peers when the substrate batches), build the plan with `grant`
@@ -546,25 +550,27 @@ class CollectiveRuntime {
   [[nodiscard]] std::vector<topo::NodeId> live_participants(
       const Execution& exec) const;
   /// Ask lower-priority executions of `substrate` to surrender their grants
-  /// at the next step boundary: a fabric's waiters (see waits_for) preempt
+  /// at the next step boundary: a fabric's waiters (see line_of) preempt
   /// only that fabric's executions.  Suspending across fabrics would free
   /// nothing the waiter can use.
   void request_preemptions(ExecutionSubstrate& substrate);
-  /// Who waits for a fabric's capacity: the most urgent queued entry that
-  /// waits_for it (aged priority, oldest among equals) and the most urgent
-  /// of its suspended executions (effective priority, earliest suspended
-  /// among equals); null at the lowest priority when there is none.
+  /// The first of `fabric`'s suspended executions in the suspended order
+  /// (effective priority, then suspension order); null at the lowest
+  /// priority when there is none.  Its reads count like queued_head's.
+  struct SuspendedHead {
+    const Execution* exec = nullptr;
+    std::int32_t priority = std::numeric_limits<std::int32_t>::min();
+  };
+  [[nodiscard]] SuspendedHead suspended_head(
+      const ExecutionSubstrate& fabric) const;
+  /// Who waits for a fabric's capacity: the heads of its queued line and of
+  /// its suspended executions.  Under kFifo the queued head is the line's
+  /// oldest entry, and only its presence is read.
   struct WaitLine {
-    const QueueEntry* queued = nullptr;
-    std::int32_t queued_priority = std::numeric_limits<std::int32_t>::min();
-    const Execution* suspended = nullptr;
-    std::int32_t suspended_priority = std::numeric_limits<std::int32_t>::min();
+    QueuedHead queued;
+    SuspendedHead suspended;
   };
   [[nodiscard]] WaitLine wait_line(const ExecutionSubstrate& fabric) const;
-  /// wait_line's suspended half alone (queued fields left empty): all the
-  /// placement guard's priority floor needs.
-  [[nodiscard]] WaitLine suspended_line(
-      const ExecutionSubstrate& fabric) const;
   /// Suspended `exec`'s effective priority right now: its priority aged by
   /// the suspension wait (running executions keep their raw priority).
   [[nodiscard]] std::int32_t effective_priority(const Execution& exec) const;
@@ -573,14 +579,11 @@ class CollectiveRuntime {
   /// `excluding`) ahead of a placement or renegotiation.
   void publish_demand(ExecutionSubstrate& substrate,
                       const Execution* excluding);
-  /// True when `entry`'s urgency counts against `substrate`'s capacity:
-  /// it may drive preemptions there and block lower-priority placements
-  /// and resumes.  Electrically pinned entries wait for the electrical
-  /// fabric; every other entry waits for the optical ring (a kAny job has
-  /// the optical line working for it, and host claims it could get by
-  /// preemption are claims the optical path never needed).
-  [[nodiscard]] bool waits_for(const QueueEntry& entry,
-                               const ExecutionSubstrate& substrate) const;
+  /// The line of queued entries whose urgency counts against `fabric`'s
+  /// capacity: they may drive preemptions there and block lower-priority
+  /// placements and resumes (host claims a kAny job could get by preemption
+  /// are claims its optical line never needed).
+  [[nodiscard]] static Line line_of(const ExecutionSubstrate& fabric);
   /// Smallest grant, in `substrate`'s units, that lets waiting work over
   /// `participants` run: one unit per participant where units are
   /// hosts (grants_hosts), the band floor `min_width` otherwise.
@@ -595,7 +598,10 @@ class CollectiveRuntime {
   void audit_route_decision(const Execution& exec, std::uint32_t grant,
                             std::uint32_t optical_request, SubstratePin pin,
                             const std::optional<RoutePrediction>& verdict);
-  void try_shrink(const std::shared_ptr<Execution>& exec);
+  /// Shrink exec's band by the gentlest cut that lets `queued` (its line's
+  /// head) or a suspended execution of its fabric start.
+  void try_shrink(const std::shared_ptr<Execution>& exec,
+                  const QueueEntry* queued);
   /// The one resize adoption (grow, shrink, fault shrink): renegotiate
   /// `request` in place and, when accepted, adopt the rebuilt remainder and
   /// count the resize per job and in the report.
@@ -624,6 +630,8 @@ class CollectiveRuntime {
     obs::Counter* resumes = nullptr;
     obs::Counter* resizes = nullptr;
     obs::Counter* placement_probes = nullptr;
+    /// Queue entries plus suspended executions read by the head functions.
+    obs::Counter* wait_line_reads = nullptr;
     obs::Gauge* queue_depth = nullptr;
     obs::Gauge* running_jobs = nullptr;
     obs::Gauge* suspended_jobs = nullptr;
@@ -680,9 +688,9 @@ class CollectiveRuntime {
     std::uint64_t seq = 0;
   };
   HostScanMark host_mark_;
-  /// kPriorityPreempt's host-scan candidates as (aged priority, queue
+  /// kPriorityPreempt's host-scan candidates keyed (aged priority, queue
   /// index): scratch reused across place_one calls.
-  std::vector<std::pair<std::int32_t, std::size_t>> host_ranked_;
+  std::vector<LineKey> host_ranked_;
   JobQueue queue_;
   std::vector<JobRecord> records_;
   std::vector<JobId> completion_order_;

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "obs/metrics.hpp"
+#include "util/random.hpp"
+
 namespace wrht::runtime {
 namespace {
 
@@ -10,12 +16,22 @@ QueueEntry entry(JobId id, std::uint64_t seq, std::uint32_t min,
   return QueueEntry{id, seq, min, requested, util::megabytes(1), {0, 1}};
 }
 
-/// next_admission with aging off (the clock then does not matter).
-std::optional<AdmissionDecision> admit(const JobQueue& queue,
-                                       FairnessPolicy policy,
-                                       std::uint32_t largest_free_block) {
-  return next_admission(queue, policy, largest_free_block, util::Seconds(0.0),
-                        util::Seconds(0.0));
+struct Admission {
+  std::size_t queue_index = 0;
+  std::uint32_t grant = 0;
+};
+
+/// The ring line's head under the band grant rule, aging off (the clock
+/// then does not matter).
+std::optional<Admission> admit(const JobQueue& queue, FairnessPolicy policy,
+                               std::uint32_t largest_free_block) {
+  const QueuedHead head = queued_head(queue, policy, Line::kRing,
+                                     util::Seconds(0.0), util::Seconds(0.0));
+  if (head.entry == nullptr) return std::nullopt;
+  const std::optional<std::uint32_t> grant =
+      band_grant(*head.entry, largest_free_block);
+  if (!grant) return std::nullopt;
+  return Admission{head.index, *grant};
 }
 
 TEST(AdmissionFifo, HeadGetsRequestCappedByFreeBlock) {
@@ -114,6 +130,111 @@ TEST(Admission, EmptyQueueOrNoSpectrumDeclines) {
   EXPECT_FALSE(admit(queue, FairnessPolicy::kFifo, 8));
   queue.push(entry(0, 0, 1, 1));
   EXPECT_FALSE(admit(queue, FairnessPolicy::kFifo, 0));
+}
+
+TEST(Admission, LinesSplitOnTheElectricalPin) {
+  // The ring's line holds every entry not pinned to the electrical fabric;
+  // the host fabric's line holds the pinned ones, and nothing else.
+  JobQueue queue;
+  QueueEntry pinned = priority_entry(0, 0, /*priority=*/0);
+  pinned.pin = SubstratePin::kElectricalOnly;
+  queue.push(pinned);
+  QueueEntry optical = priority_entry(1, 1, /*priority=*/0);
+  optical.pin = SubstratePin::kOpticalOnly;
+  queue.push(optical);
+  queue.push(priority_entry(2, 2, /*priority=*/7));
+  const auto head = [&](FairnessPolicy policy, Line line) {
+    const QueuedHead found = queued_head(queue, policy, line,
+                                         util::Seconds(0.0), util::Seconds(0.0));
+    return found.entry != nullptr ? found.entry->id : kNoJob;
+  };
+  EXPECT_EQ(head(FairnessPolicy::kFifo, Line::kRing), 1u);
+  EXPECT_EQ(head(FairnessPolicy::kPriorityPreempt, Line::kRing), 2u);
+  EXPECT_EQ(head(FairnessPolicy::kFifo, Line::kHost), 0u);
+  EXPECT_EQ(head(FairnessPolicy::kPriorityPreempt, Line::kHost), 0u);
+  queue.take(0);
+  EXPECT_EQ(head(FairnessPolicy::kPriorityPreempt, Line::kHost), kNoJob);
+}
+
+TEST(Admission, FifoHeadReadsOnlyUpToTheFirstWaiter) {
+  JobQueue queue;
+  for (std::uint64_t seq = 0; seq < 10; ++seq) {
+    QueueEntry e = entry(static_cast<JobId>(seq), seq, 1, 1);
+    if (seq < 3) e.pin = SubstratePin::kElectricalOnly;
+    queue.push(e);
+  }
+  obs::Counter reads;
+  const auto head =
+      queued_head(queue, FairnessPolicy::kFifo, Line::kRing,
+                  util::Seconds(0.0), util::Seconds(0.0), &reads);
+  ASSERT_NE(head.entry, nullptr);
+  EXPECT_EQ(head.index, 3u);
+  EXPECT_EQ(head.entry, &queue.at(3));
+  EXPECT_EQ(reads.value(), 4u);
+  // Priority order has no early exit: every entry is read.
+  (void)queued_head(queue, FairnessPolicy::kPriorityPreempt, Line::kRing,
+                    util::Seconds(0.0), util::Seconds(0.0), &reads);
+  EXPECT_EQ(reads.value(), 14u);
+}
+
+TEST(Admission, HeadIsTheFirstWaiterInTheDocumentedOrder) {
+  // Differential check of queued_head against a reference built from the
+  // documented key: the first element of the line's waiters after a
+  // std::stable_sort by seq (FIFO) or by aged priority descending, then seq
+  // (kPriorityPreempt).
+  util::Rng rng(20261020);
+  for (int round = 0; round < 2000; ++round) {
+    SCOPED_TRACE(round);
+    JobQueue queue;
+    const std::size_t size = rng.next_below(12);
+    const util::Seconds now = util::milliseconds(10.0);
+    std::uint64_t seq = 0;
+    for (std::size_t i = 0; i < size; ++i) {
+      seq += 1 + rng.next_below(3);
+      QueueEntry e = entry(static_cast<JobId>(i), seq, 1, 1);
+      e.pin = static_cast<SubstratePin>(rng.next_below(3));
+      e.priority = static_cast<std::int32_t>(rng.next_below(6)) - 2;
+      e.arrival = util::milliseconds(static_cast<double>(rng.next_below(11)));
+      queue.push(e);
+    }
+    for (const util::Seconds half_life :
+         {util::Seconds(0.0), util::milliseconds(1.0)}) {
+      for (const FairnessPolicy policy :
+           {FairnessPolicy::kFifo, FairnessPolicy::kPriorityPreempt}) {
+        for (const Line line : {Line::kRing, Line::kHost}) {
+          // Ring waiters are the entries not pinned to the electrical
+          // fabric; host-fabric waiters are the pinned ones.
+          std::vector<QueueEntry> waiters;
+          for (std::size_t i = 0; i < queue.size(); ++i) {
+            const bool pinned =
+                queue.at(i).pin == SubstratePin::kElectricalOnly;
+            if (pinned == (line == Line::kHost)) {
+              waiters.push_back(queue.at(i));
+            }
+          }
+          const auto aged = [&](const QueueEntry& e) {
+            return aged_priority(e.priority, e.arrival, now, half_life);
+          };
+          std::stable_sort(
+              waiters.begin(), waiters.end(),
+              [&](const QueueEntry& a, const QueueEntry& b) {
+                if (policy == FairnessPolicy::kPriorityPreempt &&
+                    aged(a) != aged(b)) {
+                  return aged(a) > aged(b);
+                }
+                return a.seq < b.seq;
+              });
+          const QueuedHead head =
+              queued_head(queue, policy, line, now, half_life);
+          ASSERT_EQ(head.entry != nullptr, !waiters.empty());
+          if (head.entry == nullptr) continue;
+          EXPECT_EQ(head.entry, &queue.at(head.index));
+          EXPECT_EQ(head.entry->seq, waiters.front().seq);
+          EXPECT_EQ(head.priority, aged(waiters.front()));
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -415,6 +415,57 @@ TEST(RuntimeServe, HostPlacementScanPaysPerChange) {
   }
 }
 
+TEST(RuntimeServe, WaitLineReadsPayPerHead) {
+  // Work-counter guard of the line questions ("who is first in line for
+  // this fabric?"), on the overflow configuration above (1,000 jobs at
+  // seed 1) routed by the cost model, with elastic resize on.  Walks that
+  // re-read the whole queue per shrink width tried, per suspended
+  // execution considered for resume, and for FIFO's wait line, read
+  // 3,907,746 queue entries and suspended executions under
+  // kPriorityPreempt and 127,611 under FIFO; the two head functions, read
+  // once per question and stopping at FIFO's first waiter, read 2,072,215
+  // and 984.  Each bound sits between the two counts.
+  struct Leg {
+    FairnessPolicy policy;
+    std::uint64_t max_reads;
+  };
+  for (const Leg leg : {Leg{FairnessPolicy::kPriorityPreempt, 3'000'000},
+                        Leg{FairnessPolicy::kFifo, 10'000}}) {
+    SCOPED_TRACE(fairness_policy_name(leg.policy));
+    workload::WorkloadConfig w;
+    w.seed = 1;
+    w.num_jobs = 1000;
+    w.ring_size = 64;
+    w.arrivals = workload::ArrivalProcess::kPoisson;
+    w.mean_rate = 5e4;
+    w.max_participants = 16;
+    w.payload_median = util::kilobytes(256);
+    w.max_payload = util::megabytes(16);
+    w.deadline_fraction = 0.5;
+    RuntimeConfig config;
+    config.ring_size = 64;
+    config.optical.wdm.num_wavelengths = 64;
+    config.batcher.enabled = false;
+    config.policy = leg.policy;
+    config.elastic_resize = true;
+    config.placement = HybridPlacementPolicy::kCostModelChoice;
+    config.electrical.fabric = ElectricalFabric::kTwoLevelShared;
+    config.electrical.hosts_per_tor = 8;
+    config.electrical.oversubscription = 4.0;
+    obs::MetricsRegistry registry;
+    config.metrics = &registry;
+
+    const RuntimeReport report = run_streamed(w, config);
+    ASSERT_EQ(report.completed, 1000u);
+    EXPECT_GT(report.resizes, 0u);
+    const obs::Counter* reads =
+        registry.find_counter("runtime.wait_line_reads");
+    ASSERT_NE(reads, nullptr);
+    EXPECT_GT(reads->value(), 0u);
+    EXPECT_LE(reads->value(), leg.max_reads);
+  }
+}
+
 TEST(RuntimeServe, RoutingProbePaysPerInstant) {
   // Work-counter guard of the congestion-aware router's electrical price,
   // on the overflow configuration above (1,000 jobs at seed 1, FIFO)

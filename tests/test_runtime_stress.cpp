@@ -17,6 +17,10 @@
 //    double-claimed), job lifecycles are well-formed, and no job is both
 //    preempted and completed at the same timestamp.
 //
+// Each seed also draws a priority-aging half-life (off for half the seeds)
+// from a second stream, so the aged branch of the fairness order runs under
+// every policy, placement and fabric.
+//
 // Setting WRHT_STRESS_CHAOS=1 adds a chaos axis over the SAME fixed seeds:
 // a per-seed FaultInjector rides the run (all four failure domains, repairs
 // enabled so suspended work can always resume) and the audits extend to the
@@ -47,6 +51,7 @@
 #include "report_digest.hpp"
 #include "runtime/runtime.hpp"
 #include "util/random.hpp"
+#include "util/string_utils.hpp"
 
 namespace wrht::runtime {
 namespace {
@@ -103,6 +108,17 @@ RuntimeConfig config_for_seed(util::Rng& rng) {
         static_cast<double>(1u << rng.next_below(3));  // 1, 2, or 4
   }
   return config;
+}
+
+/// The aging axis, drawn from its own stream so every draw of the seed's
+/// main stream stays where it was before the axis existed: off for half the
+/// seeds, else a half-life of 0.5, 2 or 8 ms against arrivals spread over
+/// 20 ms.
+util::Seconds aging_for_seed(std::uint64_t seed) {
+  util::Rng rng(seed ^ 0xA61A6ULL);
+  const std::uint64_t draw = rng.next_below(6);
+  if (draw < 3) return util::Seconds(0.0);
+  return util::milliseconds(0.5 * static_cast<double>(1u << (2 * (draw - 3))));
 }
 
 JobSpec job_for_seed(util::Rng& rng) {
@@ -463,6 +479,7 @@ void run_stress_seed(std::uint64_t seed, std::uint32_t num_jobs,
   util::Rng rng(seed);
   obs::MetricsRegistry registry;
   RuntimeConfig config = config_for_seed(rng);
+  config.aging_half_life = aging_for_seed(seed);
   config.metrics = &registry;
   const std::string label =
       "seed=" + std::to_string(seed) + " chaos=" + (chaos ? "1" : "0") +
@@ -471,7 +488,8 @@ void run_stress_seed(std::uint64_t seed, std::uint32_t num_jobs,
       " fabric=" + electrical_fabric_name(config.electrical.fabric) +
       " oversub=" + std::to_string(config.electrical.oversubscription) +
       " resize=" + (config.elastic_resize ? "1" : "0") +
-      " batcher=" + (config.batcher.enabled ? "1" : "0");
+      " batcher=" + (config.batcher.enabled ? "1" : "0") + " aging=" +
+      util::format_double(config.aging_half_life.value() * 1e3, 1) + "ms";
   SCOPED_TRACE(label);
   // Printed and flushed BEFORE the run: a WRHT_CHECK abort or a crash
   // loses buffered output, and this line is what names the failing seed.
