@@ -6,13 +6,22 @@
 
 namespace wrht::obs {
 
-double exact_quantile(std::vector<double> samples, double q) {
-  if (samples.empty()) return 0.0;
+namespace {
+
+// The nearest-rank quantile of an already sorted series.
+double sorted_quantile(const std::vector<double>& sorted, double q) {
+  if (sorted.empty()) return 0.0;
   q = std::clamp(q, std::numeric_limits<double>::min(), 1.0);
-  std::sort(samples.begin(), samples.end());
   const auto rank = static_cast<std::size_t>(
-      std::ceil(q * static_cast<double>(samples.size())));
-  return samples[std::max<std::size_t>(rank, 1) - 1];
+      std::ceil(q * static_cast<double>(sorted.size())));
+  return sorted[std::max<std::size_t>(rank, 1) - 1];
+}
+
+}  // namespace
+
+double exact_quantile(std::vector<double> samples, double q) {
+  std::sort(samples.begin(), samples.end());
+  return sorted_quantile(samples, q);
 }
 
 SloStats compute_slo(const std::vector<runtime::JobRecord>& records) {
@@ -37,12 +46,15 @@ SloStats compute_slo(const std::vector<runtime::JobRecord>& records) {
       if (record.turnaround() <= record.spec.deadline) ++out.deadline_hits;
     }
   }
-  out.p50_turnaround = util::Seconds(exact_quantile(turnarounds, 0.50));
-  out.p99_turnaround = util::Seconds(exact_quantile(turnarounds, 0.99));
-  out.p999_turnaround = util::Seconds(exact_quantile(turnarounds, 0.999));
-  out.p50_slowdown = exact_quantile(slowdowns, 0.50);
-  out.p99_slowdown = exact_quantile(slowdowns, 0.99);
-  out.p999_slowdown = exact_quantile(slowdowns, 0.999);
+  // Each series is sorted once and read at its three ranks.
+  std::sort(turnarounds.begin(), turnarounds.end());
+  std::sort(slowdowns.begin(), slowdowns.end());
+  out.p50_turnaround = util::Seconds(sorted_quantile(turnarounds, 0.50));
+  out.p99_turnaround = util::Seconds(sorted_quantile(turnarounds, 0.99));
+  out.p999_turnaround = util::Seconds(sorted_quantile(turnarounds, 0.999));
+  out.p50_slowdown = sorted_quantile(slowdowns, 0.50);
+  out.p99_slowdown = sorted_quantile(slowdowns, 0.99);
+  out.p999_slowdown = sorted_quantile(slowdowns, 0.999);
   return out;
 }
 

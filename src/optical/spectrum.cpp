@@ -1,23 +1,121 @@
 #include "optical/spectrum.hpp"
 
+#include <algorithm>
+#include <bit>
+
 #include "util/check.hpp"
 
 namespace wrht::optical {
 
+namespace {
+
+constexpr std::uint32_t kWordBits = 64;
+constexpr std::uint64_t kAllBits = ~std::uint64_t{0};
+
+// The words of a span bitmask that an arc touches.  The arc's spans
+// start..start+length-1 (mod N) are bit positions [start, stop) plus, when
+// the arc wraps past span N-1, [0, wrap).  Each of those ranges is a run of
+// words first..last, `head` holding the arc's bits of word first and `tail`
+// those of word last (the same bits when first == last).
+class ArcWords {
+ public:
+  ArcWords(const topo::RingTopology& ring, const topo::Arc& arc) {
+    const std::uint32_t start = ring.arc_start(arc);
+    const std::uint32_t end = start + arc.length;
+    const std::uint32_t stop = std::min(end, ring.num_spans());
+    add(start, stop);
+    add(0, end - stop);
+    // A wrapping arc whose first range ends in word 0 is on a ring of at
+    // most 64 spans, so both ranges lie in word 0: make them one run.
+    if (runs_ == 2 && run_[0].last == 0) {
+      run_[0].head = run_[0].tail = run_[0].head | run_[1].head;
+      runs_ = 1;
+    }
+  }
+
+  // The one word and its bits, when the arc touches a single word.
+  [[nodiscard]] bool one_word() const {
+    return runs_ == 1 && run_[0].first == run_[0].last;
+  }
+  [[nodiscard]] std::uint32_t word() const { return run_[0].first; }
+  [[nodiscard]] std::uint64_t bits() const { return run_[0].head; }
+
+  // Calls visit(word, bits) for each touched word, `bits` being the arc's
+  // positions in it, until a call returns false.  Returns whether every
+  // call returned true.
+  template <typename Visit>
+  bool all_of(Visit visit) const {
+    for (std::uint32_t i = 0; i < runs_; ++i) {
+      const Run& r = run_[i];
+      for (std::uint32_t w = r.first; w <= r.last; ++w) {
+        const std::uint64_t bits =
+            w == r.first ? r.head : (w == r.last ? r.tail : kAllBits);
+        if (!visit(w, bits)) return false;
+      }
+    }
+    return true;
+  }
+
+ private:
+  struct Run {
+    std::uint32_t first;
+    std::uint32_t last;
+    std::uint64_t head;
+    std::uint64_t tail;
+  };
+
+  void add(std::uint32_t lo, std::uint32_t hi) {
+    if (lo >= hi) return;
+    Run& r = run_[runs_++];
+    r.first = lo / kWordBits;
+    r.last = (hi - 1) / kWordBits;
+    r.head = kAllBits << (lo % kWordBits);
+    r.tail = kAllBits >> (kWordBits - 1 - (hi - 1) % kWordBits);
+    if (r.first == r.last) r.head = r.tail = r.head & r.tail;
+  }
+
+  Run run_[2];
+  std::uint32_t runs_ = 0;
+};
+
+// The arc check of RingTopology::spans as one inline compare; a bad arc
+// goes through spans() itself, which aborts naming it.
+void require_arc(const topo::RingTopology& ring, const topo::Arc& arc) {
+  if (arc.first >= ring.num_spans() || arc.length > ring.num_spans())
+      [[unlikely]] {
+    (void)ring.spans(arc);
+  }
+}
+
+bool all_clear(const std::uint64_t* mask, const ArcWords& arc) {
+  return arc.all_of([mask](std::uint32_t w, std::uint64_t bits) {
+    return (mask[w] & bits) == 0;
+  });
+}
+
+}  // namespace
+
 SpectrumMap::SpectrumMap(const topo::RingTopology& ring,
                          std::uint32_t num_wavelengths)
-    : ring_(&ring), num_wavelengths_(num_wavelengths) {
+    : ring_(&ring),
+      num_wavelengths_(num_wavelengths),
+      words_per_mask_((ring.num_spans() + kWordBits - 1) / kWordBits) {
   WRHT_REQUIRE(num_wavelengths > 0,
                "SpectrumMap: need at least one wavelength");
-  occupied_.assign(std::size_t{2} * ring.num_spans() * num_wavelengths, false);
+  occupied_.assign(std::size_t{2} * num_wavelengths * words_per_mask_, 0);
   usage_.assign(num_wavelengths, 0);
 }
 
-std::size_t SpectrumMap::cell(topo::Direction dir, topo::SpanId span,
-                              WavelengthId lambda) const {
-  return (static_cast<std::size_t>(dir) * ring_->num_spans() + span) *
-             num_wavelengths_ +
-         lambda;
+std::size_t SpectrumMap::mask_at(topo::Direction dir,
+                                 WavelengthId lambda) const {
+  return (static_cast<std::size_t>(dir) * num_wavelengths_ + lambda) *
+         words_per_mask_;
+}
+
+bool SpectrumMap::occupied(topo::Direction dir, topo::SpanId span,
+                           WavelengthId lambda) const {
+  const std::size_t word = mask_at(dir, lambda) + span / kWordBits;
+  return (occupied_[word] >> (span % kWordBits)) & 1;
 }
 
 void SpectrumMap::require_wavelength(WavelengthId lambda) const {
@@ -29,48 +127,81 @@ void SpectrumMap::require_wavelength(WavelengthId lambda) const {
 
 bool SpectrumMap::is_free(const topo::Arc& arc, WavelengthId lambda) const {
   if (lambda >= num_wavelengths_) return false;
-  for (const topo::SpanId span : ring_->spans(arc)) {
-    if (occupied_[cell(arc.direction, span, lambda)]) return false;
-  }
-  return true;
+  require_arc(*ring_, arc);
+  return all_clear(&occupied_[mask_at(arc.direction, lambda)],
+                   ArcWords(*ring_, arc));
 }
 
 std::optional<WavelengthId> SpectrumMap::first_free(
     const topo::Arc& arc) const {
+  require_arc(*ring_, arc);
+  const ArcWords words(*ring_, arc);
+  if (words.one_word()) {
+    // One AND per lambda over the masks' shared word.
+    const std::uint64_t* w = &occupied_[mask_at(arc.direction, 0)] +
+                             words.word();
+    for (WavelengthId lambda = 0; lambda < num_wavelengths_; ++lambda) {
+      if ((w[std::size_t{lambda} * words_per_mask_] & words.bits()) == 0) {
+        return lambda;
+      }
+    }
+    return std::nullopt;
+  }
   for (WavelengthId lambda = 0; lambda < num_wavelengths_; ++lambda) {
-    if (is_free(arc, lambda)) return lambda;
+    if (all_clear(&occupied_[mask_at(arc.direction, lambda)], words)) {
+      return lambda;
+    }
   }
   return std::nullopt;
 }
 
 void SpectrumMap::reserve(const topo::Arc& arc, WavelengthId lambda) {
+  if (try_reserve(arc, lambda)) [[likely]] return;
   require_wavelength(lambda);
+  // Name the first taken span in traversal order.
   for (const topo::SpanId span : ring_->spans(arc)) {
-    const std::size_t c = cell(arc.direction, span, lambda);
-    WRHT_REQUIRE(!occupied_[c],
+    WRHT_REQUIRE(!occupied(arc.direction, span, lambda),
                  "SpectrumMap: wavelength "
                      << lambda << " already taken on span " << span << " ("
                      << topo::direction_name(arc.direction) << ")");
-    occupied_[c] = true;
-    ++usage_[lambda];
   }
 }
 
 bool SpectrumMap::try_reserve(const topo::Arc& arc, WavelengthId lambda) {
-  if (!is_free(arc, lambda)) return false;
-  reserve(arc, lambda);
+  if (lambda >= num_wavelengths_) return false;
+  require_arc(*ring_, arc);
+  const ArcWords words(*ring_, arc);
+  std::uint64_t* m = &occupied_[mask_at(arc.direction, lambda)];
+  if (!all_clear(m, words)) return false;
+  words.all_of([m](std::uint32_t w, std::uint64_t b) {
+    m[w] |= b;
+    return true;
+  });
+  usage_[lambda] += arc.length;
   return true;
 }
 
 void SpectrumMap::release(const topo::Arc& arc, WavelengthId lambda) {
   require_wavelength(lambda);
-  for (const topo::SpanId span : ring_->spans(arc)) {
-    const std::size_t c = cell(arc.direction, span, lambda);
-    WRHT_REQUIRE(occupied_[c], "SpectrumMap: releasing free wavelength "
-                                   << lambda << " on span " << span);
-    occupied_[c] = false;
-    --usage_[lambda];
+  require_arc(*ring_, arc);
+  const ArcWords words(*ring_, arc);
+  std::uint64_t* m = &occupied_[mask_at(arc.direction, lambda)];
+  const bool held = words.all_of([m](std::uint32_t w, std::uint64_t b) {
+    return (m[w] & b) == b;
+  });
+  if (!held) [[unlikely]] {
+    // Name the first free span in traversal order.
+    for (const topo::SpanId span : ring_->spans(arc)) {
+      WRHT_REQUIRE(occupied(arc.direction, span, lambda),
+                   "SpectrumMap: releasing free wavelength "
+                       << lambda << " on span " << span);
+    }
   }
+  words.all_of([m](std::uint32_t w, std::uint64_t b) {
+    m[w] &= ~b;
+    return true;
+  });
+  usage_[lambda] -= arc.length;
 }
 
 std::uint32_t SpectrumMap::wavelengths_in_use() const {
@@ -82,12 +213,10 @@ std::uint32_t SpectrumMap::wavelengths_in_use() const {
 }
 
 std::uint64_t SpectrumMap::occupied_cells(topo::Direction dir) const {
+  const auto begin = occupied_.begin() + mask_at(dir, 0);
+  const auto end = begin + std::size_t{num_wavelengths_} * words_per_mask_;
   std::uint64_t count = 0;
-  for (topo::SpanId span = 0; span < ring_->num_spans(); ++span) {
-    for (WavelengthId lambda = 0; lambda < num_wavelengths_; ++lambda) {
-      if (occupied_[cell(dir, span, lambda)]) ++count;
-    }
-  }
+  for (auto w = begin; w != end; ++w) count += std::popcount(*w);
   return count;
 }
 
@@ -96,8 +225,8 @@ std::uint32_t SpectrumMap::usage(WavelengthId lambda) const {
 }
 
 void SpectrumMap::clear() {
-  occupied_.assign(occupied_.size(), false);
-  usage_.assign(usage_.size(), 0);
+  std::fill(occupied_.begin(), occupied_.end(), 0);
+  std::fill(usage_.begin(), usage_.end(), 0);
 }
 
 }  // namespace wrht::optical

@@ -1,10 +1,19 @@
 // Per-span, per-wavelength occupancy of the two counter-rotating waveguides.
 //
-// A transfer claims one wavelength on every span of its arc; the map rejects
-// double-booking, which is exactly the wavelength-conflict rule of a WDM
-// ring without wavelength conversion.
+// The ring has no wavelength conversion, so a transfer keeps one wavelength
+// end to end: λ is usable on an arc only if λ is free on every span of the
+// arc, and a claim takes λ on all of them.  The map rejects double-booking,
+// which is exactly the wavelength-conflict rule of a WDM ring.
+//
+// Layout: one span bitmask per (direction, λ), ⌈N/64⌉ `uint64_t` words
+// where bit s of the mask is span s.  An arc is an increasing circular
+// interval of spans (RingTopology::arc_start), so it is one masked range
+// of bits, or two when it wraps past span N-1.  "λ free on the arc" is an
+// AND per word, a claim or release an OR or AND-NOT per word, First Fit a
+// scan over λ with one such test each, and an occupancy count a popcount.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -58,13 +67,18 @@ class SpectrumMap {
 
  private:
   void require_wavelength(WavelengthId lambda) const;
-  [[nodiscard]] std::size_t cell(topo::Direction dir, topo::SpanId span,
-                                 WavelengthId lambda) const;
+  /// Index in occupied_ of the span bitmask of (dir, lambda), whose
+  /// words_per_mask_ words follow one another.
+  [[nodiscard]] std::size_t mask_at(topo::Direction dir,
+                                    WavelengthId lambda) const;
+  [[nodiscard]] bool occupied(topo::Direction dir, topo::SpanId span,
+                              WavelengthId lambda) const;
 
   const topo::RingTopology* ring_;
   std::uint32_t num_wavelengths_;
-  std::vector<bool> occupied_;          // [dir][span][lambda]
-  std::vector<std::uint32_t> usage_;    // per lambda, both directions
+  std::uint32_t words_per_mask_;         // ⌈num_spans / 64⌉
+  std::vector<std::uint64_t> occupied_;  // [dir][lambda][span word]
+  std::vector<std::uint32_t> usage_;     // per lambda, both directions
 };
 
 }  // namespace wrht::optical

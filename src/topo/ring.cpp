@@ -67,12 +67,7 @@ SpanRange RingTopology::spans(const Arc& a) const {
 bool RingTopology::arc_covers(const Arc& a, SpanId span) const {
   if (a.length == 0) return false;
   if (a.length >= num_nodes_) return true;
-  // Normalize the arc to an increasing circular interval of spans.
-  const std::uint32_t begin =
-      a.direction == Direction::kClockwise
-          ? a.first
-          : (a.first + num_nodes_ + 1 - a.length) % num_nodes_;
-  const std::uint32_t offset = (span + num_nodes_ - begin) % num_nodes_;
+  const std::uint32_t offset = (span + num_nodes_ - arc_start(a)) % num_nodes_;
   return offset < a.length;
 }
 
@@ -81,12 +76,7 @@ bool RingTopology::arcs_conflict(const Arc& a, const Arc& b) const {
   if (a.empty() || b.empty()) return false;
   if (a.length >= num_nodes_ || b.length >= num_nodes_) return true;
   // Two circular intervals intersect iff either contains the other's start.
-  const auto begin_of = [&](const Arc& x) -> std::uint32_t {
-    return x.direction == Direction::kClockwise
-               ? x.first
-               : (x.first + num_nodes_ + 1 - x.length) % num_nodes_;
-  };
-  return arc_covers(a, begin_of(b)) || arc_covers(b, begin_of(a));
+  return arc_covers(a, arc_start(b)) || arc_covers(b, arc_start(a));
 }
 
 NodeId RingTopology::advance(NodeId src, std::uint32_t hops,

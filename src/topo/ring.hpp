@@ -126,6 +126,15 @@ class RingTopology {
   /// range.  Requires arc.first < num_spans() and arc.length <= num_spans().
   [[nodiscard]] SpanRange spans(const Arc& arc) const;
 
+  /// The arc as an increasing circular interval: it covers spans start,
+  /// start+1, ..., start+length-1 (mod N), where start is `first` for a
+  /// clockwise arc and first-length+1 (mod N) for a counter-clockwise one.
+  [[nodiscard]] SpanId arc_start(const Arc& a) const {
+    return a.direction == Direction::kClockwise
+               ? a.first
+               : (a.first + num_nodes_ + 1 - a.length) % num_nodes_;
+  }
+
   /// Whether two arcs share at least one span *on the same waveguide*.
   /// Arcs on opposite directions never conflict (separate waveguides).
   [[nodiscard]] bool arcs_conflict(const Arc& a, const Arc& b) const;

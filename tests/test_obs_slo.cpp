@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "runtime/job.hpp"
+#include "util/random.hpp"
 
 namespace wrht::obs {
 namespace {
@@ -118,6 +119,39 @@ TEST(ComputeSlo, ZeroServiceSpanReportsSlowdownOne) {
   records.push_back(done_job(0.0, 1.0, 1.0));
   const SloStats slo = compute_slo(records);
   EXPECT_EQ(slo.p50_slowdown, 1.0);
+}
+
+TEST(ComputeSlo, QuantilesEqualExactQuantileOnRandomSeriesWithTies) {
+  // compute_slo sorts each series once and reads three ranks; every value
+  // must equal exact_quantile's sort-per-call answer bit for bit.  Few
+  // distinct times, so both series are full of ties.
+  util::Rng rng(0x510);
+  for (const std::size_t n : {0, 1, 2, 3, 7, 1000}) {
+    std::vector<JobRecord> records;
+    std::vector<double> turnarounds;
+    std::vector<double> slowdowns;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double arrival = 0.5 * static_cast<double>(rng.next_below(3));
+      const double admitted = arrival + 0.25 * static_cast<double>(
+                                                   rng.next_below(4));
+      const double completed =
+          admitted + 0.125 * static_cast<double>(rng.next_below(5));
+      records.push_back(done_job(arrival, admitted, completed));
+      turnarounds.push_back(records.back().turnaround().value());
+      const double service = completed - admitted;
+      slowdowns.push_back(service > 0.0 ? (completed - arrival) / service
+                                        : 1.0);
+    }
+    const SloStats slo = compute_slo(records);
+    EXPECT_EQ(slo.jobs, n);
+    EXPECT_EQ(slo.p50_turnaround.value(), exact_quantile(turnarounds, 0.50));
+    EXPECT_EQ(slo.p99_turnaround.value(), exact_quantile(turnarounds, 0.99));
+    EXPECT_EQ(slo.p999_turnaround.value(),
+              exact_quantile(turnarounds, 0.999));
+    EXPECT_EQ(slo.p50_slowdown, exact_quantile(slowdowns, 0.50));
+    EXPECT_EQ(slo.p99_slowdown, exact_quantile(slowdowns, 0.99));
+    EXPECT_EQ(slo.p999_slowdown, exact_quantile(slowdowns, 0.999));
+  }
 }
 
 TEST(ComputeSlo, EmptyInputIsAllZeros) {
