@@ -25,20 +25,7 @@ class ArcWords {
     const std::uint32_t stop = std::min(end, ring.num_spans());
     add(start, stop);
     add(0, end - stop);
-    // A wrapping arc whose first range ends in word 0 is on a ring of at
-    // most 64 spans, so both ranges lie in word 0: make them one run.
-    if (runs_ == 2 && run_[0].last == 0) {
-      run_[0].head = run_[0].tail = run_[0].head | run_[1].head;
-      runs_ = 1;
-    }
   }
-
-  // The one word and its bits, when the arc touches a single word.
-  [[nodiscard]] bool one_word() const {
-    return runs_ == 1 && run_[0].first == run_[0].last;
-  }
-  [[nodiscard]] std::uint32_t word() const { return run_[0].first; }
-  [[nodiscard]] std::uint64_t bits() const { return run_[0].head; }
 
   // Calls visit(word, bits) for each touched word, `bits` being the arc's
   // positions in it, until a call returns false.  Returns whether every
@@ -136,17 +123,6 @@ std::optional<WavelengthId> SpectrumMap::first_free(
     const topo::Arc& arc) const {
   require_arc(*ring_, arc);
   const ArcWords words(*ring_, arc);
-  if (words.one_word()) {
-    // One AND per lambda over the masks' shared word.
-    const std::uint64_t* w = &occupied_[mask_at(arc.direction, 0)] +
-                             words.word();
-    for (WavelengthId lambda = 0; lambda < num_wavelengths_; ++lambda) {
-      if ((w[std::size_t{lambda} * words_per_mask_] & words.bits()) == 0) {
-        return lambda;
-      }
-    }
-    return std::nullopt;
-  }
   for (WavelengthId lambda = 0; lambda < num_wavelengths_; ++lambda) {
     if (all_clear(&occupied_[mask_at(arc.direction, lambda)], words)) {
       return lambda;
